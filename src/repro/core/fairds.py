@@ -21,8 +21,11 @@ Responsibilities (paper Section II-A):
 from __future__ import annotations
 
 import pickle
+import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from repro.clustering.elbow import select_k_elbow
 from repro.clustering.fuzzy import assignment_certainty_batch
 from repro.clustering.kmeans import KMeans
 from repro.core.distribution import DatasetDistribution
-from repro.dataio.sampler import WeightedClusterSampler
+from repro.dataio.sampler import WeightedClusterSampler, cluster_members
 from repro.embedding.base import Embedder
 from repro.observability.tracing import trace_span
 from repro.storage.documentdb import Collection, DocumentDB
@@ -65,6 +68,87 @@ class LookupResult:
 
     def __len__(self) -> int:
         return self.images.shape[0]
+
+
+class _IntColumn:
+    """Append-only integer column with amortised O(1) append.
+
+    :meth:`append` returns a view of everything appended so far.  Views handed
+    out earlier stay valid and unchanged — later values land beyond their end,
+    or in a fresh buffer after a doubling — which is what lets a published
+    catalog snapshot be read without a lock while the next one is prepared.
+    One writer at a time.
+    """
+
+    __slots__ = ("_buffer", "_size")
+
+    def __init__(self) -> None:
+        self._buffer = np.empty(0, dtype=np.intp)
+        self._size = 0
+
+    def append(self, values: np.ndarray) -> np.ndarray:
+        size = self._size + len(values)
+        if size > self._buffer.size:
+            grown = np.empty(max(size, 2 * self._buffer.size), dtype=np.intp)
+            grown[: self._size] = self._buffer[: self._size]
+            self._buffer = grown
+        self._buffer[self._size : size] = values
+        self._size = size
+        return self._buffer[:size]
+
+
+class _SampleCatalog(NamedTuple):
+    """What a lookup needs of every stored sample, column by column.
+
+    One immutable snapshot of the labelled store in ``Collection.find()``
+    order: row ``i`` is the ``i``-th document.  It describes ``collection``
+    at write ``version`` and no other state of it.  ``cluster_ids`` and
+    ``members`` (row numbers per cluster id present) are NumPy views of
+    exactly this snapshot's length; ``doc_ids`` and ``labels`` are append-only
+    lists shared with later snapshots, of which only the rows below
+    ``len(cluster_ids)`` belong to this one.
+    """
+
+    collection: Collection
+    version: int
+    doc_ids: List[str]
+    labels: List[Any]
+    cluster_ids: np.ndarray
+    members: Dict[int, np.ndarray]
+    cluster_column: _IntColumn
+    member_columns: Dict[int, _IntColumn]
+
+    @classmethod
+    def of(
+        cls, collection: Collection, version: int, docs: Sequence[Mapping[str, Any]]
+    ) -> "_SampleCatalog":
+        """The catalog of ``docs``, which are ``collection.find()`` at ``version``."""
+        empty = cls(collection, version, [], [], np.empty(0, dtype=np.intp), {}, _IntColumn(), {})
+        return empty.extended(version, [d["_id"] for d in docs], docs)
+
+    def extended(
+        self, version: int, doc_ids: Sequence[str], fields: Sequence[Mapping[str, Any]]
+    ) -> "_SampleCatalog":
+        """The snapshot after documents ``doc_ids`` carrying ``fields`` were
+        appended to the collection, in O(batch + clusters).
+
+        Consumes ``self``: the shared lists and columns grow in place (beyond
+        what ``self`` and older snapshots read), so only the newest snapshot
+        may be extended, by one thread at a time.
+        """
+        added = np.array([f["cluster_id"] for f in fields], dtype=np.intp)
+        first_row = self.cluster_ids.size
+        members = dict(self.members)
+        for c, rows in cluster_members(added).items():
+            column = self.member_columns.get(c)
+            if column is None:
+                column = self.member_columns[c] = _IntColumn()
+            members[c] = column.append(rows + first_row)
+        self.doc_ids.extend(doc_ids)
+        self.labels.extend(f["label"] for f in fields)
+        return self._replace(
+            version=version, cluster_ids=self.cluster_column.append(added), members=members
+        )
 
 
 class FairDS:
@@ -159,6 +243,11 @@ class FairDS:
         self._index = None
         self._index_caps: Optional[IndexCapabilities] = None
         self._lookup_counter = 0
+        self._lookup_counter_lock = threading.Lock()
+        #: Newest published :class:`_SampleCatalog`; replaced whole, read
+        #: without a lock.  ``_catalog_lock`` serialises the writers.
+        self._catalog: Optional[_SampleCatalog] = None
+        self._catalog_lock = threading.Lock()
         self._embed_cache = LRUCache(embedding_cache_size)
         self._embed_generation = 0
         self.index_dtype = np.dtype(index_dtype)
@@ -308,25 +397,30 @@ class FairDS:
         self._kmeans = self._make_clusterer(k).fit(embeddings)
         cluster_ids = self._kmeans.labels_
 
-        # Reset the collection so repeated fits don't accumulate stale copies.
+        # Reset the collection so repeated fits don't accumulate stale copies
+        # (nor the catalog keep the dropped one alive while the new one fills).
         self.db.drop_collection(self.collection_name)
+        self._catalog = None
         coll = self.collection
         coll.create_index("cluster_id")
-        self._write_samples(coll, images, labels, embeddings, cluster_ids, metadata)
-        self._rebuild_index()
+        ids = coll.insert_many(
+            self._sample_fields(labels, embeddings, cluster_ids, metadata), list(images)
+        )
+        self._index = self._make_index()
+        self._index_add(ids, embeddings, cluster_ids)
+        self._sample_catalog()
         return self
 
-    def _write_samples(
-        self,
-        coll: Collection,
-        images: np.ndarray,
+    @staticmethod
+    def _sample_fields(
         labels: np.ndarray,
         embeddings: np.ndarray,
         cluster_ids: np.ndarray,
         metadata: Optional[Sequence[Dict]],
-    ) -> List[str]:
+    ) -> List[Dict[str, Any]]:
+        """The document fields of each sample, payload aside."""
         metas = []
-        for i in range(images.shape[0]):
+        for i in range(labels.shape[0]):
             meta = {
                 "label": np.asarray(labels[i]).tolist(),
                 "embedding": embeddings[i].tolist(),
@@ -335,7 +429,7 @@ class FairDS:
             if metadata is not None:
                 meta.update(metadata[i])
             metas.append(meta)
-        return coll.insert_many(metas, list(images))
+        return metas
 
     def _make_clusterer(self, k: int):
         """The clustering model named by ``clustering_algorithm``, through the
@@ -437,14 +531,38 @@ class FairDS:
             return {}
         return dict(self._index.scan_stats())
 
-    def _rebuild_index(self) -> None:
-        docs = self.collection.find()
-        self._index = self._make_index()
-        if docs:
-            keys = [d.id for d in docs]
-            vectors = np.array([d["embedding"] for d in docs], dtype=np.float64)
-            cluster_ids = np.array([d["cluster_id"] for d in docs], dtype=int)
-            self._index_add(keys, vectors, cluster_ids)
+    def _catalog_at(self, coll: Collection, version: int) -> Optional[_SampleCatalog]:
+        """The published catalog, if it describes ``coll`` at ``version``."""
+        catalog = self._catalog
+        if catalog is not None and catalog.collection is coll and catalog.version == version:
+            return catalog
+        return None
+
+    def _sample_catalog(self) -> _SampleCatalog:
+        """The catalog of the store as it is now.
+
+        The published snapshot is served for as long as it names the current
+        ``Collection`` object at its current write version — so a change made
+        behind fairDS's back (``insert`` / ``update_one`` / ``delete_many`` on
+        the collection, a dropped or re-created collection) is never answered
+        from stale columns.  Otherwise the catalog is rebuilt from
+        ``find()``, its only construction path.
+        """
+        coll = self.collection
+        catalog = self._catalog_at(coll, coll.version)
+        if catalog is None:
+            with self._catalog_lock:
+                # An ingest or another lookup may have caught up while we waited.
+                catalog = self._catalog_at(coll, coll.version)
+                if catalog is None:
+                    version = coll.version
+                    catalog = _SampleCatalog.of(coll, version, coll.find())
+                    # A write that raced the read leaves the documents
+                    # unattributable to one version: good for this caller, as
+                    # find() always was, but not to publish.
+                    if coll.version == version:
+                        self._catalog = catalog
+        return catalog
 
     def ingest(
         self,
@@ -458,7 +576,17 @@ class FairDS:
         images, labels = self._validate_images_labels(images, np.asarray(labels))
         embeddings = self._embed(images)
         cluster_ids = self._kmeans.predict(embeddings)
-        ids = self._write_samples(self.collection, images, labels, embeddings, cluster_ids, metadata)
+        fields = self._sample_fields(labels, embeddings, cluster_ids, metadata)
+        coll = self.collection
+        with self._catalog_lock:
+            version = coll.version
+            ids = coll.insert_many(fields, list(images))
+            # Append to the catalog only if it described the collection just
+            # before this insert and nothing else was written meanwhile;
+            # otherwise it stays behind and the next lookup rebuilds it.
+            catalog = self._catalog_at(coll, version)
+            if catalog is not None and coll.version == version + 1:
+                self._catalog = catalog.extended(version + 1, ids, fields)
         self._index_add(ids, embeddings, cluster_ids)
         return ids
 
@@ -526,9 +654,11 @@ class FairDS:
         """Pseudo-label several datasets in one round trip.
 
         Results are *identical* to calling :meth:`lookup` once per dataset, in
-        order, but the historical store is scanned once for the whole batch
-        and all retrieved payloads are fetched in a single call — the per-call
-        cost that dominates a lookup storm of small datasets.
+        order, but all retrieved payloads are fetched in a single call.  The
+        store itself is not walked: the draw reads the sample catalog
+        (:meth:`_sample_catalog`), so a lookup costs O(request + clusters) in
+        Python plus one ``rng.choice`` per wanted cluster, whatever the store
+        size.
 
         ``n_samples`` may be a single override applied to every dataset, or a
         per-dataset sequence (``None`` entries fall back to the dataset size).
@@ -552,41 +682,47 @@ class FairDS:
                 raise ValidationError("n_samples must be >= 1")
             n_outs.append(n_out)
 
-        docs = self.collection.find()
-        if not docs:
+        catalog = self._sample_catalog()
+        if not catalog.cluster_ids.size:
             raise ValidationError("the fairDS store is empty; ingest historical data first")
-        store_cluster_ids = np.array([d["cluster_id"] for d in docs], dtype=int)
+        if max(catalog.members) >= self.n_clusters:
+            raise ValidationError("the store holds a cluster id the fitted clustering does not have")
 
-        # Everything that can fail happens above/in this call, before any
-        # sampler seed is consumed — a rejected batch leaves the lookup
-        # counter (and thus reproducibility vs N single calls) untouched.
         distributions = self.dataset_distribution_batch(batches, labels=labels)
+
+        # Everything that can fail has happened above, before any sampler
+        # seed is consumed — a rejected batch leaves the lookup counter (and
+        # thus reproducibility vs N single calls) untouched.  The block of
+        # seeds is reserved atomically: concurrent lookups never share one.
+        with self._lookup_counter_lock:
+            first_counter = self._lookup_counter
+            self._lookup_counter += len(batches)
 
         plans = []
         all_chosen_ids: List[str] = []
-        for distribution, n_out, label in zip(distributions, n_outs, labels):
+        for offset, (distribution, n_out, label) in enumerate(zip(distributions, n_outs, labels)):
             sampler = WeightedClusterSampler(
-                store_cluster_ids,
+                catalog.cluster_ids,
                 distribution.pdf,
                 n_samples=n_out,
-                seed=derive_seed(self.seed, 101, self._lookup_counter),
+                seed=derive_seed(self.seed, 101, first_counter + offset),
+                members_by_cluster=catalog.members,
             )
-            self._lookup_counter += 1
             chosen = list(sampler)
-            chosen_ids = [docs[i].id for i in chosen]
+            chosen_ids = [catalog.doc_ids[i] for i in chosen]
             plans.append((distribution, chosen, chosen_ids, label))
             all_chosen_ids.extend(chosen_ids)
 
-        payloads = self.collection.fetch_payloads(all_chosen_ids)
+        payloads = catalog.collection.fetch_payloads(all_chosen_ids)
         results: List[LookupResult] = []
         cursor = 0
         for distribution, chosen, chosen_ids, label in plans:
             batch_payloads = payloads[cursor : cursor + len(chosen_ids)]
             cursor += len(chosen_ids)
             retrieved_images = np.stack([np.asarray(p) for p in batch_payloads])
-            retrieved_labels = np.array([docs[i]["label"] for i in chosen], dtype=np.float64)
+            retrieved_labels = np.array([catalog.labels[i] for i in chosen], dtype=np.float64)
             retrieved_dist = DatasetDistribution.from_cluster_ids(
-                store_cluster_ids[chosen], self.n_clusters, label=f"{label}:retrieved"
+                catalog.cluster_ids[chosen], self.n_clusters, label=f"{label}:retrieved"
             )
             results.append(
                 LookupResult(

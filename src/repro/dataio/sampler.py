@@ -10,7 +10,7 @@ characteristics to the input data".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +58,21 @@ class RandomSampler(Sampler):
         return self.n
 
 
+def cluster_members(cluster_ids: np.ndarray) -> Dict[int, np.ndarray]:
+    """Positions of each cluster id present in ``cluster_ids``, ascending,
+    keyed in ascending id order — ``np.nonzero(cluster_ids == c)[0]`` for
+    every ``c``, from one stable sort instead of one pass per cluster."""
+    if cluster_ids.size == 0:
+        return {}
+    order = np.argsort(cluster_ids, kind="stable")
+    sorted_ids = cluster_ids[order]
+    starts = np.flatnonzero(np.diff(sorted_ids)) + 1
+    return {
+        int(group_id): members
+        for group_id, members in zip(sorted_ids[np.r_[0, starts]], np.split(order, starts))
+    }
+
+
 class WeightedClusterSampler(Sampler):
     """Draws indices so the sampled cluster histogram matches a target PDF.
 
@@ -72,6 +87,10 @@ class WeightedClusterSampler(Sampler):
         replacement within a cluster where possible).
     seed:
         RNG seed.
+    members_by_cluster:
+        Precomputed :func:`cluster_members` of ``cluster_ids``, for callers
+        that draw repeatedly from one large candidate set: ``cluster_ids`` is
+        then never scanned, and construction costs O(#clusters).
     """
 
     def __init__(
@@ -80,18 +99,22 @@ class WeightedClusterSampler(Sampler):
         target_pdf: Sequence[float],
         n_samples: int,
         seed: SeedLike = None,
+        members_by_cluster: Optional[Mapping[int, np.ndarray]] = None,
     ):
         cluster_ids = np.asarray(cluster_ids, dtype=int)
         if cluster_ids.ndim != 1 or cluster_ids.size == 0:
             raise ValidationError("cluster_ids must be a non-empty 1-D sequence")
         if n_samples < 1:
             raise ValidationError("n_samples must be >= 1")
+        if members_by_cluster is None:
+            members_by_cluster = cluster_members(cluster_ids)
         pdf = normalize_distribution(target_pdf)
-        if cluster_ids.max() >= pdf.size:
+        if max(members_by_cluster) >= pdf.size:
             raise ValidationError("cluster id exceeds the PDF length")
         self.cluster_ids = cluster_ids
         self.target_pdf = pdf
         self.n_samples = int(n_samples)
+        self._members_by_cluster = members_by_cluster
         self._rng = default_rng(seed)
 
     def _draw(self) -> List[int]:
@@ -104,10 +127,10 @@ class WeightedClusterSampler(Sampler):
             order = np.argsort(-(raw - counts))
             counts[order[:remainder]] += 1
         chosen: List[int] = []
-        members_by_cluster = {
-            int(c): np.nonzero(self.cluster_ids == c)[0] for c in np.unique(self.cluster_ids)
-        }
-        nonempty = [c for c, members in members_by_cluster.items() if members.size > 0]
+        members_by_cluster = self._members_by_cluster
+        # Ascending id order, whatever order the mapping was handed over in:
+        # the donor draw below indexes this list.
+        nonempty = sorted(c for c, members in members_by_cluster.items() if members.size > 0)
         for cluster, want in enumerate(counts):
             if want == 0:
                 continue

@@ -55,6 +55,11 @@ class NetworkModel:
     def local() -> "NetworkModel":
         return NetworkModel(0.0, float("inf"))
 
+    @property
+    def is_free(self) -> bool:
+        """True when :meth:`charge` never sleeps, whatever the byte count."""
+        return self.latency_s == 0 and not np.isfinite(self.bandwidth_bytes_per_s)
+
     def charge(self, n_bytes: int) -> None:
         """Sleep for the simulated transfer time of ``n_bytes``."""
         delay = self.latency_s
@@ -74,6 +79,16 @@ class Collection:
         self._lock = lock
         self._docs: Dict[str, Document] = {}
         self._indexes: Dict[str, Dict[Any, set]] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Write version: increases (under the write lock) with every change
+        to the stored documents, never otherwise.  Two reads of the same
+        value on the same ``Collection`` object bracket an unchanged store,
+        which is what lets a derived view (fairDS's sample catalog) prove
+        itself current without re-reading the documents."""
+        return self._version
 
     # -- indexes -----------------------------------------------------------------
     def create_index(self, field: str) -> None:
@@ -127,6 +142,7 @@ class Collection:
                     raise StorageError(f"duplicate _id {doc.id!r}")
                 self._docs[doc.id] = doc
                 self._index_add(doc)
+            self._version += 1
         return [d.id for d in docs]
 
     def update_one(self, query: Mapping[str, Any], changes: Mapping[str, Any]) -> bool:
@@ -138,6 +154,7 @@ class Collection:
                     self._index_remove(doc)
                     doc.update({k: v for k, v in changes.items() if k != "_id"})
                     self._index_add(doc)
+                    self._version += 1
                     return True
         return False
 
@@ -196,6 +213,7 @@ class Collection:
             changes = transform(dict(target) if target is not None else None)
             if changes is None:
                 return target.id if target is not None else None
+            self._version += 1
             if target is not None:
                 self._index_remove(target)
                 target.update({k: v for k, v in changes.items() if k != "_id"})
@@ -215,6 +233,8 @@ class Collection:
             for doc_id in doomed:
                 self._index_remove(self._docs[doc_id])
                 del self._docs[doc_id]
+            if doomed:
+                self._version += 1
         return len(doomed)
 
     # -- reads ---------------------------------------------------------------------
@@ -237,13 +257,16 @@ class Collection:
         decode_payload: bool = False,
     ) -> List[Document]:
         """Return documents matching ``query`` (all documents if ``None``)."""
-        query = query or {}
         with self._lock.read():
-            matches = [doc for doc in self._candidates(query) if doc.matches(query)]
+            if query:
+                matches = [doc for doc in self._candidates(query) if doc.matches(query)]
+            else:
+                # The empty filter keeps every document: no per-document test.
+                matches = list(self._docs.values())
         if limit is not None:
             matches = matches[:limit]
-        transferred = sum(doc.get("payload_bytes", 0) for doc in matches)
-        self.network.charge(transferred)
+        if not self.network.is_free:
+            self.network.charge(sum(doc.get("payload_bytes", 0) for doc in matches))
         if decode_payload:
             out = []
             for doc in matches:
@@ -395,6 +418,7 @@ class DocumentDB:
                 for doc in content["documents"]:
                     restored = Document(doc)
                     coll._docs[restored.id] = restored
+                coll._version += 1
             for field in content.get("indexes", []):
                 coll.create_index(field)
         return db

@@ -15,6 +15,7 @@ from repro.dataio.sampler import (
     RandomSampler,
     SequentialSampler,
     WeightedClusterSampler,
+    cluster_members,
 )
 from repro.dataio.transforms import (
     add_gaussian_noise,
@@ -145,6 +146,20 @@ def test_weighted_cluster_sampler_validation():
         WeightedClusterSampler([0, 5], [0.5, 0.5], 10)
     with pytest.raises(ValidationError):
         WeightedClusterSampler([0, 1], [0.5, 0.5], 0)
+
+
+def test_weighted_cluster_sampler_with_precomputed_membership_skips_the_scan():
+    """Given the membership, the candidate column is checked for shape only —
+    its values are never read — and a cluster id beyond the PDF is caught from
+    the mapping's keys."""
+    cluster_ids = np.arange(30) % 3
+    members = cluster_members(cluster_ids)
+    pdf = [0.5, 0.25, 0.25]
+    unread = np.full(30, 99)  # would fail the range check if it were scanned
+    drawn = list(WeightedClusterSampler(unread, pdf, 12, seed=3, members_by_cluster=members))
+    assert drawn == list(WeightedClusterSampler(cluster_ids, pdf, 12, seed=3))
+    with pytest.raises(ValidationError):
+        WeightedClusterSampler(cluster_ids, [0.5, 0.5], 12, members_by_cluster=members)
 
 
 def test_batch_sampler_grouping_and_drop_last():

@@ -16,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 from repro.core.distribution import DatasetDistribution
 from repro.clustering.fuzzy import membership_matrix
 from repro.clustering.kmeans import KMeans
-from repro.dataio.sampler import WeightedClusterSampler
+from repro.dataio.sampler import WeightedClusterSampler, cluster_members
+from repro.utils.rng import default_rng
 from repro.labeling.peak_fitting import intensity_centroid
 from repro.labeling.pseudo_voigt import PeakParameters, pseudo_voigt_2d
 from repro.nn.layers import Dense, ReLU
@@ -108,6 +109,65 @@ def test_weighted_sampler_always_returns_requested_count(n_clusters, n_samples, 
     drawn = list(sampler)
     assert len(drawn) == n_samples
     assert all(0 <= i < 200 for i in drawn)
+
+
+def _draw_scanning_every_cluster(cluster_ids, pdf, n_samples, seed):
+    """The sampler's draw as first written — ``np.unique`` plus one
+    ``nonzero`` pass per cluster on every draw — kept as the reference the
+    precomputed-membership path must reproduce bit for bit."""
+    rng = default_rng(seed)
+    raw = pdf * n_samples
+    counts = np.floor(raw).astype(int)
+    remainder = n_samples - counts.sum()
+    if remainder > 0:
+        counts[np.argsort(-(raw - counts))[:remainder]] += 1
+    members_by_cluster = {int(c): np.nonzero(cluster_ids == c)[0] for c in np.unique(cluster_ids)}
+    nonempty = [c for c, members in members_by_cluster.items() if members.size > 0]
+    chosen = []
+    for cluster, want in enumerate(counts):
+        if want == 0:
+            continue
+        members = members_by_cluster.get(cluster)
+        if members is None or members.size == 0:
+            members = members_by_cluster[nonempty[int(rng.integers(0, len(nonempty)))]]
+        chosen.extend(rng.choice(members, size=want, replace=want > members.size).tolist())
+    rng.shuffle(chosen)
+    return chosen
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_clusters=st.integers(1, 6),
+    present=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    store=st.integers(1, 120),
+    n_samples=st.integers(1, 300),
+    seed=st.integers(0, 10_000),
+    shuffle_keys=st.booleans(),
+)
+def test_weighted_sampler_draws_are_unchanged_by_precomputed_membership(
+    n_clusters, present, store, n_samples, seed, shuffle_keys
+):
+    """Some clusters of the PDF have no members (donor branch), some draws
+    exceed their cluster (with replacement); the membership mapping may come
+    in any key order."""
+    rng = np.random.default_rng(seed)
+    present = [c for c in present if c < n_clusters] or [0]
+    cluster_ids = rng.choice(present, size=store)
+    pdf = normalize_distribution(rng.random(n_clusters) + 1e-3)
+    expected = _draw_scanning_every_cluster(cluster_ids, pdf, n_samples, seed)
+
+    members = cluster_members(cluster_ids)
+    assert list(members) == sorted(set(cluster_ids.tolist()))
+    for c, rows in members.items():
+        np.testing.assert_array_equal(rows, np.nonzero(cluster_ids == c)[0])
+    assert list(WeightedClusterSampler(cluster_ids, pdf, n_samples, seed=seed)) == expected
+
+    if shuffle_keys:
+        members = {c: members[c] for c in rng.permutation(list(members)).tolist()}
+    sampler = WeightedClusterSampler(
+        cluster_ids, pdf, n_samples, seed=seed, members_by_cluster=members
+    )
+    assert list(sampler) == expected
 
 
 # ---------------------------------------------------------------------------------

@@ -207,6 +207,45 @@ def test_find_with_filters_and_limit():
     assert len(limited) == 3
 
 
+def test_find_everything_skips_the_per_document_filter(monkeypatch):
+    """``find()`` / ``find({})`` test no document and, on a network that
+    charges nothing, add up no payload sizes; what they return is unchanged."""
+    _, coll, payloads = _populated_collection()
+    everything = coll.find({"scan": {"$gte": 0}})
+    calls = []
+    real_matches = Document.matches
+    monkeypatch.setattr(
+        Document, "matches", lambda self, query: calls.append(query) or real_matches(self, query)
+    )
+    charged = []
+    monkeypatch.setattr(NetworkModel, "charge", lambda self, n_bytes: charged.append(n_bytes))
+    for query in (None, {}):
+        found = coll.find(query)
+        assert [d.id for d in found] == coll.ids()
+        assert all(a is b for a, b in zip(found, everything))
+    assert [d.id for d in coll.find({}, limit=3)] == coll.ids()[:3]
+    assert coll.find(limit=0) == []
+    decoded = coll.find(decode_payload=True)
+    for doc, want in zip(decoded, payloads):
+        np.testing.assert_array_equal(doc["payload"], want)
+    assert coll.find_one().id == coll.ids()[0]
+    assert calls == [] and charged == []
+    assert len(coll.find({"cluster_id": 1})) == 5 and len(calls) == 20
+
+
+def test_find_everything_still_charges_a_network_that_bills(monkeypatch):
+    db = DocumentDB(network=NetworkModel(latency_s=0.0, bandwidth_bytes_per_s=1e12))
+    coll = db.collection("c")
+    coll.insert_many([{"i": i} for i in range(6)], [np.zeros(8) for _ in range(6)])
+    assert NetworkModel.local().is_free
+    assert not db.network.is_free and not NetworkModel(latency_s=1e-4).is_free
+    charged = []
+    monkeypatch.setattr(NetworkModel, "charge", lambda self, n_bytes: charged.append(n_bytes))
+    coll.find()
+    coll.find({}, limit=2)
+    assert charged == [coll.storage_bytes(), coll.storage_bytes() // 3]
+
+
 def test_find_decode_payload_roundtrip():
     _, coll, payloads = _populated_collection("blosc")
     doc = coll.find_one({"scan": 7}, decode_payload=True)
