@@ -70,27 +70,52 @@ class KMeans:
             np.minimum(closest_d2, d2_new, out=closest_d2)
         return centers
 
-    def _single_run(self, x: np.ndarray, rng: np.random.Generator):
+    @staticmethod
+    def _assign(xt: np.ndarray, x_sq: np.ndarray, centers: np.ndarray):
+        """Nearest centre of every sample, and the squared distance to it.
+
+        ``xt`` is the feature-major ``(d, n)`` copy of the data and ``x_sq``
+        its per-sample squared norms.  ``‖x‖²`` is the same for every centre,
+        so the nearest one minimises ``‖c‖² − 2c·x``: a ``(K, n)`` matrix
+        whose rows are contiguous, reduced over its K rows.  ``argmin`` along
+        that axis would transpose it back and run once per sample; instead the
+        rows that attain the minimum are ranked so that the first one — the
+        centre ``argmin`` picks on a tie — has the highest rank.
+        """
+        k = centers.shape[0]
+        partial = (-2.0 * centers) @ xt
+        partial += np.einsum("kj,kj->k", centers, centers)[:, None]
+        nearest_d2 = partial.min(axis=0)
+        rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
+        labels = (k - 1) - ((partial == nearest_d2) * rank).max(axis=0).astype(np.intp)
+        nearest_d2 += x_sq
+        np.maximum(nearest_d2, 0.0, out=nearest_d2)
+        return labels, nearest_d2
+
+    def _single_run(self, x: np.ndarray, xt: np.ndarray, x_sq: np.ndarray, rng: np.random.Generator):
         centers = self._kmeanspp_init(x, self.n_clusters, rng)
         prev_inertia = np.inf
-        labels = np.zeros(x.shape[0], dtype=int)
+        n_iter = self.max_iter
         for iteration in range(1, self.max_iter + 1):
-            d2 = pairwise_squared_distances(x, centers)
-            labels = np.argmin(d2, axis=1)
-            inertia = float(d2[np.arange(x.shape[0]), labels].sum())
-            # Update step (vectorised accumulate per cluster).
-            for k in range(self.n_clusters):
-                members = x[labels == k]
-                if members.size:
-                    centers[k] = members.mean(axis=0)
-                else:
-                    # Re-seed empty clusters at the point farthest from its centre.
-                    farthest = np.argmax(d2.min(axis=1))
-                    centers[k] = x[farthest]
+            labels, nearest_d2 = self._assign(xt, x_sq, centers)
+            inertia = float(nearest_d2.sum())
+            # Update step: per-cluster sums of every feature column, accumulated
+            # in sample order like the mean over a cluster's rows.
+            counts = np.bincount(labels, minlength=self.n_clusters)
+            for j, column in enumerate(xt):
+                centers[:, j] = np.bincount(labels, weights=column, minlength=self.n_clusters)
+            centers /= np.maximum(counts, 1)[:, None]
+            if not counts.all():
+                # Re-seed empty clusters at the point farthest from its centre.
+                centers[counts == 0] = x[np.argmax(nearest_d2)]
             if abs(prev_inertia - inertia) <= self.tol:
-                return centers, labels, inertia, iteration
+                n_iter = iteration
+                break
             prev_inertia = inertia
-        return centers, labels, prev_inertia, self.max_iter
+        # The centres moved after the last assignment; ``labels_`` and
+        # ``inertia_`` describe the centres returned, as ``predict`` does.
+        labels, nearest_d2 = self._assign(xt, x_sq, centers)
+        return centers, labels, float(nearest_d2.sum()), n_iter
 
     # -- public API ---------------------------------------------------------------
     def fit(self, x: np.ndarray) -> "KMeans":
@@ -102,9 +127,12 @@ class KMeans:
                 f"need at least n_clusters={self.n_clusters} samples, got {x.shape[0]}"
             )
         rng = default_rng(self.seed)
+        # Every Lloyd iteration of every restart reads these two.
+        xt = np.ascontiguousarray(x.T)
+        x_sq = np.einsum("jn,jn->n", xt, xt)
         best = None
         for _ in range(self.n_init):
-            centers, labels, inertia, n_iter = self._single_run(x, rng)
+            centers, labels, inertia, n_iter = self._single_run(x, xt, x_sq, rng)
             if best is None or inertia < best[2]:
                 best = (centers, labels, inertia, n_iter)
         assert best is not None

@@ -46,6 +46,10 @@ from repro.utils.rng import SeedLike, default_rng, derive_seed
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.executor import Executor
 
+#: Document fields every (re)fit sets afresh; a refresh carries all other
+#: fields of a stored sample over, its encoded payload included.
+_REFIT_FIELDS = frozenset({"_id", "label", "embedding", "cluster_id"})
+
 
 # -- process-executor worker functions (module-level: pickled by reference) ----
 def _embedder_session_setup(ctx, embedder_blob: bytes):
@@ -376,39 +380,61 @@ class FairDS:
         images, labels = self._validate_images_labels(images, np.asarray(labels))
         if metadata is not None and len(metadata) != images.shape[0]:
             raise ValidationError("metadata must match the number of images")
+        with trace_span("fairds.fit"):
+            return self._rebuild(images, labels, metadata, list(images), embedder_kwargs)
 
-        self.embedder.fit(images, **(embedder_kwargs or {}))
+    def _rebuild(
+        self,
+        images: np.ndarray,
+        labels: np.ndarray,
+        metadata: Optional[Sequence[Mapping[str, Any]]],
+        payloads: Optional[List[np.ndarray]],
+        embedder_kwargs: Optional[Dict],
+    ) -> "FairDS":
+        """Fit the models on ``images`` and replace the store with them.
+
+        ``payloads`` are what the collection encodes as the samples' payloads;
+        ``None`` when every ``metadata`` entry already carries its sample's
+        encoded ``payload`` / ``payload_bytes`` fields (a refresh).
+        """
+        with trace_span("embedder.fit"):
+            self.embedder.fit(images, **(embedder_kwargs or {}))
         # The representation changed: advance the cache generation (so even
         # in-flight embeddings keyed to the old representation die unread)
-        # and drop the stale entries.
+        # and drop the stale entries.  The store itself bypasses the cache:
+        # it is embedded once, and would only evict itself.
         self._embed_generation += 1
         self._embed_cache.clear()
-        embeddings = self._embed(images)
+        with trace_span("embedder.transform"):
+            embeddings = self._transform64(images)
 
-        if self._requested_clusters == "auto":
-            k_max = min(self.max_auto_clusters, embeddings.shape[0])
-            k, _ = select_k_elbow(embeddings, k_min=2, k_max=k_max, seed=derive_seed(self.seed, 1))
-        else:
-            k = int(self._requested_clusters)
-        if embeddings.shape[0] < k:
-            raise ValidationError(
-                f"need at least n_clusters={k} samples to fit fairDS, got {embeddings.shape[0]}"
+        with trace_span("clustering.fit"):
+            if self._requested_clusters == "auto":
+                k_max = min(self.max_auto_clusters, embeddings.shape[0])
+                k, _ = select_k_elbow(embeddings, k_min=2, k_max=k_max, seed=derive_seed(self.seed, 1))
+            else:
+                k = int(self._requested_clusters)
+            if embeddings.shape[0] < k:
+                raise ValidationError(
+                    f"need at least n_clusters={k} samples to fit fairDS, got {embeddings.shape[0]}"
+                )
+            self._kmeans = self._make_clusterer(k).fit(embeddings)
+            cluster_ids = self._kmeans.labels_
+
+        with trace_span("store.write"):
+            # Reset the collection so repeated fits don't accumulate stale copies
+            # (nor the catalog keep the dropped one alive while the new one fills).
+            self.db.drop_collection(self.collection_name)
+            self._catalog = None
+            coll = self.collection
+            coll.create_index("cluster_id")
+            ids = coll.insert_many(
+                self._sample_fields(labels, embeddings, cluster_ids, metadata), payloads
             )
-        self._kmeans = self._make_clusterer(k).fit(embeddings)
-        cluster_ids = self._kmeans.labels_
-
-        # Reset the collection so repeated fits don't accumulate stale copies
-        # (nor the catalog keep the dropped one alive while the new one fills).
-        self.db.drop_collection(self.collection_name)
-        self._catalog = None
-        coll = self.collection
-        coll.create_index("cluster_id")
-        ids = coll.insert_many(
-            self._sample_fields(labels, embeddings, cluster_ids, metadata), list(images)
-        )
-        self._index = self._make_index()
-        self._index_add(ids, embeddings, cluster_ids)
-        self._sample_catalog()
+        with trace_span("index.build"):
+            self._index = self._make_index()
+            self._index_add(ids, embeddings, cluster_ids)
+            self._sample_catalog()
         return self
 
     @staticmethod
@@ -416,20 +442,21 @@ class FairDS:
         labels: np.ndarray,
         embeddings: np.ndarray,
         cluster_ids: np.ndarray,
-        metadata: Optional[Sequence[Dict]],
+        metadata: Optional[Sequence[Mapping[str, Any]]],
     ) -> List[Dict[str, Any]]:
         """The document fields of each sample, payload aside."""
-        metas = []
-        for i in range(labels.shape[0]):
-            meta = {
-                "label": np.asarray(labels[i]).tolist(),
-                "embedding": embeddings[i].tolist(),
-                "cluster_id": int(cluster_ids[i]),
-            }
-            if metadata is not None:
-                meta.update(metadata[i])
-            metas.append(meta)
-        return metas
+        fields = [
+            {"label": label, "embedding": embedding, "cluster_id": cluster_id}
+            for label, embedding, cluster_id in zip(
+                labels.tolist(),
+                embeddings.tolist(),
+                np.asarray(cluster_ids, dtype=np.intp).tolist(),
+            )
+        ]
+        if metadata is not None:
+            for sample, extra in zip(fields, metadata):
+                sample.update(extra)
+        return fields
 
     def _make_clusterer(self, k: int):
         """The clustering model named by ``clustering_algorithm``, through the
@@ -801,20 +828,24 @@ class FairDS:
 
         This is the system-plane action fired by the uncertainty trigger: all
         stored samples are re-embedded, the clustering is re-fit, every
-        document's embedding/cluster fields are updated, and the lookup index
-        rebuilt.
+        document's embedding/cluster fields are rewritten (under new ids, in a
+        new collection), and the lookup index rebuilt.  Payloads are decoded
+        once, for the embedder; the documents keep their encoded blobs as they
+        are.
         """
         if not self.is_fitted:
             raise NotFittedError("fairDS.refresh() requires fit() first")
-        docs = self.collection.find()
-        if not docs:
-            raise ValidationError("cannot refresh an empty store")
-        ids = [d.id for d in docs]
-        payloads = self.collection.fetch_payloads(ids)
-        images = np.stack([np.asarray(p) for p in payloads])
-        labels = np.array([d["label"] for d in docs], dtype=np.float64)
-        extra = [
-            {k: v for k, v in d.items() if k not in ("_id", "label", "embedding", "cluster_id", "payload", "payload_bytes")}
-            for d in docs
-        ]
-        return self.fit(images, labels, metadata=extra, embedder_kwargs=embedder_kwargs)
+        with trace_span("fairds.refresh"):
+            with trace_span("refresh.read"):
+                coll = self.collection
+                docs = coll.find()
+                if not docs:
+                    raise ValidationError("cannot refresh an empty store")
+                images, labels = self._validate_images_labels(
+                    np.stack(coll.fetch_payloads([d.id for d in docs])),
+                    np.array([d["label"] for d in docs], dtype=np.float64),
+                )
+                kept = [
+                    {k: v for k, v in d.items() if k not in _REFIT_FIELDS} for d in docs
+                ]
+            return self._rebuild(images, labels, kept, None, embedder_kwargs)

@@ -38,10 +38,19 @@ class PCAEmbedder(Embedder):
         k = min(self.embedding_dim, d, n)
         self._mean = flat.mean(axis=0)
         centered = flat - self._mean
-        # Economy SVD: we only need the top-k right singular vectors.
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
-        self._components = vt[:k]
-        variances = (s**2) / max(n - 1, 1)
+        if n >= d:
+            # The right singular vectors are the eigenvectors of the d x d
+            # Gram matrix and the squared singular values its eigenvalues
+            # (``eigh`` returns them ascending): no n x d ``U`` is ever built.
+            eigenvalues, eigenvectors = np.linalg.eigh(centered.T @ centered)
+            squared = np.maximum(eigenvalues[::-1], 0.0)
+            self._components = np.ascontiguousarray(eigenvectors[:, ::-1][:, :k].T)
+        else:
+            # Fewer samples than features: the economy SVD is the smaller problem.
+            _, s, vt = np.linalg.svd(centered, full_matrices=False)
+            squared = s**2
+            self._components = vt[:k]
+        variances = squared / max(n - 1, 1)
         total = variances.sum()
         self.explained_variance_ratio_ = variances[:k] / total if total > 0 else np.zeros(k)
         self._scale = np.sqrt(variances[:k]) + 1e-12 if self.whiten else None

@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Dict, Mapping, Optional
+from collections.abc import Mapping
+from typing import Any, Dict, Optional
 
 from repro.utils.errors import ValidationError
 

@@ -221,3 +221,81 @@ def test_silhouette_score_low_for_random_labels():
 def test_silhouette_requires_two_clusters():
     with pytest.raises(ValidationError):
         silhouette_score(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+
+# -- KMeans: the Lloyd loop against the loop it replaced ---------------------------
+def _masked_mean_kmeans(x, n_clusters, max_iter=100, tol=1e-6, n_init=3, seed=0):
+    """``KMeans.fit`` as it was before the column-wise loop, kept as the
+    reference: row-major distances, ``argmin`` per row, one boolean-mask mean
+    per cluster.  Same k-means++ and the same RNG stream.  Also returns how
+    often an empty cluster was re-seeded."""
+    from repro.utils.rng import default_rng
+    from repro.utils.stats import pairwise_squared_distances
+
+    rng = default_rng(seed)
+    best, reseeded = None, 0
+    for _ in range(n_init):
+        centers = KMeans._kmeanspp_init(x, n_clusters, rng)
+        prev_inertia = np.inf
+        run = None
+        for iteration in range(1, max_iter + 1):
+            d2 = pairwise_squared_distances(x, centers)
+            labels = np.argmin(d2, axis=1)
+            inertia = float(d2[np.arange(x.shape[0]), labels].sum())
+            for k in range(n_clusters):
+                members = x[labels == k]
+                if members.size:
+                    centers[k] = members.mean(axis=0)
+                else:
+                    reseeded += 1
+                    centers[k] = x[np.argmax(d2.min(axis=1))]
+            if abs(prev_inertia - inertia) <= tol:
+                run = (centers, labels, inertia, iteration)
+                break
+            prev_inertia = inertia
+        assert run is not None, "reference did not converge; pick an easier case"
+        if best is None or run[2] < best[2]:
+            best = run
+    return best + (reseeded,)
+
+
+@pytest.mark.parametrize(
+    "n, d, k, seed",
+    [(60, 2, 3, 0), (300, 2, 4, 1), (500, 8, 8, 2), (1000, 3, 5, 3), (257, 16, 6, 4), (40, 5, 1, 5)],
+)
+def test_kmeans_matches_the_masked_mean_loop_it_replaced(n, d, k, seed):
+    rng = np.random.default_rng(100 + seed)
+    blob_centers = 8.0 * rng.normal(size=(k, d))
+    x = blob_centers[rng.integers(0, k, size=n)] + rng.normal(size=(n, d))
+    centers, labels, inertia, n_iter, _ = _masked_mean_kmeans(x, k, seed=seed)
+    km = KMeans(n_clusters=k, seed=seed).fit(x)
+    np.testing.assert_array_equal(km.labels_, labels)
+    np.testing.assert_allclose(km.cluster_centers_, centers, rtol=0, atol=1e-9)
+    assert km.inertia_ == pytest.approx(inertia, rel=1e-9)
+    assert km.n_iter_ == n_iter
+
+
+def test_kmeans_reseeds_an_empty_cluster_like_the_loop_it_replaced():
+    # Four distinct points, six clusters: k-means++ must repeat a point, the
+    # repeat loses every tie to the first copy, and its cluster starts empty.
+    points = np.array([[0.0, 0.0], [5.0, 1.0], [-3.0, 4.0], [2.0, -6.0]])
+    x = np.repeat(points, 10, axis=0)
+    centers, labels, inertia, n_iter, reseeded = _masked_mean_kmeans(x, 6, seed=3)
+    assert reseeded > 0
+    km = KMeans(n_clusters=6, seed=3).fit(x)
+    np.testing.assert_array_equal(km.labels_, labels)
+    np.testing.assert_allclose(km.cluster_centers_, centers, rtol=0, atol=1e-9)
+    assert km.inertia_ == pytest.approx(inertia, abs=1e-9)
+    assert km.n_iter_ == n_iter
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+def test_kmeans_labels_and_inertia_describe_the_returned_centres_at_max_iter(max_iter):
+    # Stopped by max_iter, the centres have moved since the last assignment
+    # inside the loop; fairDS stores labels_ but answers lookups with predict.
+    x = np.random.default_rng(0).normal(size=(2000, 8))
+    km = KMeans(n_clusters=8, max_iter=max_iter, n_init=1, seed=0).fit(x)
+    assert km.n_iter_ == max_iter
+    np.testing.assert_array_equal(km.labels_, km.predict(x))
+    residual = x - km.cluster_centers_[km.labels_]
+    assert km.inertia_ == pytest.approx(float(np.sum(residual * residual)), rel=1e-9)
