@@ -79,8 +79,7 @@ def _lookup_factory(index, num_workers: int = 1):
     def factory(replica_id):
         runtime = ServingRuntime(
             {"lookup": handler},
-            policy=BatchingPolicy(max_batch_size=32, max_wait_ms=1.0,
-                                  max_queue_depth=4096),
+            policy=BatchingPolicy(max_batch_size=32, max_queue_depth=4096),
             num_workers=num_workers,
         )
         runtime.start()
@@ -230,8 +229,7 @@ def _autoscaler_timeline(cfg, sink) -> Dict:
 
         runtime = ServingRuntime(
             {"double": handler},
-            policy=BatchingPolicy(max_batch_size=4, max_wait_ms=1.0,
-                                  max_queue_depth=4096),
+            policy=BatchingPolicy(max_batch_size=4, max_queue_depth=4096),
             num_workers=1,
         )
         runtime.start()

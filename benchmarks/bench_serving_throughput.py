@@ -171,9 +171,7 @@ def run(smoke: bool = False, report_sink=None) -> Dict[str, float]:
     # the two workers, so the GIL-released distance kernel of one batch
     # overlaps the Python-side future wakeups of the previous one — measurably
     # faster than lockstep full-wave batching on few-core hosts.
-    policy = BatchingPolicy(
-        max_batch_size=max(2, clients // 2), max_wait_ms=2.0, max_queue_depth=4096
-    )
+    policy = BatchingPolicy(max_batch_size=max(2, clients // 2), max_queue_depth=4096)
 
     # Ground truth once, single-threaded and unbatched.
     expected = [index.query(q, k=1) for q in queries]
@@ -271,7 +269,6 @@ def run(smoke: bool = False, report_sink=None) -> Dict[str, float]:
             "store_size": cfg["store_size"],
             "dim": DIM,
             "max_batch_size": policy.max_batch_size,
-            "max_wait_ms": policy.max_wait_ms,
             "max_queue_depth": policy.max_queue_depth,
             "open_loop_rps": cfg["open_loop_rps"],
         },

@@ -52,7 +52,7 @@ def main() -> None:
     trigger = CertaintyTrigger(threshold_percent=80.0, cooldown=2)
     with FairDMSService(dms) as service:
         runtime = service.serving_runtime(
-            policy=BatchingPolicy(max_batch_size=16, max_wait_ms=5.0, max_queue_depth=256),
+            policy=BatchingPolicy(max_batch_size=16, max_queue_depth=256),
             num_workers=2,
             certainty_trigger=trigger,
         )

@@ -863,7 +863,7 @@ def _preset_serving() -> SystemSpec:
             {"width": 4},
             training={"epochs": 6, "batch_size": 32, "lr": 3e-3},
         ),
-        serving=ServingSpec(batching={"max_batch_size": 16, "max_wait_ms": 2.0}, num_workers=2),
+        serving=ServingSpec(batching={"max_batch_size": 16}, num_workers=2),
         policy={"distance_threshold": 0.7, "certainty_threshold": 10.0},
     )
 
@@ -894,7 +894,7 @@ def _preset_ann() -> SystemSpec:
             params={"n_partitions": 16, "train_threshold": 64, "train_size": 4096},
             n_probe=4,
         ),
-        serving=ServingSpec(batching={"max_batch_size": 32, "max_wait_ms": 2.0}, num_workers=2),
+        serving=ServingSpec(batching={"max_batch_size": 32}, num_workers=2),
     )
 
 
@@ -974,7 +974,7 @@ def _preset_sharded() -> SystemSpec:
             default_quota=4096,
         ),
         serving=ServingSpec(
-            batching={"max_batch_size": 16, "max_wait_ms": 2.0, "fair_tenancy": True},
+            batching={"max_batch_size": 16, "fair_tenancy": True},
             num_workers=2,
         ),
     )

@@ -315,8 +315,8 @@ class FairDMSService:
         """A micro-batching :class:`~repro.serving.runtime.ServingRuntime`
         serving this service's interactive single-request operations.
 
-        Concurrent clients submit *single* requests; each flush lands on the
-        corresponding ``*_batch`` plane function (one activity-log entry and
+        Concurrent clients submit *single* requests; each micro-batch a worker
+        takes lands on the corresponding ``*_batch`` plane function (one activity-log entry and
         one funcX invocation per micro-batch, not per request).  Payloads:
 
         * ``"query_distribution"`` — an images array; resolves to the

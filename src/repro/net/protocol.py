@@ -68,7 +68,7 @@ ERROR_TYPES = (
     "unknown_op",        # the operation is not served here
     "bad_request",       # the frame parsed but the request shape is invalid
     "frame_too_large",   # the frame exceeded max_frame_bytes
-    "deadline_exceeded", # the request's deadline expired before dispatch
+    "deadline_exceeded", # the request's deadline expired before a worker took it
     "internal",          # the handler raised
 )
 

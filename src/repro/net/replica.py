@@ -277,9 +277,12 @@ class ReplicaSet:
         return ordered
 
     def submit(self, op: str, payload: Any, tenant: Optional[str] = None,
-               trace: Optional[Any] = None) -> Future:
+               trace: Optional[Any] = None,
+               deadline: Optional[float] = None) -> Future:
         """Route one request to the best replica; fails over on lifecycle
         errors (closed/crashed replicas count against their health).
+        ``deadline`` (a ``time.monotonic()`` instant) travels with the request
+        — see :meth:`ServingRuntime.submit`.
 
         Raises :class:`ServiceOverloadedError` when every candidate rejected
         for depth, and :class:`NetworkError` when no replica could accept at
@@ -289,7 +292,9 @@ class ReplicaSet:
         overloaded = False
         for replica in self._pick():
             try:
-                future = replica.runtime.submit(op, payload, tenant=tenant, trace=trace)
+                future = replica.runtime.submit(
+                    op, payload, tenant=tenant, trace=trace, deadline=deadline
+                )
             except ConfigurationError:
                 raise  # unknown op: identical on every replica, not a health event
             except ServiceOverloadedError as exc:
@@ -412,7 +417,6 @@ class ReplicaSet:
                         f"{drain_timeout_s}s; rolling swap aborted after "
                         f"{swapped or 'no'} replicas"
                     )
-                replica.runtime.flush()
                 replica.handle.swap(model, version)
             finally:
                 replica.set_draining(False)

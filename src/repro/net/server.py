@@ -20,7 +20,10 @@ Protection at the edge:
   unanswered requests gets typed ``overloaded`` errors until responses
   retire (global admission control still lives in the runtime's queue);
 * **deadlines** — a request whose ``deadline_ms`` budget is already spent
-  is failed fast with ``deadline_exceeded`` instead of being dispatched.
+  is failed fast with ``deadline_exceeded`` instead of being dispatched, and
+  the budget travels with a dispatched request, so one that expires while
+  queued gets the same typed error from the worker that picks it up instead
+  of a handler slot.
 
 When a tracer is attached, the server opens the ``serving.request`` root
 span itself and passes it into ``submit(trace=...)``, so the runtime's
@@ -55,6 +58,7 @@ from repro.observability.metrics import MetricsRegistry, default_registry
 from repro.observability.tracing import Tracer
 from repro.utils.errors import (
     ConfigurationError,
+    DeadlineExceededError,
     FrameTooLargeError,
     NetworkError,
     ServiceClosedError,
@@ -88,8 +92,9 @@ class NetworkServer:
     Parameters
     ----------
     target:
-        Anything with ``submit(op, payload, tenant=..., trace=...) ->
-        Future`` — a :class:`ReplicaSet` or a single started runtime.
+        Anything with ``submit(op, payload, tenant=..., trace=...,
+        deadline=...) -> Future`` — a :class:`ReplicaSet` or a single started
+        runtime.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
@@ -285,10 +290,15 @@ class NetworkServer:
             )
             return
         deadline_ms = body.get("deadline_ms")
-        if deadline_ms is not None and deadline_ms <= 0:
-            self._reply_error(conn, "deadline_exceeded",
-                              "request deadline expired before dispatch", request_id)
-            return
+        if deadline_ms is not None:
+            if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
+                self._reply_error(conn, "bad_request", "'deadline_ms' must be a number",
+                                  request_id)
+                return
+            if deadline_ms <= 0:
+                self._reply_error(conn, "deadline_exceeded",
+                                  "request deadline expired before dispatch", request_id)
+                return
         try:
             payload = decode(body.get("payload"))
         except (NetworkError, KeyError, TypeError, ValueError) as exc:
@@ -302,7 +312,8 @@ class NetworkServer:
             )
         try:
             future = self._target.submit(
-                op, payload, tenant=body.get("tenant"), trace=root
+                op, payload, tenant=body.get("tenant"), trace=root,
+                deadline=None if deadline_ms is None else t_recv + deadline_ms / 1e3,
             )
         except ServiceOverloadedError as exc:
             self._end_root(root, "overloaded")
@@ -353,6 +364,9 @@ class NetworkServer:
             status, body = "overloaded", error_body("overloaded", str(exc), request_id)
         except ServiceClosedError as exc:
             status, body = "closed", error_body("closed", str(exc), request_id)
+        except DeadlineExceededError as exc:  # expired while queued
+            status, body = "deadline_exceeded", error_body(
+                "deadline_exceeded", str(exc), request_id)
         except NetworkError as exc:
             status, body = "unavailable", error_body("unavailable", str(exc), request_id)
         except Exception as exc:  # handler raised: typed internal error

@@ -1,7 +1,7 @@
 """Lightweight request tracing: spans, contextvar propagation, sampling.
 
 A **trace** is the tree of timed spans one request (or one workflow run)
-produced as it crossed the system's layers: admission → micro-batch flush →
+produced as it crossed the system's layers: admission → micro-batch pickup →
 index scan → model predict for a served request, or pipeline-run → step for
 a workflow.  The pieces:
 

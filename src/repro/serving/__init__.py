@@ -14,24 +14,26 @@ single-request traffic:
   pool, with start/drain/shutdown lifecycle and in-arrival-order observers
   for monitoring.
 * :class:`~repro.serving.batcher.MicroBatcher` /
-  :class:`~repro.serving.batcher.BatchingPolicy` — the bounded admission
-  queue and the flush policy.
+  :class:`~repro.serving.batcher.BatchingPolicy` — the bounded per-operation
+  admission queue that free workers pull batches from, and its limits.
 * :class:`~repro.serving.telemetry.ServingTelemetry` — queue depth,
   batch-size distribution, p50/p95/p99 latency and throughput.
 
 Batching policy knobs (``BatchingPolicy``)
 ------------------------------------------
 
+Scheduling is pull-based: a free worker takes whatever is queued, at once.
+Batches form while every worker is busy — the only time coalescing can pay —
+and a lone request under light traffic is served immediately.
+
 ``max_batch_size``
-    A batch flushes as soon as this many requests are queued.  Raise it until
-    the batch handler stops getting faster per item (vectorised kernels
-    usually saturate somewhere between 32 and 256); it is also the upper
-    bound on how much work one handler invocation holds.
+    The most requests a worker takes in one pickup, hence the upper bound on
+    how much work one handler invocation holds.  Raise it until the batch
+    handler stops getting faster per item (vectorised kernels usually
+    saturate somewhere between 32 and 256).
 ``max_wait_ms``
-    A non-full batch flushes once its oldest request has waited this long —
-    the *latency ceiling batching may add* under light traffic.  Small values
-    favour latency, larger ones throughput; ``0`` degenerates to
-    per-request dispatch whenever traffic is not strictly concurrent.
+    Has no effect (there is no flush timer to set); accepted and validated
+    for existing specs, slated for removal.
 ``max_queue_depth``
     Admission bound per operation.  Submissions beyond it fail fast with
     :class:`~repro.utils.errors.ServiceOverloadedError` (backpressure by
@@ -44,7 +46,7 @@ Quick example::
 
     runtime = ServingRuntime(
         {"double": lambda xs: [2 * x for x in xs]},
-        policy=BatchingPolicy(max_batch_size=64, max_wait_ms=2.0),
+        policy=BatchingPolicy(max_batch_size=64),
     )
     with runtime:                      # start() ... shutdown()
         futures = [runtime.submit("double", i) for i in range(100)]

@@ -1,19 +1,17 @@
-"""Dynamic micro-batching: bounded admission queue + flush policy.
+"""Dynamic micro-batching: a bounded per-operation queue that workers pull from.
 
 A :class:`MicroBatcher` is the front door of one serving operation.  Client
 threads :meth:`~MicroBatcher.submit` single requests into a bounded FIFO
 (admission control: a full queue raises
 :class:`~repro.utils.errors.ServiceOverloadedError` immediately rather than
-queueing unboundedly), and one consumer thread repeatedly calls
-:meth:`~MicroBatcher.next_batch`, which blocks until a batch is *ready*:
+queueing unboundedly).  A worker thread that is free calls
+:meth:`~MicroBatcher.take`, which never blocks: it returns whatever is queued
+*now*, up to ``max_batch_size`` requests.
 
-* the queue holds ``max_batch_size`` requests, or
-* ``max_wait_ms`` elapsed since the oldest queued request was admitted, or
-* the batcher was closed (remaining requests flush immediately).
-
-Under heavy traffic batches fill to ``max_batch_size`` back-to-back; under
-light traffic a lone request waits at most ``max_wait_ms`` before being
-served, which bounds the latency cost of batching.
+Batches therefore form exactly when they can pay off: while every worker is
+busy, requests accumulate, and the batch is cut at the last possible moment —
+when a worker asks for it.  A lone request under light traffic is taken by an
+idle worker at once; nothing ever waits for a batch that is not forming.
 
 With ``fair_tenancy=True`` the single FIFO becomes per-tenant FIFOs drained
 round-robin: each batch interleaves one request per queued tenant in
@@ -22,8 +20,7 @@ rotation, and admission caps any one tenant at its fair share of
 have requests queued — one hot tenant can neither fill a batch nor the
 queue when competing traffic is present.  A lone tenant still gets the
 whole queue (work-conserving), and untenanted requests form their own
-rotation class.  Flush semantics, close semantics, and the ``max_wait_ms``
-deadline (measured from the globally oldest queued request) are unchanged.
+rotation class.
 """
 
 from __future__ import annotations
@@ -49,11 +46,13 @@ class BatchingPolicy:
     Parameters
     ----------
     max_batch_size:
-        Flush as soon as this many requests are queued; also the largest
-        batch ever handed to a handler.
+        The largest batch ever handed to a handler: a free worker takes what
+        is queued, up to this many requests.
     max_wait_ms:
-        Flush when the oldest queued request has waited this long, even if
-        the batch is not full — the latency ceiling batching may add.
+        **Has no effect.**  Workers pull batches the moment they are free, so
+        no request is ever held back waiting for company.  The field is still
+        accepted and validated only because existing specs pass it; it is
+        slated for removal.
     max_queue_depth:
         Admission bound (per operation).  Submissions beyond this depth fail
         fast with :class:`ServiceOverloadedError` instead of growing the
@@ -91,6 +90,10 @@ class Request:
     payload: Any
     #: Tenant the request belongs to; only consulted under ``fair_tenancy``.
     tenant: Optional[str] = None
+    #: ``time.monotonic()`` instant after which the result is useless to the
+    #: caller; a worker that picks the request up later fails it with
+    #: :class:`~repro.utils.errors.DeadlineExceededError` instead of running it.
+    deadline: Optional[float] = None
     future: Future = field(default_factory=Future)
     seq: int = -1  # per-op admission sequence, assigned by the batcher
     admitted_at: float = 0.0  # time.monotonic() at admission
@@ -100,20 +103,26 @@ class Request:
 
 
 class MicroBatcher:
-    """Bounded request FIFO plus the flush decision, for one operation.
+    """Bounded request queue of one operation; workers :meth:`take` from it.
 
-    Thread-safety: any number of producers may call :meth:`submit`; exactly
-    one consumer thread is expected to call :meth:`next_batch`.
+    Thread-safety: any number of producers may call :meth:`submit` and any
+    number of consumers :meth:`take`.  ``cond`` is the condition variable
+    idle consumers wait on — a runtime passes the one all its batchers
+    share, so a worker can wait for work on *any* operation; a private one
+    is created when omitted.
     """
 
-    def __init__(self, policy: Optional[BatchingPolicy] = None):
+    def __init__(
+        self,
+        policy: Optional[BatchingPolicy] = None,
+        cond: Optional[threading.Condition] = None,
+    ):
         self.policy = policy or BatchingPolicy()
         self._items: Deque[Request] = deque()
-        self._cond = threading.Condition()
+        # Re-entrant (Condition's default lock is an RLock): a worker holding
+        # the shared condition calls take()/closed without deadlocking.
+        self._cond = cond if cond is not None else threading.Condition()
         self._closed = False
-        # Requests with seq below this watermark flush without waiting out
-        # max_wait_ms (see flush()); seq numbers start at 0, so 0 = no flush.
-        self._flush_through = 0
         self._admitted = 0
         # Fair-tenancy state (unused on the default single-FIFO path).
         self._fair = self.policy.fair_tenancy
@@ -143,14 +152,10 @@ class MicroBatcher:
             self._admitted += 1
             request.admitted_at = time.monotonic()
             self._items.append(request)
-            depth = len(self._items)
-            # Wake the consumer only on the transitions it acts on: the queue
-            # becoming non-empty, and a batch becoming full.  Intermediate
-            # appends would otherwise wake it once per request while it sits
-            # out the max_wait_ms deadline (a notify storm under load).
-            if depth == 1 or depth >= self.policy.max_batch_size:
-                self._cond.notify()
-            return depth
+            # Wakes one idle consumer; costs nothing while all are busy (no
+            # waiters), which is when the queue is left to build a batch.
+            self._cond.notify()
+            return len(self._items)
 
     def _submit_fair(self, request: Request) -> int:
         tenant = request.tenant or ""
@@ -176,92 +181,43 @@ class MicroBatcher:
                 self._ring.append(tenant)
             queue.append(request)
             self._n_queued += 1
-            depth = self._n_queued
-            if depth == 1 or depth >= self.policy.max_batch_size:
-                self._cond.notify()
-            return depth
+            self._cond.notify()
+            return self._n_queued
 
     # -- consumer side ---------------------------------------------------------
-    def next_batch(self) -> Optional[List[Request]]:
-        """Block until a batch is ready; ``None`` when closed and drained."""
-        if self._fair:
-            return self._next_batch_fair()
-        policy = self.policy
-        with self._cond:
-            while not self._items:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            deadline = self._items[0].admitted_at + policy.max_wait_ms / 1e3
-            while (
-                self._items  # a second consumer may have drained the queue
-                and len(self._items) < policy.max_batch_size
-                and not self._closed
-                and self._items[0].seq >= self._flush_through
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            n = min(len(self._items), policy.max_batch_size)
-            return [self._items.popleft() for _ in range(n)]
+    def take(self) -> List[Request]:
+        """Everything queued right now, up to ``max_batch_size``; never blocks.
 
-    def _oldest_queued(self) -> Request:
-        """The globally oldest queued request (min seq over tenant heads)."""
-        return min((self._queues[t][0] for t in self._ring), key=lambda r: r.seq)
-
-    def _next_batch_fair(self) -> Optional[List[Request]]:
-        policy = self.policy
-        with self._cond:
-            while self._n_queued == 0:
-                if self._closed:
-                    return None
-                self._cond.wait()
-            deadline = self._oldest_queued().admitted_at + policy.max_wait_ms / 1e3
-            while (
-                self._n_queued  # a second consumer may have drained the queue
-                and self._n_queued < policy.max_batch_size
-                and not self._closed
-                and self._oldest_queued().seq >= self._flush_through
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            # Compose the batch round-robin: one request per queued tenant in
-            # rotation, repeating until the batch fills or the queues drain.
-            # The rotation pointer persists across batches, so tenant A does
-            # not lead every batch just because it leads the ring.
-            batch: List[Request] = []
-            n = min(self._n_queued, policy.max_batch_size)
-            while len(batch) < n:
-                tenant = self._ring[0]
-                self._ring.rotate(-1)
-                queue = self._queues[tenant]
-                batch.append(queue.popleft())
-                if not queue:
-                    self._ring.remove(tenant)
-            self._n_queued -= len(batch)
-            return batch
-
-    def flush(self) -> None:
-        """Make everything already queued ready immediately.
-
-        The consumer's ``next_batch`` stops waiting out ``max_wait_ms`` for
-        every request admitted before this call — even when they span several
-        ``max_batch_size`` batches (the flush is a seq watermark, not a
-        one-shot flag).  Requests admitted *after* the call batch normally.
-        A no-op when the queue is empty.  Used by the runtime to bound the
-        latency of operations that must observe queued requests promptly
-        (e.g. draining the old model's traffic around a hot-swap).
+        Empty when nothing is queued.  FIFO on the default path; under
+        ``fair_tenancy`` the batch is composed round-robin over the queued
+        tenants.
         """
         with self._cond:
-            if self._items or self._n_queued:
-                self._flush_through = self._admitted
-                self._cond.notify_all()
+            if self._fair:
+                return self._take_fair()
+            items = self._items
+            n = min(len(items), self.policy.max_batch_size)
+            return [items.popleft() for _ in range(n)]
+
+    def _take_fair(self) -> List[Request]:
+        # One request per queued tenant in rotation, repeating until the batch
+        # fills or the queues drain.  The rotation pointer persists across
+        # batches, so tenant A does not lead every batch just because it
+        # leads the ring.
+        batch: List[Request] = []
+        n = min(self._n_queued, self.policy.max_batch_size)
+        while len(batch) < n:
+            tenant = self._ring[0]
+            self._ring.rotate(-1)
+            queue = self._queues[tenant]
+            batch.append(queue.popleft())
+            if not queue:
+                self._ring.remove(tenant)
+        self._n_queued -= n
+        return batch
 
     def close(self) -> None:
-        """Stop accepting requests; queued ones flush on the next ``next_batch``."""
+        """Stop accepting requests; those already queued stay takeable."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()

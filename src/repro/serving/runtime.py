@@ -9,17 +9,21 @@ and get back a :class:`concurrent.futures.Future`; the runtime coalesces
 them with a dynamic micro-batching scheduler and executes whole batches on a
 worker pool.
 
-Architecture — three thread groups around two queues::
+Architecture — two thread groups around one set of queues::
 
     client threads ──submit()──▶ per-op MicroBatcher   (bounded; admission control)
-    flusher pool  ──next_batch()──▶ batch ClosableQueue (bounded; one entry = one batch)
-    worker pool   ──handler(batch)──▶ resolve futures, telemetry, ordered observers
+    worker threads ──take()──▶ handler(batch) ──▶ resolve futures, telemetry, observers
+
+Scheduling is pull-based and work-conserving: a worker that is free takes
+whatever its next operation has queued, up to ``max_batch_size``, *now*.
+While every worker is busy, requests accumulate — the only time a batch can
+form — and the batch is cut when a worker asks for it.  Workers rotate over
+the operations, so a saturated operation cannot starve another.
 
 Lifecycle: :meth:`ServingRuntime.start` → traffic → :meth:`ServingRuntime.drain`
 (optional quiescence barrier) → :meth:`ServingRuntime.shutdown` (stops
-admission, flushes and executes everything already accepted, then joins all
-threads — an accepted request is never dropped).  The runtime is also a
-context manager.
+admission, executes everything already accepted, then joins all threads — an
+accepted request is never dropped).  The runtime is also a context manager.
 
 Per-operation **observers** receive results in *arrival order* regardless of
 which worker finished which batch first (via
@@ -32,16 +36,21 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.monitoring.triggers import ArrivalOrderFeed
 from repro.observability.tracing import Span, Tracer
 from repro.serving.batcher import BatchingPolicy, MicroBatcher, Request
 from repro.serving.telemetry import ServingTelemetry
-from repro.utils.errors import ConfigurationError, ServiceClosedError, ServingError
+from repro.utils.errors import (
+    ConfigurationError,
+    DeadlineExceededError,
+    ServiceClosedError,
+    ServingError,
+)
 from repro.utils.logging import get_logger
-from repro.utils.parallel import ClosableQueue, WorkerPool
 
 logger = get_logger("repro.serving.runtime")
 
@@ -82,11 +91,11 @@ class ServingRuntime:
         hot path takes zero extra branches beyond one ``is None`` check per
         submit, which is what keeps the disabled-path overhead negligible.
         When set, each sampled request's trace carries the spans
-        ``serving.admission`` (admission → flush), ``serving.flush`` (flush
-        → execution start), ``serving.batch`` (handler execution, with the
-        handler's own ``trace_span`` instrumentation — index scans, model
-        predicts — grafted underneath), and ``serving.completion``
-        (execution end → futures resolved).
+        ``serving.admission`` (admission → worker pickup: the true queue
+        wait), ``serving.batch`` (handler execution, with the handler's own
+        ``trace_span`` instrumentation — index scans, model predicts —
+        grafted underneath), and ``serving.completion`` (execution end →
+        futures resolved).
     """
 
     def __init__(
@@ -110,25 +119,23 @@ class ServingRuntime:
         self.tracer = tracer
         self._handlers = dict(handlers)
         self._ops = sorted(self._handlers)
-        self._batchers = {op: MicroBatcher(self.policy) for op in self._ops}
+        # The one condition idle workers wait on.  Every batcher shares it, so
+        # a submit to any operation wakes a worker, and the worker-pool state
+        # below changes under the same lock the queues do.
+        self._cond = threading.Condition()
+        self._batchers = {op: MicroBatcher(self.policy, self._cond) for op in self._ops}
+        self._rotation: Deque[str] = deque(self._ops)  # next op to serve first
         self._feeds = {
             op: ArrivalOrderFeed(callback) for op, callback in (observers or {}).items()
         }
-        # One queue entry per flushed batch; bounding it keeps the flushers
-        # from racing ahead of the workers, so admission control stays honest.
-        self._batch_queue = ClosableQueue(maxsize=max(2, 2 * num_workers))
         self._knob_lock = threading.Lock()
         self._knobs: Dict[str, Dict[str, Optional[Callable[..., Any]]]] = {}
         self._stats_providers: Dict[str, Callable[[], Any]] = {}
-        self._flushers = WorkerPool.internal(len(self._ops), self._flush_loop)
-        self._workers = WorkerPool.internal(num_workers, self._work_loop)
-        # Live worker-pool scaling state (see scale_workers): extra threads
-        # beyond the construction-time pool, and the count of workers that
-        # will consume a close sentinel at shutdown.
-        self._scale_lock = threading.Lock()
-        self._worker_count = num_workers
-        self._next_worker_id = num_workers
-        self._extra_workers: List[threading.Thread] = []
+        # The pool size wanted, and the live worker threads.  A worker that
+        # finds more threads than wanted when it is next between batches
+        # retires (see scale_workers).
+        self._num_workers = num_workers
+        self._workers: List[threading.Thread] = []
         self._quiesce = threading.Condition()
         self._completed = 0
         self._started = False
@@ -136,20 +143,30 @@ class ServingRuntime:
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "ServingRuntime":
-        """Spawn the flusher and worker threads; idempotent-unsafe (once only)."""
-        if self._started:
-            raise ServingError("ServingRuntime already started")
-        if self._closed:
-            raise ServingError("ServingRuntime was shut down; create a new one")
-        self._started = True
-        self.telemetry.mark_started()
-        self._flushers.start()
-        self._workers.start()
+        """Spawn the worker threads; idempotent-unsafe (once only)."""
+        with self._cond:
+            if self._started:
+                raise ServingError("ServingRuntime already started")
+            if self._closed:
+                raise ServingError("ServingRuntime was shut down; create a new one")
+            self._started = True
+            self.telemetry.mark_started()
+            for _ in range(self._num_workers):
+                self._spawn_worker()
         logger.info(
             "serving runtime started: ops=%s workers=%d policy=%s",
-            self._ops, self._workers.num_workers, self.policy,
+            self._ops, self._num_workers, self.policy,
         )
         return self
+
+    def _spawn_worker(self) -> None:
+        """Start one worker thread (caller holds ``self._cond``).  Daemon, so
+        a runtime left running cannot hang interpreter exit."""
+        thread = threading.Thread(
+            target=self._work_loop, name="serving-worker", daemon=True
+        )
+        self._workers.append(thread)
+        thread.start()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Block until every request accepted so far has resolved.
@@ -159,8 +176,8 @@ class ServingRuntime:
         shutdown.
         """
         deadline = time.monotonic() + timeout if timeout is not None else None
-        # Admissions are counted by the batchers (under their own locks), so
-        # the submit hot path never touches this condition variable.  The
+        # Admissions are counted by the batchers, so the submit hot path
+        # never touches this condition variable.  The
         # target is snapshotted once: requests accepted *after* drain() was
         # called do not extend the wait.
         target = sum(b.admitted for b in self._batchers.values())
@@ -178,22 +195,18 @@ class ServingRuntime:
         Every request admitted before shutdown resolves (drain-on-shutdown);
         later submissions raise :class:`ServiceClosedError`.  Idempotent.
         """
-        if self._closed or not self._started:
+        with self._cond:
+            if self._closed or not self._started:
+                self._closed = True
+                return
+            # Closing the batchers under the workers' own lock is what makes a
+            # racing submit all-or-nothing: it is either queued before this
+            # point (and a worker will find it) or raises ServiceClosedError.
             self._closed = True
-            return
-        self._closed = True
-        for batcher in self._batchers.values():
-            batcher.close()
-        self._flushers.join()
-        # One sentinel per *live* worker: workers retired by scale_workers
-        # already have their own sentinel queued (FIFO — consumed after every
-        # batch enqueued before it), so live + pending-retirement sentinels
-        # add up to exactly the number of threads still consuming.
-        with self._scale_lock:
-            self._batch_queue.close(self._worker_count)
-            extra = list(self._extra_workers)
-        self._workers.join()
-        for thread in extra:
+            for batcher in self._batchers.values():
+                batcher.close()
+            workers = list(self._workers)
+        for thread in workers:
             thread.join()
         self.telemetry.mark_stopped()
         logger.info("serving runtime stopped: %d requests served", self._completed)
@@ -209,7 +222,7 @@ class ServingRuntime:
     # -- client API --------------------------------------------------------------
     def submit(
         self, op: str, payload: Any, tenant: Optional[str] = None,
-        trace: Optional[Span] = None,
+        trace: Optional[Span] = None, deadline: Optional[float] = None,
     ) -> Future:
         """Enqueue one request; returns the future of its result.
 
@@ -222,13 +235,16 @@ class ServingRuntime:
         (e.g. the network server, which times the transport phases too) hand
         it in instead of sampling a fresh root; the runtime's lifecycle spans
         are then recorded under the caller's root.  Ignored when the runtime
-        has no tracer.
+        has no tracer.  ``deadline`` is a ``time.monotonic()`` instant: if it
+        has passed by the time a worker picks the request up, the future
+        fails with :class:`DeadlineExceededError` and the handler is not run
+        for it.
         """
         if op not in self._handlers:
             raise ConfigurationError(f"unknown operation {op!r}; have {self._ops}")
         if not self._started or self._closed:
             raise ServiceClosedError("serving runtime is not accepting requests")
-        request = Request(op=op, payload=payload, tenant=tenant)
+        request = Request(op=op, payload=payload, tenant=tenant, deadline=deadline)
         if self.tracer is not None:
             # None when this root lost the sampling draw — the request then
             # travels with no tracing state at all.
@@ -256,42 +272,24 @@ class ServingRuntime:
         return self.submit(op, payload, tenant=tenant).result(timeout=timeout)
 
     # -- live reconfiguration ----------------------------------------------------
-    def swap_handler(self, op: str, handler: Handler, flush: bool = True) -> None:
+    def swap_handler(self, op: str, handler: Handler) -> None:
         """Atomically replace the batch handler of a live operation.
 
         Batches are dispatched against the handler installed at execution
         time (one atomic read per batch), so a batch already *executing*
         finishes on the handler it snapshotted, while batches that start
-        executing after the swap — including ones already queued or dequeued
-        but not yet started — see the replacement.  No accepted request is
-        dropped or errored by the swap.
+        executing after the swap — including requests still queued — see the
+        replacement.  No accepted request is dropped or errored by the swap.
 
-        With ``flush=True`` (default) the operation's pending partial batch
-        is flushed first, so requests admitted before the swap are batched
-        out promptly instead of waiting out ``max_wait_ms``; they execute on
-        whichever handler their batch resolves at pickup.  For *model*
-        swaps prefer a fixed handler over a
+        For *model* swaps prefer a fixed handler over a
         :class:`~repro.serving.hot_swap.ModelHandle`
         (:func:`~repro.serving.hot_swap.versioned_handler`), which also stamps
         each response with the version that served it.
         """
         if op not in self._handlers:
             raise ConfigurationError(f"unknown operation {op!r}; have {self._ops}")
-        if flush:
-            self._batchers[op].flush()
         self._handlers[op] = handler
         logger.info("handler for operation %r swapped", op)
-
-    def flush(self, op: Optional[str] = None) -> None:
-        """Flush pending partial micro-batches immediately (one op or all).
-
-        Trades batching efficiency for latency on demand; queued requests are
-        handed to the flushers without waiting out ``max_wait_ms``.
-        """
-        if op is not None and op not in self._batchers:
-            raise ConfigurationError(f"unknown operation {op!r}; have {self._ops}")
-        for name in self._ops if op is None else [op]:
-            self._batchers[name].flush()
 
     @property
     def operations(self) -> List[str]:
@@ -299,9 +297,9 @@ class ServingRuntime:
 
     @property
     def num_workers(self) -> int:
-        """Worker threads currently consuming batches (live-scalable)."""
-        with self._scale_lock:
-            return self._worker_count
+        """Worker threads executing batches (live-scalable)."""
+        with self._cond:
+            return self._num_workers
 
     def load(self) -> int:
         """Requests admitted but not yet resolved (queued or executing).
@@ -320,31 +318,26 @@ class ServingRuntime:
     def scale_workers(self, n: int) -> int:
         """Grow or shrink the batch-executing worker pool of a live runtime.
 
-        Growing spawns extra consumer threads immediately.  Shrinking
-        enqueues retirement sentinels behind the batches already queued, so
-        every accepted request still executes — the pool shrinks as workers
-        reach their sentinel, never by abandoning work.  Returns the new
-        worker count.  This is the autoscaler's intra-replica axis; replica
-        count is the other one (:class:`repro.net.ReplicaSet`).
+        Growing spawns extra worker threads immediately.  Shrinking asks the
+        surplus workers to retire: each exits when it is next between
+        batches, so a batch already taken always finishes and the remaining
+        workers (at least one) serve everything still queued — the pool never
+        shrinks by abandoning work.  Returns the new worker count.  This is
+        the autoscaler's intra-replica axis; replica count is the other one
+        (:class:`repro.net.ReplicaSet`).
         """
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigurationError("scale_workers requires an integer n >= 1")
-        with self._scale_lock:
+        with self._cond:
             if not self._started or self._closed:
                 raise ServingError("scale_workers requires a running runtime")
-            current = self._worker_count
-            if n > current:
-                for _ in range(n - current):
-                    worker_id = self._next_worker_id
-                    self._next_worker_id += 1
-                    thread = threading.Thread(
-                        target=self._work_loop, args=(worker_id,), daemon=True
-                    )
-                    thread.start()
-                    self._extra_workers.append(thread)
-            elif n < current:
-                self._batch_queue.close(current - n)
-            self._worker_count = n
+            current = self._num_workers
+            self._num_workers = n
+            # Surplus workers that have not retired yet count towards n.
+            for _ in range(n - len(self._workers)):
+                self._spawn_worker()
+            if n < current:
+                self._cond.notify_all()  # idle surplus workers retire now
         if n != current:
             logger.info("serving worker pool scaled %d -> %d", current, n)
         return n
@@ -435,23 +428,97 @@ class ServingRuntime:
         return snap
 
     # -- internal threads --------------------------------------------------------
-    def _flush_loop(self, worker_id: int) -> None:
-        """One flusher per operation: turn ready micro-batches into work items."""
-        op = self._ops[worker_id]
-        batcher = self._batchers[op]
+    def _next_batch(self) -> Optional[Tuple[str, List[Request]]]:
+        """Block until some operation has requests queued and take them;
+        ``None`` tells the calling worker to exit."""
+        with self._cond:
+            while True:
+                if len(self._workers) > self._num_workers:
+                    self._workers.remove(threading.current_thread())
+                    return None
+                # Serve the operations in rotation: whichever op this pickup
+                # takes from goes to the back, so one saturated op cannot
+                # starve the others.
+                for _ in self._ops:
+                    op = self._rotation[0]
+                    self._rotation.rotate(-1)
+                    batch = self._batchers[op].take()
+                    if batch:
+                        return op, batch
+                # Every queue is empty.  Exit only once they are also closed
+                # (shutdown closes them under this lock): a request admitted
+                # before the close was found by the scan above.
+                if self._closed:
+                    return None
+                self._cond.wait()
+
+    def _work_loop(self) -> None:
         while True:
-            batch = batcher.next_batch()
-            if batch is None:
+            taken = self._next_batch()
+            if taken is None:
                 return
-            flushed_at = time.monotonic()
-            self.telemetry.record_batch(op, len(batch), flushed_at - batch[0].admitted_at)
-            self._batch_queue.put((op, batch, flushed_at))
+            op, batch = taken
+            try:
+                picked_at = time.monotonic()
+                self.telemetry.record_batch(
+                    op, len(batch), picked_at - batch[0].admitted_at
+                )
+                live = self._fail_expired(op, batch, picked_at)
+                if live:
+                    self._execute(op, live, picked_at)
+            except Exception as exc:
+                # A bug in the runtime's own bookkeeping (handler errors reach
+                # the futures inside _execute).  A thread has no caller to
+                # raise to, and dying would strand everything still queued:
+                # say so, fail what this batch left unresolved, keep serving.
+                logger.exception("serving worker hit an internal error; continuing")
+                for request in batch:
+                    if not request.future.done() \
+                            and request.future.set_running_or_notify_cancel():
+                        request.future.set_exception(exc)
+            finally:
+                self._note_completed(len(batch))
 
-    def _work_loop(self, worker_id: int) -> None:
-        for op, batch, flushed_at in self._batch_queue:
-            self._execute(op, batch, flushed_at)
+    def _fail_expired(
+        self, op: str, batch: List[Request], now: float
+    ) -> List[Request]:
+        """Fail the requests whose deadline passed while they queued with
+        :class:`DeadlineExceededError` — no handler slot is spent on an answer
+        nobody is waiting for — and return the rest of the batch."""
+        live = [r for r in batch if r.deadline is None or r.deadline > now]
+        if len(live) == len(batch):
+            return batch
+        expired = [r for r in batch if r.deadline is not None and r.deadline <= now]
+        self._fail(op, expired, DeadlineExceededError(
+            f"deadline of {op!r} request expired while it was queued"
+        ))
+        for request in expired:
+            if request.trace is not None:
+                self.tracer.record_span(
+                    "serving.admission", request.trace, request.admitted_at, now
+                )
+                request.trace.set_attribute("deadline_exceeded", True)
+                self.tracer.end(request.trace, status="error")
+        return live
 
-    def _execute(self, op: str, batch: List[Request], flushed_at: float) -> None:
+    def _fail(self, op: str, requests: List[Request], exc: BaseException) -> None:
+        """Deliver ``exc`` through every request's future, skip the requests
+        in the arrival-order feed, and count them as failed completions."""
+        feed = self._feeds.get(op)
+        if feed is not None:
+            try:
+                feed.discard([request.seq for request in requests])
+            except Exception:  # the sink may fire on newly consecutive results
+                logger.exception("observer for operation %r failed on discard", op)
+        for request in requests:
+            if request.future.set_running_or_notify_cancel():
+                request.future.set_exception(exc)
+        now = time.monotonic()
+        self.telemetry.record_completions(
+            op, [now - request.admitted_at for request in requests], failed=True
+        )
+
+    def _execute(self, op: str, batch: List[Request], picked_at: float) -> None:
         feed = self._feeds.get(op)
         # Snapshot the handler once: a concurrent swap_handler() can never
         # split one batch across two handlers.
@@ -464,7 +531,6 @@ class ServingRuntime:
             if self.tracer is not None else []
         )
         captured = None
-        exec_start = time.monotonic()
         try:
             if traced:
                 with self.tracer.capture(f"batch.{op}") as captured:
@@ -477,22 +543,8 @@ class ServingRuntime:
                     f"handler for {op!r} returned {got} results for a batch of {len(batch)}"
                 )
         except BaseException as exc:  # noqa: BLE001 — must reach the futures
-            if feed is not None:
-                try:
-                    feed.discard([request.seq for request in batch])
-                except Exception:  # the sink may fire on newly consecutive results
-                    logger.exception("observer for operation %r failed on discard", op)
-            for request in batch:
-                if request.future.set_running_or_notify_cancel():
-                    request.future.set_exception(exc)
-            now = time.monotonic()
-            self.telemetry.record_completions(
-                op, [now - request.admitted_at for request in batch], failed=True
-            )
-            self._finish_traces(
-                traced, len(batch), flushed_at, exec_start, captured, failed=True
-            )
-            self._note_completed(len(batch))
+            self._fail(op, batch, exc)
+            self._finish_traces(traced, len(batch), picked_at, captured, failed=True)
             return
         if feed is not None:
             try:
@@ -510,22 +562,20 @@ class ServingRuntime:
         self.telemetry.record_completions(
             op, [now - request.admitted_at for request in batch]
         )
-        self._finish_traces(traced, len(batch), flushed_at, exec_start, captured)
-        self._note_completed(len(batch))
+        self._finish_traces(traced, len(batch), picked_at, captured)
 
     def _finish_traces(
         self,
         traced: List[Request],
         batch_size: int,
-        flushed_at: float,
-        exec_start: float,
+        picked_at: float,
         captured: Optional[Any],
         failed: bool = False,
     ) -> None:
         """Materialise each sampled request's span tree from the batch's
-        lifecycle timestamps: admission wait, flush-to-pickup wait, handler
-        execution (with the captured handler-internal spans grafted under
-        it), and future resolution."""
+        lifecycle timestamps: queue wait until a worker picked the batch up,
+        handler execution (with the captured handler-internal spans grafted
+        under it), and future resolution."""
         if not traced:
             return
         tracer = self.tracer
@@ -534,13 +584,10 @@ class ServingRuntime:
         for request in traced:
             root: Span = request.trace
             tracer.record_span(
-                "serving.admission", root, request.admitted_at, flushed_at
-            )
-            tracer.record_span(
-                "serving.flush", root, flushed_at, exec_start, batch_size=batch_size
+                "serving.admission", root, request.admitted_at, picked_at
             )
             batch_span = tracer.record_span(
-                "serving.batch", root, exec_start, resolved_at,
+                "serving.batch", root, picked_at, resolved_at,
                 status=status, batch_size=batch_size,
             )
             if captured is not None:

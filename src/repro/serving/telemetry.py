@@ -6,8 +6,9 @@ tuning the micro-batching policy:
 * **queue depth** — sampled at every admission; rising depth means the
   handlers cannot keep up and ``max_queue_depth`` rejections are near;
 * **batch-size distribution** — whether the scheduler actually coalesces
-  (all-ones means ``max_wait_ms`` is too small or traffic too light), kept
-  **per operation** so multi-op runtimes don't blend distributions;
+  (all-ones means a worker was free whenever a request arrived: traffic is
+  light for the worker count), kept **per operation** so multi-op runtimes
+  don't blend distributions;
 * **latency / throughput** — per-request admission-to-completion latency
   (p50/p95/p99 over sliding reservoirs, global and per-op) and completed
   requests per second.
@@ -38,7 +39,7 @@ from typing import Any, Deque, Dict, Optional, Sequence
 from repro.observability.metrics import MetricsRegistry, default_registry
 from repro.utils.stats import latency_summary
 
-#: Batch-size histogram buckets (requests per flushed micro-batch).
+#: Batch-size histogram buckets (requests per micro-batch a worker took).
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -106,13 +107,13 @@ class ServingTelemetry:
         )
         self._m_batch_size = registry.histogram(
             "repro_batch_size",
-            "Requests per flushed micro-batch",
+            "Requests per micro-batch taken by a worker",
             ("op",),
             buckets=_BATCH_SIZE_BUCKETS,
         )
         self._m_batch_wait = registry.histogram(
             "repro_batch_wait_seconds",
-            "Queue wait of the oldest request in each flushed micro-batch",
+            "Queue wait of the head request of each micro-batch at worker pickup",
             ("op",),
         )
         self._m_depth = registry.gauge(
@@ -186,8 +187,8 @@ class ServingTelemetry:
         self._m_requests.labels(op=op, status="rejected").inc()
 
     def record_batch(self, op: str, size: int, wait_s: float) -> None:
-        """A flushed batch: its size and how long its oldest request queued,
-        attributed to the operation that produced it."""
+        """A batch a worker took: its size and how long its head request
+        queued, attributed to the operation that produced it."""
         with self._lock:
             self._batch_sizes[op][size] += 1
             self._batch_wait_sum[op] += wait_s

@@ -29,7 +29,7 @@ from repro.utils.stats import (
     percentile_summary,
     running_mean,
 )
-from repro.utils.parallel import thread_map, WorkerPool
+from repro.utils.parallel import thread_map
 
 __all__ = [
     "ReproError",
@@ -55,7 +55,6 @@ __all__ = [
     "latency_summary",
     "running_mean",
     "thread_map",
-    "WorkerPool",
     "LRUCache",
     "array_digest",
     "row_digests",

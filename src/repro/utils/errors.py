@@ -83,7 +83,8 @@ class FrameTooLargeError(NetworkError):
 
 class DeadlineExceededError(NetworkError):
     """A network request's per-request deadline expired before a response
-    arrived (retries included)."""
+    arrived (retries included) — or, server-side, before a serving worker
+    picked the request up, in which case its handler is never run."""
 
 
 class RemoteError(NetworkError):

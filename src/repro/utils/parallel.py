@@ -7,19 +7,11 @@ keeps its historical signature and semantics but delegates to a
 :class:`repro.compute.ThreadExecutor` fan-out, so pooled work shows up in
 the ``repro_executor_*`` metrics and ``executor.task`` trace spans like
 every other compute-plane consumer.
-
-:class:`WorkerPool` (continuous queue-consuming daemon threads) remains as
-internal plumbing for the serving runtime — construct it via
-:meth:`WorkerPool.internal`; direct construction is deprecated in favour of
-the Executor seam.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-import warnings
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -65,123 +57,3 @@ def thread_map(
 
     with ThreadExecutor(max_workers=max_workers) as executor:
         return executor.map(fn, items, chunk=chunk)
-
-
-class WorkerPool:
-    """A long-lived pool of worker threads consuming tasks from a queue.
-
-    Unlike :func:`thread_map`, which is for one-shot fan-out, ``WorkerPool``
-    is used by the data loader: workers continuously pull index batches from
-    an input queue, fetch the corresponding samples, and push the results onto
-    an output queue so the training loop overlaps I/O with computation
-    (prefetching).
-
-    .. deprecated::
-        Direct construction is deprecated: one-shot fan-out belongs on the
-        :class:`repro.compute.Executor` seam (``thread_map`` already routes
-        there).  The serving runtime's continuous consumer loops still need
-        this daemon-thread pool (a ``ThreadPoolExecutor``'s non-daemon
-        threads would hang interpreter shutdown while a runtime is live) and
-        construct it via :meth:`internal`.
-    """
-
-    def __init__(
-        self, num_workers: int, target: Callable[..., None], *, _internal: bool = False
-    ) -> None:
-        if not _internal:
-            warnings.warn(
-                "constructing WorkerPool directly is deprecated; use the "
-                "repro.compute Executor seam (e.g. thread_map or "
-                "ThreadExecutor.map) for fan-out work",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if num_workers < 0:
-            raise ValueError("num_workers must be non-negative")
-        self.num_workers = num_workers
-        self._target = target
-        self._threads: List[threading.Thread] = []
-        self._started = False
-        self._errors: List[BaseException] = []
-        self._errors_lock = threading.Lock()
-
-    @classmethod
-    def internal(cls, num_workers: int, target: Callable[..., None]) -> "WorkerPool":
-        """Construct without the deprecation warning — for the runtime's own
-        continuous consumer loops, which the one-shot Executor seam does not
-        model."""
-        return cls(num_workers, target, _internal=True)
-
-    def _run(self, worker_id: int, *args, **kwargs) -> None:
-        try:
-            self._target(worker_id, *args, **kwargs)
-        except BaseException as exc:
-            # A bare Thread would silently drop anything its target raises
-            # (threads have no caller to propagate to).  Record it; interrupts
-            # (KeyboardInterrupt/SystemExit — not Exception subclasses) are
-            # re-raised in the thread that joins the pool.
-            with self._errors_lock:
-                self._errors.append(exc)
-            if isinstance(exc, Exception):
-                raise  # keep the default excepthook traceback for plain bugs
-
-    def start(self, *args, **kwargs) -> None:
-        if self._started:
-            raise RuntimeError("WorkerPool already started")
-        self._started = True
-        for worker_id in range(self.num_workers):
-            t = threading.Thread(
-                target=self._run, args=(worker_id, *args), kwargs=kwargs, daemon=True
-            )
-            t.start()
-            self._threads.append(t)
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Join all workers, then re-raise any interrupt a worker swallowed.
-
-        A ``KeyboardInterrupt`` (or ``SystemExit``) raised inside a worker
-        thread has no path back to the caller on its own; ``join`` is where
-        it surfaces, so Ctrl-C during pooled work actually stops the program.
-        """
-        for t in self._threads:
-            t.join(timeout=timeout)
-        self.raise_pending_interrupt()
-
-    def raise_pending_interrupt(self) -> None:
-        """Re-raise the first captured non-``Exception`` error, if any."""
-        with self._errors_lock:
-            for i, exc in enumerate(self._errors):
-                if not isinstance(exc, Exception):
-                    del self._errors[i]
-                    raise exc
-
-    @property
-    def errors(self) -> List[BaseException]:
-        """Errors captured from worker targets (interrupts until re-raised)."""
-        with self._errors_lock:
-            return list(self._errors)
-
-    @property
-    def alive(self) -> int:
-        return sum(1 for t in self._threads if t.is_alive())
-
-
-class ClosableQueue(queue.Queue):
-    """A queue with a sentinel-based close protocol for producer/consumer loops."""
-
-    _SENTINEL = object()
-
-    def close(self, n: int = 1) -> None:
-        """Signal ``n`` consumers that no more items will arrive."""
-        for _ in range(n):
-            self.put(self._SENTINEL)
-
-    def __iter__(self):
-        while True:
-            item = self.get()
-            try:
-                if item is self._SENTINEL:
-                    return
-                yield item
-            finally:
-                self.task_done()

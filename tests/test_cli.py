@@ -146,8 +146,9 @@ def test_observe_writes_parseable_metrics_and_traces(tmp_path, capsys):
     spans = [json.loads(line) for line in traces_out.read_text().splitlines()]
     assert spans, "no spans exported"
     by_name = {s["name"] for s in spans}
-    assert {"serving.request", "serving.admission", "serving.flush",
+    assert {"serving.request", "serving.admission",
             "serving.batch", "serving.completion", "index.scan"} <= by_name
+    assert "serving.flush" not in by_name
 
 
 def test_observe_auto_enables_instrumentation_on_unobserved_specs(tmp_path, capsys):

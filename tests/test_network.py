@@ -285,6 +285,72 @@ def test_expired_deadline_budget_is_failed_fast_by_the_server():
     rs.close()
 
 
+def test_deadline_that_expires_while_queued_draws_the_typed_error_from_the_worker():
+    """The wire ``deadline_ms`` travels into the runtime: requests that expire
+    behind a busy worker are answered ``deadline_exceeded`` when it picks them
+    up — typed, counted, never a hang — and never reach the handler."""
+    from repro.observability.metrics import MetricsRegistry
+
+    entered, gate, handled = threading.Event(), threading.Event(), []
+
+    def gated(xs):
+        handled.extend(xs)
+        entered.set()
+        gate.wait(timeout=30.0)
+        return [2 * x for x in xs]
+
+    registry = MetricsRegistry()
+    rs = ReplicaSet(_runtime_factory(handler=gated), replicas=1,
+                    health_interval_s=None)
+    try:
+        with NetworkServer(rs, registry=registry) as server:
+            sock = socket.create_connection(server.address, timeout=10.0)
+            try:
+                sock.settimeout(10.0)
+                write_frame(sock, {"id": 0, "op": "double", "payload": 100})
+                assert entered.wait(timeout=10.0)  # the one worker is busy
+                for rid in (1, 2, 3):
+                    write_frame(sock, {"id": rid, "op": "double", "payload": rid,
+                                       "deadline_ms": 10.0})
+                patience = time.monotonic() + 10.0
+                while rs.total_load() < 4 and time.monotonic() < patience:
+                    time.sleep(0.001)
+                assert rs.total_load() == 4  # all three dispatched and queued
+                time.sleep(0.03)  # budgets spent behind the gate
+                gate.set()
+                responses = {r["id"]: r for r in (read_frame(sock) for _ in range(4))}
+            finally:
+                sock.close()
+        assert decode(responses[0]["result"]) == 200
+        for rid in (1, 2, 3):
+            assert responses[rid]["ok"] is False
+            assert responses[rid]["error"]["type"] == "deadline_exceeded"
+        assert handled == [100]
+        counted = registry.get("repro_net_requests_total")
+        assert counted.labels(status="deadline_exceeded").value == 3.0
+        assert counted.labels(status="ok").value == 1.0
+    finally:
+        gate.set()
+        rs.close()
+
+
+def test_non_numeric_deadline_is_a_bad_request_and_the_connection_survives():
+    rs = _replica_set()
+    with NetworkServer(rs) as server:
+        sock = socket.create_connection(server.address, timeout=10.0)
+        try:
+            sock.settimeout(10.0)
+            write_frame(sock, {"id": 1, "op": "double", "payload": 1,
+                               "deadline_ms": "soon"})
+            assert read_frame(sock)["error"]["type"] == "bad_request"
+            write_frame(sock, {"id": 2, "op": "double", "payload": 3,
+                               "deadline_ms": 5_000})
+            assert decode(read_frame(sock)["result"]) == 6
+        finally:
+            sock.close()
+    rs.close()
+
+
 def test_per_connection_in_flight_cap_rejects_with_overloaded():
     gate = threading.Event()
 

@@ -436,7 +436,7 @@ def test_served_nearest_labeled_request_produces_a_complete_trace(experiment, re
     by_name = {s.name: s for s in spans}
 
     # Every layer contributed a span...
-    for name in ("serving.request", "serving.admission", "serving.flush",
+    for name in ("serving.request", "serving.admission",
                  "serving.batch", "serving.completion", "index.scan"):
         assert name in by_name, f"missing span {name}"
     # ...with correct parent/child links: the request phases hang off the
@@ -444,9 +444,17 @@ def test_served_nearest_labeled_request_produces_a_complete_trace(experiment, re
     # grafted under the batch span of this very trace.
     root = by_name["serving.request"]
     assert root.parent_id is None and root.status == "ok"
-    for phase in ("serving.admission", "serving.flush", "serving.batch",
-                  "serving.completion"):
-        assert by_name[phase].parent_id == root.span_id
+    phases = [by_name[name] for name in
+              ("serving.admission", "serving.batch", "serving.completion")]
+    for phase in phases:
+        assert phase.parent_id == root.span_id
+    # The phases tile the request — each starts on the instant the previous
+    # one ended — and the zero-length flush-to-pickup filler is gone.
+    admission, batch, completion = phases
+    assert admission._end_mono == batch._start_mono
+    assert batch._end_mono == completion._start_mono
+    assert completion._end_mono <= root._end_mono
+    assert "serving.flush" not in by_name
     assert by_name["index.scan"].parent_id == by_name["serving.batch"].span_id
     assert all(s.trace_id == root.trace_id for s in spans)
     assert all(s.ended for s in spans)
@@ -502,8 +510,7 @@ def test_concurrent_clients_get_self_consistent_traces(registry):
         assert len(ids) == len(spans)  # no span shared between traces
         by_name = {s.name: s for s in spans}
         assert set(by_name) == {"serving.request", "serving.admission",
-                                "serving.flush", "serving.batch",
-                                "serving.completion", "work"}
+                                "serving.batch", "serving.completion", "work"}
         # Every non-root span's parent lives in the same trace (no orphans,
         # no cross-wiring into another request's tree).
         for span in spans:

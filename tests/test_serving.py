@@ -6,6 +6,9 @@ producers, drain-on-shutdown loses no accepted request, and overload rejects
 fast instead of deadlocking.
 """
 
+import logging
+import math
+import sys
 import threading
 import time
 from concurrent.futures import wait
@@ -22,6 +25,7 @@ from repro.nn.trainer import TrainingConfig
 from repro.serving import BatchingPolicy, MicroBatcher, Request, ServingRuntime
 from repro.utils.errors import (
     ConfigurationError,
+    DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
     ServingError,
@@ -75,28 +79,34 @@ def test_batcher_flushes_when_full_without_waiting():
     batcher = MicroBatcher(BatchingPolicy(max_batch_size=4, max_wait_ms=60_000))
     for i in range(5):
         batcher.submit(Request(op="op", payload=i))
-    start = time.monotonic()
-    batch = batcher.next_batch()
-    assert time.monotonic() - start < 1.0  # did not wait for max_wait_ms
+    batch = batcher.take()  # cut at max_batch_size, FIFO
     assert [r.payload for r in batch] == [0, 1, 2, 3]
     assert [r.seq for r in batch] == [0, 1, 2, 3]
-    # The leftover request flushes immediately once the batcher closes,
-    # without waiting out the 60s deadline.
+    # The leftover request stays takeable after the batcher closes.
     batcher.close()
+    assert [r.payload for r in batcher.take()] == [4]
+
+
+def test_take_returns_what_is_queued_without_blocking():
+    """A partial batch is never held back: take() hands over whatever is
+    queued, however far from full and whatever ``max_wait_ms`` says."""
+    batcher = MicroBatcher(BatchingPolicy(max_batch_size=64, max_wait_ms=5_000.0))
+    for i in range(3):
+        batcher.submit(Request(op="op", payload=i))
     start = time.monotonic()
-    assert [r.payload for r in batcher.next_batch()] == [4]
+    batch = batcher.take()
     assert time.monotonic() - start < 1.0
+    assert [r.payload for r in batch] == [0, 1, 2]
+    assert batcher.depth() == 0
 
 
-def test_batcher_flushes_partial_batch_after_max_wait():
-    batcher = MicroBatcher(BatchingPolicy(max_batch_size=100, max_wait_ms=30))
-    batcher.submit(Request(op="op", payload="a"))
-    batcher.submit(Request(op="op", payload="b"))
-    start = time.monotonic()
-    batch = batcher.next_batch()
-    elapsed = time.monotonic() - start
-    assert [r.payload for r in batch] == ["a", "b"]
-    assert elapsed < 5.0  # flushed by the wait deadline, not stuck
+def test_take_on_an_empty_queue_returns_an_empty_batch():
+    batcher = MicroBatcher(BatchingPolicy(max_batch_size=4))
+    assert batcher.take() == []
+    batcher.submit(Request(op="op", payload="x"))
+    assert [r.payload for r in batcher.take()] == ["x"]
+    batcher.close()
+    assert batcher.take() == []  # closed and drained: still just empty
 
 
 def test_batcher_overload_and_close():
@@ -108,8 +118,8 @@ def test_batcher_overload_and_close():
     batcher.close()
     with pytest.raises(ServiceClosedError):
         batcher.submit(Request(op="op", payload=4))
-    assert [r.payload for r in batcher.next_batch()] == [1, 2]
-    assert batcher.next_batch() is None  # closed and drained
+    assert [r.payload for r in batcher.take()] == [1, 2]
+    assert batcher.take() == []  # closed and drained
     # Rejected submissions consumed no sequence numbers.
     assert batcher.admitted == 2
 
@@ -380,92 +390,301 @@ def test_serving_runtime_overload_on_live_service():
         assert outcomes["ok"] + outcomes["rejected"] == 60
 
 
-# -- flush and live handler swap -------------------------------------------------------
-def test_micro_batcher_flush_releases_partial_batch_immediately():
-    batcher = MicroBatcher(BatchingPolicy(max_batch_size=64, max_wait_ms=5_000.0))
-    out = []
+# -- pull scheduling, live handler swap, worker lifecycle ----------------------------
+class _Gate:
+    """A batch handler that records every batch it is handed and holds its
+    first one until released, so a test can pile requests up behind a busy
+    worker."""
 
-    def consume():
-        out.append(batcher.next_batch())
+    def __init__(self, tag=None):
+        self.tag = tag
+        self.batches = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
 
-    t = threading.Thread(target=consume)
-    t.start()
-    for i in range(3):
-        batcher.submit(Request(op="op", payload=i))
-    time.sleep(0.05)
-    assert not out  # far from full, far from the deadline: still waiting
-    batcher.flush()
-    t.join(timeout=2.0)
-    assert [r.payload for r in out[0]] == [0, 1, 2]
-    batcher.close()
-
-
-def test_micro_batcher_flush_on_empty_queue_is_noop():
-    batcher = MicroBatcher(BatchingPolicy(max_batch_size=4, max_wait_ms=1.0))
-    batcher.flush()
-    batcher.submit(Request(op="op", payload="x"))
-    batch = batcher.next_batch()
-    assert [r.payload for r in batch] == ["x"]
-    batcher.close()
+    def __call__(self, xs):
+        self.batches.append(list(xs))
+        self.entered.set()
+        assert self.release.wait(timeout=30.0)
+        return list(xs)
 
 
-def test_runtime_flush_trades_batching_for_latency():
+def test_lone_request_is_served_at_once_whatever_max_wait_ms_says():
+    """Work-conserving: an idle worker takes a lone request immediately.  At
+    the parent commit this request sat out ``max_wait_ms``."""
     runtime = ServingRuntime(
         {"echo": lambda xs: list(xs)},
         policy=BatchingPolicy(max_batch_size=1024, max_wait_ms=10_000.0),
         num_workers=1,
     )
     with runtime:
-        futures = [runtime.submit("echo", i) for i in range(5)]
-        runtime.flush("echo")
-        results = [f.result(timeout=2.0) for f in futures]  # well before max_wait_ms
-    assert results == [0, 1, 2, 3, 4]
-    with pytest.raises(ConfigurationError):
-        runtime.flush("nope")
+        runtime.call("echo", 0, timeout=5.0)  # worker thread is up and idle
+        start = time.monotonic()
+        assert runtime.call("echo", 1, timeout=5.0) == 1
+        assert time.monotonic() - start < 0.1
+    assert runtime.telemetry.snapshot()["batch_size"]["histogram"] == {1: 2}
+
+
+def test_queued_requests_leave_as_full_fifo_batches_when_the_worker_frees_up():
+    """Batching under load, deterministically: what queues up behind a busy
+    worker leaves in exactly ceil(N / max_batch_size) batches, in order."""
+    gate = _Gate()
+    n, size = 10, 4
+    runtime = ServingRuntime(
+        {"op": gate}, policy=BatchingPolicy(max_batch_size=size), num_workers=1
+    )
+    with runtime:
+        first = runtime.submit("op", "head")
+        assert gate.entered.wait(timeout=10.0)  # the only worker is now busy
+        futures = [runtime.submit("op", i) for i in range(n)]
+        gate.release.set()
+        assert [f.result(timeout=10.0) for f in futures] == list(range(n))
+        assert first.result(timeout=10.0) == "head"
+    assert gate.batches[0] == ["head"]
+    assert len(gate.batches) - 1 == math.ceil(n / size)
+    assert gate.batches[1:] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+
+
+def test_saturated_operation_cannot_starve_another():
+    hog = _Gate()
+    order = []
+
+    def other(xs):
+        order.append(("other", list(xs)))
+        return list(xs)
+
+    def hog_handler(xs):
+        order.append(("hog", len(xs)))
+        return hog(xs)
+
+    runtime = ServingRuntime(
+        {"hog": hog_handler, "other": other},
+        policy=BatchingPolicy(max_batch_size=8), num_workers=1,
+    )
+    with runtime:
+        runtime.submit("hog", -1)
+        assert hog.entered.wait(timeout=10.0)
+        hog_futures = [runtime.submit("hog", i) for i in range(100)]
+        lone = runtime.submit("other", "x")
+        hog.release.set()
+        assert lone.result(timeout=10.0) == "x"
+        wait(hog_futures, timeout=10.0)
+    # Not behind the 13 batches the hog had queued first: within the next two.
+    assert ("other", ["x"]) in order[1:3]
+
+
+def test_submitters_racing_shutdown_either_raise_closed_or_resolve():
+    """An accepted request is never dropped: every submit that raced
+    shutdown() either raised ServiceClosedError or got a future that resolved."""
+    runtime = _runtime(num_workers=2).start()
+    accepted = [[] for _ in range(8)]
+    refused = []
+    go = threading.Event()
+
+    def submitter(slot):
+        go.wait()
+        for i in range(100_000):
+            try:
+                accepted[slot].append((i, runtime.submit("double", i)))
+            except ServiceOverloadedError:
+                continue
+            except ServiceClosedError:
+                refused.append(slot)
+                return
+
+    threads = [threading.Thread(target=submitter, args=(slot,)) for slot in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        go.set()
+        time.sleep(0.05)
+        runtime.shutdown()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(refused) == list(range(8))  # every submitter saw the close
+    n_accepted = sum(len(slot) for slot in accepted)
+    assert n_accepted > 0
+    for slot in accepted:
+        for i, future in slot:
+            assert future.done() and future.result() == 2 * i
+    assert runtime.telemetry.snapshot()["completed"] == n_accepted
+
+
+def _settles(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+def test_started_runtime_owns_exactly_num_workers_threads():
+    before = threading.active_count()
+    runtime = ServingRuntime(
+        {"a": lambda xs: xs, "b": lambda xs: xs, "c": lambda xs: xs}, num_workers=3
+    )
+    assert threading.active_count() == before  # constructing starts nothing
+    runtime.start()
+    try:
+        # Three workers — and no per-operation flusher threads beside them.
+        assert threading.active_count() == before + 3
+        assert runtime.num_workers == 3
+    finally:
+        runtime.shutdown()
+    assert threading.active_count() == before
+
+
+def test_scale_workers_cycles_leak_no_threads():
+    """Regression: every scale-up used to append a Thread object that was
+    never pruned, so an oscillating autoscaler grew the list without bound."""
+    before = threading.active_count()
+    runtime = _runtime(num_workers=2).start()
+    futures = []
+    try:
+        for i in range(200):
+            assert runtime.scale_workers(4) == 4
+            futures.append((i, runtime.submit("double", i)))
+            assert runtime.scale_workers(2) == 2
+            futures.append((i, runtime.submit("double", i)))
+            assert len(runtime._workers) <= 4
+        assert runtime.num_workers == 2
+        assert _settles(lambda: len(runtime._workers) == 2)
+        assert _settles(lambda: threading.active_count() == before + 2)
+        assert all(f.result(timeout=10.0) == 2 * i for i, f in futures)
+    finally:
+        runtime.shutdown()
+    assert runtime.telemetry.snapshot()["completed"] == len(futures)
+    assert _settles(lambda: threading.active_count() == before)
+    with pytest.raises(ServingError):
+        runtime.scale_workers(3)  # not on a stopped runtime
+
+
+def test_scale_down_never_abandons_a_taken_batch_and_keeps_one_worker():
+    gate = _Gate()
+    runtime = ServingRuntime(
+        {"op": gate}, policy=BatchingPolicy(max_batch_size=2), num_workers=2
+    )
+    with runtime:
+        held = runtime.submit("op", "held")
+        assert gate.entered.wait(timeout=10.0)
+        queued = [runtime.submit("op", i) for i in range(6)]
+        runtime.scale_workers(1)  # one of the two must go; one is mid-batch
+        gate.release.set()
+        assert held.result(timeout=10.0) == "held"
+        assert [f.result(timeout=10.0) for f in queued] == list(range(6))
+        assert _settles(lambda: len(runtime._workers) == 1)
+        assert runtime.call("op", "after", timeout=10.0) == "after"
+        with pytest.raises(ConfigurationError):
+            runtime.scale_workers(0)
+
+
+def test_worker_fails_requests_already_expired_at_pickup():
+    """A request whose deadline passed while it queued gets the typed error
+    from the worker that picks it up — not a handler slot."""
+    gate = _Gate()
+    seen = []
+    runtime = ServingRuntime(
+        {"op": gate}, policy=BatchingPolicy(max_batch_size=8), num_workers=1,
+        observers={"op": seen.extend},
+    )
+    with runtime:
+        head = runtime.submit("op", "head")
+        assert gate.entered.wait(timeout=10.0)
+        budget = time.monotonic() + 0.010
+        doomed = [runtime.submit("op", i, deadline=budget) for i in range(3)]
+        patient = runtime.submit("op", "patient", deadline=time.monotonic() + 60.0)
+        time.sleep(0.03)
+        gate.release.set()
+        for future in doomed:
+            with pytest.raises(DeadlineExceededError):
+                future.result(timeout=10.0)
+        assert patient.result(timeout=10.0) == "patient"
+        assert head.result(timeout=10.0) == "head"
+        assert runtime.drain(timeout=10.0)  # expired requests count as resolved
+    assert gate.batches == [["head"], ["patient"]]  # handler never saw the doomed
+    assert seen == ["head", "patient"]  # the arrival-order feed skipped them
+    snap = runtime.telemetry.snapshot()
+    assert snap["failed"] == 3 and snap["completed"] == 5
+
+
+def test_worker_loop_bug_is_logged_and_strands_no_request():
+    """A bug in the worker's own bookkeeping has no caller to raise to.  It
+    must be loud, must fail what the batch left unresolved, and must not take
+    the worker — and everything queued behind it — down."""
+    runtime = _runtime(num_workers=1)
+    recorded = runtime.telemetry.record_batch
+    calls = []
+
+    def broken_once(op, size, wait_s):
+        calls.append(size)
+        if len(calls) == 1:
+            raise RuntimeError("bookkeeping bug")
+        recorded(op, size, wait_s)
+
+    runtime.telemetry.record_batch = broken_once
+    # repro loggers do not propagate to root (caplog can't see them).
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.serving.runtime")
+    logger.addHandler(handler)
+    try:
+        with runtime:
+            unlucky = runtime.submit("double", 1)
+            with pytest.raises(RuntimeError, match="bookkeeping bug"):
+                unlucky.result(timeout=10.0)
+            assert runtime.call("double", 2, timeout=10.0) == 4  # the worker lives
+            assert runtime.drain(timeout=10.0)  # and quiescence still adds up
+    finally:
+        logger.removeHandler(handler)
+    errors = [r for r in records if r.levelno >= logging.ERROR]
+    assert errors and errors[0].exc_info is not None  # with the traceback
+
+
+def test_handler_interrupt_reaches_the_futures_and_the_worker_survives():
+    def handler(xs):
+        if "stop" in xs:
+            raise KeyboardInterrupt
+        return list(xs)
+
+    with ServingRuntime({"op": handler}, num_workers=1) as runtime:
+        with pytest.raises(KeyboardInterrupt):
+            runtime.call("op", "stop", timeout=10.0)
+        assert runtime.call("op", "go", timeout=10.0) == "go"
 
 
 def test_swap_handler_switches_live_traffic_without_dropping_requests():
-    release = threading.Event()
+    entered, release = threading.Event(), threading.Event()
 
     def old_handler(xs):
+        entered.set()
         release.wait(5.0)  # hold the in-flight batch until after the swap
         return [("old", x) for x in xs]
 
     runtime = ServingRuntime(
-        {"op": old_handler},
-        policy=BatchingPolicy(max_batch_size=4, max_wait_ms=0.5),
-        num_workers=2,
+        {"op": old_handler}, policy=BatchingPolicy(max_batch_size=4), num_workers=1
     )
     with runtime:
-        inflight = [runtime.submit("op", i) for i in range(4)]  # full batch -> dispatched
-        time.sleep(0.05)
+        inflight = runtime.submit("op", 0)
+        assert entered.wait(timeout=5.0)  # executing on the old handler
+        queued = [runtime.submit("op", i) for i in range(1, 4)]
         runtime.swap_handler("op", lambda xs: [("new", x) for x in xs])
         release.set()
         after = [runtime.submit("op", i) for i in range(10, 14)]
-        inflight_results = [f.result(timeout=5.0) for f in inflight]
+        queued_results = [f.result(timeout=5.0) for f in queued]
         after_results = [f.result(timeout=5.0) for f in after]
-    # The batch that was already executing finished on the old handler...
-    assert all(tag == "old" for tag, _ in inflight_results)
-    # ...and everything admitted after the swap was served by the new one.
-    assert all(tag == "new" for tag, _ in after_results)
+        # The batch that was already executing finished on the old handler...
+        assert inflight.result(timeout=5.0) == ("old", 0)
+    # ...and everything that started executing after the swap — still queued
+    # at the time, or admitted later — was served by the new one.
+    assert queued_results == [("new", i) for i in range(1, 4)]
+    assert after_results == [("new", i) for i in range(10, 14)]
     with pytest.raises(ConfigurationError):
         runtime.swap_handler("nope", lambda xs: xs)
-
-
-def test_flush_releases_all_queued_batches_not_just_the_first():
-    """The flush watermark covers requests spanning several max-size batches."""
-    batcher = MicroBatcher(BatchingPolicy(max_batch_size=4, max_wait_ms=5_000.0))
-    for i in range(6):
-        batcher.submit(Request(op="op", payload=i))
-    batcher.flush()
-    start = time.monotonic()
-    first = batcher.next_batch()
-    second = batcher.next_batch()
-    elapsed = time.monotonic() - start
-    assert [r.payload for r in first] == [0, 1, 2, 3]
-    assert [r.payload for r in second] == [4, 5]  # also prompt: no max_wait_ms stall
-    assert elapsed < 1.0
-    batcher.close()
 
 
 def test_telemetry_snapshot_convenience_and_activity_serving_stats():

@@ -28,6 +28,7 @@ from repro.storage import (
 from repro.utils.errors import (
     ConfigurationError,
     QuotaExceededError,
+    ServiceClosedError,
     ServiceOverloadedError,
     StorageError,
     ValidationError,
@@ -375,7 +376,7 @@ class TestFairTenancy:
             self._submit(batcher, "a", f"a{i}")
         for i in range(2):
             self._submit(batcher, "b", f"b{i}")
-        batch = batcher.next_batch()
+        batch = batcher.take()
         # One per tenant in rotation until b drains, then a fills the rest.
         assert [r.payload for r in batch] == ["a0", "b0", "a1", "b1", "a2", "a3"]
 
@@ -389,7 +390,7 @@ class TestFairTenancy:
             self._submit(batcher, "hog", i)
         with pytest.raises(ServiceOverloadedError, match="fair share"):
             self._submit(batcher, "hog", 99)
-        batcher.next_batch()  # drain 4; hog=4 queued
+        assert len(batcher.take()) == 4  # hog=4 still queued
         # With two active tenants the hog is capped at half the queue.
         self._submit(batcher, "small", 0)
         with pytest.raises(ServiceOverloadedError, match="fair share"):
@@ -405,25 +406,27 @@ class TestFairTenancy:
         self._submit(batcher, None, "x0")
         self._submit(batcher, "t", "t0")
         self._submit(batcher, None, "x1")
-        batch = batcher.next_batch()
+        batch = batcher.take()
         assert sorted(r.payload for r in batch) == ["t0", "x0", "x1"]
 
-    def test_flush_and_close_work_in_fair_mode(self):
+    def test_take_and_close_work_in_fair_mode(self):
         policy = BatchingPolicy(max_batch_size=8, max_wait_ms=10_000.0, fair_tenancy=True)
         batcher = MicroBatcher(policy)
+        assert batcher.take() == []
         self._submit(batcher, "a", 1)
-        batcher.flush()
-        assert [r.payload for r in batcher.next_batch()] == [1]
+        assert [r.payload for r in batcher.take()] == [1]  # partial, at once
         self._submit(batcher, "b", 2)
         batcher.close()
-        assert [r.payload for r in batcher.next_batch()] == [2]
-        assert batcher.next_batch() is None
+        with pytest.raises(ServiceClosedError):
+            self._submit(batcher, "a", 3)
+        assert [r.payload for r in batcher.take()] == [2]  # queued before close
+        assert batcher.take() == [] and batcher.depth() == 0
 
     def test_default_fifo_path_unchanged(self):
         batcher = MicroBatcher(BatchingPolicy(max_batch_size=3, max_wait_ms=0.0))
         for i in range(5):
             batcher.submit(Request(op="op", payload=i, tenant="ignored"))
-        assert [r.payload for r in batcher.next_batch()] == [0, 1, 2]
+        assert [r.payload for r in batcher.take()] == [0, 1, 2]
         assert batcher.depth() == 2
 
     def test_runtime_threads_tenant_through(self):

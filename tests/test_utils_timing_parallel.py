@@ -2,11 +2,10 @@
 
 import threading
 import time
-import warnings
 
 import pytest
 
-from repro.utils.parallel import ClosableQueue, WorkerPool, thread_map
+from repro.utils.parallel import thread_map
 from repro.utils.timing import RateMeter, StopWatch, Timer, timed
 
 
@@ -130,55 +129,6 @@ def test_thread_map_actually_uses_threads():
     assert len(seen) >= 2
 
 
-# -- WorkerPool / ClosableQueue ------------------------------------------------------------
-def test_worker_pool_runs_target_per_worker():
-    results = []
-    lock = threading.Lock()
-
-    def work(worker_id, items):
-        with lock:
-            results.append(worker_id)
-
-    pool = WorkerPool.internal(3, work)
-    pool.start([1, 2, 3])
-    pool.join(timeout=2)
-    assert sorted(results) == [0, 1, 2]
-
-
-def test_worker_pool_double_start_raises():
-    pool = WorkerPool.internal(1, lambda worker_id: None)
-    pool.start()
-    pool.join(timeout=1)
-    with pytest.raises(RuntimeError):
-        pool.start()
-
-
-def test_worker_pool_negative_workers():
-    with pytest.raises(ValueError):
-        WorkerPool.internal(-1, lambda worker_id: None)
-
-
-def test_worker_pool_direct_construction_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="Executor seam"):
-        WorkerPool(1, lambda worker_id: None)
-
-
-def test_worker_pool_internal_constructor_does_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        pool = WorkerPool.internal(1, lambda worker_id: None)
-    pool.start()
-    pool.join(timeout=1)
-
-
-def test_closable_queue_iteration_stops_at_sentinel():
-    q = ClosableQueue()
-    for i in range(5):
-        q.put(i)
-    q.close()
-    assert list(q) == [0, 1, 2, 3, 4]
-
-
 # -- KeyboardInterrupt propagation (regression) --------------------------------------
 def test_thread_map_propagates_keyboard_interrupt_from_worker():
     def boom(x):
@@ -196,29 +146,3 @@ def test_thread_map_chunked_propagates_keyboard_interrupt():
 
     with pytest.raises(KeyboardInterrupt):
         thread_map(boom, list(range(8)), max_workers=4, chunk=True)
-
-
-def test_worker_pool_join_reraises_worker_keyboard_interrupt():
-    def interrupted(worker_id):
-        if worker_id == 1:
-            raise KeyboardInterrupt
-
-    pool = WorkerPool.internal(3, interrupted)
-    pool.start()
-    with pytest.raises(KeyboardInterrupt):
-        pool.join(timeout=2)
-    # The interrupt was consumed by the re-raise; a second join is clean.
-    pool.join(timeout=2)
-    assert pool.errors == []
-
-
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_worker_pool_records_but_does_not_reraise_ordinary_exceptions():
-    def crash(worker_id):
-        raise ValueError(f"worker {worker_id}")
-
-    pool = WorkerPool.internal(2, crash)
-    pool.start()
-    pool.join(timeout=2)  # must not raise
-    assert len(pool.errors) == 2
-    assert all(isinstance(e, ValueError) for e in pool.errors)
