@@ -773,7 +773,8 @@ class FairDS:
         ``|b - p| >= T`` branch).  ``threshold=None`` disables the gate — the
         nearest label is always returned (the serving path applies per-request
         thresholds client-side).  All samples are resolved against the index
-        in one batched query.
+        in one batched query, and the labels within the threshold fetched in
+        one store operation.
         """
         if not self.is_fitted or self._index is None:
             raise NotFittedError("fairDS.nearest_labeled() requires fit() first")
@@ -782,15 +783,14 @@ class FairDS:
         elif threshold <= 0:
             raise ValidationError("threshold must be positive")
         embeddings = self._embed(np.asarray(images, dtype=np.float64))
-        hits = self._index_query_batch(embeddings, k=1)
-        results: List[Tuple[Optional[np.ndarray], float]] = []
-        for (doc_id, dist), in hits:
-            if dist < threshold:
-                doc = self.collection.get(doc_id)
-                results.append((np.asarray(doc["label"], dtype=np.float64), dist))
-            else:
-                results.append((None, dist))
-        return results
+        hits = [hit for (hit,) in self._index_query_batch(embeddings, k=1)]
+        docs = iter(self.collection.get_many(
+            [doc_id for doc_id, dist in hits if dist < threshold]))
+        return [
+            (np.asarray(next(docs)["label"], dtype=np.float64), dist)
+            if dist < threshold else (None, dist)
+            for _, dist in hits
+        ]
 
     # -- system plane ---------------------------------------------------------------------------
     def certainty(self, images: np.ndarray, confidence: float = 0.5, fuzzifier: float = 2.0) -> float:

@@ -312,8 +312,10 @@ class Collection:
             return copy
         return doc
 
-    def fetch_payloads(self, doc_ids: Sequence[str]) -> List[Any]:
-        """Decode the payloads of the given document ids (training fetch path)."""
+    def get_many(self, doc_ids: Sequence[str]) -> List[Document]:
+        """The documents of ``doc_ids``, in order, as one store operation: one
+        read-lock pass and one network charge of their summed payload bytes
+        (against one of each per document through :meth:`get`)."""
         with self._lock.read():
             docs = []
             for doc_id in doc_ids:
@@ -322,6 +324,11 @@ class Collection:
                     raise StorageError(f"document {doc_id!r} not found in {self.name!r}")
                 docs.append(doc)
         self.network.charge(sum(d.get("payload_bytes", 0) for d in docs))
+        return docs
+
+    def fetch_payloads(self, doc_ids: Sequence[str]) -> List[Any]:
+        """Decode the payloads of the given document ids (training fetch path)."""
+        docs = self.get_many(doc_ids)
         return [self.codec.decode(d["payload"]) if "payload" in d else None for d in docs]
 
     def ids(self) -> List[str]:

@@ -22,8 +22,8 @@ Lifecycle:
   partitioned state atomically; concurrent readers see either the old flat
   index or the fully built partitions, never a half-built hybrid.
 * **Steady state** — adds route straight into partitions; queries are
-  batch-routed (each touched partition scanned once with the sub-batch of
-  queries probing it).
+  batch-routed by :func:`~repro.storage.vector_index.partitioned_topk` (each
+  touched partition scanned once with the sub-batch of queries probing it).
 
 ``n_probe`` is a **live knob**: :meth:`set_n_probe` is a single atomic
 attribute publication read once per query batch, so a serving runtime can
@@ -41,14 +41,22 @@ not memory).
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.observability.metrics import default_registry
 from repro.storage.codecs import ProductQuantizer
-from repro.storage.vector_index import QueryResult, VectorIndex
-from repro.utils.errors import ConfigurationError, StorageError, ValidationError
+from repro.storage.vector_index import (
+    QueryResult,
+    VectorIndex,
+    as_queries,
+    grown,
+    partitioned_topk,
+    routed_upsert,
+)
+from repro.utils.errors import ConfigurationError, ValidationError
 from repro.utils.rng import SeedLike, default_rng, derive_seed
 from repro.utils.stats import pairwise_squared_distances
 
@@ -78,27 +86,20 @@ class _Partition:
         )
         self._code_size = 0
 
-    def append(self, keys: Sequence[str], vectors: np.ndarray,
-               codes: Optional[np.ndarray] = None) -> None:
-        # Callers (the IVF routing layer) have already evicted duplicate keys,
+    def add(self, keys: Sequence[str], vectors: np.ndarray,
+            codes: Optional[np.ndarray] = None) -> None:
+        # The caller (``routed_upsert``) has already evicted duplicate keys,
         # so every append is a genuine extension and the code rows stay
         # aligned with the inner index's rows.
         if self.codes is not None:
             assert codes is not None and codes.shape[0] == vectors.shape[0]
             needed = self._code_size + codes.shape[0]
-            capacity = self.codes.shape[0]
-            if needed > capacity:
-                new_capacity = max(capacity, 32)
-                while new_capacity < needed:
-                    new_capacity *= 2
-                grown = np.empty((new_capacity, self.codes.shape[1]), dtype=np.uint8)
-                grown[: self._code_size] = self.codes[: self._code_size]
-                self.codes = grown
+            self.codes = grown(self.codes, self._code_size, needed)
             self.codes[self._code_size : needed] = codes
             self._code_size = needed
         self.index.add(keys, vectors)
 
-    def remove(self, keys: Sequence[str]) -> None:
+    def discard(self, keys: Sequence[str]) -> None:
         """Swap-remove ``keys``, replaying the same row moves on the PQ codes
         so codes stay row-aligned with the inner index."""
         moves = self.index.discard(keys)
@@ -184,8 +185,6 @@ class IVFVectorIndex:
         elif not isinstance(n_partitions, (int, np.integer)) or isinstance(n_partitions, bool) \
                 or n_partitions < 1:
             raise ConfigurationError("n_partitions must be an integer >= 1 or 'auto'")
-        if not isinstance(n_probe, (int, np.integer)) or isinstance(n_probe, bool) or n_probe < 1:
-            raise ValidationError("n_probe must be an integer >= 1")
         if train_threshold < 2:
             raise ConfigurationError("train_threshold must be >= 2")
         if train_size < 2:
@@ -212,7 +211,7 @@ class IVFVectorIndex:
         self.quantizer_params = dict(quantizer_params or {})
         self.seed = seed
         self.cache_query_matrix = bool(cache_query_matrix)
-        self._n_probe = int(n_probe)
+        self.set_n_probe(n_probe)
         self._lock = threading.RLock()
         self._flat: Optional[VectorIndex] = VectorIndex(
             self.dim, dtype=self.dtype, cache_query_matrix=self.cache_query_matrix
@@ -335,12 +334,6 @@ class IVFVectorIndex:
             raise ValidationError(f"expected dim {self.dim}, got {vectors.shape[1]}")
         if len(keys) != vectors.shape[0]:
             raise ValidationError("keys and vectors must have the same length")
-        keys = [str(k) for k in keys]
-        if len(set(keys)) != len(keys):
-            # In-batch last-write-wins, preserving first-seen key order.
-            source_rows = {k: i for i, k in enumerate(keys)}
-            keys = list(source_rows)
-            vectors = vectors[[source_rows[k] for k in keys]]
         with self._lock:
             if self._state is None:
                 assert self._flat is not None
@@ -348,18 +341,7 @@ class IVFVectorIndex:
                 if len(self._flat) >= self.train_threshold:
                     self._train_locked()
             else:
-                self._evict_existing(self._state, keys)
                 self._route_add(self._state, keys, vectors)
-
-    def _evict_existing(self, state: _IVFState, keys: Sequence[str]) -> None:
-        """Remove keys about to be overwritten from their old partitions."""
-        by_partition: Dict[int, List[str]] = {}
-        for key in keys:
-            pid = self._key_partition.get(key)
-            if pid is not None:
-                by_partition.setdefault(pid, []).append(key)
-        for pid, stale in by_partition.items():
-            state.partitions[pid].remove(stale)
 
     def train(self) -> bool:
         """Fit the quantizer now, regardless of ``train_threshold``.
@@ -450,58 +432,20 @@ class IVFVectorIndex:
         self._flat = None
 
     def _route_add(self, state: _IVFState, keys: Sequence[str], vectors: np.ndarray) -> None:
-        if vectors.shape[0] == 0:
-            return
         assignments = self._assign(state.centers, vectors)
-        codes = None
+        columns = [vectors]
         if state.pq is not None:
-            residuals = vectors - state.centers[assignments]
-            codes = state.pq.encode(residuals)
-        order = np.argsort(assignments, kind="stable")
-        sorted_ids = assignments[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        for rows in np.split(order, boundaries):
-            pid = int(assignments[rows[0]])
-            state.partitions[pid].append(
-                [keys[i] for i in rows],
-                vectors[rows],
-                codes[rows] if codes is not None else None,
-            )
-            for i in rows:
-                self._key_partition[str(keys[i])] = pid
+            columns.append(state.pq.encode(vectors - state.centers[assignments]))
+        routed_upsert(self._key_partition, state.partitions, keys, assignments, *columns)
 
     # -- reads -------------------------------------------------------------------
-    def _probe_sets(self, state: _IVFState, probe_order: np.ndarray, k: int,
-                    n_probe: int) -> List[List[int]]:
-        """Partitions each query visits: nearest non-empty partitions until
-        both ``n_probe`` have been probed and ``k`` candidates exist."""
-        sizes = [len(p.index) for p in state.partitions]
-        probe_lists: List[List[int]] = []
-        for row in probe_order:
-            chosen: List[int] = []
-            probed = n_candidates = 0
-            for pid in row:
-                size = sizes[int(pid)]
-                if not size:
-                    continue
-                chosen.append(int(pid))
-                probed += 1
-                n_candidates += min(k, size)
-                if probed >= n_probe and n_candidates >= k:
-                    break
-            probe_lists.append(chosen)
-        return probe_lists
-
-    def _scan_exact(self, part: _Partition, sub_queries: np.ndarray, k: int
-                    ) -> List[QueryResult]:
-        results = part.index.query_batch(sub_queries, k=min(k, len(part.index)))
-        return results
-
-    def _scan_pq(self, state: _IVFState, pid: int, part: _Partition,
-                 sub_queries: np.ndarray, k: int) -> Tuple[List[QueryResult], int]:
+    def _scan_pq(self, state: _IVFState, reranked: List[int], pid: int,
+                 sub_queries: np.ndarray, sub_queries_sq: np.ndarray, k: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
         """ADC scan of one partition's codes + exact re-rank of the top
-        candidates; returns per-query results and the re-ranked row count."""
-        pq = state.pq
+        candidates: per-query ``(rows, squared distances)`` of the best ``k``;
+        the re-ranked row count is appended to ``reranked``."""
+        pq, part = state.pq, state.partitions[pid]
         assert pq is not None and part.codes is not None
         n = len(part.index)
         codes = part.codes[:n]
@@ -514,17 +458,16 @@ class IVFVectorIndex:
         else:
             top = np.broadcast_to(np.arange(n), adc.shape)
         vectors = part.index.vectors
-        keys = part.index.keys
-        out: List[QueryResult] = []
-        reranked = 0
+        out_rows = np.empty((sub_queries.shape[0], k), dtype=np.int64)
+        out_d2 = np.empty((sub_queries.shape[0], k))
         for qi in range(sub_queries.shape[0]):
             rows = top[qi]
             exact = np.asarray(vectors[rows], dtype=np.float64)
             d2 = np.sum((exact - sub_queries[qi]) ** 2, axis=1)
-            reranked += rows.shape[0]
             order = np.argsort(d2, kind="stable")[:k]
-            out.append([(keys[int(rows[j])], float(np.sqrt(d2[j]))) for j in order])
-        return out, reranked
+            out_rows[qi], out_d2[qi] = rows[order], d2[order]
+        reranked.append(sub_queries.shape[0] * r)
+        return out_rows, out_d2
 
     def query_batch(
         self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
@@ -536,11 +479,7 @@ class IVFVectorIndex:
         index yields ``[]`` per query instead of raising, so a cold shard
         composes into a scatter-gather merge.
         """
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        queries = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if queries.shape[1] != self.dim:
-            raise ValidationError(f"expected dim {self.dim}, got {queries.shape[1]}")
+        queries = as_queries(vectors, self.dim, k)
         state = self._state
         if state is None:
             flat = self._flat
@@ -554,49 +493,20 @@ class IVFVectorIndex:
                 b = queries.shape[0]
                 self._record_scan(b, partitions=b, candidates=b * len(flat), flat=b)
                 return results
-        if sum(len(p.index) for p in state.partitions) == 0:
-            if allow_empty:
-                return [[] for _ in range(queries.shape[0])]
-            raise StorageError("ivf vector index is empty")
+        # A trained index is never empty: training needs two vectors, and
+        # the only removal is the eviction half of an upsert.
         n_probe = self._n_probe  # one snapshot: the live-knob read point
 
         center_d2 = pairwise_squared_distances(queries, state.centers)
-        probe_lists = self._probe_sets(
-            state, np.argsort(center_d2, axis=1, kind="stable"), k, n_probe
+        reranked: List[int] = []
+        results, probed, scanned = partitioned_topk(
+            queries, np.argsort(center_d2, axis=1, kind="stable"),
+            [part.index for part in state.partitions], n_probe, k,
+            scan=partial(self._scan_pq, state, reranked) if state.pq is not None else None,
         )
-
-        by_partition: Dict[int, List[int]] = {}
-        for qi, chosen in enumerate(probe_lists):
-            for pid in chosen:
-                by_partition.setdefault(pid, []).append(qi)
-
-        scanned = reranked = 0
-        partition_hits: Dict[int, Dict[int, QueryResult]] = {}
-        for pid, q_indices in by_partition.items():
-            part = state.partitions[pid]
-            sub_queries = queries[q_indices]
-            if state.pq is None:
-                results = self._scan_exact(part, sub_queries, k)
-            else:
-                results, n_reranked = self._scan_pq(state, pid, part, sub_queries, k)
-                reranked += n_reranked
-            scanned += len(part.index) * len(q_indices)
-            partition_hits[pid] = dict(zip(q_indices, results))
-
-        out: List[QueryResult] = []
-        for qi, chosen in enumerate(probe_lists):
-            candidates: QueryResult = []
-            for pid in chosen:
-                candidates.extend(partition_hits[pid][qi])
-            candidates.sort(key=lambda kv: kv[1])
-            out.append(candidates[:k])
-        self._record_scan(
-            queries.shape[0],
-            partitions=sum(len(chosen) for chosen in probe_lists),
-            candidates=scanned,
-            reranked=reranked,
-        )
-        return out
+        self._record_scan(queries.shape[0], partitions=probed, candidates=scanned,
+                          reranked=sum(reranked))
+        return results
 
     def query(self, vector: np.ndarray, k: int = 1) -> QueryResult:
         vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.observability.tracing import current_span
 from repro.utils.errors import StorageError, ValidationError
 from repro.utils.stats import pairwise_squared_distances
 
@@ -30,6 +31,29 @@ from repro.utils.stats import pairwise_squared_distances
 QueryResult = List[Tuple[str, float]]
 
 _INITIAL_CAPACITY = 32
+
+
+def as_queries(vectors: np.ndarray, dim: int, k: int) -> np.ndarray:
+    """``vectors`` as a float64 ``(B, dim)`` query batch, with ``k`` checked."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    queries = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if queries.shape[1] != dim:
+        raise ValidationError(f"expected dim {dim}, got {queries.shape[1]}")
+    return queries
+
+
+def grown(buffer: np.ndarray, size: int, needed: int) -> np.ndarray:
+    """``buffer``, or a doubled copy of its first ``size`` rows that holds ``needed``."""
+    capacity = buffer.shape[0]
+    if needed <= capacity:
+        return buffer
+    capacity = max(capacity, _INITIAL_CAPACITY)
+    while capacity < needed:
+        capacity *= 2
+    out = np.empty((capacity,) + buffer.shape[1:], dtype=buffer.dtype)
+    out[:size] = buffer[:size]
+    return out
 
 
 class VectorIndex:
@@ -44,11 +68,11 @@ class VectorIndex:
         are carried out in float64 regardless, against a query-time float64
         mirror (a free view when the storage dtype is already float64).
     cache_query_matrix:
-        Whether to keep the float64 mirror between queries (rebuilt lazily
-        after adds).  True favours query latency at the cost of holding both
-        copies (1.5x a plain float64 index for float32 storage); False
-        favours memory and pays one dtype conversion per query call, which is
-        the right trade for huge, rarely-queried stores.
+        Whether to keep the float64 mirror (and its squared row norms) between
+        queries, rebuilt lazily after adds.  True favours query latency at the
+        cost of holding both copies (1.5x a plain float64 index for float32
+        storage); False favours memory and pays the conversion on every query
+        call, which is the right trade for huge, rarely-queried stores.
     """
 
     def __init__(self, dim: int, dtype=np.float32, cache_query_matrix: bool = True):
@@ -62,7 +86,9 @@ class VectorIndex:
         self._keys: List[str] = []
         self._key_rows: Dict[str, int] = {}
         self._keys_cache: Optional[Tuple[str, ...]] = None
-        self._query_matrix: Optional[np.ndarray] = None
+        # (float64 mirror, its squared row norms): published and invalidated as
+        # one reference, so no reader scores a mirror against other norms.
+        self._mirror: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __len__(self) -> int:
         return self._size
@@ -95,18 +121,6 @@ class VectorIndex:
         return cached
 
     # -- writes ----------------------------------------------------------------
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = self._data.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(capacity, _INITIAL_CAPACITY)
-        while new_capacity < needed:
-            new_capacity *= 2
-        grown = np.empty((new_capacity, self.dim), dtype=self.dtype)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-
     def add(self, keys: Sequence[str], vectors: np.ndarray) -> None:
         """Add (or overwrite) vectors under ``keys``.
 
@@ -139,10 +153,10 @@ class VectorIndex:
                 overwrite_src.append(src)
         if overwrite_rows:
             self._data[np.asarray(overwrite_rows)] = vectors[np.asarray(overwrite_src)]
-            self._query_matrix = None
+            self._mirror = None
         if fresh_keys:
             n = len(fresh_keys)
-            self._ensure_capacity(n)
+            self._data = grown(self._data, self._size, self._size + n)
             self._data[self._size : self._size + n] = vectors[fresh_src]
             self._keys.extend(fresh_keys)
             for offset, key in enumerate(fresh_keys):
@@ -150,7 +164,7 @@ class VectorIndex:
             # Invalidate before publishing the new size so a concurrent query
             # never pairs the stale mirror (or keys view) with the grown size.
             self._keys_cache = None
-            self._query_matrix = None
+            self._mirror = None
             self._size += n
 
     def discard(self, keys: Sequence[str]) -> List[Tuple[int, int]]:
@@ -175,36 +189,45 @@ class VectorIndex:
                 self._key_rows[moved_key] = row
             self._keys.pop()
             self._keys_cache = None
-            self._query_matrix = None
+            self._mirror = None
             self._size = last
             moves.append((row, last))
         return moves
 
     # -- reads -----------------------------------------------------------------
-    def _topk(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised top-k over all rows: ``(indices, distances)`` of shape (B, k')."""
-        # Work on a local snapshot so a concurrent add() (system-plane ingest
-        # racing a user-plane lookup) can never pair a stale mirror with a
-        # newer size mid-computation.
-        matrix = self._query_matrix
-        if matrix is None or matrix.shape[0] != self._size:
+    def topk(self, queries: np.ndarray, k: int, queries_sq: Optional[np.ndarray] = None
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``min(k, len(self))`` nearest rows of a non-empty index per query
+        as ``(rows, squared_distances)``, nearest first, ties by row number:
+        :meth:`query_batch` before keys are resolved.  ``queries`` is float64
+        ``(B, dim)``, ``queries_sq`` its squared row norms if already known.
+        """
+        # One local snapshot, so a concurrent add() (system-plane ingest racing
+        # a user-plane lookup) never pairs a stale mirror with a newer size.
+        pair = self._mirror
+        if pair is None or pair[0].shape[0] != self._size:
             matrix = np.asarray(self._data[: self._size], dtype=np.float64)
+            pair = (matrix, np.sum(matrix * matrix, axis=1))
             if self.cache_query_matrix:
-                self._query_matrix = matrix
+                self._mirror = pair
+        matrix, matrix_sq = pair
+        if queries_sq is None:
+            queries_sq = np.sum(queries * queries, axis=1)
+        d2 = queries_sq[:, None] + matrix_sq[None, :] - 2.0 * (queries @ matrix.T)
+        np.maximum(d2, 0.0, out=d2)
         n = matrix.shape[0]
-        d2 = pairwise_squared_distances(queries, matrix)
         k = min(k, n)
+        each = np.arange(d2.shape[0])[:, None]
         if k == 1:
-            idx = np.argmin(d2, axis=1)[:, None]
-            return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+            rows = d2.argmin(axis=1)[:, None]
+            return rows, d2[each, rows]
         if k < n:
-            idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            rows = np.argpartition(d2, k - 1, axis=1)[:, :k]
         else:
-            idx = np.broadcast_to(np.arange(n), d2.shape)
-        selected = np.take_along_axis(d2, idx, axis=1)
+            rows = np.broadcast_to(np.arange(n), d2.shape)
+        selected = d2[each, rows]
         order = np.argsort(selected, axis=1, kind="stable")
-        idx = np.take_along_axis(idx, order, axis=1)
-        return idx, np.sqrt(np.take_along_axis(selected, order, axis=1))
+        return rows[each, order], selected[each, order]
 
     def query_batch(
         self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
@@ -221,20 +244,16 @@ class VectorIndex:
         query instead: a shard with nothing stored contributes zero
         candidates to the merge rather than aborting the whole lookup.
         """
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        queries = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if queries.shape[1] != self.dim:
-            raise ValidationError(f"expected dim {self.dim}, got {queries.shape[1]}")
+        queries = as_queries(vectors, self.dim, k)
         if self._size == 0:
             if allow_empty:
                 return [[] for _ in range(queries.shape[0])]
             raise StorageError("vector index is empty")
-        indices, distances = self._topk(queries, k)
+        rows, d2 = self.topk(queries, k)
         keys = self._keys
         return [
-            [(keys[int(j)], float(d)) for j, d in zip(idx_row, dist_row)]
-            for idx_row, dist_row in zip(indices, distances)
+            [(keys[row], dist) for row, dist in zip(q_rows, q_dists)]
+            for q_rows, q_dists in zip(rows.tolist(), np.sqrt(d2).tolist())
         ]
 
     def query(self, vector: np.ndarray, k: int = 1) -> QueryResult:
@@ -341,6 +360,111 @@ def open_mmap(path: Union[str, Path]) -> MmapVectorIndex:
     return MmapVectorIndex(path)
 
 
+def routed_upsert(key_partition: Dict[str, int], partitions: Sequence, keys: Sequence[str],
+                  assignments: np.ndarray, *columns: np.ndarray) -> None:
+    """Last-write-wins add of row-aligned ``columns`` under ``keys`` to the
+    partitions named by ``assignments`` — the write path of both partitioned
+    indexes.  Of a key repeated in the call only the final occurrence is kept;
+    a stored key is swap-removed (``discard``) from the partition holding it
+    before its new row is appended (``add``), so a key that re-routes never
+    leaves a second row behind.  ``key_partition`` records where each key went.
+    """
+    source_rows = {str(key): i for i, key in enumerate(keys)}
+    if not source_rows:
+        return
+    keys = list(source_rows)
+    kept = np.fromiter(source_rows.values(), dtype=np.int64, count=len(keys))
+    stale: Dict[int, List[str]] = {}
+    for key in keys:
+        if key in key_partition:
+            stale.setdefault(key_partition[key], []).append(key)
+    for pid, gone in stale.items():
+        partitions[pid].discard(gone)
+    routes = assignments[kept]
+    order = np.argsort(routes, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(routes[order])) + 1):
+        pid, rows = int(routes[members[0]]), kept[members]
+        member_keys = [keys[j] for j in members]
+        partitions[pid].add(member_keys, *(column[rows] for column in columns))
+        key_partition.update(dict.fromkeys(member_keys, pid))
+
+
+def partitioned_topk(
+    queries: np.ndarray, probe_order: np.ndarray, partitions: Sequence[VectorIndex],
+    n_probe: int, k: int, scan: Optional[Callable] = None,
+) -> Tuple[List[QueryResult], int, int]:
+    """Merged top-``k`` of a query batch over a partitioned store.
+
+    ``probe_order`` is ``(B, P)``: each query's partitions, nearest centre
+    first.  A query visits its nearest *non-empty* partitions until ``n_probe``
+    are probed and ``k`` candidates exist; each touched partition is scanned
+    once with the ascending sub-batch of queries visiting it — ``scan(partition,
+    queries, queries_sq, k) -> (rows, squared_distances)``, by default
+    :meth:`VectorIndex.topk`.  Results land in a padded ``(B, slots * k)``
+    matrix in probe order, so one ``argmin`` / stable ``argsort`` merges them,
+    ties broken by probe rank, then row.  Returns the ``(key, distance)`` lists
+    and the scan's ``(query, partition)`` pair and candidate counts, which are
+    also added to the active trace span, if any.
+    """
+    if scan is None:
+        def scan(pid, sub_queries, sub_queries_sq, width):
+            return partitions[pid].topk(sub_queries, width, sub_queries_sq)
+    n_queries, n_parts = probe_order.shape
+    sizes = np.fromiter((len(part) for part in partitions), dtype=np.int64, count=n_parts)
+    ordered = sizes[probe_order]
+    nonempty = ordered > 0
+    probed = np.cumsum(nonempty, axis=1)
+    available = np.cumsum(np.minimum(ordered, k), axis=1)
+    done = (probed >= n_probe) & (available >= k)
+    stop = np.where(done.any(axis=1), np.argmax(done, axis=1), n_parts - 1)
+    chosen = nonempty & (np.arange(n_parts) <= stop[:, None])
+
+    # (query, partition) pairs, grouped by partition; queries stay ascending
+    # within a group, slots number a query's partitions in probe order.
+    qi, pos = np.nonzero(chosen)
+    by_partition = np.argsort(probe_order[qi, pos], kind="stable")
+    qi, pos = qi[by_partition], pos[by_partition]
+    pids, slots = probe_order[qi, pos], probed[qi, pos] - 1
+    n_pairs, n_slots = pids.shape[0], int(slots.max()) + 1
+    bounds = np.flatnonzero(np.diff(pids, prepend=-1, append=n_parts)).tolist()
+
+    # Gathered once in pair order: a partition's sub-batch is then a slice.
+    pair_queries, pair_queries_sq = queries[qi], np.sum(queries * queries, axis=1)[qi]
+    pair_rows = np.zeros((n_pairs, k), dtype=np.int64)
+    pair_d2 = np.full((n_pairs, k), np.inf)
+    touched = pids[bounds[:-1]]
+    widths = np.minimum(sizes[touched], k).tolist()
+    for pid, width, start, end in zip(touched.tolist(), widths, bounds, bounds[1:]):
+        pair_rows[start:end, :width], pair_d2[start:end, :width] = scan(
+            pid, pair_queries[start:end], pair_queries_sq[start:end], width)
+
+    pair_of = np.zeros((n_queries, n_slots), dtype=np.int64)
+    pair_of[qi, slots] = np.arange(n_pairs)
+    distances = np.full((n_queries, n_slots, k), np.inf)
+    distances[qi, slots] = np.sqrt(pair_d2)
+    distances = distances.reshape(n_queries, n_slots * k)
+    if k == 1:
+        best = np.argmin(distances, axis=1)[:, None]
+    else:
+        best = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    each = np.arange(n_queries)
+    pair = pair_of[each[:, None], best // k]
+    found = np.minimum(available[each, stop], k).tolist()
+    results = [
+        [(partitions[pid]._keys[row], dist)
+         for pid, row, dist in zip(q_pids[:n], q_rows[:n], q_dists[:n])]
+        for q_pids, q_rows, q_dists, n in zip(
+            pids[pair].tolist(), pair_rows[pair, best % k].tolist(),
+            distances[each[:, None], best].tolist(), found)
+    ]
+    n_candidates = int(sizes[pids].sum())
+    span = current_span()
+    if span is not None:
+        span.set_attribute("partitions", span.attributes.get("partitions", 0) + n_pairs)
+        span.set_attribute("candidates", span.attributes.get("candidates", 0) + n_candidates)
+    return results, n_pairs, n_candidates
+
+
 class ClusteredVectorIndex:
     """Two-level (cluster -> sample) nearest-neighbour index.
 
@@ -349,9 +473,10 @@ class ClusteredVectorIndex:
     ``n_probe`` nearest cluster centres and then searches only the members of
     those clusters — sub-linear lookup for large historical stores.
 
-    Batched queries are routed per partition: every query is assigned its
-    probe set in one centre-distance computation, then each touched partition
-    is searched exactly once with the sub-batch of queries probing it.
+    Batched queries are routed per partition (:func:`partitioned_topk`): every
+    query is assigned its probe set in one centre-distance computation, then
+    each touched partition is searched exactly once with the sub-batch of
+    queries probing it.
     """
 
     def __init__(self, centers: np.ndarray, n_probe: int = 1, dtype=np.float32,
@@ -366,82 +491,40 @@ class ClusteredVectorIndex:
         self.n_probe = int(min(n_probe, centers.shape[0]))
         self.dtype = np.dtype(dtype)
         self.cache_query_matrix = bool(cache_query_matrix)
-        self._partitions: Dict[int, VectorIndex] = {}
+        self._partitions = [
+            VectorIndex(self.dim, dtype=self.dtype, cache_query_matrix=self.cache_query_matrix)
+            for _ in range(centers.shape[0])
+        ]
+        self._key_partition: Dict[str, int] = {}
 
     def add(self, keys: Sequence[str], vectors: np.ndarray, cluster_ids: Sequence[int]) -> None:
+        """Add (or overwrite) vectors under ``keys``: last-write-wins, also
+        across clusters (:func:`routed_upsert`)."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=self.dtype))
         cluster_ids = np.asarray(cluster_ids, dtype=int)
         if not (len(keys) == vectors.shape[0] == cluster_ids.shape[0]):
             raise ValidationError("keys, vectors and cluster_ids must have equal length")
         if np.any(cluster_ids < 0) or np.any(cluster_ids >= self.centers.shape[0]):
             raise ValidationError("cluster_ids out of range")
-        for cid in np.unique(cluster_ids):
-            mask = cluster_ids == cid
-            part = self._partitions.setdefault(
-                int(cid),
-                VectorIndex(self.dim, dtype=self.dtype, cache_query_matrix=self.cache_query_matrix),
-            )
-            part.add([keys[i] for i in np.nonzero(mask)[0]], vectors[mask])
+        routed_upsert(self._key_partition, self._partitions, keys, cluster_ids, vectors)
 
     def __len__(self) -> int:
-        return sum(len(p) for p in self._partitions.values())
+        return len(self._key_partition)
 
-    def _probe_sets(self, probe_order: np.ndarray, k: int) -> List[List[int]]:
-        """Partitions each query visits: nearest non-empty clusters until both
-        ``n_probe`` partitions have been probed and ``k`` candidates exist."""
-        sizes = {cid: len(part) for cid, part in self._partitions.items() if len(part)}
-        probe_lists: List[List[int]] = []
-        for row in probe_order:
-            chosen: List[int] = []
-            probed = n_candidates = 0
-            for cid in row:
-                size = sizes.get(int(cid))
-                if not size:
-                    continue
-                chosen.append(int(cid))
-                probed += 1
-                n_candidates += min(k, size)
-                if probed >= self.n_probe and n_candidates >= k:
-                    break
-            probe_lists.append(chosen)
-        return probe_lists
+    def __contains__(self, key: object) -> bool:
+        return key in self._key_partition
 
     def query_batch(
         self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
     ) -> List[QueryResult]:
         """Top-``k`` pairs for every row of ``vectors``, one search per partition."""
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        queries = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if queries.shape[1] != self.dim:
-            raise ValidationError(f"expected dim {self.dim}, got {queries.shape[1]}")
+        queries = as_queries(vectors, self.dim, k)
         if len(self) == 0:
             if allow_empty:
                 return [[] for _ in range(queries.shape[0])]
             raise StorageError("clustered vector index is empty")
-
-        center_d2 = pairwise_squared_distances(queries, self.centers)
-        probe_lists = self._probe_sets(np.argsort(center_d2, axis=1, kind="stable"), k)
-
-        # Group queries by partition and search each partition once.
-        by_partition: Dict[int, List[int]] = {}
-        for qi, chosen in enumerate(probe_lists):
-            for cid in chosen:
-                by_partition.setdefault(cid, []).append(qi)
-        partition_hits: Dict[int, Dict[int, QueryResult]] = {}
-        for cid, q_indices in by_partition.items():
-            part = self._partitions[cid]
-            results = part.query_batch(queries[q_indices], k=min(k, len(part)))
-            partition_hits[cid] = dict(zip(q_indices, results))
-
-        out: List[QueryResult] = []
-        for qi, chosen in enumerate(probe_lists):
-            candidates: QueryResult = []
-            for cid in chosen:
-                candidates.extend(partition_hits[cid][qi])
-            candidates.sort(key=lambda kv: kv[1])
-            out.append(candidates[:k])
-        return out
+        probe_order = np.argsort(pairwise_squared_distances(queries, self.centers), kind="stable")
+        return partitioned_topk(queries, probe_order, self._partitions, self.n_probe, k)[0]
 
     def query(self, vector: np.ndarray, k: int = 1) -> QueryResult:
         vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)

@@ -1,6 +1,7 @@
 """Tests for the IVF ANN index, the PQ residual codec, capability probing,
 and the benchmark-side recall/ground-truth helpers."""
 
+import math
 import sys
 import threading
 from pathlib import Path
@@ -390,6 +391,55 @@ def test_concurrent_queries_during_set_n_probe_and_adds(rng):
     for t in threads:
         t.join()
     assert not errors
+
+
+@pytest.mark.parametrize("backend", ["flat", "ivf"])
+def test_readers_score_a_growing_mirror_against_its_own_norms(backend, rng):
+    """Readers race a writer that grows the same matrix across several
+    capacity doublings: the float64 mirror and its row norms are one published
+    pair, so no reader ever scores a mirror against norms of another size —
+    no exception, and every hit lies exactly where its key's vector is."""
+    dim = 4
+    index = (VectorIndex(dim) if backend == "flat" else
+             IVFVectorIndex(dim, n_partitions=2, n_probe=2, train_threshold=8))
+    held = {}
+
+    def add(keys, vectors):
+        held.update(zip(keys, np.float32(vectors).tolist()))  # known before it is stored
+        index.add(keys, vectors)
+
+    add([f"s{i}" for i in range(16)], rng.normal(size=(16, dim)))
+    queries = rng.normal(size=(2, dim))
+    errors, scans = [], []
+    stop = threading.Event()
+
+    def reader():
+        try:
+            while not stop.is_set():
+                for query, hits in zip(queries.tolist(), index.query_batch(queries, k=3)):
+                    for key, dist in hits:  # KeyError: a key that was never stored
+                        assert abs(dist - math.dist(held[key], query)) < 1e-6, (key, dist)
+                scans.append(1)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for i in range(2000):  # 16 -> 2016 rows: 32 -> 2048 capacity on the flat side
+            add([f"w{i}"], rng.normal(size=(1, dim)))
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(scans) > 100
+    assert len(index) == len(held) == 2016
+    assert {key for key, _ in index.query(queries[0], k=2016)} == set(held)
 
 
 # -- benchmark helpers (ground truth + recall) ------------------------------------

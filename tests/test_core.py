@@ -147,6 +147,28 @@ def test_fairds_nearest_labeled_threshold_behaviour():
     assert all(d >= 0 for d in distances)
 
 
+def test_fairds_nearest_labeled_fetches_labels_in_one_store_operation(monkeypatch):
+    fairds, _, _ = _fitted_fairds()
+    new = _scan(0, n=20, seed=30).images
+    everything = fairds.nearest_labeled(new)
+    # A threshold at the median distance gates about half of the hits out.
+    threshold = float(np.median([d for _, d in everything]))
+    gets = []
+    get_many = fairds.collection.get_many
+    monkeypatch.setattr(fairds.collection, "get_many",
+                        lambda doc_ids: gets.append(list(doc_ids)) or get_many(doc_ids))
+    gated = fairds.nearest_labeled(new, threshold=threshold)
+    assert len(gets) == 1 and 0 < len(gets[0]) < len(new)
+    within = iter(gets[0])
+    for (label, dist), (full_label, full_dist) in zip(gated, everything):
+        assert dist == full_dist
+        if dist < threshold:
+            np.testing.assert_array_equal(label, full_label)
+            np.testing.assert_array_equal(label, fairds.collection.get(next(within))["label"])
+        else:
+            assert label is None
+
+
 def test_fairds_ingest_grows_store():
     fairds, _, _ = _fitted_fairds(n=80)
     before = fairds.store_size()

@@ -1,0 +1,321 @@
+"""Equivalences the nearest-neighbour indexes rely on, as property tests.
+
+The partitioned scan (``partitioned_topk``: probe sets, scatter, merge as
+array operations over ``VectorIndex.topk``) replaced a list-based
+implementation — per-partition ``(key, float)`` lists, dict-of-dict scatter,
+a Python sort per query — that lives on here as the **reference**: the new
+routine must return the same keys, the same float distances and the same tie
+order at every ``(k, n_probe)``, exact and PQ, and count the same scan
+effort.  Around that: ``ivf`` at full probe ≡ ``flat`` ≡ ``clustered`` at
+full probe; ``topk`` with and without supplied query norms; an uncached
+mirror and an mmap-opened store ≡ the in-memory index.
+
+Stores are hypothesis-generated with the cases the merge has to get right:
+duplicate vectors (grid-valued data, so distances tie exactly), upserts that
+move a key between partitions, partitions left empty or smaller than ``k``,
+``k`` beyond the store size, and batches of 1 to 40 queries.
+"""
+
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.storage import (
+    ClusteredVectorIndex,
+    IVFVectorIndex,
+    VectorIndex,
+    open_mmap,
+    save_mmap,
+)
+from repro.storage.vector_index import QueryResult
+from repro.utils.stats import pairwise_squared_distances
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+# -- the reference: the list-based scan this PR removed from src/ -------------------------
+def reference_topk(index: VectorIndex, queries: np.ndarray, k: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """``VectorIndex._topk`` as it was: norms re-derived per call, rows and
+    distances (square-rooted) through ``take_along_axis``."""
+    matrix = np.asarray(index.vectors, dtype=np.float64)
+    n = matrix.shape[0]
+    d2 = pairwise_squared_distances(queries, matrix)
+    k = min(k, n)
+    if k == 1:
+        idx = np.argmin(d2, axis=1)[:, None]
+        return idx, np.sqrt(np.take_along_axis(d2, idx, axis=1))
+    if k < n:
+        idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    else:
+        idx = np.broadcast_to(np.arange(n), d2.shape)
+    selected = np.take_along_axis(d2, idx, axis=1)
+    order = np.argsort(selected, axis=1, kind="stable")
+    idx = np.take_along_axis(idx, order, axis=1)
+    return idx, np.sqrt(np.take_along_axis(selected, order, axis=1))
+
+
+def reference_query_batch(index: VectorIndex, queries: np.ndarray, k: int) -> List[QueryResult]:
+    indices, distances = reference_topk(index, queries, k)
+    keys = index.keys
+    return [
+        [(keys[int(j)], float(d)) for j, d in zip(idx_row, dist_row)]
+        for idx_row, dist_row in zip(indices, distances)
+    ]
+
+
+def reference_probe_sets(sizes: List[int], probe_order: np.ndarray, k: int, n_probe: int
+                         ) -> List[List[int]]:
+    """Partitions each query visits: nearest non-empty partitions until both
+    ``n_probe`` have been probed and ``k`` candidates exist."""
+    probe_lists: List[List[int]] = []
+    for row in probe_order:
+        chosen: List[int] = []
+        probed = n_candidates = 0
+        for pid in row:
+            size = sizes[int(pid)]
+            if not size:
+                continue
+            chosen.append(int(pid))
+            probed += 1
+            n_candidates += min(k, size)
+            if probed >= n_probe and n_candidates >= k:
+                break
+        probe_lists.append(chosen)
+    return probe_lists
+
+
+def reference_scan_pq(ivf: IVFVectorIndex, pid: int, sub_queries: np.ndarray, k: int
+                      ) -> Tuple[List[QueryResult], int]:
+    """``IVFVectorIndex._scan_pq`` as it was: per-query result lists."""
+    state = ivf._state
+    pq, part = state.pq, state.partitions[pid]
+    n = len(part.index)
+    codes = part.codes[:n]
+    tables = pq.distance_tables(sub_queries - state.centers[pid])
+    adc = pq.adc(tables, codes)
+    r = min(max(k, ivf.rerank), n)
+    if r < n:
+        top = np.argpartition(adc, r - 1, axis=1)[:, :r]
+    else:
+        top = np.broadcast_to(np.arange(n), adc.shape)
+    vectors, keys = part.index.vectors, part.index.keys
+    out: List[QueryResult] = []
+    reranked = 0
+    for qi in range(sub_queries.shape[0]):
+        rows = top[qi]
+        exact = np.asarray(vectors[rows], dtype=np.float64)
+        d2 = np.sum((exact - sub_queries[qi]) ** 2, axis=1)
+        reranked += rows.shape[0]
+        order = np.argsort(d2, kind="stable")[:k]
+        out.append([(keys[int(rows[j])], float(np.sqrt(d2[j]))) for j in order])
+    return out, reranked
+
+
+def reference_partitioned_query(
+    queries: np.ndarray, centers: np.ndarray, partitions: List[VectorIndex],
+    n_probe: int, k: int, ivf_pq: Optional[IVFVectorIndex] = None,
+) -> Tuple[List[QueryResult], Dict[str, int]]:
+    """The probe / scatter / merge both partitioned indexes carried: probe
+    lists, a dict of query rows per partition, one scan per partition, a
+    dict-of-dicts of hits, and a Python sort of each query's candidates."""
+    center_d2 = pairwise_squared_distances(queries, centers)
+    probe_lists = reference_probe_sets(
+        [len(p) for p in partitions], np.argsort(center_d2, axis=1, kind="stable"), k, n_probe
+    )
+    by_partition: Dict[int, List[int]] = {}
+    for qi, chosen in enumerate(probe_lists):
+        for pid in chosen:
+            by_partition.setdefault(pid, []).append(qi)
+    scanned = reranked = 0
+    partition_hits: Dict[int, Dict[int, QueryResult]] = {}
+    for pid, q_indices in by_partition.items():
+        part = partitions[pid]
+        sub_queries = queries[q_indices]
+        if ivf_pq is None:
+            results = reference_query_batch(part, sub_queries, min(k, len(part)))
+        else:
+            results, n_reranked = reference_scan_pq(ivf_pq, pid, sub_queries, k)
+            reranked += n_reranked
+        scanned += len(part) * len(q_indices)
+        partition_hits[pid] = dict(zip(q_indices, results))
+    out: List[QueryResult] = []
+    for qi, chosen in enumerate(probe_lists):
+        candidates: QueryResult = []
+        for pid in chosen:
+            candidates.extend(partition_hits[pid][qi])
+        candidates.sort(key=lambda kv: kv[1])
+        out.append(candidates[:k])
+    counts = {"partitions_probed": sum(len(chosen) for chosen in probe_lists),
+              "candidates_scanned": scanned, "reranked": reranked}
+    return out, counts
+
+
+# -- generated stores ------------------------------------------------------------------
+@st.composite
+def stores(draw):
+    """Add batches over a small key pool (in-batch repeats and upserts), the
+    final key -> vector map, a query batch, and the partition count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 5))
+    n_parts = draw(st.integers(1, 7))
+    pool = draw(st.integers(1, 60))
+    grid = draw(st.booleans())
+
+    def points(n):
+        if grid:  # few distinct values: duplicate vectors, exactly tied distances
+            return rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+        return rng.normal(scale=3.0, size=(n, dim))
+
+    batches = []
+    final: Dict[str, np.ndarray] = {}
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        keys = [f"k{i}" for i in rng.integers(0, pool, size=n)]
+        vectors = points(n)
+        batches.append((keys, vectors))
+        final.update(zip(keys, vectors))
+    queries = points(draw(st.integers(1, 40)))
+    return batches, final, queries, n_parts, rng
+
+
+# Every builder queries between adds, so each add meets a published mirror
+# (and its norms) that it has to invalidate.
+def build_flat(batches, dtype=np.float32, **kwargs) -> VectorIndex:
+    flat = VectorIndex(batches[0][1].shape[1], dtype=dtype, **kwargs)
+    for keys, vectors in batches:
+        flat.add(keys, vectors)
+        flat.query_batch(vectors[:1], k=2)
+    return flat
+
+
+def build_ivf(batches, n_parts, **kwargs) -> IVFVectorIndex:
+    """Trained as early as the store allows, so later batches route, upsert
+    and move keys between inverted lists."""
+    ivf = IVFVectorIndex(batches[0][1].shape[1], n_partitions=n_parts, train_threshold=4,
+                         seed=1, **kwargs)
+    for keys, vectors in batches:
+        ivf.add(keys, vectors)
+        ivf.query_batch(vectors[:1], k=2)
+    ivf.train()
+    return ivf
+
+
+def build_clustered(batches, n_parts, rng, n_probe) -> ClusteredVectorIndex:
+    """Arbitrary assignments over a random subset of the clusters: some stay
+    empty, and a re-added key usually lands in another cluster."""
+    dim = batches[0][1].shape[1]
+    clustered = ClusteredVectorIndex(rng.normal(scale=3.0, size=(n_parts, dim)), n_probe=n_probe)
+    allowed = rng.choice(n_parts, size=rng.integers(1, n_parts + 1), replace=False)
+    for keys, vectors in batches:
+        clustered.add(keys, vectors, rng.choice(allowed, size=len(keys)))
+        clustered.query_batch(vectors[:1], k=2)
+    return clustered
+
+
+def assert_same_neighbours(got: List[QueryResult], flat: VectorIndex, final, queries, k,
+                           margin=1e-6):
+    """An exact backend agrees with ``flat``: the same distances; every key
+    really lies at its reported distance; no key twice; and the same key at
+    every rank whose distance is not tied (tied keys may swap, also across
+    the ``k`` boundary — hence the comparison against ``k + 1`` neighbours)."""
+    for g, w, query in zip(got, flat.query_batch(queries, k=k + 1), queries):
+        assert len(g) == min(k, len(flat))
+        g_d, w_d = np.array([d for _, d in g]), np.array([d for _, d in w])
+        np.testing.assert_allclose(g_d, w_d[: len(g)], rtol=1e-6, atol=1e-6)
+        held = [np.linalg.norm(np.float32(final[key]).astype(np.float64) - query) for key, _ in g]
+        np.testing.assert_allclose(g_d, held, rtol=1e-6, atol=1e-6)
+        assert len({key for key, _ in g}) == len(g)
+        gaps = np.diff(w_d, prepend=-np.inf, append=np.inf)
+        for rank in np.flatnonzero((gaps[:-1] > margin) & (gaps[1:] > margin)):
+            if rank < len(g):
+                assert g[rank][0] == w[rank][0]
+
+
+# -- the properties --------------------------------------------------------------------
+@SETTINGS
+@given(stores(), st.integers(1, 70))
+def test_full_probe_ivf_and_clustered_equal_flat(store, k):
+    batches, final, queries, n_parts, rng = store
+    flat = build_flat(batches)
+    assert len(flat) == len(final)
+    want = flat.query_batch(queries, k=k)
+    assert want == reference_query_batch(flat, queries, k)
+
+    ivf = build_ivf(batches, n_parts, n_probe=n_parts)
+    assert len(ivf) == len(final) and all(key in ivf for key in final)
+    assert_same_neighbours(ivf.query_batch(queries, k=k), flat, final, queries, k)
+
+    clustered = build_clustered(batches, n_parts, rng, n_probe=n_parts)
+    assert len(clustered) == len(final) and all(key in clustered for key in final)
+    assert_same_neighbours(clustered.query_batch(queries, k=k), flat, final, queries, k)
+
+
+@SETTINGS
+@given(stores(), st.integers(1, 70), st.data())
+def test_partitioned_scan_equals_list_based_reference_at_every_n_probe(store, k, data):
+    batches, _, queries, n_parts, rng = store
+    ivf = build_ivf(batches, n_parts)
+    assume(ivf.is_trained)
+    state = ivf._state
+    partitions = [part.index for part in state.partitions]
+    for n_probe in range(1, len(partitions) + 1):
+        ivf.set_n_probe(n_probe)
+        before = ivf.scan_stats()
+        got = ivf.query_batch(queries, k=k)
+        after = ivf.scan_stats()
+        want, counts = reference_partitioned_query(queries, state.centers, partitions, n_probe, k)
+        assert got == want  # keys, float distances and tie order, bit for bit
+        assert {name: after[name] - before[name] for name in counts} == counts
+        assert after["queries"] - before["queries"] == len(queries)
+
+    n_probe = data.draw(st.integers(1, n_parts))
+    clustered = build_clustered(batches, n_parts, rng, n_probe=n_probe)
+    want, _ = reference_partitioned_query(
+        queries, clustered.centers, clustered._partitions, clustered.n_probe, k)
+    assert clustered.query_batch(queries, k=k) == want
+
+
+@SETTINGS
+@given(stores(), st.integers(1, 70), st.integers(1, 8), st.integers(1, 4), st.data())
+def test_pq_scan_equals_its_reference(store, k, rerank, bits, data):
+    batches, _, queries, n_parts, _ = store
+    dim = queries.shape[1]
+    m = data.draw(st.sampled_from([m for m in range(1, dim + 1) if dim % m == 0]))
+    ivf = build_ivf(batches, n_parts, pq={"m": m, "bits": bits}, rerank=rerank)
+    assume(ivf.is_trained)
+    partitions = [part.index for part in ivf._state.partitions]
+    for n_probe in range(1, len(partitions) + 1):
+        ivf.set_n_probe(n_probe)
+        before = ivf.scan_stats()
+        got = ivf.query_batch(queries, k=k)
+        after = ivf.scan_stats()
+        want, counts = reference_partitioned_query(
+            queries, ivf._state.centers, partitions, n_probe, k, ivf_pq=ivf)
+        assert got == want
+        assert {name: after[name] - before[name] for name in counts} == counts
+
+
+@SETTINGS
+@given(stores(), st.integers(1, 70), st.sampled_from([np.float32, np.float64]))
+def test_topk_norms_uncached_mirror_and_mmap_equal_the_in_memory_index(tmp_path_factory, store,
+                                                                       k, dtype):
+    batches, _, queries, _, _ = store
+    flat = build_flat(batches, dtype=dtype)
+    rows, d2 = flat.topk(queries, k)
+    assert rows.shape == d2.shape == (len(queries), min(k, len(flat)))
+    for got in (flat.topk(queries, k, np.sum(queries * queries, axis=1)),
+                build_flat(batches, dtype=dtype, cache_query_matrix=False).topk(queries, k)):
+        np.testing.assert_array_equal(got[0], rows)
+        np.testing.assert_array_equal(got[1], d2)
+    ref_rows, ref_dist = reference_topk(flat, queries, k)
+    np.testing.assert_array_equal(rows, ref_rows)
+    np.testing.assert_array_equal(np.sqrt(d2), ref_dist)
+
+    want = flat.query_batch(queries, k=k)
+    uncached = build_flat(batches, dtype=dtype, cache_query_matrix=False)
+    assert uncached.query_batch(queries, k=k) == want and uncached._mirror is None
+    mapped = open_mmap(save_mmap(flat, tmp_path_factory.mktemp("mmap")))
+    assert mapped.query_batch(queries, k=k) == want and mapped._mirror is None

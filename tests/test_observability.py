@@ -21,7 +21,9 @@ import pytest
 
 from repro.api.deployment import Deployment
 from repro.api.spec import ObservabilitySpec, SystemSpec, preset
+from repro.core.fairds import FairDS
 from repro.datasets import BraggPeakDataset, make_two_phase_schedule
+from repro.embedding import PCAEmbedder
 from repro.observability import (
     MetricsRegistry,
     ObservabilityHTTPServer,
@@ -470,6 +472,42 @@ def test_served_nearest_labeled_request_produces_a_complete_trace(experiment, re
 # ---------------------------------------------------------------------------------
 # Concurrency: sampled traces from N client threads never cross-wire
 # ---------------------------------------------------------------------------------
+@pytest.mark.parametrize("backend, params", [
+    ("ivf", {"n_partitions": 6, "train_threshold": 8, "n_probe": 2}),
+    ("clustered", {"n_probe": 2}),
+    ("flat", {}),
+])
+def test_index_scan_span_says_how_much_was_scanned(backend, params, experiment, registry):
+    """The ``index.scan`` span of a partitioned backend carries the scan
+    effort of exactly that request; an untraced query sets nothing."""
+    hist_x, hist_y = experiment.stacked(range(2))
+    fairds = FairDS(PCAEmbedder(embedding_dim=4), n_clusters=4, seed=0,
+                    index_backend=backend, index_params=params)
+    fairds.fit(hist_x, hist_y)
+    fairds.nearest_labeled(hist_x[:3])          # no active span: nothing to set
+    tracer = Tracer(sample_rate=1.0)
+    root = tracer.start_trace("root")
+    before = fairds.index_stats()
+    with tracer.activate(root):
+        fairds.nearest_labeled(hist_x[:7])
+    tracer.end(root)
+    after = fairds.index_stats()
+    (scan,) = [s for s in tracer.finished_spans() if s.name == "index.scan"]
+    assert scan.attributes["queries"] == 7 and scan.attributes["backend"] == backend
+    assert "partitions" not in root.attributes
+    if backend == "flat":
+        assert "partitions" not in scan.attributes and "candidates" not in scan.attributes
+        return
+    # two non-empty partitions per query, each no larger than the store
+    assert scan.attributes["partitions"] == 14
+    assert 14 <= scan.attributes["candidates"] <= 14 * len(hist_x)
+    if backend == "ivf":
+        assert scan.attributes["partitions"] == (
+            after["partitions_probed"] - before["partitions_probed"])
+        assert scan.attributes["candidates"] == (
+            after["candidates_scanned"] - before["candidates_scanned"])
+
+
 def test_concurrent_clients_get_self_consistent_traces(registry):
     n_threads, per_thread = 8, 25
 

@@ -264,6 +264,22 @@ def test_get_and_fetch_payloads():
         coll.fetch_payloads(["missing-id"])
 
 
+def test_get_many_is_one_store_operation(monkeypatch):
+    _, coll, _ = _populated_collection()
+    ids = coll.ids()
+    wanted = [ids[7], ids[2], ids[7]]
+    charged = []
+    monkeypatch.setattr(NetworkModel, "charge", lambda self, n_bytes: charged.append(n_bytes))
+    docs = coll.get_many(wanted)
+    assert [doc.id for doc in docs] == wanted
+    assert all(doc is coll.get(doc_id) for doc, doc_id in zip(docs, wanted))
+    # one charge of the summed bytes, where three get() calls charge thrice
+    assert charged[0] == sum(charged[1:]) and len(charged) == 4
+    assert coll.get_many([]) == []
+    with pytest.raises(StorageError, match="missing-id"):
+        coll.get_many([ids[0], "missing-id"])
+
+
 def test_secondary_index_used_for_equality_queries():
     _, coll, _ = _populated_collection()
     coll.create_index("cluster_id")
@@ -517,6 +533,29 @@ def test_clustered_index_validation(rng):
     cindex.add(["a"], np.zeros((1, 3)), [0])
     with pytest.raises(ValidationError):
         cindex.query(np.zeros(4))
+
+
+def test_clustered_upsert_that_changes_cluster_leaves_one_row():
+    centers = np.array([[0.0, 0.0], [10.0, 10.0]])
+    c = ClusteredVectorIndex(centers, n_probe=2)
+    c.add(["a"], [[0.1, 0.1]], [0])
+    c.add(["a"], [[9.9, 9.9]], [1])
+    assert len(c) == 1 and "a" in c and "b" not in c
+    (hits,) = c.query_batch([[5.0, 5.0]], k=2)
+    assert [key for key, _ in hits] == ["a"]
+    np.testing.assert_allclose(hits[0][1], np.hypot(4.9, 4.9), rtol=1e-6)
+    # In-batch repeats: the final occurrence wins, wherever it routes; a key
+    # that stays in its cluster is overwritten, not doubled.
+    c.add(["b", "a", "b", "c", "b"], [[1, 1], [0.2, 0.2], [9, 9], [8, 8], [0.5, 0.5]],
+          [0, 0, 1, 1, 0])
+    c.add(["c"], [[8.5, 8.5]], [1])
+    c.add([], np.empty((0, 2)), [])
+    assert len(c) == 3
+    (hits,) = c.query_batch([[0.0, 0.0]], k=10)
+    assert [key for key, _ in hits] == ["a", "b", "c"]
+    np.testing.assert_allclose([d for _, d in hits],
+                               [np.hypot(0.2, 0.2), np.hypot(0.5, 0.5), np.hypot(8.5, 8.5)],
+                               rtol=1e-6)
 
 
 # -- Collection.upsert_one -----------------------------------------------------------
