@@ -23,8 +23,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro.api.registry import create_component
 from repro.clustering.kmeans import KMeans
-from repro.storage.registry import create_index_backend
 from repro.utils.rng import default_rng
 from repro.utils.stats import pairwise_squared_distances
 
@@ -99,11 +99,11 @@ def test_ablation_lookup_scalability(benchmark, report_sink):
     for size in STORE_SIZES:
         _, vectors, keys = _clustered_store(rng, size, DIM, N_CLUSTERS, blob_centers=blob_centers)
 
-        flat = create_index_backend("flat", dim=DIM)
+        flat = create_component("index", "flat", dim=DIM)
         flat.add(keys, vectors)
 
         km = KMeans(n_clusters=N_CLUSTERS, n_init=1, max_iter=25, seed=0).fit(vectors[: min(size, 4000)])
-        clustered = create_index_backend("clustered", centers=km.cluster_centers_, n_probe=2)
+        clustered = create_component("index", "clustered", centers=km.cluster_centers_, n_probe=2)
         clustered.add(keys, vectors, km.predict(vectors))
 
         queries = blob_centers[rng.integers(0, N_CLUSTERS, size=N_QUERIES)] + rng.normal(size=(N_QUERIES, DIM))
@@ -144,11 +144,11 @@ def test_ablation_batched_lookup_throughput(benchmark, report_sink):
 
     old = OldEquivalentFlatIndex(DIM)
     old.add(keys, vectors)
-    flat = create_index_backend("flat", dim=DIM)
+    flat = create_component("index", "flat", dim=DIM)
     flat.add(keys, vectors)
 
     km = KMeans(n_clusters=N_CLUSTERS, n_init=1, max_iter=25, seed=0).fit(vectors[:4000])
-    clustered = create_index_backend("clustered", centers=km.cluster_centers_, n_probe=2)
+    clustered = create_component("index", "clustered", centers=km.cluster_centers_, n_probe=2)
     clustered.add(keys, vectors, km.predict(vectors))
 
     def throughput(fn, repeats=3) -> float:

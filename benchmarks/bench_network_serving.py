@@ -33,6 +33,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.api.registry import create_component
 from repro.net import (
     AsyncNetworkClient,
     AutoscalePolicy,
@@ -43,7 +44,6 @@ from repro.net import (
     ReplicaSet,
 )
 from repro.serving import BatchingPolicy, ServingRuntime
-from repro.storage.registry import create_index_backend
 from repro.utils.errors import DeadlineExceededError
 from repro.utils.rng import default_rng
 
@@ -60,7 +60,7 @@ SMOKE = dict(store_size=1_500, clients=4, per_client=10, calm_rps=80, burst_rps=
 def _build_index(store_size: int, seed: int = 0):
     rng = default_rng(seed)
     vectors = rng.normal(size=(store_size, DIM))
-    index = create_index_backend("flat", dim=DIM)
+    index = create_component("index", "flat", dim=DIM)
     index.add([f"k{i}" for i in range(store_size)], vectors)
     queries = vectors[rng.integers(0, store_size, size=512)] + 0.01 * rng.normal(
         size=(512, DIM)

@@ -34,9 +34,9 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.api.registry import create_component
 from repro.observability.tracing import Tracer
 from repro.serving import BatchingPolicy, ServingRuntime, ServingTelemetry
-from repro.storage.registry import create_index_backend
 from repro.utils.errors import ServiceOverloadedError
 from repro.utils.rng import default_rng
 
@@ -62,7 +62,7 @@ def _build_store(store_size: int, n_queries: int, seed: int = 0):
     blob_centers = rng.normal(scale=10.0, size=(N_CLUSTERS, DIM))
     assignments = rng.integers(0, N_CLUSTERS, size=store_size)
     vectors = blob_centers[assignments] + rng.normal(size=(store_size, DIM))
-    index = create_index_backend("flat", dim=DIM)
+    index = create_component("index", "flat", dim=DIM)
     index.add([f"k{i}" for i in range(store_size)], vectors)
     queries = blob_centers[rng.integers(0, N_CLUSTERS, size=n_queries)] + rng.normal(
         size=(n_queries, DIM)

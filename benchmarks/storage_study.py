@@ -19,8 +19,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.api.registry import create_component
 from repro.dataio import DataLoader, DocumentDBDataset, FileStoreDataset
-from repro.storage import create_storage_backend
 
 
 def build_backends(samples: np.ndarray, labels: np.ndarray, fetch_latency_s: float = 0.0005):
@@ -32,7 +32,8 @@ def build_backends(samples: np.ndarray, labels: np.ndarray, fetch_latency_s: flo
     flat_labels = labels.reshape(labels.shape[0], -1)
     backends = {}
     for codec_name in ("blosc", "pickle"):
-        db = create_storage_backend(
+        db = create_component(
+            "storage",
             "documentdb",
             codec=codec_name,
             network={"latency_s": fetch_latency_s, "bandwidth_bytes_per_s": 1.25e9},
@@ -43,7 +44,7 @@ def build_backends(samples: np.ndarray, labels: np.ndarray, fetch_latency_s: flo
             [samples[i] for i in range(samples.shape[0])],
         )
         backends[codec_name] = DocumentDBDataset(coll)
-    store = create_storage_backend("file")
+    store = create_component("storage", "file")
     store.write_many([samples[i] for i in range(samples.shape[0])])
     backends["nfs"] = FileStoreDataset(store, flat_labels)
     return backends, store

@@ -2,9 +2,9 @@
 """The closed continual-learning loop on the synthetic drifting experiment.
 
 This is the paper's end-to-end story as one subsystem, materialised entirely
-from a spec file (``examples/specs/continual.json`` — the ``"continual"``
-preset): a serving runtime answers prediction requests from client threads
-while every arriving scan is pushed through the
+from a spec (the ``"continual"`` preset, shipped as
+``repro/api/presets/continual.json``): a serving runtime answers prediction
+requests from client threads while every arriving scan is pushed through the
 ``ContinualLearningPipeline`` DAG —
 
     monitor -> pseudo_label -> train -> validate -> promote -> hot_swap
@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from pathlib import Path
 
 from repro import Deployment
 
-SPEC_PATH = Path(__file__).parent / "specs" / "continual.json"
+PRESET = "continual"
 N_SCANS = 14
 PHASE_CHANGE_AT = 8
 
@@ -40,7 +39,7 @@ PHASE_CHANGE_AT = 8
 def main() -> None:
     from repro.datasets import BraggPeakDataset, make_two_phase_schedule
 
-    with Deployment.from_json(SPEC_PATH) as dep:
+    with Deployment.from_preset(PRESET) as dep:
         seed = dep.spec.seed
         experiment = BraggPeakDataset(
             make_two_phase_schedule(n_scans=N_SCANS, change_at=PHASE_CHANGE_AT, seed=seed),
@@ -51,7 +50,7 @@ def main() -> None:
         hist_x, hist_y = experiment.stacked(range(3))
         dep.fit(hist_x, hist_y)
         live = dep.snapshot()["zoo"]["promoted_version"]
-        print(f"bootstrapped from {SPEC_PATH.name} (digest {dep.spec.digest()[:12]}): "
+        print(f"bootstrapped from the {PRESET!r} preset (digest {dep.spec.digest()[:12]}): "
               f"{hist_x.shape[0]} historical samples, serving {live}")
 
         # Serving traffic runs throughout: one client thread per "experiment

@@ -38,47 +38,47 @@ def main() -> None:
     hist_x, hist_y = experiment.stacked(range(3))
     dms.bootstrap(hist_x, hist_y)
 
-    with FairDMSService(dms) as service:
-        print("Registered plane functions:", ", ".join(service.registered_functions()))
+    service = FairDMSService(dms)
+    print("Registered plane functions:", ", ".join(service.registered_functions()))
 
-        # --- user plane --------------------------------------------------------
-        scan5 = experiment.scan(5)
-        dist = service.query_distribution(scan5.images, label="scan-5")
-        print(f"\n[user]  scan 5 cluster PDF: {[round(p, 3) for p in dist['pdf']]}")
+    # --- user plane --------------------------------------------------------
+    scan5 = experiment.scan(5)
+    dist = service.query_distribution(scan5.images, label="scan-5")
+    print(f"\n[user]  scan 5 cluster PDF: {[round(p, 3) for p in dist['pdf']]}")
 
-        lookup = service.lookup_labeled_data(scan5.images, n_samples=32)
-        print(f"[user]  retrieved {lookup['images'].shape[0]} labeled historical samples")
+    lookup = service.lookup_labeled_data(scan5.images, n_samples=32)
+    print(f"[user]  retrieved {lookup['images'].shape[0]} labeled historical samples")
 
-        report = service.request_model_update(scan5.images, label="scan-5")
-        print(f"[user]  model update: strategy={report.strategy}, "
-              f"end-to-end={report.end_to_end_time:.2f}s")
+    report = service.request_model_update(scan5.images, label="scan-5")
+    print(f"[user]  model update: strategy={report.strategy}, "
+          f"end-to-end={report.end_to_end_time:.2f}s")
 
-        # --- batched user plane ------------------------------------------------
-        batches = [experiment.scan(s).images for s in (4, 5, 6)]
-        dists = service.query_distribution_batch(batches, label="scans-4-6")
-        print(f"[user]  batched distribution query over {len(dists)} scans "
-              f"(one cluster-assignment pass)")
-        lookups = service.lookup_labeled_data_batch(batches, n_samples=16)
-        print(f"[user]  batched pseudo-labeling: "
-              f"{[l['images'].shape[0] for l in lookups]} samples per scan")
-        certs = service.certainty_batch(batches)
-        print(f"[system] batched certainty monitor: "
-              f"{[round(c, 1) for c in certs]} % per scan")
-        cache = dms.fairds.embedding_cache_info()
-        print(f"[system] embedding cache: {cache['hits']:.0f} hits / "
-              f"{cache['misses']:.0f} misses (repeated scans skip the embedder)")
+    # --- batched user plane ------------------------------------------------
+    batches = [experiment.scan(s).images for s in (4, 5, 6)]
+    dists = service.query_distribution_batch(batches, label="scans-4-6")
+    print(f"[user]  batched distribution query over {len(dists)} scans "
+          f"(one cluster-assignment pass)")
+    lookups = service.lookup_labeled_data_batch(batches, n_samples=16)
+    print(f"[user]  batched pseudo-labeling: "
+          f"{[l['images'].shape[0] for l in lookups]} samples per scan")
+    certs = service.certainty_batch(batches)
+    print(f"[system] batched certainty monitor: "
+          f"{[round(c, 1) for c in certs]} % per scan")
+    cache = dms.fairds.embedding_cache_info()
+    print(f"[system] embedding cache: {cache['hits']:.0f} hits / "
+          f"{cache['misses']:.0f} misses (repeated scans skip the embedder)")
 
-        # --- system plane ------------------------------------------------------
-        scan11 = experiment.scan(11)  # post-phase-change data, now labeled offline
-        added = service.ingest_labeled_data(scan11.images, scan11.normalized_centers)
-        print(f"\n[system] ingested {added} newly labeled samples "
-              f"(store size = {dms.fairds.store_size()})")
-        size = service.refresh_representations()
-        print(f"[system] refreshed embedding/clustering over {size} stored samples")
+    # --- system plane ------------------------------------------------------
+    scan11 = experiment.scan(11)  # post-phase-change data, now labeled offline
+    added = service.ingest_labeled_data(scan11.images, scan11.normalized_centers)
+    print(f"\n[system] ingested {added} newly labeled samples "
+          f"(store size = {dms.fairds.store_size()})")
+    size = service.refresh_representations()
+    print(f"[system] refreshed embedding/clustering over {size} stored samples")
 
-        print("\nPlane activity summary:")
-        for key, count in sorted(service.activity_summary().items()):
-            print(f"  {key:35s} x{count}")
+    print("\nPlane activity summary:")
+    for key, count in sorted(service.activity_summary().items()):
+        print(f"  {key:35s} x{count}")
 
 
 if __name__ == "__main__":

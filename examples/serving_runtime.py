@@ -50,42 +50,42 @@ def main() -> None:
     dms.bootstrap(hist_x, hist_y, train_initial_model=False)
 
     trigger = CertaintyTrigger(threshold_percent=80.0, cooldown=2)
-    with FairDMSService(dms) as service:
-        runtime = service.serving_runtime(
-            policy=BatchingPolicy(max_batch_size=16, max_queue_depth=256),
-            num_workers=2,
-            certainty_trigger=trigger,
-        )
+    service = FairDMSService(dms)
+    runtime = service.serving_runtime(
+        policy=BatchingPolicy(max_batch_size=16, max_queue_depth=256),
+        num_workers=2,
+        certainty_trigger=trigger,
+    )
 
-        def client(cid: int) -> None:
-            # Each client interrogates "its" scans one request at a time —
-            # the runtime coalesces across clients behind the scenes.
-            for i in range(REQUESTS_PER_CLIENT):
-                scan = experiment.scan((cid + i) % 16)
-                images = scan.images[: 8 + (cid % 3)]
-                if i % 3 == 0:
-                    runtime.call("query_distribution", images)
-                elif i % 3 == 1:
-                    runtime.call("lookup_labeled_data", (images, 8))
-                else:
-                    runtime.call("certainty", images)
+    def client(cid: int) -> None:
+        # Each client interrogates "its" scans one request at a time —
+        # the runtime coalesces across clients behind the scenes.
+        for i in range(REQUESTS_PER_CLIENT):
+            scan = experiment.scan((cid + i) % 16)
+            images = scan.images[: 8 + (cid % 3)]
+            if i % 3 == 0:
+                runtime.call("query_distribution", images)
+            elif i % 3 == 1:
+                runtime.call("lookup_labeled_data", (images, 8))
+            else:
+                runtime.call("certainty", images)
 
-        with runtime:
-            threads = [threading.Thread(target=client, args=(cid,)) for cid in range(N_CLIENTS)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            runtime.drain(timeout=60)
-            print(runtime.telemetry.format_snapshot())
+    with runtime:
+        threads = [threading.Thread(target=client, args=(cid,)) for cid in range(N_CLIENTS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        runtime.drain(timeout=60)
+        print(runtime.telemetry.format_snapshot())
 
-        fired = trigger.times_fired
-        print(f"\ncertainty trigger: {len(trigger.history)} observations in arrival order, "
-              f"fired {fired}x (cooldown 2)")
+    fired = trigger.times_fired
+    print(f"\ncertainty trigger: {len(trigger.history)} observations in arrival order, "
+          f"fired {fired}x (cooldown 2)")
 
-        print("\nPlane activity summary (micro-batches appear as *_batch invocations):")
-        for key, count in sorted(service.activity_summary().items()):
-            print(f"  {key:35s} x{count}")
+    print("\nPlane activity summary (micro-batches appear as *_batch invocations):")
+    for key, count in sorted(service.activity_summary().items()):
+        print(f"  {key:35s} x{count}")
 
 
 if __name__ == "__main__":

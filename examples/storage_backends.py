@@ -15,22 +15,23 @@ import time
 
 import numpy as np
 
+from repro.api.registry import create_component
 from repro.dataio import ArrayDataset, DataLoader, DocumentDBDataset, FileStoreDataset
 from repro.datasets import DriftSchedule, TomographyDataset
-from repro.storage import create_storage_backend
 
 
 def _build_backends(noisy, clean):
     """Return {name: Dataset} for the three storage configurations.
 
-    Backends are selected by name through the storage registry — the same
+    Backends are selected by name through the component registry — the same
     mechanism a deployment would use to pick its stack from configuration.
     """
     flat_labels = clean.reshape(clean.shape[0], -1)
 
     backends = {}
     for codec_name in ("blosc", "pickle"):
-        db = create_storage_backend(
+        db = create_component(
+            "storage",
             "documentdb",
             codec=codec_name,
             network={"latency_s": 0.0005, "bandwidth_bytes_per_s": 1.25e9},
@@ -42,7 +43,7 @@ def _build_backends(noisy, clean):
         )
         backends[codec_name] = DocumentDBDataset(coll)
 
-    store = create_storage_backend("file")
+    store = create_component("storage", "file")
     store.write_many([noisy[i] for i in range(noisy.shape[0])])
     backends["nfs"] = FileStoreDataset(store, flat_labels)
     return backends, store

@@ -18,8 +18,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     # The py.typed marker opts downstream type-checkers into the package's
-    # inline annotations (PEP 561).
-    package_data={"repro": ["py.typed"]},
+    # inline annotations (PEP 561); the preset specs are read at run time
+    # through importlib.resources, so they must be installed with the code.
+    package_data={"repro": ["py.typed"], "repro.api": ["presets/*.json"]},
     python_requires=">=3.10",
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro=repro.__main__:main"]},

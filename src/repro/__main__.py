@@ -2,11 +2,13 @@
 
 Drives the declarative API plane from a shell::
 
-    python -m repro presets --write examples/specs   # list / export presets
-    python -m repro validate examples/specs/serving.json
-    python -m repro run examples/specs/continual.json --scans 10
-    python -m repro serve examples/specs/serving.json --requests 64
+    python -m repro presets --write DIR              # list / export presets
+    python -m repro validate src/repro/api/presets/serving.json
+    python -m repro run src/repro/api/presets/continual.json --scans 10
+    python -m repro serve src/repro/api/presets/serving.json --requests 64
 
+The presets ship inside the package (``repro/api/presets/*.json``);
+``presets --write DIR`` copies them out as a starting point for your own.
 ``validate`` parses and eagerly validates a spec (exit code 1 on any
 configuration error) and prints its content digest.  ``run`` and ``serve``
 materialise the spec with :class:`~repro.api.deployment.Deployment` against

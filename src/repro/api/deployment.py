@@ -7,7 +7,7 @@ operation behind one surface::
 
     from repro.api import Deployment
 
-    with Deployment.from_json("examples/specs/continual.json") as dep:
+    with Deployment.from_preset("continual") as dep:
         dep.fit(historical_images, historical_labels)   # index + v0 model
         with dep.serve() as runtime:                    # micro-batched serving
             response = runtime.call("predict", sample)  # stamped with version
@@ -628,8 +628,8 @@ class Deployment:
         return snap
 
     def close(self) -> None:
-        """Shut down the serving runtime and plane service.  Idempotent; the
-        in-process store and fitted models remain readable."""
+        """Shut down the network plane, serving runtime and compute executor.
+        Idempotent; the in-process store and fitted models remain readable."""
         if self._closed:
             return
         self._closed = True
@@ -637,8 +637,6 @@ class Deployment:
             self._network.close()
         if self._runtime is not None:
             self._runtime.shutdown()
-        if self._service is not None:
-            self._service.shutdown()
         if self.executor is not None:
             self.executor.close()
 

@@ -1,10 +1,9 @@
 """Package-wide component registry: every swappable part, constructible by name.
 
-PR 1 introduced a registry for *storage* and *index* backends so the
-scalability ablations could swap their stack from configuration.  The
-declarative :mod:`repro.api.spec` config plane needs the same discipline for
-every component kind the system is assembled from, so this module generalises
-that registry package-wide:
+The scalability ablations swap their storage/index stack from configuration,
+and the declarative :mod:`repro.api.spec` config plane needs the same
+discipline for every component kind the system is assembled from, so one
+table holds them all:
 
 ========== ============================================== =======================
 kind       built-in names                                 built on
@@ -13,7 +12,8 @@ embedder   ``pca``, ``autoencoder``, ``contrastive``,     :mod:`repro.embedding`
            ``byol``
 clustering ``kmeans``                                     :mod:`repro.clustering`
 storage    ``documentdb``, ``file``                       :mod:`repro.storage`
-index      ``flat``, ``clustered``, ``ivf``, ``mmap``     :mod:`repro.storage`
+index      ``flat``, ``clustered``, ``ivf``, ``mmap``,    :mod:`repro.storage`
+           ``sharded``
 model      ``braggnn``, ``cookienetae``, ``tomogan``      :mod:`repro.models`
 trigger    ``threshold``, ``certainty``                   :mod:`repro.monitoring`
 policy     ``batching``, ``update``                       serving / core
@@ -26,11 +26,8 @@ executor   ``inline``, ``thread``, ``process``            :mod:`repro.compute`
 
 Built-ins register lazily on first registry access, so importing this module
 stays cheap and free of circular imports (the sub-packages themselves import
-it).  :mod:`repro.storage.registry` remains as a back-compat shim delegating
-to the ``storage`` and ``index`` kinds here, and
-:func:`repro.embedding.base.register_embedder` forwards embedder
-registrations, so components registered through either path are visible to
-both.
+it).  This is the **only** registry: there is no per-package table to keep in
+step, so whatever is registered here is what specs, tuning and wiring see.
 
 User code plugs in its own components with :func:`register_component`
 (usable as a decorator)::
@@ -129,15 +126,17 @@ def _builtin(kind: str, name: str, factory: Callable[..., Any]) -> None:
 
 
 def _load_builtins() -> None:
-    # Embedders register themselves through the ``register_embedder`` forward
-    # when :mod:`repro.embedding` imports; the explicit sweep below covers the
-    # case where the package was imported before this module existed in
-    # sys.modules (the forward is a no-op until repro.api.registry loads).
-    import repro.embedding  # noqa: F401 — decorators forward-register
-    from repro.embedding.base import _EMBEDDERS
+    from repro.embedding import (
+        AutoencoderEmbedder,
+        BYOLEmbedder,
+        ContrastiveEmbedder,
+        PCAEmbedder,
+    )
 
-    for name, cls in _EMBEDDERS.items():
-        _builtin("embedder", name, cls)
+    _builtin("embedder", "pca", PCAEmbedder)
+    _builtin("embedder", "autoencoder", AutoencoderEmbedder)
+    _builtin("embedder", "contrastive", ContrastiveEmbedder)
+    _builtin("embedder", "byol", BYOLEmbedder)
 
     from repro.clustering.kmeans import KMeans
 
@@ -189,15 +188,6 @@ def _load_builtins() -> None:
     _builtin("executor", "inline", InlineExecutor)
     _builtin("executor", "thread", ThreadExecutor)
     _builtin("executor", "process", ProcessExecutor)
-
-
-def _register_direct(kind: str, name: str, factory: Callable[..., Any]) -> None:
-    """Unconditionally install ``factory`` without touching the lazy builtin
-    load.  Used by sub-package bridges (e.g. ``register_embedder``) that run
-    *during* package import, where triggering the builtin import sweep would
-    re-enter a partially initialised module."""
-    with _LOCK:
-        _registry(kind)[name] = factory
 
 
 # -- public API --------------------------------------------------------------------

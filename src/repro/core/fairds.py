@@ -38,7 +38,7 @@ from repro.dataio.sampler import WeightedClusterSampler, cluster_members
 from repro.embedding.base import Embedder
 from repro.observability.tracing import trace_span
 from repro.storage.documentdb import Collection, DocumentDB
-from repro.storage.registry import IndexCapabilities, probe_index_capabilities
+from repro.storage.capabilities import IndexCapabilities, probe_index_capabilities
 from repro.utils.cache import LRUCache, row_digests
 from repro.utils.errors import ConfigurationError, NotFittedError, ValidationError
 from repro.utils.rng import SeedLike, default_rng, derive_seed
@@ -487,7 +487,7 @@ class FairDS:
         a custom backend takes whatever it asks for).  ``index_params`` is
         merged last, so explicit configuration always wins.  The constructed
         instance's surface is probed **once**
-        (:func:`~repro.storage.registry.probe_index_capabilities`) to learn
+        (:func:`~repro.storage.capabilities.probe_index_capabilities`) to learn
         how to feed and query it — see :meth:`_index_add` and
         :meth:`_index_query_batch`.
         """

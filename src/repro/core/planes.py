@@ -3,18 +3,22 @@
 The paper separates fairDMS operations into a *user plane* (operations an end
 user invokes directly: query data, request a model update) and a *system
 plane* (background maintenance: retrain the embedding model, retrain the
-clustering model, update the data store, update the model index).  Both planes
-are executed as funcX functions coordinated by a Globus Flow in the paper's
-deployment; :class:`FairDMSService` reproduces that wiring on top of the local
-:class:`~repro.workflow.funcx.FuncXExecutor` and
-:class:`~repro.workflow.flows.Flow` substrates.
+clustering model, update the data store, update the model index).  In the
+paper's deployment both planes are funcX functions coordinated by a Globus
+Flow; :class:`FairDMSService` keeps that structure — named plane functions,
+every invocation logged with its plane, duration and outcome — but calls each
+function directly on the caller's thread, so a serving runtime's workers run
+as many handlers at once as it has workers.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 import weakref
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,10 +27,13 @@ from repro.monitoring.triggers import ThresholdTrigger
 from repro.serving import BatchingPolicy, ServingRuntime, ServingTelemetry
 from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
-from repro.workflow.flows import Flow, FlowResult
-from repro.workflow.funcx import FuncXExecutor
 
 logger = get_logger("repro.core.planes")
+
+#: How many recent :class:`PlaneActivity` entries ``FairDMSService.activity``
+#: keeps; the per-function counts of ``activity_summary`` are kept separately
+#: and stay exact however long the service runs.
+ACTIVITY_LOG_SIZE = 1024
 
 
 def lookup_payload(result) -> Dict[str, Any]:
@@ -110,9 +117,6 @@ class FairDMSService:
     ----------
     dms:
         The :class:`FairDMS` instance to serve.
-    executor:
-        funcX-style executor the plane functions are registered with; a local
-        one is created when omitted.
     auto_system_plane:
         When True (default), every user-plane model-update request whose
         certainty check triggered a refresh also records the system-plane
@@ -122,17 +126,15 @@ class FairDMSService:
     USER_PLANE = "user"
     SYSTEM_PLANE = "system"
 
-    def __init__(
-        self,
-        dms: FairDMS,
-        executor: Optional[FuncXExecutor] = None,
-        auto_system_plane: bool = True,
-    ):
+    def __init__(self, dms: FairDMS, auto_system_plane: bool = True):
         self.dms = dms
-        self.executor = executor or FuncXExecutor(max_workers=2)
         self.auto_system_plane = bool(auto_system_plane)
-        self.activity: List[PlaneActivity] = []
-        self._function_ids: Dict[str, str] = {}
+        #: The most recent invocations (at most :data:`ACTIVITY_LOG_SIZE`).
+        self.activity: Deque[PlaneActivity] = deque(maxlen=ACTIVITY_LOG_SIZE)
+        self._activity_counts: Counter = Counter()
+        # Serving workers invoke plane functions concurrently; the lock keeps
+        # the log and its counts in step.
+        self._activity_lock = threading.Lock()
         # Serving runtimes wired to this service (weakly held, so an
         # abandoned runtime does not pin the service's telemetry forever).
         self._runtimes: "weakref.WeakSet[ServingRuntime]" = weakref.WeakSet()
@@ -140,7 +142,7 @@ class FairDMSService:
 
     # -- registration --------------------------------------------------------------
     def _register_plane_functions(self) -> None:
-        functions = {
+        self._functions: Dict[str, Callable[..., Any]] = {
             # user plane
             "query_distribution": self._fn_query_distribution,
             "query_distribution_batch": self._fn_query_distribution_batch,
@@ -153,11 +155,9 @@ class FairDMSService:
             "ingest_labeled_data": self._fn_ingest,
             "certainty_batch": self._fn_certainty_batch,
         }
-        for name, fn in functions.items():
-            self._function_ids[name] = self.executor.register_function(fn, function_id=name)
 
     def registered_functions(self) -> List[str]:
-        return sorted(self._function_ids)
+        return sorted(self._functions)
 
     # -- plane function bodies ---------------------------------------------------------
     def _fn_query_distribution(self, images: np.ndarray, label: str = "") -> Dict[str, Any]:
@@ -168,12 +168,8 @@ class FairDMSService:
         dists = self.dms.fairds.dataset_distribution_batch(batches, labels=[label] * len(batches))
         return [d.as_dict() for d in dists]
 
-    #: Kept as an attribute for back-compat; the canonical definition is the
-    #: module-level :func:`lookup_payload`.
-    _lookup_payload = staticmethod(lookup_payload)
-
     def _fn_lookup(self, images: np.ndarray, n_samples: Optional[int] = None) -> Dict[str, Any]:
-        return self._lookup_payload(self.dms.fairds.lookup(images, n_samples=n_samples))
+        return lookup_payload(self.dms.fairds.lookup(images, n_samples=n_samples))
 
     def _fn_lookup_batch(
         self,
@@ -181,7 +177,7 @@ class FairDMSService:
         n_samples: Optional[Union[int, Sequence[Optional[int]]]] = None,
     ) -> List[Dict[str, Any]]:
         results = self.dms.fairds.lookup_batch(batches, n_samples=n_samples)
-        return [self._lookup_payload(r) for r in results]
+        return [lookup_payload(r) for r in results]
 
     def _fn_nearest_labeled(
         self,
@@ -206,23 +202,22 @@ class FairDMSService:
         return len(ids)
 
     # -- user-facing API -----------------------------------------------------------------
-    def _invoke(self, plane: str, name: str, *args, **kwargs):
-        import time
+    def _record(self, entry: PlaneActivity) -> None:
+        with self._activity_lock:
+            self.activity.append(entry)
+            self._activity_counts[f"{entry.plane}:{entry.function}"] += 1
 
+    def _invoke(self, plane: str, name: str, *args, **kwargs):
+        """Call plane function ``name`` on this thread and log the invocation."""
         start = time.perf_counter()
+        succeeded = False
         try:
-            result = self.executor.run(self._function_ids[name], *args, **kwargs)
-            self.activity.append(
-                PlaneActivity(plane=plane, function=name, succeeded=True,
-                              seconds=time.perf_counter() - start)
-            )
+            result = self._functions[name](*args, **kwargs)
+            succeeded = True
             return result
-        except Exception:
-            self.activity.append(
-                PlaneActivity(plane=plane, function=name, succeeded=False,
-                              seconds=time.perf_counter() - start)
-            )
-            raise
+        finally:
+            self._record(PlaneActivity(plane=plane, function=name, succeeded=succeeded,
+                                       seconds=time.perf_counter() - start))
 
     def query_distribution(self, images: np.ndarray, label: str = "") -> Dict[str, Any]:
         """User plane: the cluster PDF of a dataset."""
@@ -270,23 +265,15 @@ class FairDMSService:
         return self._invoke(self.SYSTEM_PLANE, "certainty_batch", batches)
 
     def request_model_update(self, images: np.ndarray, label: str = "update") -> ModelUpdateReport:
-        """User plane: the full fairDMS model-update operation.
+        """User plane: the full fairDMS model-update operation, followed by
+        the system-plane record of the refresh it may have triggered."""
+        report = self._invoke(self.USER_PLANE, "update_model", images, label)
+        self._record_refresh_activity(report)
+        return report
 
-        Executed as a small flow (transfer -> update -> publish) so the
-        orchestration structure matches the paper's Globus Flows deployment.
-        """
-        flow = Flow(f"model-update:{label}")
-        flow.add_step("update_model",
-                      lambda ctx: self._invoke(self.USER_PLANE, "update_model", images, label),
-                      output_key="report")
-        flow.add_step("record_system_activity", self._record_refresh_activity)
-        result: FlowResult = flow.run(raise_on_error=True)
-        return result.context["report"]
-
-    def _record_refresh_activity(self, ctx: Dict[str, Any]) -> None:
-        report: ModelUpdateReport = ctx["report"]
+    def _record_refresh_activity(self, report: ModelUpdateReport) -> None:
         if self.auto_system_plane and report.triggered_refresh:
-            self.activity.append(
+            self._record(
                 PlaneActivity(
                     plane=self.SYSTEM_PLANE,
                     function="refresh_representations",
@@ -317,7 +304,7 @@ class FairDMSService:
 
         Concurrent clients submit *single* requests; each micro-batch a worker
         takes lands on the corresponding ``*_batch`` plane function (one activity-log entry and
-        one funcX invocation per micro-batch, not per request).  Payloads:
+        one plane-function call per micro-batch, not per request).  Payloads:
 
         * ``"query_distribution"`` — an images array; resolves to the
           distribution dict of :meth:`query_distribution` (user plane).
@@ -424,10 +411,8 @@ class FairDMSService:
         authoritative source — the index itself — so runtimes sharing one
         index are not double-counted.
         """
-        summary: Dict[str, int] = {}
-        for entry in self.activity:
-            key = f"{entry.plane}:{entry.function}"
-            summary[key] = summary.get(key, 0) + 1
+        with self._activity_lock:
+            summary: Dict[str, int] = dict(self._activity_counts)
         if include_serving:
             for runtime in list(self._runtimes):
                 for op, counts in runtime.telemetry_snapshot()["per_op"].items():
@@ -438,12 +423,3 @@ class FairDMSService:
                 continue
             summary[f"index:{stat}"] = int(value)
         return summary
-
-    def shutdown(self) -> None:
-        self.executor.shutdown()
-
-    def __enter__(self) -> "FairDMSService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

@@ -13,10 +13,14 @@ that design:
 * :class:`~repro.embedding.byol_embedder.BYOLEmbedder`
 * :class:`~repro.embedding.pca_embedder.PCAEmbedder` — a cheap linear
   baseline useful for tests and quick experiments.
-* :func:`~repro.embedding.base.get_embedder` — registry/factory by name.
+
+Embedders are constructed by name through the package-wide component registry
+(``create_component("embedder", "pca", embedding_dim=8)``); a user embedder
+joins with ``@register_component("embedder", "my-name")`` — see
+:mod:`repro.api.registry`.  This package never imports the registry itself.
 """
 
-from repro.embedding.base import Embedder, get_embedder, register_embedder
+from repro.embedding.base import Embedder
 from repro.embedding.autoencoder_embedder import AutoencoderEmbedder
 from repro.embedding.contrastive_embedder import ContrastiveEmbedder
 from repro.embedding.byol_embedder import BYOLEmbedder
@@ -34,8 +38,6 @@ __all__ = [
     "clustering_quality_score",
     "grid_search_embedder",
     "Embedder",
-    "get_embedder",
-    "register_embedder",
     "AutoencoderEmbedder",
     "ContrastiveEmbedder",
     "BYOLEmbedder",

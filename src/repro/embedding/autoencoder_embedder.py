@@ -6,13 +6,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.embedding.base import Embedder, register_embedder
+from repro.embedding.base import Embedder
 from repro.models.autoencoder import DenseAutoencoder
 from repro.utils.errors import NotFittedError
 from repro.utils.rng import SeedLike
 
 
-@register_embedder
 class AutoencoderEmbedder(Embedder):
     """Embeds samples with the bottleneck of a trained dense autoencoder.
 
@@ -20,8 +19,6 @@ class AutoencoderEmbedder(Embedder):
     found too pixel-sensitive for Bragg peaks (see the BYOL embedder for the
     fix).
     """
-
-    name = "autoencoder"
 
     def __init__(
         self,

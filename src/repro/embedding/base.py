@@ -1,8 +1,6 @@
-"""Embedder interface and registry."""
+"""Embedder interface."""
 
 from __future__ import annotations
-
-from typing import Dict, Type
 
 import numpy as np
 
@@ -18,9 +16,6 @@ class Embedder:
     the embedder whenever the uncertainty trigger fires, so ``fit`` must be
     callable repeatedly.
     """
-
-    #: Registry name, overridden by subclasses.
-    name: str = "base"
 
     def __init__(self, embedding_dim: int = 16):
         if embedding_dim < 1:
@@ -49,37 +44,3 @@ class Embedder:
         if x.ndim == 1:
             return x.reshape(1, -1)
         return x.reshape(x.shape[0], -1)
-
-
-_EMBEDDERS: Dict[str, Type[Embedder]] = {}
-
-
-def register_embedder(cls: Type[Embedder]) -> Type[Embedder]:
-    """Register an embedder class under its ``name`` (usable as a decorator).
-
-    Also forwards the registration to the package-wide component registry
-    (:mod:`repro.api.registry`, kind ``"embedder"``), so embedders registered
-    here are constructible from :class:`~repro.api.spec.EmbedderSpec` configs.
-    """
-    if not getattr(cls, "name", None) or cls.name == "base":
-        raise ConfigurationError("embedder classes must define a unique 'name'")
-    _EMBEDDERS[cls.name] = cls
-    from repro.api.registry import _register_direct  # lazy: avoids an import cycle
-
-    _register_direct("embedder", cls.name, cls)
-    return cls
-
-
-def get_embedder(name: str, **kwargs) -> Embedder:
-    """Instantiate a registered embedder by name.
-
-    Available names: ``autoencoder``, ``contrastive``, ``byol``, ``pca`` plus
-    any user-registered embedders.
-    """
-    try:
-        cls = _EMBEDDERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown embedder {name!r}; available: {sorted(_EMBEDDERS)}"
-        ) from None
-    return cls(**kwargs)

@@ -7,13 +7,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.dataio.transforms import bragg_augmentation
-from repro.embedding.base import Embedder, register_embedder
+from repro.embedding.base import Embedder
 from repro.models.byol import BYOLLearner
 from repro.utils.errors import NotFittedError
 from repro.utils.rng import SeedLike
 
 
-@register_embedder
 class BYOLEmbedder(Embedder):
     """Embeds samples with a BYOL online encoder.
 
@@ -21,8 +20,6 @@ class BYOLEmbedder(Embedder):
     noise) so that physically equivalent peaks — e.g. a peak and its rotation
     — map to nearby embeddings.
     """
-
-    name = "byol"
 
     def __init__(
         self,

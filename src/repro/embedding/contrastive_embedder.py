@@ -7,17 +7,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.dataio.transforms import bragg_augmentation
-from repro.embedding.base import Embedder, register_embedder
+from repro.embedding.base import Embedder
 from repro.models.contrastive import SimCLREncoder
 from repro.utils.errors import NotFittedError
 from repro.utils.rng import SeedLike
 
 
-@register_embedder
 class ContrastiveEmbedder(Embedder):
     """Embeds samples with an encoder trained by the NT-Xent contrastive loss."""
-
-    name = "contrastive"
 
     def __init__(
         self,

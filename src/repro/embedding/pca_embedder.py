@@ -12,15 +12,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.embedding.base import Embedder, register_embedder
+from repro.embedding.base import Embedder
 from repro.utils.errors import NotFittedError, ValidationError
 
 
-@register_embedder
 class PCAEmbedder(Embedder):
     """Projects samples onto the top ``embedding_dim`` principal components."""
-
-    name = "pca"
 
     def __init__(self, embedding_dim: int = 16, whiten: bool = False):
         super().__init__(embedding_dim)

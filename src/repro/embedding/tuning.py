@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.clustering.kmeans import KMeans
 from repro.clustering.metrics import silhouette_score
-from repro.embedding.base import Embedder, get_embedder
+from repro.embedding.base import Embedder
 from repro.utils.errors import ConfigurationError, ValidationError
 from repro.utils.rng import SeedLike, default_rng
 
@@ -108,6 +108,9 @@ def grid_search_embedder(
     for key, values in param_grid.items():
         if not values:
             raise ConfigurationError(f"param_grid entry {key!r} has no candidate values")
+    # Lazy: the registry's built-in table imports this package, not the reverse.
+    from repro.api.registry import create_component
+
     fixed = dict(fixed_params or {})
     scorer = scorer or (lambda emb, data: clustering_quality_score(emb, data, n_clusters=n_clusters, seed=seed))
 
@@ -115,7 +118,7 @@ def grid_search_embedder(
     results: List[TuningResult] = []
     for combo in itertools.product(*(param_grid[k] for k in keys)):
         params = dict(zip(keys, combo))
-        embedder = get_embedder(name, **fixed, **params)
+        embedder = create_component("embedder", name, **fixed, **params)
         embedder.fit(x)
         score = float(scorer(embedder, x))
         results.append(TuningResult(params=params, score=score, embedder=embedder))

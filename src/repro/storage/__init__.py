@@ -27,10 +27,15 @@ Blosc) and compares training-time I/O against reading files directly from NFS
 * :mod:`repro.storage.sharded` — hash-routed multi-tenant sharding over any
   registered index backend: scatter-gather lookup with an exact vectorised
   merge, structural tenant isolation, per-tenant quotas, and replication.
-* :mod:`repro.storage.registry` — name-based construction of storage and
-  index backends, plus one-shot capability probing
-  (:func:`~repro.storage.registry.probe_index_capabilities`), so benchmarks
-  and services pick their stack from config.
+* :mod:`repro.storage.capabilities` — the ``StorageBackend``/``IndexBackend``
+  protocols and one-shot capability probing
+  (:func:`~repro.storage.capabilities.probe_index_capabilities`).
+
+Backends are constructed by name through the package-wide registry —
+``create_component("index", "flat", dim=16)``,
+``create_component("storage", "documentdb", codec="blosc")`` (see
+:mod:`repro.api.registry`) — so benchmarks and services pick their stack from
+config.
 """
 
 from repro.storage.codecs import (
@@ -45,18 +50,11 @@ from repro.storage.concurrency import ReadWriteLock
 from repro.storage.document import Document, new_object_id
 from repro.storage.documentdb import Collection, DocumentDB, NetworkModel
 from repro.storage.file_store import FileStore
-from repro.storage.registry import (
+from repro.storage.capabilities import (
     IndexBackend,
     IndexCapabilities,
     StorageBackend,
-    available_backends,
-    create_backend,
-    create_from_config,
-    create_index_backend,
-    create_storage_backend,
     probe_index_capabilities,
-    register_backend,
-    unregister_backend,
 )
 from repro.storage.ivf_index import IVFVectorIndex
 from repro.storage.sharded import DEFAULT_TENANT, ShardedVectorStore, shard_of
@@ -73,13 +71,6 @@ __all__ = [
     "IndexCapabilities",
     "probe_index_capabilities",
     "StorageBackend",
-    "available_backends",
-    "create_backend",
-    "create_from_config",
-    "create_index_backend",
-    "create_storage_backend",
-    "register_backend",
-    "unregister_backend",
     "ReadWriteLock",
     "Codec",
     "PickleCodec",

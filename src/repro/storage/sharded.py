@@ -55,7 +55,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.observability.metrics import default_registry
-from repro.storage.registry import IndexCapabilities, probe_index_capabilities
+from repro.storage.capabilities import IndexCapabilities, probe_index_capabilities
 from repro.storage.vector_index import QueryResult
 from repro.utils.errors import (
     ConfigurationError,

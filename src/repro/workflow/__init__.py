@@ -1,31 +1,25 @@
-"""Orchestration substrate standing in for Globus Flows, funcX, and Globus Transfer.
+"""Orchestration substrate standing in for Globus Flows and Globus Transfer.
 
 The paper's end-to-end deployment uses Globus Flows to define the workflow,
 funcX as a serverless function-execution fabric, and Globus Transfer to move
 data and models between the experimental facility and the compute cluster.
-Locally we reproduce the same structure:
+Locally the workflow is a DAG engine, the plane functions are plain calls
+(:class:`repro.core.planes.FairDMSService`), and the transfer is modelled:
 
 * :class:`~repro.workflow.pipeline.Pipeline` — an async DAG of named steps
   with dependencies, per-step retries and timeouts, thread-pool execution of
   ready steps, and checkpointed resume through a
   :class:`~repro.workflow.pipeline.CheckpointStore` persisted in the document
   database.
-* :class:`~repro.workflow.flows.Flow` — the legacy linear step list, now a
-  thin adapter over the DAG engine.
 * :class:`~repro.workflow.continual.ContinualLearningPipeline` — the closed
   monitor → pseudo-label → train → validate → promote → hot-swap loop built
   on the engine (imported lazily; also available as
   ``repro.workflow.continual``).
-* :class:`~repro.workflow.funcx.FuncXExecutor` — register functions, submit
-  invocations to a thread pool, await futures (optionally with a simulated
-  cold-start latency per task).
 * :class:`~repro.workflow.transfer.TransferService` — models a WAN link with
   latency + bandwidth and "transfers" byte payloads, recording the simulated
   durations that feed the end-to-end timing breakdown of Fig. 15.
 """
 
-from repro.workflow.flows import Flow, FlowResult, FlowStep
-from repro.workflow.funcx import FuncXExecutor, FunctionNotRegistered
 from repro.workflow.pipeline import (
     Checkpoint,
     CheckpointStore,
@@ -40,11 +34,6 @@ __all__ = [
     "CheckpointStore",
     "ContinualLearningPipeline",
     "CycleReport",
-    "Flow",
-    "FlowResult",
-    "FlowStep",
-    "FuncXExecutor",
-    "FunctionNotRegistered",
     "Pipeline",
     "PipelineResult",
     "PipelineStep",

@@ -4,7 +4,7 @@ A :class:`Pipeline` is a set of named :class:`PipelineStep` nodes connected by
 ``depends_on`` edges.  Ready steps (all dependencies completed) execute
 concurrently on a thread pool, so independent branches of the graph — e.g.
 pseudo-labeling one scan while the previous scan's model is still training —
-overlap instead of serialising the way the old linear ``Flow`` did.
+overlap instead of serialising.
 
 Fault tolerance is per step:
 
@@ -455,7 +455,7 @@ class Pipeline:
                          if name not in resumed and not deps_left[name]]
         try:
             if self.max_workers == 1:
-                # Serial pipelines (incl. every legacy Flow) execute on the
+                # Serial pipelines (``max_workers=1``) execute on the
                 # calling thread: no pool hand-off, and Ctrl-C lands directly in
                 # the running step instead of blocking on a pool shutdown.
                 queue: List[str] = list(initial_ready)

@@ -254,33 +254,32 @@ def test_fairdms_pseudo_label_batch_matches_single_lookups():
 
 def test_service_batched_plane_functions_registered_and_identical():
     batches = _batches()
-    with FairDMSService(_service_stack()) as batch_service, FairDMSService(
-        _service_stack()
-    ) as single_service:
-        names = batch_service.registered_functions()
-        assert {"lookup_labeled_data_batch", "query_distribution_batch", "certainty_batch"} <= set(names)
+    batch_service = FairDMSService(_service_stack())
+    single_service = FairDMSService(_service_stack())
+    names = batch_service.registered_functions()
+    assert {"lookup_labeled_data_batch", "query_distribution_batch", "certainty_batch"} <= set(names)
 
-        batched = batch_service.lookup_labeled_data_batch(batches, n_samples=10)
-        singles = [single_service.lookup_labeled_data(b, n_samples=10) for b in batches]
-        assert len(batched) == len(singles)
-        for s, r in zip(singles, batched):
-            np.testing.assert_array_equal(s["images"], r["images"])
-            np.testing.assert_array_equal(s["labels"], r["labels"])
-            assert s["distribution"]["pdf"] == r["distribution"]["pdf"]
+    batched = batch_service.lookup_labeled_data_batch(batches, n_samples=10)
+    singles = [single_service.lookup_labeled_data(b, n_samples=10) for b in batches]
+    assert len(batched) == len(singles)
+    for s, r in zip(singles, batched):
+        np.testing.assert_array_equal(s["images"], r["images"])
+        np.testing.assert_array_equal(s["labels"], r["labels"])
+        assert s["distribution"]["pdf"] == r["distribution"]["pdf"]
 
-        dists = batch_service.query_distribution_batch(batches, label="probe")
-        assert [d["pdf"] for d in dists] == [
-            single_service.query_distribution(b)["pdf"] for b in batches
-        ]
-        certs = batch_service.certainty_batch(batches)
-        np.testing.assert_allclose(
-            certs, [single_service.dms.fairds.certainty(b) for b in batches], rtol=1e-9
-        )
+    dists = batch_service.query_distribution_batch(batches, label="probe")
+    assert [d["pdf"] for d in dists] == [
+        single_service.query_distribution(b)["pdf"] for b in batches
+    ]
+    certs = batch_service.certainty_batch(batches)
+    np.testing.assert_allclose(
+        certs, [single_service.dms.fairds.certainty(b) for b in batches], rtol=1e-9
+    )
 
-        summary = batch_service.activity_summary()
-        assert summary["user:lookup_labeled_data_batch"] == 1
-        assert summary["user:query_distribution_batch"] == 1
-        assert summary["system:certainty_batch"] == 1
+    summary = batch_service.activity_summary()
+    assert summary["user:lookup_labeled_data_batch"] == 1
+    assert summary["user:query_distribution_batch"] == 1
+    assert summary["system:certainty_batch"] == 1
 
 
 def test_trigger_observe_many_matches_sequential_observes():

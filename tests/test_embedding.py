@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import create_component, register_component, unregister_component
 from repro.datasets.bragg import generate_bragg_scan
 from repro.datasets.drift import ExperimentCondition
 from repro.embedding.autoencoder_embedder import AutoencoderEmbedder
-from repro.embedding.base import Embedder, get_embedder, register_embedder
+from repro.embedding.base import Embedder
 from repro.embedding.byol_embedder import BYOLEmbedder
 from repro.embedding.contrastive_embedder import ContrastiveEmbedder
 from repro.embedding.pca_embedder import PCAEmbedder
@@ -42,43 +43,31 @@ def _phase_separation(z, phases):
 
 # -- registry ---------------------------------------------------------------------
 def test_registry_provides_all_builtin_embedders():
-    assert isinstance(get_embedder("pca", embedding_dim=4), PCAEmbedder)
-    assert isinstance(get_embedder("autoencoder", embedding_dim=4), AutoencoderEmbedder)
-    assert isinstance(get_embedder("contrastive", embedding_dim=4), ContrastiveEmbedder)
-    assert isinstance(get_embedder("byol", embedding_dim=4), BYOLEmbedder)
+    assert isinstance(create_component("embedder", "pca", embedding_dim=4), PCAEmbedder)
+    assert isinstance(create_component("embedder", "autoencoder", embedding_dim=4), AutoencoderEmbedder)
+    assert isinstance(create_component("embedder", "contrastive", embedding_dim=4), ContrastiveEmbedder)
+    assert isinstance(create_component("embedder", "byol", embedding_dim=4), BYOLEmbedder)
     with pytest.raises(ConfigurationError):
-        get_embedder("nope")
+        create_component("embedder", "nope")
 
 
 def test_register_custom_embedder():
-    @register_embedder
-    class MeanEmbedder(Embedder):
-        name = "mean"
+    try:
 
-        def fit(self, x, **kwargs):
-            return self
+        @register_component("embedder", "mean")
+        class MeanEmbedder(Embedder):
+            def fit(self, x, **kwargs):
+                return self
 
-        def transform(self, x):
-            flat = self.flatten(x)
-            return flat.mean(axis=1, keepdims=True)
+            def transform(self, x):
+                flat = self.flatten(x)
+                return flat.mean(axis=1, keepdims=True)
 
-    emb = get_embedder("mean", embedding_dim=1)
-    out = emb.fit_transform(np.ones((3, 4)))
-    np.testing.assert_allclose(out, 1.0)
-
-
-def test_register_embedder_requires_name():
-    class Nameless(Embedder):
-        name = "base"
-
-        def fit(self, x, **kwargs):
-            return self
-
-        def transform(self, x):
-            return self.flatten(x)
-
-    with pytest.raises(ConfigurationError):
-        register_embedder(Nameless)
+        emb = create_component("embedder", "mean", embedding_dim=1)
+        out = emb.fit_transform(np.ones((3, 4)))
+        np.testing.assert_allclose(out, 1.0)
+    finally:
+        unregister_component("embedder", "mean")
 
 
 def test_embedder_base_validation():

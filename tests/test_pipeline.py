@@ -8,7 +8,6 @@ import pytest
 
 from repro.storage.documentdb import DocumentDB
 from repro.utils.errors import ConfigurationError, PipelineError, StepTimeoutError
-from repro.workflow.flows import Flow
 from repro.workflow.pipeline import (
     COMPLETED,
     FAILED,
@@ -331,24 +330,14 @@ def test_checkpoint_store_distinguishes_none_output():
     assert entry.has_output and entry.value is None
 
 
-# -- Flow adapter -----------------------------------------------------------------
-def test_flow_is_backed_by_pipeline():
-    flow = Flow("legacy")
-    flow.add_step("one", lambda ctx: 1, output_key="a")
-    flow.add_step("two", lambda ctx: ctx["a"] + 1, output_key="b")
-    pipeline = flow.as_pipeline()
-    assert pipeline.validate() == ["one", "two"]
-    assert pipeline.step("two").depends_on == ("one",)
-    result = flow.run()
-    assert result.succeeded and result.context["b"] == 2
-
-
+# -- serial pipelines (max_workers=1 runs on the calling thread) --------------------
 def test_flow_supports_step_timeouts():
-    flow = Flow("slow").add_step("s", lambda ctx: time.sleep(5.0), timeout_s=0.05)
+    """A timeout must also fire when there is no pool thread to abandon."""
+    flow = Pipeline("slow", max_workers=1).add_step("s", lambda ctx: time.sleep(5.0), timeout_s=0.05)
     result = flow.run()
     assert not result.succeeded
-    assert result.failed_step == "s"
-    assert isinstance(result.error, StepTimeoutError)
+    assert result.failed_steps == ["s"]
+    assert isinstance(result.errors["s"], StepTimeoutError)
 
 
 def test_flow_as_pipeline_resumes_from_checkpoints():
@@ -360,11 +349,11 @@ def test_flow_as_pipeline_resumes_from_checkpoints():
         return "h"
 
     def build(fail=False):
-        flow = Flow("resumable-flow")
+        flow = Pipeline("resumable-flow", max_workers=1, checkpoints=store)
         flow.add_step("head", head, output_key="h")
         flow.add_step("tail", (lambda ctx: 1 / 0) if fail else (lambda ctx: ctx["h"] + "!"),
-                      output_key="t")
-        return flow.as_pipeline(checkpoints=store)
+                      depends_on=("head",), output_key="t")
+        return flow
 
     build(fail=True).run(run_id="f1")
     result = build().run(run_id="f1")
@@ -379,39 +368,15 @@ def test_reserved_resumed_context_key():
     p = Pipeline("p").add_step("a", lambda ctx: 1, output_key=RESUMED_CONTEXT_KEY)
     with pytest.raises(ConfigurationError, match="reserved"):
         p.validate()
-    # Non-checkpointed runs (incl. every legacy Flow.run) never see the key.
+    # Non-checkpointed runs (pooled or serial) never see the key.
     result = Pipeline("q").add_step("a", lambda ctx: 1, output_key="x").run({"seed": 0})
     assert result.context == {"seed": 0, "x": 1}
-    assert RESUMED_CONTEXT_KEY not in Flow("f").add_step("s", lambda ctx: 2, output_key="y").run().context
+    serial = Pipeline("f", max_workers=1).add_step("s", lambda ctx: 2, output_key="y").run()
+    assert RESUMED_CONTEXT_KEY not in serial.context
     # Checkpointed runs expose it (empty on a fresh run).
     store = CheckpointStore()
     fresh = Pipeline("r", checkpoints=store).add_step("a", lambda ctx: 1).run(run_id="R")
     assert fresh.context[RESUMED_CONTEXT_KEY] == []
-
-
-def test_flow_with_duplicate_step_names_keeps_legacy_behaviour():
-    """The old linear Flow never required unique names; the adapter must not
-    regress that (duplicates run in order, last occurrence wins in timings)."""
-    calls = []
-    flow = Flow("dups")
-    flow.add_step("s", lambda ctx: calls.append("first") or 1, output_key="a")
-    flow.add_step("s", lambda ctx: calls.append("second") or ctx["a"] + 1, output_key="b")
-    flow.add_step("s", lambda ctx: calls.append("third") or ctx["b"] + 1, output_key="c")
-    result = flow.run()
-    assert result.succeeded
-    assert calls == ["first", "second", "third"]
-    assert result.context["c"] == 3
-    assert list(result.step_times) == ["s"] and result.step_attempts == {"s": 1}
-
-
-def test_flow_duplicate_name_failure_reports_the_flow_name():
-    flow = Flow("dups")
-    flow.add_step("s", lambda ctx: 1)
-    flow.add_step("s", lambda ctx: 1 / 0)
-    result = flow.run()
-    assert not result.succeeded
-    assert result.failed_step == "s"
-    assert isinstance(result.error, ZeroDivisionError)
 
 
 def test_mid_chain_non_checkpointed_step_does_not_block_downstream_resume():
@@ -443,20 +408,6 @@ def test_mid_chain_non_checkpointed_step_does_not_block_downstream_resume():
     assert result.resumed == ["a", "b"]
     assert counters == {"a": 1, "fx": 2, "b": 1, "c": 2}
     assert result.context["b"] == "b" and result.context["c"] == "c"
-
-
-def test_flow_duplicate_names_with_hash_literals_do_not_collide():
-    """User step names containing '#' must not collide with the adapter's
-    duplicate-disambiguation scheme."""
-    calls = []
-    flow = Flow("hashy")
-    flow.add_step("a", lambda ctx: calls.append(1))
-    flow.add_step("a#2", lambda ctx: calls.append(2))
-    flow.add_step("a", lambda ctx: calls.append(3))
-    result = flow.run()
-    assert result.succeeded
-    assert calls == [1, 2, 3]
-    assert set(result.step_times) == {"a", "a#2"}
 
 
 def test_failed_rerunning_step_skips_pending_descendants_through_resumed_steps():

@@ -1,15 +1,20 @@
 """Tests for the user/system plane service and embedder hyper-parameter tuning."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import FairDMS, FairDMSService, FairDS, UpdatePolicy
+from repro.core.planes import ACTIVITY_LOG_SIZE
 from repro.datasets.bragg import generate_bragg_scan
 from repro.datasets.drift import ExperimentCondition
 from repro.embedding import PCAEmbedder, grid_search_embedder
 from repro.embedding.tuning import TuningReport, clustering_quality_score
 from repro.models.braggnn import build_braggnn
 from repro.nn.trainer import TrainingConfig
+from repro.serving import BatchingPolicy
 from repro.utils.errors import ConfigurationError, ValidationError
 
 
@@ -37,66 +42,105 @@ def _service(seed=0):
 
 # -- FairDMSService ----------------------------------------------------------------
 def test_service_registers_both_planes():
-    with _service() as service:
-        names = service.registered_functions()
-        assert "update_model" in names and "lookup_labeled_data" in names
-        assert "refresh_representations" in names and "ingest_labeled_data" in names
+    service = _service()
+    names = service.registered_functions()
+    assert "update_model" in names and "lookup_labeled_data" in names
+    assert "refresh_representations" in names and "ingest_labeled_data" in names
 
 
 def test_service_query_distribution_and_lookup():
-    with _service() as service:
-        new = _scan(0, n=20, seed=5)
-        dist = service.query_distribution(new.images, label="q")
-        assert pytest.approx(sum(dist["pdf"]), abs=1e-9) == 1.0
-        lookup = service.lookup_labeled_data(new.images, n_samples=10)
-        assert lookup["images"].shape[0] == 10
-        assert lookup["labels"].shape == (10, 2)
-        summary = service.activity_summary()
-        assert summary["user:query_distribution"] == 1
-        assert summary["user:lookup_labeled_data"] == 1
+    service = _service()
+    new = _scan(0, n=20, seed=5)
+    dist = service.query_distribution(new.images, label="q")
+    assert pytest.approx(sum(dist["pdf"]), abs=1e-9) == 1.0
+    lookup = service.lookup_labeled_data(new.images, n_samples=10)
+    assert lookup["images"].shape[0] == 10
+    assert lookup["labels"].shape == (10, 2)
+    summary = service.activity_summary()
+    assert summary["user:query_distribution"] == 1
+    assert summary["user:lookup_labeled_data"] == 1
 
 
 def test_service_request_model_update_runs_flow():
-    with _service() as service:
-        new = _scan(0, n=40, seed=7)
-        report = service.request_model_update(new.images, label="scan-x")
-        assert report.strategy in ("fine-tune", "scratch")
-        assert service.activity_summary()["user:update_model"] == 1
+    service = _service()
+    new = _scan(0, n=40, seed=7)
+    report = service.request_model_update(new.images, label="scan-x")
+    assert report.strategy in ("fine-tune", "scratch")
+    assert service.activity_summary()["user:update_model"] == 1
 
 
 def test_service_system_plane_ingest_and_refresh():
-    with _service() as service:
-        before = service.dms.fairds.store_size()
-        new = _scan(1, n=20, seed=8)
-        added = service.ingest_labeled_data(new.images, new.normalized_centers)
-        assert added == 20
-        assert service.dms.fairds.store_size() == before + 20
-        size = service.refresh_representations()
-        assert size == before + 20
-        summary = service.activity_summary()
-        assert summary["system:ingest_labeled_data"] == 1
-        assert summary["system:refresh_representations"] == 1
+    service = _service()
+    before = service.dms.fairds.store_size()
+    new = _scan(1, n=20, seed=8)
+    added = service.ingest_labeled_data(new.images, new.normalized_centers)
+    assert added == 20
+    assert service.dms.fairds.store_size() == before + 20
+    size = service.refresh_representations()
+    assert size == before + 20
+    summary = service.activity_summary()
+    assert summary["system:ingest_labeled_data"] == 1
+    assert summary["system:refresh_representations"] == 1
 
 
 def test_service_records_failed_invocations():
-    with _service() as service:
-        with pytest.raises(Exception):
-            # Too few samples for an update -> ValidationError inside the plane fn.
-            service.request_model_update(_scan(0, n=2, seed=9).images)
-        assert any(not a.succeeded for a in service.activity)
+    service = _service()
+    with pytest.raises(Exception):
+        # Too few samples for an update -> ValidationError inside the plane fn.
+        service.request_model_update(_scan(0, n=2, seed=9).images)
+    assert any(not a.succeeded for a in service.activity)
 
 
 def test_service_auto_system_plane_records_triggered_refresh():
     service = _service()
-    try:
-        # Force the trigger to fire on any certainty value.
-        service.dms.certainty_trigger = type(service.dms.certainty_trigger)(100.0)
-        new = _scan(1, n=40, seed=11)
-        report = service.request_model_update(new.images, label="drifted")
-        assert report.triggered_refresh
-        assert service.activity_summary().get("system:refresh_representations", 0) >= 1
-    finally:
-        service.shutdown()
+    # Force the trigger to fire on any certainty value.
+    service.dms.certainty_trigger = type(service.dms.certainty_trigger)(100.0)
+    new = _scan(1, n=40, seed=11)
+    report = service.request_model_update(new.images, label="drifted")
+    assert report.triggered_refresh
+    assert service.activity_summary().get("system:refresh_representations", 0) >= 1
+
+
+def test_served_service_runs_as_many_handlers_as_the_runtime_has_workers():
+    """Plane functions run on the serving worker that took the batch.  At the
+    parent every call was shipped to a private 2-thread pool and waited on,
+    so at most two handlers ran at once whatever ``num_workers`` said."""
+    service = _service()
+    lock = threading.Lock()
+    running = peak = 0
+
+    def slow_certainty(batches):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        time.sleep(0.05)
+        with lock:
+            running -= 1
+        return [100.0] * len(batches)
+
+    service.dms.fairds.certainty_batch = slow_certainty
+    images = _scan(0, n=4, seed=3).images
+    with service.serving_runtime(BatchingPolicy(max_batch_size=1), num_workers=6) as runtime:
+        futures = [runtime.submit("certainty", images) for _ in range(24)]
+        assert [f.result(timeout=30) for f in futures] == [100.0] * 24
+    assert peak >= 3
+    assert service.activity_summary(include_serving=False)["system:certainty_batch"] == 24
+
+
+def test_activity_log_is_bounded_and_its_summary_stays_exact():
+    service = _service()
+    service.dms.fairds.certainty_batch = lambda batches: [0.0] * len(batches)
+    for _ in range(10_000):
+        service.certainty_batch([])
+    service.dms.fairds.ingest = lambda images, labels: 1 / 0
+    with pytest.raises(ZeroDivisionError):
+        service.ingest_labeled_data(None, None)
+    assert len(service.activity) == ACTIVITY_LOG_SIZE
+    assert not service.activity[-1].succeeded
+    summary = service.activity_summary(include_serving=False)
+    assert summary["system:certainty_batch"] == 10_000
+    assert summary["system:ingest_labeled_data"] == 1  # failures are counted too
 
 
 # -- tuning ------------------------------------------------------------------------------

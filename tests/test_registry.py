@@ -1,42 +1,57 @@
-"""Tests for the storage/index backend registry."""
+"""Tests for the package-wide component registry (repro.api.registry)."""
+
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.storage import DocumentDB, FileStore, VectorIndex, ClusteredVectorIndex
-from repro.storage.codecs import CompressedCodec
-from repro.storage.registry import (
+from repro.api.registry import (
+    available_components,
+    component_kinds,
+    create_component,
+    create_from_spec,
+    is_registered,
+    register_component,
+    unregister_component,
+)
+from repro.storage import (
+    ClusteredVectorIndex,
+    DocumentDB,
+    FileStore,
     IndexBackend,
     StorageBackend,
-    available_backends,
-    create_backend,
-    create_from_config,
-    create_index_backend,
-    create_storage_backend,
-    register_backend,
-    unregister_backend,
+    VectorIndex,
 )
+from repro.storage.codecs import CompressedCodec
 from repro.utils.errors import ConfigurationError
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+# ---------------------------------------------------------------------------------
+# Storage and index backends by name
+# ---------------------------------------------------------------------------------
 def test_builtin_backends_are_listed():
-    assert {"file", "documentdb"} <= set(available_backends("storage"))
-    assert {"flat", "clustered"} <= set(available_backends("index"))
+    assert {"file", "documentdb"} <= set(available_components("storage"))
+    assert {"flat", "clustered"} <= set(available_components("index"))
 
 
 def test_create_index_backends_by_name():
-    flat = create_index_backend("flat", dim=3)
+    flat = create_component("index", "flat", dim=3)
     assert isinstance(flat, VectorIndex)
-    clustered = create_index_backend("clustered", centers=np.zeros((2, 3)), n_probe=2)
+    clustered = create_component("index", "clustered", centers=np.zeros((2, 3)), n_probe=2)
     assert isinstance(clustered, ClusteredVectorIndex)
     assert isinstance(flat, IndexBackend)
     assert isinstance(clustered, IndexBackend)
 
 
 def test_create_storage_backends_by_name(tmp_path):
-    store = create_storage_backend("file", root=str(tmp_path / "s"))
+    store = create_component("storage", "file", root=str(tmp_path / "s"))
     assert isinstance(store, FileStore)
-    db = create_storage_backend("documentdb", codec="blosc")
+    db = create_component("storage", "documentdb", codec="blosc")
     assert isinstance(db, DocumentDB)
     assert isinstance(db.codec, CompressedCodec)
     assert isinstance(store, StorageBackend)
@@ -44,12 +59,12 @@ def test_create_storage_backends_by_name(tmp_path):
 
 
 def test_documentdb_network_from_mapping():
-    db = create_storage_backend("documentdb", network={"latency_s": 0.001})
+    db = create_component("storage", "documentdb", network={"latency_s": 0.001})
     assert db.network.latency_s == pytest.approx(0.001)
 
 
 def test_documentdb_storage_bytes_sums_collections():
-    db = create_storage_backend("documentdb")
+    db = create_component("storage", "documentdb")
     assert db.storage_bytes() == 0
     db.collection("a").insert_one({"k": 1}, payload=np.zeros(8))
     db.collection("b").insert_one({"k": 2}, payload=np.zeros(8))
@@ -59,17 +74,17 @@ def test_documentdb_storage_bytes_sums_collections():
 
 def test_unknown_backend_and_kind_raise():
     with pytest.raises(ConfigurationError):
-        create_backend("index", "nope")
+        create_component("index", "nope")
     with pytest.raises(ConfigurationError):
-        create_backend("bogus-kind", "flat")
+        create_component("bogus-kind", "flat")
     with pytest.raises(ConfigurationError):
-        available_backends("bogus-kind")
+        available_components("bogus-kind")
 
 
 def test_register_custom_backend_decorator_and_duplicates():
     try:
 
-        @register_backend("index", "unit-test-backend")
+        @register_component("index", "unit-test-backend")
         class TinyIndex:
             def __init__(self, dim=1):
                 self.dim = dim
@@ -83,32 +98,32 @@ def test_register_custom_backend_decorator_and_duplicates():
             def query_batch(self, vectors, k=1):
                 return []
 
-        created = create_index_backend("unit-test-backend", dim=7)
+        created = create_component("index", "unit-test-backend", dim=7)
         assert isinstance(created, TinyIndex) and created.dim == 7
         with pytest.raises(ConfigurationError):
-            register_backend("index", "unit-test-backend", TinyIndex)
-        register_backend("index", "unit-test-backend", TinyIndex, overwrite=True)
+            register_component("index", "unit-test-backend", TinyIndex)
+        register_component("index", "unit-test-backend", TinyIndex, overwrite=True)
     finally:
         # Don't leak the temporary backend into the process-wide registry.
-        assert unregister_backend("index", "unit-test-backend")
-    assert "unit-test-backend" not in available_backends("index")
-    assert not unregister_backend("index", "unit-test-backend")
+        assert unregister_component("index", "unit-test-backend")
+    assert "unit-test-backend" not in available_components("index")
+    assert not unregister_component("index", "unit-test-backend")
 
 
-def test_create_from_config():
-    with pytest.deprecated_call():
-        index = create_from_config({"kind": "index", "name": "flat", "params": {"dim": 4}})
+def test_create_from_spec_builds_any_kind_from_a_config_dict():
+    index = create_from_spec({"kind": "index", "name": "flat", "params": {"dim": 4}})
     assert isinstance(index, VectorIndex) and index.dim == 4
-    with pytest.raises(ConfigurationError), pytest.deprecated_call():
-        create_from_config({"name": "flat"})
+    db = create_from_spec({"kind": "storage", "name": "documentdb", "params": {"codec": "blosc"}})
+    assert isinstance(db.codec, CompressedCodec)
+    assert create_from_spec({"kind": "trigger", "name": "certainty"}) is not None
+    with pytest.raises(ConfigurationError, match="'kind' and 'name'"):
+        create_from_spec({"name": "flat"})
 
 
 # ---------------------------------------------------------------------------------
 # The unified package-wide component registry (repro.api.registry)
 # ---------------------------------------------------------------------------------
 def test_unified_registry_covers_every_component_kind():
-    from repro.api.registry import available_components, component_kinds
-
     assert component_kinds() == [
         "embedder", "clustering", "storage", "index", "model", "trigger", "policy",
         "executor",
@@ -124,103 +139,59 @@ def test_unified_registry_covers_every_component_kind():
 
 
 def test_unified_registry_unknown_kind_and_name():
-    from repro.api.registry import available_components, create_component
-
     with pytest.raises(ConfigurationError, match="unknown component kind"):
         available_components("bogus")
     with pytest.raises(ConfigurationError, match="available"):
         create_component("trigger", "nope")
 
 
-def test_storage_shim_and_unified_registry_share_one_store():
-    """A backend registered through either module is visible — and
-    constructible — through both."""
-    from repro.api.registry import (
-        available_components,
-        create_component,
-        register_component,
-        unregister_component,
-    )
-
-    class TinyIndex:
-        def __init__(self, dim=1):
-            self.dim = dim
-
-        def __len__(self):
-            return 0
-
-        def query(self, vector, k=1):
-            return []
-
-        def query_batch(self, vectors, k=1):
-            return []
-
-    try:
-        register_backend("index", "shim-shared", TinyIndex)
-        assert "shim-shared" in available_components("index")
-        assert isinstance(create_component("index", "shim-shared", dim=2), TinyIndex)
-        register_component("index", "unified-shared", TinyIndex)
-        assert "unified-shared" in available_backends("index")
-        assert isinstance(create_index_backend("unified-shared", dim=3), TinyIndex)
-        with pytest.raises(ConfigurationError):  # duplicates detected across paths
-            register_component("index", "shim-shared", TinyIndex)
-    finally:
-        assert unregister_backend("index", "shim-shared")
-        assert unregister_component("index", "unified-shared")
-
-
-def test_deprecated_create_from_config_matches_create_from_spec():
-    """The deprecation satellite: both construction paths return identical
-    backends for the same config."""
-    from repro.api.registry import create_from_spec
-
-    config = {"kind": "storage", "name": "documentdb", "params": {"codec": "blosc"}}
-    with pytest.deprecated_call():
-        old = create_from_config(dict(config))
-    new = create_from_spec(dict(config))
-    assert type(old) is type(new) is DocumentDB
-    assert type(old.codec) is type(new.codec) is CompressedCodec
-    assert old.network.latency_s == new.network.latency_s
-
-    index_config = {"kind": "index", "name": "clustered",
-                    "params": {"centers": np.zeros((2, 3)), "n_probe": 2}}
-    with pytest.deprecated_call():
-        old_index = create_from_config(dict(index_config))
-    new_index = create_from_spec(dict(index_config))
-    assert type(old_index) is type(new_index) is ClusteredVectorIndex
-    assert old_index.n_probe == new_index.n_probe == 2
-    assert old_index.dtype == new_index.dtype
-
-    # The shim stays storage-scoped: non-storage kinds are rejected there but
-    # served by the unified path.
-    with pytest.raises(ConfigurationError, match="backend kind"):
-        with pytest.deprecated_call():
-            create_from_config({"kind": "trigger", "name": "certainty"})
-    assert create_from_spec({"kind": "trigger", "name": "certainty"}) is not None
-
-
+# ---------------------------------------------------------------------------------
+# One registry: what is registered here is what specs *and* tuning see
+# ---------------------------------------------------------------------------------
 def test_custom_embedder_registration_reaches_the_unified_registry():
-    from repro.api.registry import create_component, is_registered, unregister_component
-    from repro.embedding import Embedder, get_embedder, register_embedder
-
-    class NullEmbedder(Embedder):
-        name = "unit-test-null"
-
-        def fit(self, x, **kwargs):
-            return self
-
-        def transform(self, x):
-            return self.flatten(x)[:, : self.embedding_dim]
+    """A class registered with ``register_component("embedder", ...)`` is
+    constructible from a spec and usable by the tuner; unregistering removes
+    it from both (at the parent the tuner read a second, one-way table)."""
+    from repro.api.spec import EmbedderSpec
+    from repro.embedding import Embedder, grid_search_embedder
 
     try:
-        register_embedder(NullEmbedder)
-        assert is_registered("embedder", "unit-test-null")
-        assert isinstance(get_embedder("unit-test-null", embedding_dim=2), NullEmbedder)
-        assert isinstance(
-            create_component("embedder", "unit-test-null", embedding_dim=2), NullEmbedder
-        )
-    finally:
-        unregister_component("embedder", "unit-test-null")
-        from repro.embedding.base import _EMBEDDERS
 
-        _EMBEDDERS.pop("unit-test-null", None)
+        @register_component("embedder", "unit-test-null")
+        class NullEmbedder(Embedder):
+            def fit(self, x, **kwargs):
+                return self
+
+            def transform(self, x):
+                return self.flatten(x)[:, : self.embedding_dim]
+
+        assert is_registered("embedder", "unit-test-null")
+        spec = EmbedderSpec("unit-test-null", {"embedding_dim": 2})
+        assert isinstance(create_component("embedder", spec.name, **spec.params), NullEmbedder)
+        report = grid_search_embedder(
+            "unit-test-null", np.random.default_rng(0).normal(size=(40, 6)),
+            {"embedding_dim": [2, 3]}, n_clusters=3,
+        )
+        assert isinstance(report.best.embedder, NullEmbedder)
+    finally:
+        assert unregister_component("embedder", "unit-test-null")
+    with pytest.raises(ConfigurationError, match="unknown embedder"):
+        EmbedderSpec("unit-test-null")
+    with pytest.raises(ConfigurationError, match="unknown embedder"):
+        grid_search_embedder("unit-test-null", np.zeros((4, 2)), {"embedding_dim": [1]})
+
+
+def test_embedding_package_does_not_import_the_registry():
+    """The dependency points one way: the registry's built-in table imports
+    ``repro.embedding``, never the reverse.  ``repro/__init__`` itself pulls
+    in ``repro.core`` (which needs the registry), so the package root is
+    stubbed to observe the embedding package's own imports."""
+    script = textwrap.dedent(f"""
+        import sys, types
+        root = types.ModuleType("repro")
+        root.__path__ = [{str(SRC / "repro")!r}]
+        sys.modules["repro"] = root
+        import repro.embedding
+        assert "repro.api.registry" not in sys.modules, "repro.embedding imported the registry"
+    """)
+    subprocess.run([sys.executable, "-c", script], check=True)

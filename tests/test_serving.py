@@ -308,59 +308,61 @@ def _service_stack(seed=0):
 
 def test_served_responses_identical_to_direct_single_calls():
     scans = _scan_batches()
-    with _service_stack() as served, _service_stack() as direct:
-        # num_workers=1 keeps batch execution FIFO, so the lookup sampler
-        # consumes seeds in exactly the order the direct calls would.
-        runtime = served.serving_runtime(
-            policy=BatchingPolicy(max_batch_size=4, max_wait_ms=20), num_workers=1
-        )
-        with runtime:
-            dist_futures = [runtime.submit("query_distribution", s) for s in scans]
-            served_dists = [f.result(timeout=60) for f in dist_futures]
-            lookup_futures = [
-                runtime.submit("lookup_labeled_data", (s, 10)) for s in scans
-            ]
-            served_lookups = [f.result(timeout=60) for f in lookup_futures]
-            cert_futures = [runtime.submit("certainty", s) for s in scans]
-            served_certs = [f.result(timeout=60) for f in cert_futures]
-            snap = runtime.telemetry.snapshot()
+    served = _service_stack()
+    direct = _service_stack()
+    # num_workers=1 keeps batch execution FIFO, so the lookup sampler
+    # consumes seeds in exactly the order the direct calls would.
+    runtime = served.serving_runtime(
+        policy=BatchingPolicy(max_batch_size=4, max_wait_ms=20), num_workers=1
+    )
+    with runtime:
+        dist_futures = [runtime.submit("query_distribution", s) for s in scans]
+        served_dists = [f.result(timeout=60) for f in dist_futures]
+        lookup_futures = [
+            runtime.submit("lookup_labeled_data", (s, 10)) for s in scans
+        ]
+        served_lookups = [f.result(timeout=60) for f in lookup_futures]
+        cert_futures = [runtime.submit("certainty", s) for s in scans]
+        served_certs = [f.result(timeout=60) for f in cert_futures]
+        snap = runtime.telemetry.snapshot()
 
-        for scan, dist in zip(scans, served_dists):
-            assert dist["pdf"] == direct.query_distribution(scan)["pdf"]
-        for scan, payload in zip(scans, served_lookups):
-            single = direct.lookup_labeled_data(scan, n_samples=10)
-            np.testing.assert_array_equal(payload["images"], single["images"])
-            np.testing.assert_array_equal(payload["labels"], single["labels"])
-            assert payload["distribution"]["pdf"] == single["distribution"]["pdf"]
-        np.testing.assert_allclose(
-            served_certs, [direct.dms.fairds.certainty(s) for s in scans], rtol=1e-12
-        )
+    for scan, dist in zip(scans, served_dists):
+        assert dist["pdf"] == direct.query_distribution(scan)["pdf"]
+    for scan, payload in zip(scans, served_lookups):
+        single = direct.lookup_labeled_data(scan, n_samples=10)
+        np.testing.assert_array_equal(payload["images"], single["images"])
+        np.testing.assert_array_equal(payload["labels"], single["labels"])
+        assert payload["distribution"]["pdf"] == single["distribution"]["pdf"]
+    np.testing.assert_allclose(
+        served_certs, [direct.dms.fairds.certainty(s) for s in scans], rtol=1e-12
+    )
 
-        # The activity log recorded coalesced *_batch invocations.
-        summary = served.activity_summary()
-        assert summary["user:query_distribution_batch"] >= 1
-        assert summary["user:lookup_labeled_data_batch"] >= 1
-        assert summary["system:certainty_batch"] >= 1
-        assert snap["completed"] == 3 * len(scans)
+    # The activity log recorded coalesced *_batch invocations.
+    summary = served.activity_summary()
+    assert summary["user:query_distribution_batch"] >= 1
+    assert summary["user:lookup_labeled_data_batch"] >= 1
+    assert summary["system:certainty_batch"] >= 1
+    assert snap["completed"] == 3 * len(scans)
 
 
 def test_certainty_stream_feeds_trigger_in_arrival_order():
     scans = _scan_batches(n_batches=8)
-    with _service_stack() as served, _service_stack() as direct:
-        serial_values = [direct.dms.fairds.certainty(s) for s in scans]
-        serial_trigger = CertaintyTrigger(float(np.median(serial_values)), cooldown=1)
-        serial_fired = [serial_trigger.observe(v) for v in serial_values]
+    served = _service_stack()
+    direct = _service_stack()
+    serial_values = [direct.dms.fairds.certainty(s) for s in scans]
+    serial_trigger = CertaintyTrigger(float(np.median(serial_values)), cooldown=1)
+    serial_fired = [serial_trigger.observe(v) for v in serial_values]
 
-        served_trigger = CertaintyTrigger(float(np.median(serial_values)), cooldown=1)
-        runtime = served.serving_runtime(
-            policy=BatchingPolicy(max_batch_size=2, max_wait_ms=2),
-            num_workers=3,  # batches may complete out of order
-            certainty_trigger=served_trigger,
-        )
-        with runtime:
-            futures = [runtime.submit("certainty", s) for s in scans]
-            values = [f.result(timeout=60) for f in futures]
-            runtime.drain(timeout=60)
+    served_trigger = CertaintyTrigger(float(np.median(serial_values)), cooldown=1)
+    runtime = served.serving_runtime(
+        policy=BatchingPolicy(max_batch_size=2, max_wait_ms=2),
+        num_workers=3,  # batches may complete out of order
+        certainty_trigger=served_trigger,
+    )
+    with runtime:
+        futures = [runtime.submit("certainty", s) for s in scans]
+        values = [f.result(timeout=60) for f in futures]
+        runtime.drain(timeout=60)
 
     np.testing.assert_allclose(values, serial_values, rtol=1e-12)
     assert served_trigger.history == serial_trigger.history
@@ -369,25 +371,25 @@ def test_certainty_stream_feeds_trigger_in_arrival_order():
 
 
 def test_serving_runtime_overload_on_live_service():
-    with _service_stack() as service:
-        runtime = service.serving_runtime(
-            policy=BatchingPolicy(max_batch_size=2, max_wait_ms=1, max_queue_depth=2),
-            num_workers=1,
-        )
-        scans = _scan_batches(n_batches=1)
-        with runtime:
-            outcomes = {"ok": 0, "rejected": 0}
-            futures = []
-            for _ in range(60):
-                try:
-                    futures.append(runtime.submit("certainty", scans[0]))
-                    outcomes["ok"] += 1
-                except ServiceOverloadedError:
-                    outcomes["rejected"] += 1
-            done, not_done = wait(futures, timeout=60)
-            assert not not_done
-        assert outcomes["ok"] == len(futures)
-        assert outcomes["ok"] + outcomes["rejected"] == 60
+    service = _service_stack()
+    runtime = service.serving_runtime(
+        policy=BatchingPolicy(max_batch_size=2, max_wait_ms=1, max_queue_depth=2),
+        num_workers=1,
+    )
+    scans = _scan_batches(n_batches=1)
+    with runtime:
+        outcomes = {"ok": 0, "rejected": 0}
+        futures = []
+        for _ in range(60):
+            try:
+                futures.append(runtime.submit("certainty", scans[0]))
+                outcomes["ok"] += 1
+            except ServiceOverloadedError:
+                outcomes["rejected"] += 1
+        done, not_done = wait(futures, timeout=60)
+        assert not not_done
+    assert outcomes["ok"] == len(futures)
+    assert outcomes["ok"] + outcomes["rejected"] == 60
 
 
 # -- pull scheduling, live handler swap, worker lifecycle ----------------------------
@@ -692,23 +694,23 @@ def test_telemetry_snapshot_convenience_and_activity_serving_stats():
     ``telemetry.snapshot()``, and runtimes created by a service fold their
     per-op completion counts into ``activity_summary()``."""
     scans = _scan_batches(n_batches=4)
-    with _service_stack() as service:
-        runtime = service.serving_runtime(
-            policy=BatchingPolicy(max_batch_size=4, max_wait_ms=20), num_workers=1
-        )
-        with runtime:
-            for s in scans:
-                runtime.call("certainty", s, timeout=60)
-            runtime.call("query_distribution", scans[0], timeout=60)
-            snap = runtime.telemetry_snapshot()
-        assert snap["completed"] == runtime.telemetry.snapshot()["completed"] == len(scans) + 1
-        summary = service.activity_summary()
-        assert summary["serving:certainty"] == len(scans)
-        assert summary["serving:query_distribution"] == 1
-        # The plane-function counts are still there, untouched...
-        assert summary["system:certainty_batch"] >= 1
-        # ...and the serving fold-in can be switched off.
-        assert "serving:certainty" not in service.activity_summary(include_serving=False)
+    service = _service_stack()
+    runtime = service.serving_runtime(
+        policy=BatchingPolicy(max_batch_size=4, max_wait_ms=20), num_workers=1
+    )
+    with runtime:
+        for s in scans:
+            runtime.call("certainty", s, timeout=60)
+        runtime.call("query_distribution", scans[0], timeout=60)
+        snap = runtime.telemetry_snapshot()
+    assert snap["completed"] == runtime.telemetry.snapshot()["completed"] == len(scans) + 1
+    summary = service.activity_summary()
+    assert summary["serving:certainty"] == len(scans)
+    assert summary["serving:query_distribution"] == 1
+    # The plane-function counts are still there, untouched...
+    assert summary["system:certainty_batch"] >= 1
+    # ...and the serving fold-in can be switched off.
+    assert "serving:certainty" not in service.activity_summary(include_serving=False)
 
 
 # -- telemetry: per-op attribution, percentiles, restart window ----------------

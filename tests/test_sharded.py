@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Deployment, ShardingSpec, SystemSpec, preset
+from repro.api.registry import create_component
 from repro.api.spec import IndexSpec, ServingSpec
 from repro.observability.metrics import default_registry
 from repro.serving.batcher import BatchingPolicy, MicroBatcher, Request
@@ -21,7 +22,6 @@ from repro.storage import (
     IVFVectorIndex,
     ShardedVectorStore,
     VectorIndex,
-    create_index_backend,
     probe_index_capabilities,
     shard_of,
 )
@@ -266,13 +266,13 @@ class TestStoreSurface:
             ShardedVectorStore(dim=4, tenant_quota=0)
 
     def test_registry_construction_and_probe(self):
-        store = create_index_backend("sharded", dim=4, n_shards=2)
+        store = create_component("index", "sharded", dim=4, n_shards=2)
         caps = probe_index_capabilities(store)
         assert caps.supports_query_batch and caps.supports_scan_stats
         assert not caps.takes_cluster_ids
         assert not caps.supports_n_probe  # flat shards: no probe knob
-        ivf_store = create_index_backend(
-            "sharded", dim=4, shard_backend="ivf", shard_params={"train_threshold": 16}
+        ivf_store = create_component(
+            "index", "sharded", dim=4, shard_backend="ivf", shard_params={"train_threshold": 16}
         )
         assert probe_index_capabilities(ivf_store).supports_n_probe
 

@@ -8,6 +8,9 @@ and preset/shipped-file consistency.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,9 @@ from repro.api.spec import (
     IndexSpec,
     ModelSpec,
     NetworkSpec,
+    ObservabilitySpec,
     ServingSpec,
+    ShardingSpec,
     StorageSpec,
     SystemSpec,
     preset,
@@ -30,6 +35,14 @@ from repro.storage import DocumentDB
 from repro.utils.errors import ConfigurationError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+PRESET_DIR = REPO_ROOT / "src" / "repro" / "api" / "presets"
+#: Content digests of the presets as their Python builders produced them
+#: before the JSON files became the only definition (commit 8f16b94).
+PRESET_DIGESTS = {
+    "ann": "1e525fc03c55", "continual": "58525902abd7", "minimal": "0772d4d87ee7",
+    "networked": "f632033f20f7", "observed": "7a9fed8337c9", "parallel": "b654282e6117",
+    "serving": "6f5a42de1949", "sharded": "f5cbb4364f73",
+}
 
 
 # ---------------------------------------------------------------------------------
@@ -261,9 +274,16 @@ def test_presets_compose_incrementally():
      "networked"],
 )
 def test_shipped_spec_files_match_presets(name):
-    """examples/specs/*.json are the presets, verbatim (same content digest)."""
-    shipped = SystemSpec.load(REPO_ROOT / "examples" / "specs" / f"{name}.json")
-    assert shipped.digest() == preset(name).digest()
+    """src/repro/api/presets/*.json *are* the presets: each file is in the
+    canonical form ``save`` writes (so ``repro presets --write`` over the
+    directory is a byte-for-byte no-op and no file omits or invents a field),
+    is named after its spec, and still describes the system it always did."""
+    shipped = PRESET_DIR / f"{name}.json"
+    spec = SystemSpec.load(shipped)
+    assert spec.to_json() + "\n" == shipped.read_text()
+    assert spec.name == shipped.stem
+    assert spec.digest()[:12] == PRESET_DIGESTS[name]
+    assert preset(name) == spec
 
 
 def test_network_spec_validation_and_round_trip():
@@ -337,3 +357,79 @@ def test_ann_preset_configures_ivf_with_live_knob():
     )
     assert retuned.digest() != spec.digest()
     assert "index.n_probe" in spec.diff(retuned)
+
+
+def test_presets_are_found_as_package_data_from_any_directory(tmp_path):
+    """The presets ship inside the package (importlib.resources), not in a
+    checkout-relative directory: they resolve with the cwd outside the repo."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.api.spec import preset_names; print(','.join(preset_names()))"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        check=True, capture_output=True, text=True,
+    )
+    assert out.stdout.strip().split(",") == sorted(PRESET_DIGESTS)
+    assert sorted(f.stem for f in PRESET_DIR.iterdir()) == sorted(PRESET_DIGESTS)
+
+
+# ---------------------------------------------------------------------------------
+# Table-driven: generated from dataclasses.fields, so a new field is covered
+# without editing this file
+# ---------------------------------------------------------------------------------
+SPEC_CLASSES = [
+    EmbedderSpec, ClusteringSpec, StorageSpec, IndexSpec, ShardingSpec, ModelSpec,
+    ServingSpec, ContinualSpec, ObservabilitySpec, ExecutorSpec, NetworkSpec, SystemSpec,
+]
+ALL_FIELDS = [(cls, f.name) for cls in SPEC_CLASSES for f in dataclasses.fields(cls)]
+
+
+class _NotAConfigValue:
+    """No field of any spec accepts one of these."""
+
+
+@pytest.mark.parametrize("cls, name", ALL_FIELDS, ids=lambda v: getattr(v, "__name__", v))
+@pytest.mark.parametrize("wrong", [_NotAConfigValue(), [[1]]], ids=["object", "nested-list"])
+def test_every_field_rejects_a_wrong_typed_value_with_configuration_error(cls, name, wrong):
+    """A field cannot exist without a check: a value of no sensible type
+    raises ConfigurationError — never a bare TypeError/ValueError, never accepted."""
+    with pytest.raises(ConfigurationError):
+        cls(**{name: wrong})
+
+
+@pytest.mark.parametrize("cls", SPEC_CLASSES, ids=lambda c: c.__name__)
+def test_defaults_round_trip_and_serialise_to_strict_json(cls):
+    spec = cls()
+    assert cls.from_dict(spec.to_dict()) == spec
+    assert set(spec.to_dict()) == {f.name for f in dataclasses.fields(cls)}
+
+    def reject(constant):
+        raise AssertionError(f"{cls.__name__} serialised the non-JSON constant {constant}")
+
+    assert json.loads(json.dumps(spec.to_dict()), parse_constant=reject) == spec.to_dict()
+
+
+def test_no_spec_class_hand_writes_its_own_serialisation():
+    for cls in SPEC_CLASSES:
+        assert {"to_dict", "from_dict", "__post_init__"}.isdisjoint(vars(cls)), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: ContinualSpec(checkpoint="false"), "checkpoint.*boolean"),
+        (lambda: ContinualSpec(refresh_on_trigger=0), "refresh_on_trigger.*boolean"),
+        (lambda: ContinualSpec(gate_factor=float("nan")), "gate_factor.*finite"),
+        (lambda: ContinualSpec(absolute_gate=float("inf")), "absolute_gate.*finite"),
+        (lambda: ContinualSpec(step_timeout_s=float("inf")), "step_timeout_s.*finite"),
+        (lambda: NetworkSpec(health_interval_s=float("inf")), "health_interval_s.*finite"),
+        (lambda: ObservabilitySpec(exporters=[[1]]), "list of names"),
+        (lambda: StorageSpec(params={"network": {"latency_s": float("nan")}}), "JSON"),
+    ],
+    ids=["checkpoint-str", "refresh-int", "gate-nan", "abs-gate-inf", "timeout-inf",
+         "health-inf", "exporters-nested", "params-nan"],
+)
+def test_values_the_hand_written_checks_let_through_are_rejected(build, match):
+    """Accepted at the parent: a truthy ``"false"``, and NaN/Infinity that
+    ``save()`` then wrote as tokens strict JSON parsers reject."""
+    with pytest.raises(ConfigurationError, match=match):
+        build()

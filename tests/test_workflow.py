@@ -1,42 +1,60 @@
-"""Tests for the orchestration substrate (flows, funcX executor, transfer)."""
-
-import time
+"""Tests for the orchestration substrate (serial linear flows, transfer)."""
 
 import numpy as np
 import pytest
 
 from repro.utils.errors import ConfigurationError, ValidationError
-from repro.workflow.flows import Flow, FlowStep
-from repro.workflow.funcx import FuncXExecutor, FunctionNotRegistered
+from repro.workflow.pipeline import FAILED, SKIPPED, Pipeline, PipelineStep
 from repro.workflow.transfer import TransferService
 
 
-# -- Flow -----------------------------------------------------------------------
+# -- linear flows on a serial pipeline ---------------------------------------------
+# The paper's Globus Flow is an ordered step list sharing one context.  On the
+# engine that is a dependency chain with ``max_workers=1``, which runs on the
+# calling thread through its own branch of ``Pipeline.run`` — these are the
+# tests of that branch.
+def _flow(name, *steps):
+    """A serial pipeline in which each ``(name, fn, kwargs)`` step depends on
+    the one before it."""
+    pipeline = Pipeline(name, max_workers=1)
+    previous = ()
+    for step_name, fn, kwargs in steps:
+        pipeline.add_step(step_name, fn, depends_on=previous, **kwargs)
+        previous = (step_name,)
+    return pipeline
+
+
 def test_flow_runs_steps_in_order_and_records_timings():
-    flow = Flow("update")
-    flow.add_step("double", lambda ctx: ctx["x"] * 2, output_key="doubled")
-    flow.add_step("plus_one", lambda ctx: ctx["doubled"] + 1, output_key="result")
+    flow = _flow(
+        "update",
+        ("double", lambda ctx: ctx["x"] * 2, {"output_key": "doubled"}),
+        ("plus_one", lambda ctx: ctx["doubled"] + 1, {"output_key": "result"}),
+    )
     result = flow.run({"x": 5})
     assert result.succeeded
+    assert result.order == ["double", "plus_one"]
     assert result.context["result"] == 11
     assert set(result.step_times) == {"double", "plus_one"}
     assert result.total_time >= 0
 
 
 def test_flow_stops_on_failure_and_reports_step():
-    flow = Flow("failing")
-    flow.add_step("ok", lambda ctx: 1, output_key="a")
-    flow.add_step("boom", lambda ctx: 1 / 0)
-    flow.add_step("never", lambda ctx: 2, output_key="b")
+    flow = _flow(
+        "failing",
+        ("ok", lambda ctx: 1, {"output_key": "a"}),
+        ("boom", lambda ctx: 1 / 0, {}),
+        ("never", lambda ctx: 2, {"output_key": "b"}),
+    )
     result = flow.run()
     assert not result.succeeded
-    assert result.failed_step == "boom"
-    assert isinstance(result.error, ZeroDivisionError)
+    assert result.failed_steps == ["boom"]
+    assert result.statuses == {"ok": "completed", "boom": FAILED, "never": SKIPPED}
+    assert isinstance(result.errors["boom"], ZeroDivisionError)
     assert "b" not in result.context
 
 
 def test_flow_raise_on_error():
-    flow = Flow("failing").add_step("boom", lambda ctx: 1 / 0)
+    flow = _flow("failing", ("boom", lambda ctx: 1 / 0, {}))
     with pytest.raises(ZeroDivisionError):
         flow.run(raise_on_error=True)
 
@@ -50,8 +68,7 @@ def test_flow_retries_flaky_step():
             raise RuntimeError("transient")
         return "ok"
 
-    flow = Flow("retrying").add_step("flaky", flaky, output_key="out", retries=3)
-    result = flow.run()
+    result = _flow("retrying", ("flaky", flaky, {"output_key": "out", "retries": 3})).run()
     assert result.succeeded
     assert result.context["out"] == "ok"
     assert result.step_attempts["flaky"] == 3
@@ -59,54 +76,11 @@ def test_flow_retries_flaky_step():
 
 def test_flow_validation():
     with pytest.raises(ConfigurationError):
-        Flow("")
+        Pipeline("")
     with pytest.raises(ConfigurationError):
-        FlowStep(name="", fn=lambda ctx: None)
+        PipelineStep(name="", fn=lambda ctx: None)
     with pytest.raises(ConfigurationError):
-        FlowStep(name="x", fn=lambda ctx: None, retries=-1)
-
-
-# -- FuncXExecutor ----------------------------------------------------------------------
-def test_funcx_register_submit_and_run():
-    with FuncXExecutor(max_workers=2) as ex:
-        fid = ex.register_function(lambda a, b: a + b, function_id="add")
-        assert fid == "add"
-        assert ex.run("add", 2, 3) == 5
-        fut = ex.submit("add", 1, 1)
-        assert fut.result() == 2
-        assert ex.tasks_submitted == 2
-        assert "add" in ex.registered()
-
-
-def test_funcx_map_preserves_order():
-    with FuncXExecutor(max_workers=4) as ex:
-        ex.register_function(lambda x: x * x, function_id="sq")
-        assert ex.map("sq", [1, 2, 3, 4]) == [1, 4, 9, 16]
-
-
-def test_funcx_unknown_function_and_duplicate_id():
-    ex = FuncXExecutor(max_workers=1)
-    ex.register_function(lambda: None, function_id="f")
-    with pytest.raises(ConfigurationError):
-        ex.register_function(lambda: None, function_id="f")
-    with pytest.raises(FunctionNotRegistered):
-        ex.submit("missing")
-    ex.shutdown()
-
-
-def test_funcx_cold_start_adds_latency():
-    with FuncXExecutor(max_workers=1, cold_start_s=0.02) as ex:
-        ex.register_function(lambda: 1, function_id="one")
-        start = time.perf_counter()
-        ex.run("one")
-        assert time.perf_counter() - start >= 0.02
-
-
-def test_funcx_validation():
-    with pytest.raises(ConfigurationError):
-        FuncXExecutor(max_workers=0)
-    with pytest.raises(ConfigurationError):
-        FuncXExecutor(cold_start_s=-1)
+        PipelineStep(name="x", fn=lambda ctx: None, retries=-1)
 
 
 # -- TransferService ----------------------------------------------------------------------
