@@ -37,13 +37,7 @@ from repro.api.spec import SystemSpec, preset
 from repro.core.fairdms import FairDMS, ModelUpdateReport, UpdatePolicy
 from repro.core.fairds import FairDS, LookupResult
 from repro.core.model_zoo import ModelRecord, ModelZoo
-from repro.core.planes import (
-    FairDMSService,
-    lookup_payload,
-    nearest_hits_payload,
-    split_lookup_payloads,
-    split_nearest_payloads,
-)
+from repro.core.planes import FairDMSService, data_plane_handlers, wire_index_controls
 from repro.nn.trainer import TrainingConfig
 from repro.observability.metrics import MetricsRegistry, default_registry
 from repro.observability.tracing import Span, Tracer
@@ -307,33 +301,27 @@ class Deployment:
 
         return handler
 
-    def _data_plane_handlers(self) -> Dict[str, Any]:
-        """Serving handlers for model-less specs, straight off fairDS —
-        the same wire shapes as the :class:`FairDMSService` plane handlers."""
-        fairds = self.fairds
-
-        def query_distribution(payloads: List[Any]) -> List[Dict[str, Any]]:
-            dists = fairds.dataset_distribution_batch(list(payloads))
-            return [d.as_dict() for d in dists]
-
-        def lookup(payloads: List[Any]) -> List[Dict[str, Any]]:
-            batches, n_samples = split_lookup_payloads(payloads)
-            return [lookup_payload(r) for r in fairds.lookup_batch(batches, n_samples=n_samples)]
-
-        def certainty(payloads: List[Any]) -> List[float]:
-            return fairds.certainty_batch(list(payloads))
-
-        def nearest(payloads: List[Any]) -> List[Dict[str, Any]]:
-            images, thresholds = split_nearest_payloads(payloads)
-            hits = fairds.nearest_labeled(np.stack(images), threshold=None)
-            return nearest_hits_payload(hits, thresholds)
-
-        return {
-            "query_distribution": query_distribution,
-            "lookup_labeled_data": lookup,
-            "nearest_labeled": nearest,
-            "certainty": certainty,
-        }
+    def _build_runtime(self, handle: Optional[ModelHandle] = None) -> ServingRuntime:
+        """An unstarted runtime over the shared data plane, as the spec's
+        ``serving`` section sizes it — the one assembly behind :meth:`serve`
+        and every network replica.  With a model, ``"predict"`` answers from
+        ``handle``, or from the lazily resolved shared handle when ``None``."""
+        if self.dms is not None:
+            handlers = self.service.serving_handlers()
+            handlers[ContinualLearningPipeline.PREDICT_OP] = (
+                versioned_handler(handle, ContinualLearningPipeline._predict_batch)
+                if handle is not None else self._predict_handler()
+            )
+        else:
+            handlers = data_plane_handlers(self.fairds)
+        serving = self.spec.serving
+        runtime = ServingRuntime(
+            handlers,
+            policy=BatchingPolicy(**serving.batching) if serving is not None else None,
+            num_workers=serving.num_workers if serving is not None else 2,
+            tracer=self.tracer,
+        )
+        return wire_index_controls(self.fairds, runtime)
 
     def serve(self) -> ServingRuntime:
         """Start (or return the live) micro-batching serving runtime.
@@ -347,9 +335,10 @@ class Deployment:
         merely error with "call fit() first" until then).  When the index
         backend supports probe retuning (e.g. ``"ivf"``), the runtime gets a
         live ``"n_probe"`` knob — ``runtime.set_knob("n_probe", 16)``
-        retunes the recall/latency trade-off without a restart — and an
-        ``"index_scan"`` stats provider folding per-partition scan counters
-        into :meth:`~repro.serving.runtime.ServingRuntime.telemetry_snapshot`.
+        retunes the recall/latency trade-off without a restart, and every
+        later refresh carries the value over — and an ``"index_scan"`` stats
+        provider folding per-partition scan counters into
+        :meth:`~repro.serving.runtime.ServingRuntime.telemetry_snapshot`.
         The runtime honours the spec's ``serving`` section (batching policy,
         worker count) and is returned started, so both styles work::
 
@@ -359,28 +348,15 @@ class Deployment:
         self._require_open()
         if self._runtime is not None and self._runtime.is_running:
             return self._runtime
-        if self.dms is not None:
-            handlers = self.service.serving_handlers()
-            handlers[ContinualLearningPipeline.PREDICT_OP] = self._predict_handler()
-        else:
-            handlers = self._data_plane_handlers()
-        serving = self.spec.serving
-        policy = BatchingPolicy(**serving.batching) if serving is not None else None
-        runtime = ServingRuntime(
-            handlers,
-            policy=policy,
-            num_workers=serving.num_workers if serving is not None else 2,
-            tracer=self.tracer,
-        )
-        self._wire_index_controls(runtime)
+        runtime = self._build_runtime()
         if self._service is not None:
             self._service.track_runtime(runtime)
         self._runtime = runtime.start()
         return runtime
 
-    def _replica_factory(self):
-        """A :class:`~repro.net.replica.ReplicaSet` factory building one
-        started runtime per replica.
+    def _replica(self, replica_id: int) -> Tuple[ServingRuntime, Optional[ModelHandle]]:
+        """One replica of a :class:`~repro.net.replica.ReplicaSet`: a started
+        runtime and its model handle.
 
         Every replica shares the read-only data plane (embedder, store,
         index) but gets its **own** hot-swappable model handle — per-replica
@@ -390,39 +366,13 @@ class Deployment:
         handler, so a fleet started pre-:meth:`fit` behaves exactly like
         :meth:`serve` does.
         """
-        serving = self.spec.serving
-        policy_kwargs = dict(serving.batching) if serving is not None else None
-        num_workers = serving.num_workers if serving is not None else 2
-
-        def factory(replica_id: int):
-            handle: Optional[ModelHandle] = None
-            if self.dms is not None:
-                handlers = self.service.serving_handlers()
-                try:
-                    handle = ContinualLearningPipeline.bootstrap_handle(
-                        self.dms, tag=self.tag
-                    )
-                except StorageError:
-                    handle = None
-                if handle is not None:
-                    handlers[ContinualLearningPipeline.PREDICT_OP] = versioned_handler(
-                        handle, ContinualLearningPipeline._predict_batch
-                    )
-                else:
-                    handlers[ContinualLearningPipeline.PREDICT_OP] = self._predict_handler()
-            else:
-                handlers = self._data_plane_handlers()
-            runtime = ServingRuntime(
-                handlers,
-                policy=BatchingPolicy(**policy_kwargs) if policy_kwargs is not None else None,
-                num_workers=num_workers,
-                tracer=self.tracer,
-            )
-            self._wire_index_controls(runtime)
-            runtime.start()
-            return runtime, handle
-
-        return factory
+        handle: Optional[ModelHandle] = None
+        if self.dms is not None:
+            try:
+                handle = ContinualLearningPipeline.bootstrap_handle(self.dms, tag=self.tag)
+            except StorageError:
+                pass  # nothing promoted yet
+        return self._build_runtime(handle).start(), handle
 
     def serve_network(
         self,
@@ -452,7 +402,7 @@ class Deployment:
 
         net = self.spec.network if self.spec.network is not None else NetworkSpec()
         replica_set = ReplicaSet(
-            self._replica_factory(),
+            self._replica,
             replicas=replicas if replicas is not None else net.replicas,
             eject_after=net.eject_after,
             health_interval_s=net.health_interval_s,
@@ -485,25 +435,6 @@ class Deployment:
             " + autoscaler" if autoscaler is not None else "",
         )
         return self._network
-
-    def _wire_index_controls(self, runtime: ServingRuntime) -> None:
-        """Register the ``n_probe`` live knob and the ``index_scan`` stats
-        provider on ``runtime``.  Before :meth:`fit` the index instance does
-        not exist yet, so support is inferred from the backend factory; the
-        knob's setter resolves against the live index at call time."""
-        caps = self.fairds.index_capabilities
-        if caps is not None:
-            supports_knob = caps.supports_n_probe
-        else:
-            factory = component_factory("index", self.spec.index.backend)
-            supports_knob = callable(getattr(factory, "set_n_probe", None))
-        if supports_knob:
-            runtime.register_knob(
-                "n_probe",
-                self.fairds.set_index_n_probe,
-                getter=lambda: self.fairds.index_n_probe,
-            )
-        runtime.register_stats_provider("index_scan", self.fairds.index_stats)
 
     # -- lifecycle: continual learning -------------------------------------------
     def continual(self) -> ContinualLearningPipeline:
@@ -572,6 +503,7 @@ class Deployment:
             "store": {
                 "samples": self.fairds.store_size() if fitted else 0,
                 "clusters": self.fairds.n_clusters if fitted else None,
+                **({"generation": self.fairds.generation} if fitted else {}),
             },
             "zoo": None,
             "activity": self._service.activity_summary() if self._service is not None else {},

@@ -16,13 +16,25 @@ Responsibilities (paper Section II-A):
    (:meth:`FairDS.certainty`) and rebuild the embedding/clustering models and
    the store index from accumulated data when it degrades
    (:meth:`FairDS.refresh`).
+
+**What a reader may rely on.**  Everything a read needs — fitted embedder, its
+embedding cache, clustering, collection, index — is one :class:`_Generation`,
+published by one reference assignment.  A (re)fit builds generation N+1
+*aside* and publishes it last, so a read running beside a refresh answers
+wholly from N or wholly from N+1 (lookups say which:
+:attr:`LookupResult.generation`), never from a mixture, and a (re)fit that
+raises leaves N published and untouched.  Readers take no lock.  The writers
+(:meth:`FairDS.fit`, :meth:`FairDS.refresh`, :meth:`FairDS.ingest`, the
+``n_probe`` retune) are serialised by one lock: an ingest that arrives during
+a refresh waits for it and lands in generation N+1.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -32,16 +44,15 @@ import numpy as np
 from repro.api.registry import component_factory, filter_supported_kwargs, is_registered
 from repro.clustering.elbow import select_k_elbow
 from repro.clustering.fuzzy import assignment_certainty_batch
-from repro.clustering.kmeans import KMeans
 from repro.core.distribution import DatasetDistribution
 from repro.dataio.sampler import WeightedClusterSampler, cluster_members
 from repro.embedding.base import Embedder
-from repro.observability.tracing import trace_span
+from repro.observability.tracing import current_span, trace_span
 from repro.storage.documentdb import Collection, DocumentDB
 from repro.storage.capabilities import IndexCapabilities, probe_index_capabilities
 from repro.utils.cache import LRUCache, row_digests
 from repro.utils.errors import ConfigurationError, NotFittedError, ValidationError
-from repro.utils.rng import SeedLike, default_rng, derive_seed
+from repro.utils.rng import SeedLike, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.executor import Executor
@@ -57,18 +68,27 @@ def _embedder_session_setup(ctx, embedder_blob: bytes):
 
 
 def _embedder_transform_task(ctx, images: np.ndarray) -> np.ndarray:
-    return np.asarray(ctx.state.transform(np.asarray(images, dtype=np.float64)), dtype=np.float64)
+    return _transform64(ctx.state, np.asarray(images, dtype=np.float64))
+
+
+def _transform64(embedder: Embedder, images: np.ndarray) -> np.ndarray:
+    return np.asarray(embedder.transform(images), dtype=np.float64)
 
 
 @dataclass
 class LookupResult:
-    """Labeled data returned by a fairDS pseudo-labeling lookup."""
+    """Labeled data returned by a fairDS pseudo-labeling lookup.
+
+    ``generation`` is the number of the one :class:`_Generation` every part
+    of the answer came from (``doc_ids`` are ids in *its* collection).
+    """
 
     images: np.ndarray
     labels: np.ndarray
     doc_ids: List[str]
     input_distribution: DatasetDistribution
     retrieved_distribution: DatasetDistribution
+    generation: int
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -105,15 +125,14 @@ class _SampleCatalog(NamedTuple):
     """What a lookup needs of every stored sample, column by column.
 
     One immutable snapshot of the labelled store in ``Collection.find()``
-    order: row ``i`` is the ``i``-th document.  It describes ``collection``
-    at write ``version`` and no other state of it.  ``cluster_ids`` and
+    order: row ``i`` is the ``i``-th document.  It describes its generation's
+    collection at write ``version``, no other state of it.  ``cluster_ids`` and
     ``members`` (row numbers per cluster id present) are NumPy views of
     exactly this snapshot's length; ``doc_ids`` and ``labels`` are append-only
     lists shared with later snapshots, of which only the rows below
     ``len(cluster_ids)`` belong to this one.
     """
 
-    collection: Collection
     version: int
     doc_ids: List[str]
     labels: List[Any]
@@ -123,11 +142,9 @@ class _SampleCatalog(NamedTuple):
     member_columns: Dict[int, _IntColumn]
 
     @classmethod
-    def of(
-        cls, collection: Collection, version: int, docs: Sequence[Mapping[str, Any]]
-    ) -> "_SampleCatalog":
-        """The catalog of ``docs``, which are ``collection.find()`` at ``version``."""
-        empty = cls(collection, version, [], [], np.empty(0, dtype=np.intp), {}, _IntColumn(), {})
+    def of(cls, version: int, docs: Sequence[Mapping[str, Any]]) -> "_SampleCatalog":
+        """The catalog of ``docs``, which are the collection's ``find()`` at ``version``."""
+        empty = cls(version, [], [], np.empty(0, dtype=np.intp), {}, _IntColumn(), {})
         return empty.extended(version, [d["_id"] for d in docs], docs)
 
     def extended(
@@ -155,6 +172,30 @@ class _SampleCatalog(NamedTuple):
         )
 
 
+@dataclass(eq=False)
+class _Generation:
+    """One published state of the system plane: what one (re)fit produced.
+
+    The first seven fields never change after publication (the collection and
+    the index grow under :meth:`FairDS.ingest`, each safe beside readers).
+    The last two are the slots that legitimately move afterwards, and belong
+    to the generation because they describe nothing else: ``catalog`` (the
+    newest :class:`_SampleCatalog` of ``collection``, replaced whole) and
+    ``session`` (the process-executor session holding ``embedder``, opened
+    on first use and closed once the generation is superseded).
+    """
+
+    number: int
+    embedder: Embedder
+    cache: LRUCache
+    clusterer: Any  # KMeans-style surface
+    collection: Collection
+    index: Any
+    caps: IndexCapabilities
+    catalog: _SampleCatalog
+    session: Any = None
+
+
 class FairDS:
     """The FAIR data service.
 
@@ -162,7 +203,10 @@ class FairDS:
     ----------
     embedder:
         Any :class:`~repro.embedding.base.Embedder`; the paper's default for
-        Bragg peaks is BYOL, but PCA keeps tests fast.
+        Bragg peaks is BYOL, but PCA keeps tests fast.  The instance is the
+        unfitted *template*: every (re)fit trains a deep copy, so a published
+        embedder is never refitted under a reader.  The fitted one is
+        :attr:`embedder`.
     n_clusters:
         Number of k-means clusters, or ``"auto"`` to select K with the elbow
         method (the paper's YellowBrick-based automation).
@@ -175,7 +219,7 @@ class FairDS:
         RNG seed for clustering and sampling.
     embedding_cache_size:
         Capacity of the LRU embedding cache keyed on per-sample content
-        digests: samples already embedded since the last (re)fit skip the
+        digests: samples already embedded by the current generation skip the
         embedder entirely on repeated lookups/monitoring probes.  ``0``
         disables caching (use this for stochastic embedders whose transform
         is not a pure per-sample function).
@@ -222,7 +266,7 @@ class FairDS:
             raise ConfigurationError("n_clusters must be >= 1")
         if max_auto_clusters < 2:
             raise ConfigurationError("max_auto_clusters must be >= 2")
-        self.embedder = embedder
+        self._template = embedder
         self._requested_clusters = n_clusters
         self.max_auto_clusters = int(max_auto_clusters)
         if embedding_cache_size < 0:
@@ -243,39 +287,54 @@ class FairDS:
         self.clustering_params = dict(clustering_params or {})
         self.index_backend = index_backend
         self.index_params = dict(index_params or {})
-        self._kmeans = None  # the fitted clustering model (KMeans-style surface)
-        self._index = None
-        self._index_caps: Optional[IndexCapabilities] = None
+        self.embedding_cache_size = int(embedding_cache_size)
+        self.index_dtype = np.dtype(index_dtype)
         self._lookup_counter = 0
         self._lookup_counter_lock = threading.Lock()
-        #: Newest published :class:`_SampleCatalog`; replaced whole, read
-        #: without a lock.  ``_catalog_lock`` serialises the writers.
-        self._catalog: Optional[_SampleCatalog] = None
-        self._catalog_lock = threading.Lock()
-        self._embed_cache = LRUCache(embedding_cache_size)
-        self._embed_generation = 0
-        self.index_dtype = np.dtype(index_dtype)
+        #: The one piece of published state (``None`` before the first fit):
+        #: replaced whole by :meth:`_rebuild`, read once per public read.
+        self._generation: Optional[_Generation] = None
+        #: Serialises the writers — fit, refresh, ingest, the ``n_probe``
+        #: retune, and a catalog rebuilt after an out-of-band store write.
+        self._write_lock = threading.Lock()
         #: Optional parallel compute plane for multi-dataset embedding fans
         #: (certainty/distribution batches).  ``None`` keeps every serial
         #: code path — and the embedding LRU cache — exactly as before.
         self.executor = executor
-        self._executor_session = None
-        self._executor_session_generation = -1
 
-    # -- helpers -----------------------------------------------------------------
+    # -- views of the published generation ---------------------------------------
+    def _live(self, operation: str) -> _Generation:
+        """The published generation — the one read of it a public call makes."""
+        gen = self._generation
+        if gen is None:
+            raise NotFittedError(f"fairDS.{operation}() requires fit() first")
+        return gen
+
+    @property
+    def generation(self) -> int:
+        """Number of the published generation: 0 before the first fit, then
+        one more with every :meth:`fit` / :meth:`refresh` that completed."""
+        gen = self._generation
+        return gen.number if gen is not None else 0
+
+    @property
+    def embedder(self) -> Embedder:
+        """The fitted embedder (before the first fit, the unfitted template)."""
+        gen = self._generation
+        return gen.embedder if gen is not None else self._template
+
     @property
     def collection(self) -> Collection:
-        return self.db.collection(self.collection_name)
+        gen = self._generation
+        return gen.collection if gen is not None else self.db.collection(self.collection_name)
 
     @property
     def is_fitted(self) -> bool:
-        return self._kmeans is not None
+        return self._generation is not None
 
     @property
     def n_clusters(self) -> int:
-        if self._kmeans is None:
-            raise NotFittedError("fairDS has not been fitted yet")
-        return self._kmeans.n_clusters
+        return self._live("n_clusters").clusterer.n_clusters
 
     def store_size(self) -> int:
         return self.collection.count()
@@ -290,44 +349,45 @@ class FairDS:
             raise ValidationError("images and labels must have the same length")
         return images, labels
 
-    def _embed(self, images: np.ndarray) -> np.ndarray:
-        """Embed ``images``, serving repeated samples from the LRU cache.
+    @staticmethod
+    def _embed(gen: _Generation, images: np.ndarray) -> np.ndarray:
+        """Embed ``images``, serving repeated samples from ``gen``'s LRU cache.
 
-        Samples are keyed by ``(fit_generation, content_digest)``: the digest
-        covers the sample's raw bytes, and the generation counter advances on
-        every (re)fit, so an embedding computed with an old representation —
-        even one put by a thread racing a concurrent refresh — can never be
-        served against the new clustering.  Only cache misses are pushed
-        through the embedder.
+        Samples are keyed by a digest of their raw bytes.  The cache belongs
+        to the generation whose embedder filled it, so an embedding computed
+        with an old representation — even one put by a thread racing a
+        refresh — lands where no reader of the new clustering looks.  Only
+        cache misses are pushed through the embedder.
         """
         images = np.asarray(images, dtype=np.float64)
-        cache = self._embed_cache
+        cache = gen.cache
         if cache.maxsize == 0:
-            return np.asarray(self.embedder.transform(images), dtype=np.float64)
+            return _transform64(gen.embedder, images)
         if images.ndim == 1:
             # One flat sample (Embedder.flatten semantics), not a batch of scalars.
             images = images.reshape(1, -1)
-        generation = self._embed_generation
-        keys = [(generation, digest) for digest in row_digests(images)]
+        keys = row_digests(images)
         cached = [cache.get(key) for key in keys]
         missing = [i for i, hit in enumerate(cached) if hit is None]
         if len(missing) == len(keys):
-            embeddings = np.asarray(self.embedder.transform(images), dtype=np.float64)
+            embeddings = _transform64(gen.embedder, images)
             for i, key in enumerate(keys):
                 cache.put(key, embeddings[i].copy())
             return embeddings
         if missing:
-            fresh = np.asarray(self.embedder.transform(images[missing]), dtype=np.float64)
+            fresh = _transform64(gen.embedder, images[missing])
             for row, i in enumerate(missing):
                 cache.put(keys[i], fresh[row].copy())
                 cached[i] = fresh[row]
         return np.stack([np.asarray(vec, dtype=np.float64) for vec in cached])
 
     def embedding_cache_info(self) -> Dict[str, float]:
-        """Hit/miss counters of the embedding LRU cache."""
-        return self._embed_cache.info()
+        """Hit/miss counters of the published generation's embedding cache
+        (they restart with every refit)."""
+        gen = self._generation
+        return (gen.cache if gen is not None else LRUCache(self.embedding_cache_size)).info()
 
-    def _embed_batches(self, batches: List[np.ndarray]) -> List[np.ndarray]:
+    def _embed_batches(self, gen: _Generation, batches: List[np.ndarray]) -> List[np.ndarray]:
         """Embed several datasets; fans out across :attr:`executor` when one
         is configured.  The parallel path pushes whole datasets through the
         pure ``embedder.transform`` (identical results, no LRU round-trip) —
@@ -340,32 +400,17 @@ class FairDS:
             or executor.max_workers <= 1
             or len(batches) <= 1
         ):
-            return [self._embed(images) for images in batches]
-        if executor.kind == "process":
-            return self._embed_batches_process(batches)
-        return executor.map(self._transform64, batches)
-
-    def _transform64(self, images: np.ndarray) -> np.ndarray:
-        return np.asarray(self.embedder.transform(images), dtype=np.float64)
-
-    def _embed_batches_process(self, batches: List[np.ndarray]) -> List[np.ndarray]:
-        """Process fan-out over a persistent worker session holding the
-        (pickled-once) embedder; the session is rebuilt whenever a (re)fit
-        advances the embedding generation."""
-        session = self._executor_session
-        if (
-            session is None
-            or session.closed
-            or self._executor_session_generation != self._embed_generation
-        ):
-            if session is not None:
-                session.close()
-            session = self.executor.open_session(
+            return [self._embed(gen, images) for images in batches]
+        if executor.kind != "process":
+            return executor.map(lambda images: _transform64(gen.embedder, images), batches)
+        # Process fan-out over a persistent worker session holding the
+        # (pickled-once) embedder of this generation.
+        session = gen.session
+        if session is None or session.closed:
+            session = gen.session = executor.open_session(
                 setup=_embedder_session_setup,
-                setup_args=(pickle.dumps(self.embedder),),
+                setup_args=(pickle.dumps(gen.embedder),),
             )
-            self._executor_session = session
-            self._executor_session_generation = self._embed_generation
         return session.map(_embedder_transform_task, batches)
 
     # -- indexing -----------------------------------------------------------------------
@@ -380,7 +425,7 @@ class FairDS:
         images, labels = self._validate_images_labels(images, np.asarray(labels))
         if metadata is not None and len(metadata) != images.shape[0]:
             raise ValidationError("metadata must match the number of images")
-        with trace_span("fairds.fit"):
+        with self._write_lock, trace_span("fairds.fit"):
             return self._rebuild(images, labels, metadata, list(images), embedder_kwargs)
 
     def _rebuild(
@@ -391,22 +436,25 @@ class FairDS:
         payloads: Optional[List[np.ndarray]],
         embedder_kwargs: Optional[Dict],
     ) -> "FairDS":
-        """Fit the models on ``images`` and replace the store with them.
+        """Build the next generation from ``images`` and publish it.
 
-        ``payloads`` are what the collection encodes as the samples' payloads;
-        ``None`` when every ``metadata`` entry already carries its sample's
-        encoded ``payload`` / ``payload_bytes`` fields (a refresh).
+        Everything is built aside — a copy of the embedder, a fresh
+        clusterer, a detached collection, a new index — and nothing of the
+        published generation is touched, so readers keep answering from it
+        and a raise anywhere before the last statements costs nothing.  Caller
+        holds the writer lock.  ``payloads`` are what the collection encodes
+        as the samples' payloads; ``None`` when every ``metadata`` entry
+        already carries its sample's encoded ``payload`` / ``payload_bytes``
+        fields (a refresh).
         """
+        prev = self._generation
         with trace_span("embedder.fit"):
-            self.embedder.fit(images, **(embedder_kwargs or {}))
-        # The representation changed: advance the cache generation (so even
-        # in-flight embeddings keyed to the old representation die unread)
-        # and drop the stale entries.  The store itself bypasses the cache:
-        # it is embedded once, and would only evict itself.
-        self._embed_generation += 1
-        self._embed_cache.clear()
+            embedder = copy.deepcopy(prev.embedder if prev is not None else self._template)
+            embedder.fit(images, **(embedder_kwargs or {}))
+        # The store bypasses the embedding cache: it is embedded once, and
+        # would only evict itself.
         with trace_span("embedder.transform"):
-            embeddings = self._transform64(images)
+            embeddings = _transform64(embedder, images)
 
         with trace_span("clustering.fit"):
             if self._requested_clusters == "auto":
@@ -418,23 +466,35 @@ class FairDS:
                 raise ValidationError(
                     f"need at least n_clusters={k} samples to fit fairDS, got {embeddings.shape[0]}"
                 )
-            self._kmeans = self._make_clusterer(k).fit(embeddings)
-            cluster_ids = self._kmeans.labels_
+            clusterer = self._make_clusterer(k).fit(embeddings)
+            cluster_ids = clusterer.labels_
 
         with trace_span("store.write"):
-            # Reset the collection so repeated fits don't accumulate stale copies
-            # (nor the catalog keep the dropped one alive while the new one fills).
-            self.db.drop_collection(self.collection_name)
-            self._catalog = None
-            coll = self.collection
+            coll = self.db.detached_collection(self.collection_name)
             coll.create_index("cluster_id")
             ids = coll.insert_many(
                 self._sample_fields(labels, embeddings, cluster_ids, metadata), payloads
             )
         with trace_span("index.build"):
-            self._index = self._make_index()
-            self._index_add(ids, embeddings, cluster_ids)
-            self._sample_catalog()
+            index, caps = self._make_index(clusterer)
+            n_probe = getattr(prev.index, "n_probe", None) if prev is not None else None
+            if n_probe is not None and caps.supports_n_probe:
+                index.set_n_probe(n_probe)  # a live retune outlives the refit
+            self._index_add(index, caps, ids, embeddings, cluster_ids)
+            catalog = _SampleCatalog.of(coll.version, coll.find())
+        gen = _Generation(
+            prev.number + 1 if prev is not None else 1, embedder,
+            LRUCache(self.embedding_cache_size), clusterer, coll, index, caps, catalog,
+        )
+        # Publication: the collection takes over its name, then one reference
+        # assignment.  Generation N is simply no longer referenced from here.
+        self.db.install(coll)
+        self._generation = gen
+        if prev is not None and prev.session is not None:
+            prev.session.close()
+        span = current_span()
+        if span is not None:
+            span.set_attribute("generation", gen.number)
         return self
 
     @staticmethod
@@ -468,15 +528,11 @@ class FairDS:
         offered) constructs identically here.
         """
         factory = component_factory("clustering", self.clustering_algorithm)
-        if factory is KMeans and not self.clustering_params:
-            # Fast path only when "kmeans" still resolves to the builtin — a
-            # user overwrite through the registry must win.
-            return KMeans(n_clusters=k, seed=derive_seed(self.seed, 2))
         optional = filter_supported_kwargs(factory, {"seed": derive_seed(self.seed, 2)})
         return factory(**{"n_clusters": k, **optional, **self.clustering_params})
 
-    def _make_index(self):
-        """The lookup index named by ``index_backend``.
+    def _make_index(self, clusterer) -> Tuple[Any, IndexCapabilities]:
+        """The lookup index named by ``index_backend``, and its probed surface.
 
         No name-based special cases: every backend is *offered* one superset
         of wiring context — the embedding dimensionality, the fitted cluster
@@ -491,8 +547,7 @@ class FairDS:
         how to feed and query it — see :meth:`_index_add` and
         :meth:`_index_query_batch`.
         """
-        assert self._kmeans is not None
-        centers = np.asarray(self._kmeans.cluster_centers_, dtype=np.float64)
+        centers = np.asarray(clusterer.cluster_centers_, dtype=np.float64)
         factory = component_factory("index", self.index_backend)
         offered = {
             "dim": centers.shape[1],
@@ -503,92 +558,96 @@ class FairDS:
         }
         kwargs = {**filter_supported_kwargs(factory, offered), **self.index_params}
         index = factory(**kwargs)
-        self._index_caps = probe_index_capabilities(index)
-        return index
+        return index, probe_index_capabilities(index)
 
     @property
     def index_capabilities(self) -> Optional[IndexCapabilities]:
         """Probed surface of the current index (``None`` before fit)."""
-        return self._index_caps
+        gen = self._generation
+        return gen.caps if gen is not None else None
 
-    def _index_add(self, keys: List[str], vectors: np.ndarray, cluster_ids: np.ndarray) -> None:
-        assert self._index is not None and self._index_caps is not None
-        if self._index_caps.takes_cluster_ids:
-            self._index.add(keys, vectors, cluster_ids)
+    @staticmethod
+    def _index_add(index, caps: IndexCapabilities, keys: List[str], vectors: np.ndarray,
+                   cluster_ids: np.ndarray) -> None:
+        if caps.takes_cluster_ids:
+            index.add(keys, vectors, cluster_ids)
         else:
-            self._index.add(keys, vectors)
+            index.add(keys, vectors)
 
-    def _index_query_batch(self, vectors: np.ndarray, k: int = 1):
+    def _index_query_batch(self, gen: _Generation, vectors: np.ndarray, k: int = 1):
         """Batched lookup against any backend: one ``query_batch`` call when
         the backend has it, a per-row ``query`` loop otherwise."""
-        assert self._index is not None and self._index_caps is not None
         queries = int(np.atleast_2d(vectors).shape[0])
         with trace_span("index.scan", backend=self.index_backend, queries=queries, k=k):
-            if self._index_caps.supports_query_batch:
-                return self._index.query_batch(vectors, k=k)
-            return [self._index.query(row, k=k) for row in np.atleast_2d(vectors)]
+            if gen.caps.supports_query_batch:
+                return gen.index.query_batch(vectors, k=k)
+            return [gen.index.query(row, k=k) for row in np.atleast_2d(vectors)]
 
     # -- live index knobs --------------------------------------------------------
+    @property
+    def index_supports_n_probe(self) -> bool:
+        """Whether the index has the live ``n_probe`` knob — read off the
+        backend factory before the first fit builds an instance to probe."""
+        gen = self._generation
+        if gen is not None:
+            return gen.caps.supports_n_probe
+        factory = component_factory("index", self.index_backend)
+        return callable(getattr(factory, "set_n_probe", None))
+
     def set_index_n_probe(self, n_probe: int) -> int:
         """Atomically retune the index's ``n_probe`` scan width (no rebuild).
 
         Only supported by backends exposing ``set_n_probe`` (``"ivf"``);
         raises :class:`ConfigurationError` otherwise so a serving knob wired
-        to the wrong backend fails loudly, not silently.
+        to the wrong backend fails loudly, not silently.  Serialised with the
+        writers: a retune during a refresh applies to the generation it
+        publishes, and every later refit carries the value over.
         """
-        if self._index is None or self._index_caps is None:
-            raise NotFittedError("set_index_n_probe() requires fit() first")
-        if not self._index_caps.supports_n_probe:
-            raise ConfigurationError(
-                f"index backend {self.index_backend!r} has no live n_probe knob"
-            )
-        return int(self._index.set_n_probe(n_probe))
+        with self._write_lock:
+            gen = self._live("set_index_n_probe")
+            if not gen.caps.supports_n_probe:
+                raise ConfigurationError(
+                    f"index backend {self.index_backend!r} has no live n_probe knob"
+                )
+            return int(gen.index.set_n_probe(n_probe))
 
     @property
     def index_n_probe(self) -> Optional[int]:
         """The index's current ``n_probe`` (``None`` when not applicable)."""
-        index = self._index
-        n_probe = getattr(index, "n_probe", None) if index is not None else None
+        gen = self._generation
+        n_probe = getattr(gen.index, "n_probe", None) if gen is not None else None
         return int(n_probe) if n_probe is not None else None
 
     def index_stats(self) -> Dict[str, int]:
         """The index's cumulative scan counters (empty when unsupported)."""
-        if self._index is None or self._index_caps is None \
-                or not self._index_caps.supports_scan_stats:
+        gen = self._generation
+        if gen is None or not gen.caps.supports_scan_stats:
             return {}
-        return dict(self._index.scan_stats())
+        return dict(gen.index.scan_stats())
 
-    def _catalog_at(self, coll: Collection, version: int) -> Optional[_SampleCatalog]:
-        """The published catalog, if it describes ``coll`` at ``version``."""
-        catalog = self._catalog
-        if catalog is not None and catalog.collection is coll and catalog.version == version:
-            return catalog
-        return None
+    def _sample_catalog(self, gen: _Generation) -> _SampleCatalog:
+        """The catalog of ``gen``'s store as it is now.
 
-    def _sample_catalog(self) -> _SampleCatalog:
-        """The catalog of the store as it is now.
-
-        The published snapshot is served for as long as it names the current
-        ``Collection`` object at its current write version — so a change made
-        behind fairDS's back (``insert`` / ``update_one`` / ``delete_many`` on
-        the collection, a dropped or re-created collection) is never answered
-        from stale columns.  Otherwise the catalog is rebuilt from
-        ``find()``, its only construction path.
+        The published snapshot is served for as long as it is at the
+        collection's current write version — so a change made behind fairDS's
+        back (``insert`` / ``update_one`` / ``delete_many`` on the collection)
+        is never answered from stale columns.  Otherwise the catalog is
+        rebuilt from ``find()``.
         """
-        coll = self.collection
-        catalog = self._catalog_at(coll, coll.version)
-        if catalog is None:
-            with self._catalog_lock:
+        coll = gen.collection
+        catalog = gen.catalog
+        if catalog.version != coll.version:
+            with self._write_lock:
                 # An ingest or another lookup may have caught up while we waited.
-                catalog = self._catalog_at(coll, coll.version)
-                if catalog is None:
+                catalog = gen.catalog
+                if catalog.version != coll.version:
                     version = coll.version
-                    catalog = _SampleCatalog.of(coll, version, coll.find())
+                    catalog = _SampleCatalog.of(version, coll.find())
                     # A write that raced the read leaves the documents
                     # unattributable to one version: good for this caller, as
                     # find() always was, but not to publish.
                     if coll.version == version:
-                        self._catalog = catalog
+                        gen.catalog = catalog
         return catalog
 
     def ingest(
@@ -597,24 +656,26 @@ class FairDS:
         labels: np.ndarray,
         metadata: Optional[Sequence[Dict]] = None,
     ) -> List[str]:
-        """Add newly labeled data to the store using the existing embedding/clustering."""
-        if not self.is_fitted:
-            raise NotFittedError("fairDS.ingest() requires fit() first")
-        images, labels = self._validate_images_labels(images, np.asarray(labels))
-        embeddings = self._embed(images)
-        cluster_ids = self._kmeans.predict(embeddings)
-        fields = self._sample_fields(labels, embeddings, cluster_ids, metadata)
-        coll = self.collection
-        with self._catalog_lock:
+        """Add newly labeled data to the store using the existing embedding/clustering.
+
+        Waits for a (re)fit in progress and lands in the generation it publishes.
+        """
+        with self._write_lock:
+            gen = self._live("ingest")
+            images, labels = self._validate_images_labels(images, np.asarray(labels))
+            embeddings = self._embed(gen, images)
+            cluster_ids = gen.clusterer.predict(embeddings)
+            fields = self._sample_fields(labels, embeddings, cluster_ids, metadata)
+            coll = gen.collection
             version = coll.version
             ids = coll.insert_many(fields, list(images))
             # Append to the catalog only if it described the collection just
             # before this insert and nothing else was written meanwhile;
             # otherwise it stays behind and the next lookup rebuilds it.
-            catalog = self._catalog_at(coll, version)
-            if catalog is not None and coll.version == version + 1:
-                self._catalog = catalog.extended(version + 1, ids, fields)
-        self._index_add(ids, embeddings, cluster_ids)
+            catalog = gen.catalog
+            if catalog.version == version and coll.version == version + 1:
+                gen.catalog = catalog.extended(version + 1, ids, fields)
+            self._index_add(gen.index, gen.caps, ids, embeddings, cluster_ids)
         return ids
 
     # -- discovery ----------------------------------------------------------------------------
@@ -632,8 +693,11 @@ class FairDS:
         cluster assignments are predicted in a single pass over the
         concatenated rows instead of one ``predict`` call per dataset.
         """
-        if not self.is_fitted:
-            raise NotFittedError("fairDS.dataset_distribution_batch() requires fit() first")
+        return self._distributions(self._live("dataset_distribution_batch"), batches, labels)
+
+    def _distributions(
+        self, gen: _Generation, batches: Sequence[np.ndarray], labels: Optional[Sequence[str]]
+    ) -> List[DatasetDistribution]:
         if labels is not None and len(labels) != len(batches):
             raise ValidationError("labels must match the number of batches")
         if not len(batches):
@@ -644,15 +708,15 @@ class FairDS:
             if images.shape[0] == 0:
                 raise ValidationError("images must be non-empty")
             validated.append(images)
-        embeddings = self._embed_batches(validated)
-        cluster_ids = self._kmeans.predict(np.vstack(embeddings))
+        embeddings = self._embed_batches(gen, validated)
+        cluster_ids = gen.clusterer.predict(np.vstack(embeddings))
         out: List[DatasetDistribution] = []
         start = 0
         for i, emb in enumerate(embeddings):
             label = labels[i] if labels is not None else ""
             out.append(
                 DatasetDistribution.from_cluster_ids(
-                    cluster_ids[start : start + emb.shape[0]], self.n_clusters, label=label
+                    cluster_ids[start : start + emb.shape[0]], gen.clusterer.n_clusters, label=label
                 )
             )
             start += emb.shape[0]
@@ -690,8 +754,7 @@ class FairDS:
         ``n_samples`` may be a single override applied to every dataset, or a
         per-dataset sequence (``None`` entries fall back to the dataset size).
         """
-        if not self.is_fitted:
-            raise NotFittedError("fairDS.lookup() requires fit() first")
+        gen = self._live("lookup")
         if not len(batches):
             return []
         if labels is None:
@@ -709,13 +772,14 @@ class FairDS:
                 raise ValidationError("n_samples must be >= 1")
             n_outs.append(n_out)
 
-        catalog = self._sample_catalog()
+        catalog = self._sample_catalog(gen)
+        n_clusters = gen.clusterer.n_clusters
         if not catalog.cluster_ids.size:
             raise ValidationError("the fairDS store is empty; ingest historical data first")
-        if max(catalog.members) >= self.n_clusters:
+        if max(catalog.members) >= n_clusters:
             raise ValidationError("the store holds a cluster id the fitted clustering does not have")
 
-        distributions = self.dataset_distribution_batch(batches, labels=labels)
+        distributions = self._distributions(gen, batches, labels)
 
         # Everything that can fail has happened above, before any sampler
         # seed is consumed — a rejected batch leaves the lookup counter (and
@@ -740,7 +804,7 @@ class FairDS:
             plans.append((distribution, chosen, chosen_ids, label))
             all_chosen_ids.extend(chosen_ids)
 
-        payloads = catalog.collection.fetch_payloads(all_chosen_ids)
+        payloads = gen.collection.fetch_payloads(all_chosen_ids)
         results: List[LookupResult] = []
         cursor = 0
         for distribution, chosen, chosen_ids, label in plans:
@@ -749,7 +813,7 @@ class FairDS:
             retrieved_images = np.stack([np.asarray(p) for p in batch_payloads])
             retrieved_labels = np.array([catalog.labels[i] for i in chosen], dtype=np.float64)
             retrieved_dist = DatasetDistribution.from_cluster_ids(
-                catalog.cluster_ids[chosen], self.n_clusters, label=f"{label}:retrieved"
+                catalog.cluster_ids[chosen], n_clusters, label=f"{label}:retrieved"
             )
             results.append(
                 LookupResult(
@@ -758,6 +822,7 @@ class FairDS:
                     doc_ids=chosen_ids,
                     input_distribution=distribution,
                     retrieved_distribution=retrieved_dist,
+                    generation=gen.number,
                 )
             )
         return results
@@ -776,15 +841,14 @@ class FairDS:
         in one batched query, and the labels within the threshold fetched in
         one store operation.
         """
-        if not self.is_fitted or self._index is None:
-            raise NotFittedError("fairDS.nearest_labeled() requires fit() first")
+        gen = self._live("nearest_labeled")
         if threshold is None:
             threshold = np.inf
         elif threshold <= 0:
             raise ValidationError("threshold must be positive")
-        embeddings = self._embed(np.asarray(images, dtype=np.float64))
-        hits = [hit for (hit,) in self._index_query_batch(embeddings, k=1)]
-        docs = iter(self.collection.get_many(
+        embeddings = self._embed(gen, np.asarray(images, dtype=np.float64))
+        hits = [hit for (hit,) in self._index_query_batch(gen, embeddings, k=1)]
+        docs = iter(gen.collection.get_many(
             [doc_id for doc_id, dist in hits if dist < threshold]))
         return [
             (np.asarray(next(docs)["label"], dtype=np.float64), dist)
@@ -814,13 +878,12 @@ class FairDS:
         Embeddings come from the shared LRU cache where possible, and the
         fuzzy memberships of all datasets are computed in a single pass.
         """
-        if not self.is_fitted:
-            raise NotFittedError("fairDS.certainty_batch() requires fit() first")
+        gen = self._live("certainty_batch")
         embeddings = self._embed_batches(
-            [np.asarray(images, dtype=np.float64) for images in batches]
+            gen, [np.asarray(images, dtype=np.float64) for images in batches]
         )
         return assignment_certainty_batch(
-            embeddings, self._kmeans.cluster_centers_, m=fuzzifier, confidence=confidence
+            embeddings, gen.clusterer.cluster_centers_, m=fuzzifier, confidence=confidence
         )
 
     def refresh(self, embedder_kwargs: Optional[Dict] = None) -> "FairDS":
@@ -829,23 +892,25 @@ class FairDS:
         This is the system-plane action fired by the uncertainty trigger: all
         stored samples are re-embedded, the clustering is re-fit, every
         document's embedding/cluster fields are rewritten (under new ids, in a
-        new collection), and the lookup index rebuilt.  Payloads are decoded
-        once, for the embedder; the documents keep their encoded blobs as they
-        are.
+        new collection), and the lookup index rebuilt — all of it aside, as
+        the next generation, while reads keep answering from this one; a
+        refresh that raises leaves this one published, and may be retried.
+        Payloads are decoded once, for the embedder; the documents keep their
+        encoded blobs as they are.
         """
-        if not self.is_fitted:
-            raise NotFittedError("fairDS.refresh() requires fit() first")
-        with trace_span("fairds.refresh"):
-            with trace_span("refresh.read"):
-                coll = self.collection
-                docs = coll.find()
-                if not docs:
-                    raise ValidationError("cannot refresh an empty store")
-                images, labels = self._validate_images_labels(
-                    np.stack(coll.fetch_payloads([d.id for d in docs])),
-                    np.array([d["label"] for d in docs], dtype=np.float64),
-                )
-                kept = [
-                    {k: v for k, v in d.items() if k not in _REFIT_FIELDS} for d in docs
-                ]
-            return self._rebuild(images, labels, kept, None, embedder_kwargs)
+        with self._write_lock:
+            gen = self._live("refresh")
+            with trace_span("fairds.refresh"):
+                with trace_span("refresh.read"):
+                    coll = gen.collection
+                    docs = coll.find()
+                    if not docs:
+                        raise ValidationError("cannot refresh an empty store")
+                    images, labels = self._validate_images_labels(
+                        np.stack(coll.fetch_payloads([d.id for d in docs])),
+                        np.array([d["label"] for d in docs], dtype=np.float64),
+                    )
+                    kept = [
+                        {k: v for k, v in d.items() if k not in _REFIT_FIELDS} for d in docs
+                    ]
+                return self._rebuild(images, labels, kept, None, embedder_kwargs)

@@ -17,18 +17,16 @@ import threading
 import time
 import weakref
 from collections import Counter, deque
+from functools import partial
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.fairdms import FairDMS, ModelUpdateReport
+from repro.core.fairds import FairDS
 from repro.monitoring.triggers import ThresholdTrigger
 from repro.serving import BatchingPolicy, ServingRuntime, ServingTelemetry
-from repro.utils.errors import ConfigurationError
-from repro.utils.logging import get_logger
-
-logger = get_logger("repro.core.planes")
 
 #: How many recent :class:`PlaneActivity` entries ``FairDMSService.activity``
 #: keeps; the per-function counts of ``activity_summary`` are kept separately
@@ -46,35 +44,17 @@ def lookup_payload(result) -> Dict[str, Any]:
         "labels": result.labels,
         "doc_ids": result.doc_ids,
         "distribution": result.input_distribution.as_dict(),
+        "generation": result.generation,
     }
 
 
-def split_lookup_payloads(
-    payloads: Sequence[Union[np.ndarray, Tuple[np.ndarray, Optional[int]]]],
-) -> Tuple[List[np.ndarray], List[Optional[int]]]:
-    """Unpack ``"lookup_labeled_data"`` serving payloads — each an images
-    array, or an ``(images, n_samples)`` tuple — into parallel batch lists."""
-    batches: List[np.ndarray] = []
-    n_samples: List[Optional[int]] = []
-    for payload in payloads:
-        images, n = payload if isinstance(payload, tuple) else (payload, None)
-        batches.append(images)
-        n_samples.append(n)
-    return batches, n_samples
-
-
-def split_nearest_payloads(
-    payloads: Sequence[Union[np.ndarray, Tuple[np.ndarray, Optional[float]]]],
-) -> Tuple[List[np.ndarray], List[Optional[float]]]:
-    """Unpack ``"nearest_labeled"`` serving payloads — each one sample, or a
-    ``(sample, threshold)`` tuple — into parallel sample/threshold lists."""
-    images: List[np.ndarray] = []
-    thresholds: List[Optional[float]] = []
-    for payload in payloads:
-        image, threshold = payload if isinstance(payload, tuple) else (payload, None)
-        images.append(np.asarray(image, dtype=np.float64))
-        thresholds.append(None if threshold is None else float(threshold))
-    return images, thresholds
+def _split_pairs(payloads: Sequence[Any]) -> Tuple[List[Any], List[Any]]:
+    """Unpack serving payloads that are each a value or a ``(value, option)``
+    tuple — ``(images, n_samples)`` for ``"lookup_labeled_data"``, ``(sample,
+    threshold)`` for ``"nearest_labeled"`` — into parallel value / option
+    lists (``None`` where a request set no option)."""
+    pairs = [payload if isinstance(payload, tuple) else (payload, None) for payload in payloads]
+    return [value for value, _ in pairs], [option for _, option in pairs]
 
 
 def nearest_hits_payload(
@@ -97,6 +77,50 @@ def nearest_hits_payload(
             "within": bool(within),
         })
     return out
+
+
+def data_plane_handlers(fairds: FairDS) -> Dict[str, Callable[[List[Any]], Sequence[Any]]]:
+    """The serving op table: one batch handler per data-plane operation,
+    straight off ``fairds``.  A model-less ``Deployment`` serves it as it is;
+    :meth:`FairDMSService.serving_handlers` adds the activity record."""
+
+    def query_distribution(payloads: List[Any]) -> List[Dict[str, Any]]:
+        return [d.as_dict() for d in fairds.dataset_distribution_batch(list(payloads))]
+
+    def lookup(payloads: List[Any]) -> List[Dict[str, Any]]:
+        batches, n_samples = _split_pairs(payloads)
+        return [lookup_payload(r) for r in fairds.lookup_batch(batches, n_samples=n_samples)]
+
+    def nearest(payloads: List[Any]) -> List[Dict[str, Any]]:
+        # The whole micro-batch resolves in a single index probe; thresholds
+        # apply per-request afterwards.
+        images, thresholds = _split_pairs(payloads)
+        hits = fairds.nearest_labeled(np.stack(images), threshold=None)
+        return nearest_hits_payload(hits, thresholds)
+
+    def certainty(payloads: List[Any]) -> List[float]:
+        return fairds.certainty_batch(list(payloads))
+
+    return {
+        "query_distribution": query_distribution,
+        "lookup_labeled_data": lookup,
+        "nearest_labeled": nearest,
+        "certainty": certainty,
+    }
+
+
+def wire_index_controls(fairds: FairDS, runtime: ServingRuntime) -> ServingRuntime:
+    """Expose the vector index's live controls on ``runtime``: the ``n_probe``
+    retuning knob (when the backend has one) and an ``"index_scan"`` stats
+    provider so per-partition scan counters appear in every telemetry
+    snapshot.  Both resolve against the published generation at call time,
+    so they follow the index across refreshes."""
+    if fairds.index_supports_n_probe:
+        runtime.register_knob(
+            "n_probe", fairds.set_index_n_probe, getter=lambda: fairds.index_n_probe
+        )
+    runtime.register_stats_provider("index_scan", fairds.index_stats)
+    return runtime
 
 
 @dataclass
@@ -125,6 +149,13 @@ class FairDMSService:
 
     USER_PLANE = "user"
     SYSTEM_PLANE = "system"
+    #: The plane function each serving operation's micro-batch is logged as.
+    _SERVING_ACTIVITY = {
+        "query_distribution": (USER_PLANE, "query_distribution_batch"),
+        "lookup_labeled_data": (USER_PLANE, "lookup_labeled_data_batch"),
+        "nearest_labeled": (USER_PLANE, "nearest_labeled"),
+        "certainty": (SYSTEM_PLANE, "certainty_batch"),
+    }
 
     def __init__(self, dms: FairDMS, auto_system_plane: bool = True):
         self.dms = dms
@@ -138,10 +169,6 @@ class FairDMSService:
         # Serving runtimes wired to this service (weakly held, so an
         # abandoned runtime does not pin the service's telemetry forever).
         self._runtimes: "weakref.WeakSet[ServingRuntime]" = weakref.WeakSet()
-        self._register_plane_functions()
-
-    # -- registration --------------------------------------------------------------
-    def _register_plane_functions(self) -> None:
         self._functions: Dict[str, Callable[..., Any]] = {
             # user plane
             "query_distribution": self._fn_query_distribution,
@@ -161,8 +188,7 @@ class FairDMSService:
 
     # -- plane function bodies ---------------------------------------------------------
     def _fn_query_distribution(self, images: np.ndarray, label: str = "") -> Dict[str, Any]:
-        dist = self.dms.fairds.dataset_distribution(images, label=label)
-        return dist.as_dict()
+        return self._fn_query_distribution_batch([images], label)[0]
 
     def _fn_query_distribution_batch(self, batches: List[np.ndarray], label: str = "") -> List[Dict[str, Any]]:
         dists = self.dms.fairds.dataset_distribution_batch(batches, labels=[label] * len(batches))
@@ -207,12 +233,13 @@ class FairDMSService:
             self.activity.append(entry)
             self._activity_counts[f"{entry.plane}:{entry.function}"] += 1
 
-    def _invoke(self, plane: str, name: str, *args, **kwargs):
-        """Call plane function ``name`` on this thread and log the invocation."""
+    def _invoke(self, plane: str, name: str, *args, function: Optional[Callable[..., Any]] = None):
+        """Call plane function ``name`` (or ``function`` under that name) on
+        this thread and log the invocation."""
         start = time.perf_counter()
         succeeded = False
         try:
-            result = self._functions[name](*args, **kwargs)
+            result = (function or self._functions[name])(*args)
             succeeded = True
             return result
         finally:
@@ -303,8 +330,9 @@ class FairDMSService:
         serving this service's interactive single-request operations.
 
         Concurrent clients submit *single* requests; each micro-batch a worker
-        takes lands on the corresponding ``*_batch`` plane function (one activity-log entry and
-        one plane-function call per micro-batch, not per request).  Payloads:
+        takes is answered by :func:`data_plane_handlers` and logged as the
+        corresponding ``*_batch`` plane function (one call and one activity-log
+        entry per micro-batch, not per request).  Payloads:
 
         * ``"query_distribution"`` — an images array; resolves to the
           distribution dict of :meth:`query_distribution` (user plane).
@@ -332,69 +360,27 @@ class FairDMSService:
             policy=policy,
             num_workers=num_workers,
             telemetry=telemetry,
-            observers=self.serving_observers(certainty_trigger),
+            observers=(
+                {"certainty": certainty_trigger.observe_many} if certainty_trigger is not None else None
+            ),
         )
-        self.wire_index_controls(runtime)
-        return self.track_runtime(runtime)
+        return self.track_runtime(wire_index_controls(self.dms.fairds, runtime))
 
     def serving_handlers(self) -> Dict[str, Callable[[List[Any]], Sequence[Any]]]:
-        """The batch handlers :meth:`serving_runtime` wires, exposed so a
-        facade can compose them with additional operations (e.g. the
-        ``Deployment`` facade adds a hot-swappable ``"predict"``) into one
+        """The batch handlers :meth:`serving_runtime` wires —
+        :func:`data_plane_handlers`, each logged as its plane function —
+        exposed so a facade can compose them with additional operations (e.g.
+        the ``Deployment`` facade adds a hot-swappable ``"predict"``) into one
         :class:`~repro.serving.runtime.ServingRuntime`."""
         return {
-            "query_distribution": lambda payloads: self.query_distribution_batch(list(payloads)),
-            "lookup_labeled_data": self._serve_lookup_batch,
-            "nearest_labeled": self._serve_nearest_batch,
-            "certainty": lambda payloads: self.certainty_batch(list(payloads)),
+            op: partial(self._invoke, *self._SERVING_ACTIVITY[op], function=handler)
+            for op, handler in data_plane_handlers(self.dms.fairds).items()
         }
-
-    def serving_observers(
-        self, certainty_trigger: Optional[ThresholdTrigger] = None
-    ) -> Dict[str, Callable[[List[Any]], Any]]:
-        """Arrival-order observers matching :meth:`serving_handlers`."""
-        observers: Dict[str, Callable[[List[Any]], Any]] = {}
-        if certainty_trigger is not None:
-            observers["certainty"] = certainty_trigger.observe_many
-        return observers
 
     def track_runtime(self, runtime: ServingRuntime) -> ServingRuntime:
         """Register ``runtime`` as serving this service, so its completion
         counts surface in :meth:`activity_summary` (one telemetry source)."""
         self._runtimes.add(runtime)
-        return runtime
-
-    def _serve_lookup_batch(
-        self, payloads: Sequence[Union[np.ndarray, Tuple[np.ndarray, Optional[int]]]]
-    ) -> List[Dict[str, Any]]:
-        """Batch handler for ``"lookup_labeled_data"`` serving requests."""
-        batches, n_samples = split_lookup_payloads(payloads)
-        return self.lookup_labeled_data_batch(batches, n_samples=n_samples)
-
-    def _serve_nearest_batch(
-        self, payloads: Sequence[Union[np.ndarray, Tuple[np.ndarray, Optional[float]]]]
-    ) -> List[Dict[str, Any]]:
-        """Batch handler for ``"nearest_labeled"`` serving requests: each
-        payload is one sample, or a ``(sample, threshold)`` tuple.  The whole
-        micro-batch resolves in a single index probe; thresholds apply
-        per-request afterwards."""
-        images, thresholds = split_nearest_payloads(payloads)
-        return self.nearest_labeled(np.stack(images), thresholds=thresholds)
-
-    def wire_index_controls(self, runtime: ServingRuntime) -> ServingRuntime:
-        """Expose the vector index's live controls on ``runtime``: the
-        ``n_probe`` retuning knob (when the fitted backend supports it) and
-        an ``"index_scan"`` stats provider so per-partition scan counters
-        appear in every telemetry snapshot."""
-        fairds = self.dms.fairds
-        caps = fairds.index_capabilities
-        if caps is not None and caps.supports_n_probe:
-            runtime.register_knob(
-                "n_probe",
-                fairds.set_index_n_probe,
-                getter=lambda: fairds.index_n_probe,
-            )
-        runtime.register_stats_provider("index_scan", fairds.index_stats)
         return runtime
 
     # -- introspection ----------------------------------------------------------------------

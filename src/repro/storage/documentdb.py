@@ -361,11 +361,22 @@ class DocumentDB:
 
     def collection(self, name: str) -> Collection:
         """Get (creating if needed) the collection called ``name``."""
+        existing = self._collections.get(name)
+        return existing if existing is not None else self.install(self.detached_collection(name))
+
+    def detached_collection(self, name: str) -> Collection:
+        """A new, empty collection called ``name`` that this database does
+        not serve yet: it can be filled aside while :meth:`collection` keeps
+        answering with the current one, then handed to :meth:`install`."""
         if not name:
             raise ConfigurationError("collection name must be non-empty")
-        if name not in self._collections:
-            self._collections[name] = Collection(name, self.codec, self.network, ReadWriteLock())
-        return self._collections[name]
+        return Collection(name, self.codec, self.network, ReadWriteLock())
+
+    def install(self, collection: Collection) -> Collection:
+        """Serve ``collection`` under its name, in place of whichever one held
+        it: one dict assignment, so no reader finds the name unbound."""
+        self._collections[collection.name] = collection
+        return collection
 
     def drop_collection(self, name: str) -> None:
         self._collections.pop(name, None)

@@ -86,9 +86,14 @@ class VectorIndex:
         self._keys: List[str] = []
         self._key_rows: Dict[str, int] = {}
         self._keys_cache: Optional[Tuple[str, ...]] = None
-        # (float64 mirror, its squared row norms): published and invalidated as
-        # one reference, so no reader scores a mirror against other norms.
-        self._mirror: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (write count it was computed at, float64 mirror, its squared row
+        # norms): published as one reference, so no reader scores a mirror
+        # against other norms, and served only while ``_writes`` still equals
+        # its count.  Every write bumps ``_writes`` *last*, so a mirror a
+        # reader computed across a write — whenever it gets stored — carries
+        # a count the finished write has made stale.
+        self._mirror: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._writes = 0
 
     def __len__(self) -> int:
         return self._size
@@ -153,7 +158,6 @@ class VectorIndex:
                 overwrite_src.append(src)
         if overwrite_rows:
             self._data[np.asarray(overwrite_rows)] = vectors[np.asarray(overwrite_src)]
-            self._mirror = None
         if fresh_keys:
             n = len(fresh_keys)
             self._data = grown(self._data, self._size, self._size + n)
@@ -162,10 +166,10 @@ class VectorIndex:
             for offset, key in enumerate(fresh_keys):
                 self._key_rows[key] = self._size + offset
             # Invalidate before publishing the new size so a concurrent query
-            # never pairs the stale mirror (or keys view) with the grown size.
+            # never pairs the stale keys view with the grown size.
             self._keys_cache = None
-            self._mirror = None
             self._size += n
+        self._writes += 1
 
     def discard(self, keys: Sequence[str]) -> List[Tuple[int, int]]:
         """Remove ``keys`` (absent keys are ignored) by swap-with-last.
@@ -189,9 +193,9 @@ class VectorIndex:
                 self._key_rows[moved_key] = row
             self._keys.pop()
             self._keys_cache = None
-            self._mirror = None
             self._size = last
             moves.append((row, last))
+        self._writes += 1
         return moves
 
     # -- reads -----------------------------------------------------------------
@@ -203,14 +207,15 @@ class VectorIndex:
         ``(B, dim)``, ``queries_sq`` its squared row norms if already known.
         """
         # One local snapshot, so a concurrent add() (system-plane ingest racing
-        # a user-plane lookup) never pairs a stale mirror with a newer size.
-        pair = self._mirror
-        if pair is None or pair[0].shape[0] != self._size:
+        # a user-plane lookup) never pairs a mirror with other norms or sizes.
+        mirror = self._mirror
+        writes = self._writes
+        if mirror is None or mirror[0] != writes:
             matrix = np.asarray(self._data[: self._size], dtype=np.float64)
-            pair = (matrix, np.sum(matrix * matrix, axis=1))
+            mirror = (writes, matrix, np.sum(matrix * matrix, axis=1))
             if self.cache_query_matrix:
-                self._mirror = pair
-        matrix, matrix_sq = pair
+                self._mirror = mirror
+        _, matrix, matrix_sq = mirror
         if queries_sq is None:
             queries_sq = np.sum(queries * queries, axis=1)
         d2 = queries_sq[:, None] + matrix_sq[None, :] - 2.0 * (queries @ matrix.T)

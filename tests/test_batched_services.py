@@ -96,9 +96,9 @@ def test_index_dtype_is_configurable():
     images, labels = _data()
     fairds = FairDS(PCAEmbedder(embedding_dim=6), n_clusters=5, seed=0, index_dtype=np.float64)
     fairds.fit(images, labels)
-    assert fairds._index.dtype == np.float64
+    assert fairds._generation.index.dtype == np.float64
     default = _fitted_fairds()
-    assert default._index.dtype == np.float32
+    assert default._generation.index.dtype == np.float32
 
 
 def test_lookup_batch_validation():
@@ -149,6 +149,7 @@ def test_embedding_cache_skips_repeated_samples():
     fairds.fit(images, labels)
     probe = _batches(n_batches=1)[0]
 
+    embedder = fairds.embedder  # the fitted copy; the constructor's instance is the template
     first = fairds.dataset_distribution(probe)
     seen = embedder.samples_transformed
     second = fairds.dataset_distribution(probe)
@@ -170,10 +171,11 @@ def test_embedding_cache_cleared_on_refit():
     fairds.fit(images, labels)
     probe = _batches(n_batches=1)[0]
     fairds.dataset_distribution(probe)
-    fairds.refresh()  # retrains the embedder -> cached embeddings are stale
-    seen = embedder.samples_transformed
+    fairds.refresh()  # a new generation: new embedder, empty cache of its own
+    seen = fairds.embedder.samples_transformed
     fairds.dataset_distribution(probe)
-    assert embedder.samples_transformed == seen + probe.shape[0]
+    assert fairds.embedder.samples_transformed == seen + probe.shape[0]
+    assert embedder.samples_transformed == 0  # the template is never fitted or called
 
 
 def test_embedding_cache_handles_flat_single_sample():
@@ -193,32 +195,12 @@ def test_embedding_cache_handles_flat_single_sample():
     np.testing.assert_array_equal(cached_ds.dataset_distribution(flat_sample).pdf, with_cache.pdf)
 
 
-def test_embedding_cache_generation_fences_stale_entries():
-    """An embedding computed against an old representation (e.g. put by a
-    thread racing a refresh) must never be served after a refit."""
-    from repro.utils.cache import row_digests
-
-    images, labels = _data()
-    embedder = _CountingEmbedder(embedding_dim=6)
-    fairds = FairDS(embedder, n_clusters=5, seed=0)
-    fairds.fit(images, labels)
-    probe = _batches(n_batches=1)[0]
-    stale_generation = fairds._embed_generation
-    fairds.refresh()
-    # Simulate the racing thread: stale-generation entries land after the clear.
-    for digest in row_digests(np.asarray(probe, dtype=np.float64)):
-        fairds._embed_cache.put((stale_generation, digest), np.zeros(6))
-    seen = embedder.samples_transformed
-    embeddings = fairds._embed(probe)
-    assert embedder.samples_transformed == seen + probe.shape[0]  # all misses
-    assert not np.allclose(embeddings, 0.0)  # the poisoned entries were never read
-
-
 def test_embedding_cache_can_be_disabled():
     images, labels = _data()
     embedder = _CountingEmbedder(embedding_dim=6)
     fairds = FairDS(embedder, n_clusters=5, seed=0, embedding_cache_size=0)
     fairds.fit(images, labels)
+    embedder = fairds.embedder
     probe = _batches(n_batches=1)[0]
     fairds.dataset_distribution(probe)
     seen = embedder.samples_transformed

@@ -325,6 +325,20 @@ def test_db_collection_management():
         db.collection("")
 
 
+def test_detached_collection_is_served_only_once_installed():
+    db = DocumentDB()
+    served = db.collection("a")
+    served.insert_one({"k": 1})
+    aside = db.detached_collection("a")
+    aside.insert_many([{"k": 2}, {"k": 3}])
+    assert db.collection("a") is served and db.collection_names() == ["a"]
+    assert db.install(aside) is aside
+    assert db.collection("a") is aside and db.collection_names() == ["a"]
+    assert served.count() == 1 and aside.count() == 2  # the old one is merely unserved
+    with pytest.raises(ConfigurationError):
+        db.detached_collection("")
+
+
 def test_network_model_latency_slows_fetches():
     fast_db = DocumentDB(network=NetworkModel.local())
     slow_db = DocumentDB(network=NetworkModel(latency_s=0.002))
@@ -556,6 +570,28 @@ def test_clustered_upsert_that_changes_cluster_leaves_one_row():
     np.testing.assert_allclose([d for _, d in hits],
                                [np.hypot(0.2, 0.2), np.hypot(0.5, 0.5), np.hypot(8.5, 8.5)],
                                rtol=1e-6)
+
+
+def test_mirror_computed_across_an_overwrite_is_never_served(monkeypatch):
+    """A reader that built its float64 mirror before an overwriting ``add``
+    and stores it after must not have published it: same size, old vector."""
+    index = VectorIndex(dim=2)
+    index.add(["a", "b"], [[0.0, 0.0], [10.0, 10.0]])
+    real_sum, raced = np.sum, []
+
+    def sum_then_overwrite(*args, **kwargs):
+        out = real_sum(*args, **kwargs)
+        if not raced:  # the writer runs between the reader's compute and its publish
+            raced.append(True)
+            index.add(["a"], [[10.0, 0.0]])
+        return out
+
+    monkeypatch.setattr(np, "sum", sum_then_overwrite)
+    index.query_batch([[0.0, 0.0]])  # good for this caller, whichever vector it saw
+    monkeypatch.undo()
+    assert raced
+    ((key, distance),) = index.query([9.0, 0.0])
+    assert (key, distance) == ("a", pytest.approx(1.0))
 
 
 # -- Collection.upsert_one -----------------------------------------------------------
