@@ -92,8 +92,8 @@ class KMeans:
         np.maximum(nearest_d2, 0.0, out=nearest_d2)
         return labels, nearest_d2
 
-    def _single_run(self, x: np.ndarray, xt: np.ndarray, x_sq: np.ndarray, rng: np.random.Generator):
-        centers = self._kmeanspp_init(x, self.n_clusters, rng)
+    def _lloyd(self, x: np.ndarray, xt: np.ndarray, x_sq: np.ndarray, centers: np.ndarray):
+        """Lloyd's iterations from ``centers`` (updated in place) to convergence."""
         prev_inertia = np.inf
         n_iter = self.max_iter
         for iteration in range(1, self.max_iter + 1):
@@ -118,7 +118,11 @@ class KMeans:
         return centers, labels, float(nearest_d2.sum()), n_iter
 
     # -- public API ---------------------------------------------------------------
-    def fit(self, x: np.ndarray) -> "KMeans":
+    def fit(self, x: np.ndarray, init: Optional[np.ndarray] = None) -> "KMeans":
+        """Cluster ``x``: the best of ``n_init`` k-means++ starts — or, given
+        ``init`` (``n_clusters`` centres, e.g. from an earlier fit of much the
+        same data), the one Lloyd run from them: no seeding, no restarts, and
+        cluster ``i`` is the cluster that grew from ``init[i]``."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValidationError("expected 2-D input (n_samples, n_features)")
@@ -126,15 +130,24 @@ class KMeans:
             raise ValidationError(
                 f"need at least n_clusters={self.n_clusters} samples, got {x.shape[0]}"
             )
-        rng = default_rng(self.seed)
-        # Every Lloyd iteration of every restart reads these two.
+        if init is None:
+            rng = default_rng(self.seed)
+            starts = (self._kmeanspp_init(x, self.n_clusters, rng) for _ in range(self.n_init))
+        else:
+            init = np.array(init, dtype=np.float64)  # a copy: Lloyd moves it
+            if init.shape != (self.n_clusters, x.shape[1]):
+                raise ValidationError(
+                    f"init must have shape {(self.n_clusters, x.shape[1])}, got {init.shape}"
+                )
+            starts = (init,)
+        # Every Lloyd iteration of every start reads these two.
         xt = np.ascontiguousarray(x.T)
         x_sq = np.einsum("jn,jn->n", xt, xt)
         best = None
-        for _ in range(self.n_init):
-            centers, labels, inertia, n_iter = self._single_run(x, xt, x_sq, rng)
-            if best is None or inertia < best[2]:
-                best = (centers, labels, inertia, n_iter)
+        for centers in starts:
+            run = self._lloyd(x, xt, x_sq, centers)
+            if best is None or run[2] < best[2]:
+                best = run
         assert best is not None
         self.cluster_centers_, self.labels_, self.inertia_, self.n_iter_ = best
         return self
@@ -149,9 +162,6 @@ class KMeans:
                 f"expected {self.cluster_centers_.shape[1]} features, got {x.shape[1]}"
             )
         return np.argmin(pairwise_squared_distances(x, self.cluster_centers_), axis=1)
-
-    def fit_predict(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).labels_
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """Distances from each sample to every cluster centre."""

@@ -48,6 +48,7 @@ from repro.core.distribution import DatasetDistribution
 from repro.dataio.sampler import WeightedClusterSampler, cluster_members
 from repro.embedding.base import Embedder
 from repro.observability.tracing import current_span, trace_span
+from repro.storage.document import new_object_ids
 from repro.storage.documentdb import Collection, DocumentDB
 from repro.storage.capabilities import IndexCapabilities, probe_index_capabilities
 from repro.utils.cache import LRUCache, row_digests
@@ -56,10 +57,6 @@ from repro.utils.rng import SeedLike, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.executor import Executor
-
-#: Document fields every (re)fit sets afresh; a refresh carries all other
-#: fields of a stored sample over, its encoded payload included.
-_REFIT_FIELDS = frozenset({"_id", "label", "embedding", "cluster_id"})
 
 
 # -- process-executor worker functions (module-level: pickled by reference) ----
@@ -142,22 +139,21 @@ class _SampleCatalog(NamedTuple):
     member_columns: Dict[int, _IntColumn]
 
     @classmethod
-    def of(cls, version: int, docs: Sequence[Mapping[str, Any]]) -> "_SampleCatalog":
-        """The catalog of ``docs``, which are the collection's ``find()`` at ``version``."""
-        empty = cls(version, [], [], np.empty(0, dtype=np.intp), {}, _IntColumn(), {})
-        return empty.extended(version, [d["_id"] for d in docs], docs)
+    def empty(cls, version: int) -> "_SampleCatalog":
+        """The catalog of a collection that holds no document at ``version``."""
+        return cls(version, [], [], np.empty(0, dtype=np.intp), {}, _IntColumn(), {})
 
     def extended(
-        self, version: int, doc_ids: Sequence[str], fields: Sequence[Mapping[str, Any]]
+        self, version: int, doc_ids: Sequence[str], labels: Sequence[Any], cluster_ids: np.ndarray
     ) -> "_SampleCatalog":
-        """The snapshot after documents ``doc_ids`` carrying ``fields`` were
-        appended to the collection, in O(batch + clusters).
+        """The snapshot after documents ``doc_ids`` with these labels and
+        cluster ids were appended to the collection, in O(batch + clusters).
 
         Consumes ``self``: the shared lists and columns grow in place (beyond
         what ``self`` and older snapshots read), so only the newest snapshot
         may be extended, by one thread at a time.
         """
-        added = np.array([f["cluster_id"] for f in fields], dtype=np.intp)
+        added = np.asarray(cluster_ids, dtype=np.intp)
         first_row = self.cluster_ids.size
         members = dict(self.members)
         for c, rows in cluster_members(added).items():
@@ -166,7 +162,7 @@ class _SampleCatalog(NamedTuple):
                 column = self.member_columns[c] = _IntColumn()
             members[c] = column.append(rows + first_row)
         self.doc_ids.extend(doc_ids)
-        self.labels.extend(f["label"] for f in fields)
+        self.labels.extend(labels)
         return self._replace(
             version=version, cluster_ids=self.cluster_column.append(added), members=members
         )
@@ -426,15 +422,17 @@ class FairDS:
         if metadata is not None and len(metadata) != images.shape[0]:
             raise ValidationError("metadata must match the number of images")
         with self._write_lock, trace_span("fairds.fit"):
-            return self._rebuild(images, labels, metadata, list(images), embedder_kwargs)
+            return self._rebuild(
+                images, self._labelled(labels, metadata), list(images), embedder_kwargs
+            )
 
     def _rebuild(
         self,
         images: np.ndarray,
-        labels: np.ndarray,
-        metadata: Optional[Sequence[Mapping[str, Any]]],
+        carried: Sequence[Mapping[str, Any]],
         payloads: Optional[List[np.ndarray]],
         embedder_kwargs: Optional[Dict],
+        carried_clusters: Optional[np.ndarray] = None,
     ) -> "FairDS":
         """Build the next generation from ``images`` and publish it.
 
@@ -442,10 +440,20 @@ class FairDS:
         clusterer, a detached collection, a new index — and nothing of the
         published generation is touched, so readers keep answering from it
         and a raise anywhere before the last statements costs nothing.  Caller
-        holds the writer lock.  ``payloads`` are what the collection encodes
-        as the samples' payloads; ``None`` when every ``metadata`` entry
-        already carries its sample's encoded ``payload`` / ``payload_bytes``
-        fields (a refresh).
+        holds the writer lock.  ``carried[i]`` holds the fields sample ``i``
+        keeps (:meth:`_write_samples`); ``payloads`` are what the collection
+        encodes as the samples' payloads, ``None`` at a refresh, whose carried
+        documents hold theirs encoded.
+
+        ``carried_clusters`` — the cluster ids generation N gave these
+        samples; a refresh passes them, a :meth:`fit` is always cold — warm-
+        start the clustering when the refit keeps N's cluster count, none of
+        N's clusters is empty and the registered clusterer's ``fit`` takes
+        ``init``.  Lloyd then starts from the per-cluster means of the *new*
+        embeddings grouped by the old ids (N's partition, not N's centres: a
+        rotated or sign-flipped embedding space cannot misplace one), so
+        cluster ``i`` of N+1 grew from cluster ``i`` of N and the ids every
+        Zoo record's cluster PDF is written in keep their meaning.
         """
         prev = self._generation
         with trace_span("embedder.fit"):
@@ -456,7 +464,7 @@ class FairDS:
         with trace_span("embedder.transform"):
             embeddings = _transform64(embedder, images)
 
-        with trace_span("clustering.fit"):
+        with trace_span("clustering.fit") as span:
             if self._requested_clusters == "auto":
                 k_max = min(self.max_auto_clusters, embeddings.shape[0])
                 k, _ = select_k_elbow(embeddings, k_min=2, k_max=k_max, seed=derive_seed(self.seed, 1))
@@ -466,14 +474,27 @@ class FairDS:
                 raise ValidationError(
                     f"need at least n_clusters={k} samples to fit fairDS, got {embeddings.shape[0]}"
                 )
-            clusterer = self._make_clusterer(k).fit(embeddings)
-            cluster_ids = clusterer.labels_
+            clusterer = self._make_clusterer(k)
+            start: Dict[str, Any] = {}
+            if carried_clusters is not None and k == prev.clusterer.n_clusters:
+                counts = np.bincount(carried_clusters, minlength=k)
+                if counts.size == k and counts.all():
+                    sums = [np.bincount(carried_clusters, weights=column, minlength=k)
+                            for column in embeddings.T]
+                    start = filter_supported_kwargs(
+                        clusterer.fit, {"init": np.stack(sums, axis=1) / counts[:, None]}
+                    )
+            clusterer.fit(embeddings, **start)
+            cluster_ids = np.asarray(clusterer.labels_, dtype=np.intp)
+            if span is not None:
+                span.set_attribute("warm_start", bool(start))
+                span.set_attribute("lloyd_iterations", getattr(clusterer, "n_iter_", None))
 
         with trace_span("store.write"):
             coll = self.db.detached_collection(self.collection_name)
             coll.create_index("cluster_id")
-            ids = coll.insert_many(
-                self._sample_fields(labels, embeddings, cluster_ids, metadata), payloads
+            ids, catalog = self._write_samples(
+                coll, _SampleCatalog.empty(coll.version), carried, embeddings, cluster_ids, payloads
             )
         with trace_span("index.build"):
             index, caps = self._make_index(clusterer)
@@ -481,7 +502,6 @@ class FairDS:
             if n_probe is not None and caps.supports_n_probe:
                 index.set_n_probe(n_probe)  # a live retune outlives the refit
             self._index_add(index, caps, ids, embeddings, cluster_ids)
-            catalog = _SampleCatalog.of(coll.version, coll.find())
         gen = _Generation(
             prev.number + 1 if prev is not None else 1, embedder,
             LRUCache(self.embedding_cache_size), clusterer, coll, index, caps, catalog,
@@ -498,25 +518,48 @@ class FairDS:
         return self
 
     @staticmethod
-    def _sample_fields(
-        labels: np.ndarray,
+    def _labelled(
+        labels: np.ndarray, metadata: Optional[Sequence[Mapping[str, Any]]]
+    ) -> List[Dict[str, Any]]:
+        """What a newly labelled sample brings to its document: label and metadata."""
+        if metadata is None:
+            return [{"label": label} for label in labels.tolist()]
+        return [{"label": label, **extra} for label, extra in zip(labels.tolist(), metadata)]
+
+    @staticmethod
+    def _write_samples(
+        coll: Collection,
+        catalog: _SampleCatalog,
+        carried: Sequence[Mapping[str, Any]],
         embeddings: np.ndarray,
         cluster_ids: np.ndarray,
-        metadata: Optional[Sequence[Mapping[str, Any]]],
-    ) -> List[Dict[str, Any]]:
-        """The document fields of each sample, payload aside."""
-        fields = [
-            {"label": label, "embedding": embedding, "cluster_id": cluster_id}
-            for label, embedding, cluster_id in zip(
-                labels.tolist(),
-                embeddings.tolist(),
-                np.asarray(cluster_ids, dtype=np.intp).tolist(),
+        payloads: Optional[List[np.ndarray]],
+    ) -> Tuple[List[str], _SampleCatalog]:
+        """Append one document per sample to ``coll``: the only writer of samples.
+
+        A document is its sample's ``carried`` fields by reference — label and
+        metadata, or at a refresh all of generation N's document, encoded
+        payload included — under a fresh ``_id`` with this generation's
+        ``embedding`` and ``cluster_id``.  Returns the new ids and ``catalog``
+        extended by the columns in hand — if it described ``coll`` just before
+        this insert and nothing else was written meanwhile; otherwise as it
+        was, behind, for the next lookup to rebuild.
+        """
+        version = coll.version
+        ids = coll.insert_many(
+            [
+                {**fields, "_id": doc_id, "embedding": embedding, "cluster_id": cluster_id}
+                for fields, doc_id, embedding, cluster_id in zip(
+                    carried, new_object_ids(len(carried)), embeddings.tolist(), cluster_ids.tolist()
+                )
+            ],
+            payloads,
+        )
+        if catalog.version == version and coll.version == version + 1:
+            catalog = catalog.extended(
+                version + 1, ids, [fields["label"] for fields in carried], cluster_ids
             )
-        ]
-        if metadata is not None:
-            for sample, extra in zip(fields, metadata):
-                sample.update(extra)
-        return fields
+        return ids, catalog
 
     def _make_clusterer(self, k: int):
         """The clustering model named by ``clustering_algorithm``, through the
@@ -642,7 +685,13 @@ class FairDS:
                 catalog = gen.catalog
                 if catalog.version != coll.version:
                     version = coll.version
-                    catalog = _SampleCatalog.of(version, coll.find())
+                    docs = coll.find()
+                    catalog = _SampleCatalog.empty(version).extended(
+                        version,
+                        [d["_id"] for d in docs],
+                        [d["label"] for d in docs],
+                        [d["cluster_id"] for d in docs],
+                    )
                     # A write that raced the read leaves the documents
                     # unattributable to one version: good for this caller, as
                     # find() always was, but not to publish.
@@ -664,17 +713,11 @@ class FairDS:
             gen = self._live("ingest")
             images, labels = self._validate_images_labels(images, np.asarray(labels))
             embeddings = self._embed(gen, images)
-            cluster_ids = gen.clusterer.predict(embeddings)
-            fields = self._sample_fields(labels, embeddings, cluster_ids, metadata)
-            coll = gen.collection
-            version = coll.version
-            ids = coll.insert_many(fields, list(images))
-            # Append to the catalog only if it described the collection just
-            # before this insert and nothing else was written meanwhile;
-            # otherwise it stays behind and the next lookup rebuilds it.
-            catalog = gen.catalog
-            if catalog.version == version and coll.version == version + 1:
-                gen.catalog = catalog.extended(version + 1, ids, fields)
+            cluster_ids = np.asarray(gen.clusterer.predict(embeddings), dtype=np.intp)
+            ids, gen.catalog = self._write_samples(
+                gen.collection, gen.catalog, self._labelled(labels, metadata),
+                embeddings, cluster_ids, list(images),
+            )
             self._index_add(gen.index, gen.caps, ids, embeddings, cluster_ids)
         return ids
 
@@ -804,13 +847,13 @@ class FairDS:
             plans.append((distribution, chosen, chosen_ids, label))
             all_chosen_ids.extend(chosen_ids)
 
-        payloads = gen.collection.fetch_payloads(all_chosen_ids)
+        payloads = gen.collection.fetch_payload_stack(all_chosen_ids)
         results: List[LookupResult] = []
         cursor = 0
         for distribution, chosen, chosen_ids, label in plans:
-            batch_payloads = payloads[cursor : cursor + len(chosen_ids)]
+            # A copy: each result owns its images, not a share of the batch's.
+            retrieved_images = payloads[cursor : cursor + len(chosen_ids)].copy()
             cursor += len(chosen_ids)
-            retrieved_images = np.stack([np.asarray(p) for p in batch_payloads])
             retrieved_labels = np.array([catalog.labels[i] for i in chosen], dtype=np.float64)
             retrieved_dist = DatasetDistribution.from_cluster_ids(
                 catalog.cluster_ids[chosen], n_clusters, label=f"{label}:retrieved"
@@ -895,8 +938,14 @@ class FairDS:
         new collection), and the lookup index rebuilt — all of it aside, as
         the next generation, while reads keep answering from this one; a
         refresh that raises leaves this one published, and may be retried.
-        Payloads are decoded once, for the embedder; the documents keep their
-        encoded blobs as they are.
+
+        Generation N+1 is derived from N.  *Carried over:* every document
+        field but ``_id`` / ``embedding`` / ``cluster_id`` — label, metadata
+        and the encoded payload, by reference (payloads are decoded once,
+        stacked, for the embedder; never encoded again) — and N's partition,
+        which warm-starts the clustering when :meth:`_rebuild`'s conditions
+        hold, so cluster ids keep their meaning.  *New:* everything fitted or
+        derived — embedder, embeddings, centres, ids, collection, index.
         """
         with self._write_lock:
             gen = self._live("refresh")
@@ -906,11 +955,13 @@ class FairDS:
                     docs = coll.find()
                     if not docs:
                         raise ValidationError("cannot refresh an empty store")
-                    images, labels = self._validate_images_labels(
-                        np.stack(coll.fetch_payloads([d.id for d in docs])),
-                        np.array([d["label"] for d in docs], dtype=np.float64),
+                    images = np.asarray(
+                        coll.fetch_payload_stack([d["_id"] for d in docs]), dtype=np.float64
                     )
-                    kept = [
-                        {k: v for k, v in d.items() if k not in _REFIT_FIELDS} for d in docs
-                    ]
-                return self._rebuild(images, labels, kept, None, embedder_kwargs)
+                    # A document written behind fairDS's back without a cluster
+                    # id counts as holding one generation N does not have.
+                    unknown = gen.clusterer.n_clusters
+                    clusters = np.array(
+                        [d.get("cluster_id", unknown) for d in docs], dtype=np.intp
+                    )
+                return self._rebuild(images, docs, None, embedder_kwargs, clusters)

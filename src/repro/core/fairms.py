@@ -60,12 +60,12 @@ class FairMS:
         if not records:
             raise ValidationError("the model Zoo is empty")
         scored = sorted(
-            (rec for rec in records),
-            key=lambda rec: distribution.distance(rec.distribution),
+            ((distribution.distance(rec.distribution), rec) for rec in records),
+            key=lambda pair: pair[0],  # stable: equal distances keep Zoo order
         )
         return [
-            Recommendation(record=rec, distance=distribution.distance(rec.distribution), rank=i)
-            for i, rec in enumerate(scored)
+            Recommendation(record=rec, distance=distance, rank=i)
+            for i, (distance, rec) in enumerate(scored)
         ]
 
     def recommend(self, distribution: DatasetDistribution) -> Recommendation:

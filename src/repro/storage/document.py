@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from collections.abc import Mapping
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.utils.errors import ValidationError
 
-_counter = itertools.count()
-_counter_lock = threading.Lock()
+_next_seq = 0
+_seq_lock = threading.Lock()
+
+
+def new_object_ids(n: int) -> List[str]:
+    """``n`` unique, time-ordered object ids (Mongo-style) from one clock
+    read and one reservation of ``n`` consecutive sequence numbers."""
+    global _next_seq
+    with _seq_lock:
+        first = _next_seq
+        _next_seq += n
+    prefix = f"{int(time.time() * 1000):013x}-"
+    return [f"{prefix}{seq:08x}" for seq in range(first, first + n)]
 
 
 def new_object_id() -> str:
     """Generate a unique, time-ordered object id (Mongo-style)."""
-    with _counter_lock:
-        seq = next(_counter)
-    return f"{int(time.time() * 1000):013x}-{seq:08x}"
+    return new_object_ids(1)[0]
 
 
 class Document(dict):

@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
+from repro.observability.tracing import current_span
 from repro.storage.codecs import Codec, PickleCodec
 from repro.storage.concurrency import ReadWriteLock
 from repro.storage.document import Document
@@ -128,22 +129,28 @@ class Collection:
         docs = []
         total_bytes = 0
         for i, data in enumerate(datas):
-            doc = Document(dict(data))
+            doc = Document(data)
             if payloads is not None:
                 blob = self.codec.encode(payloads[i])
                 doc["payload"] = blob
                 doc["payload_bytes"] = len(blob)
                 total_bytes += len(blob)
             docs.append(doc)
+        ids = [doc.id for doc in docs]
         self.network.charge(total_bytes)
         with self._lock.write():
-            for doc in docs:
-                if doc.id in self._docs:
-                    raise StorageError(f"duplicate _id {doc.id!r}")
-                self._docs[doc.id] = doc
+            # All or nothing: the batch is checked against the store and
+            # against itself before the first document is stored.
+            taken: set = set()
+            for doc_id in ids:
+                if doc_id in taken or doc_id in self._docs:
+                    raise StorageError(f"duplicate _id {doc_id!r}")
+                taken.add(doc_id)
+            for doc_id, doc in zip(ids, docs):
+                self._docs[doc_id] = doc
                 self._index_add(doc)
             self._version += 1
-        return [d.id for d in docs]
+        return ids
 
     def update_one(self, query: Mapping[str, Any], changes: Mapping[str, Any]) -> bool:
         """Update the first document matching ``query``; returns True if found."""
@@ -330,6 +337,18 @@ class Collection:
         """Decode the payloads of the given document ids (training fetch path)."""
         docs = self.get_many(doc_ids)
         return [self.codec.decode(d["payload"]) if "payload" in d else None for d in docs]
+
+    def fetch_payload_stack(self, doc_ids: Sequence[str]) -> np.ndarray:
+        """:meth:`fetch_payloads` as one array (row ``i`` is document ``i``'s
+        payload; all must be equal-shaped arrays): the same store operation,
+        decoded through :meth:`Codec.decode_many`.  The active trace span is
+        told how (``payload_decode``: ``stacked``, or ``each`` on its own)."""
+        decoded = self.codec.decode_many([d["payload"] for d in self.get_many(doc_ids)])
+        stacked = isinstance(decoded, np.ndarray)
+        span = current_span()
+        if span is not None:
+            span.set_attribute("payload_decode", "stacked" if stacked else "each")
+        return decoded if stacked else np.stack(decoded)
 
     def ids(self) -> List[str]:
         with self._lock.read():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.elbow import detect_elbow, elbow_curve, select_k_elbow
@@ -299,3 +299,63 @@ def test_kmeans_labels_and_inertia_describe_the_returned_centres_at_max_iter(max
     np.testing.assert_array_equal(km.labels_, km.predict(x))
     residual = x - km.cluster_centers_[km.labels_]
     assert km.inertia_ == pytest.approx(float(np.sum(residual * residual)), rel=1e-9)
+
+
+# -- KMeans: the warm start ----------------------------------------------------------
+def test_kmeans_fit_from_init_is_one_lloyd_run_that_uses_no_rng_and_keeps_cluster_order():
+    x, _ = _blobs(n_per=80)
+    cold = KMeans(n_clusters=3, seed=0).fit(x)
+    init = cold.cluster_centers_[::-1].copy()
+    given_init = init.copy()
+    warm = [KMeans(n_clusters=3, seed=seed).fit(x, init=init) for seed in (1, 2)]
+    np.testing.assert_array_equal(init, given_init)  # the caller's array is not moved
+    for km in warm:
+        # Already converged: one pass to see it, one to confirm; no seeding.
+        assert km.n_iter_ <= 2
+        # Cluster i is the cluster that grew from init[i].
+        np.testing.assert_array_equal(km.labels_, 2 - cold.labels_)
+        np.testing.assert_allclose(km.cluster_centers_, given_init, atol=1e-9)
+        assert km.inertia_ == pytest.approx(cold.inertia_, rel=1e-12)
+        np.testing.assert_array_equal(km.labels_, km.predict(x))
+    np.testing.assert_array_equal(warm[0].cluster_centers_, warm[1].cluster_centers_)
+    for bad in (init[:2], init[:, :1], init.ravel()):
+        with pytest.raises(ValidationError, match="init must have shape"):
+            KMeans(n_clusters=3).fit(x, init=bad)
+
+
+@given(
+    k=st.integers(2, 8),
+    d=st.integers(3, 8),
+    shift=st.floats(0.0, 4.0),
+    appended=st.floats(0.0, 0.5),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_warm_started_inertia_is_within_5_percent_of_the_cold_fit_on_drifting_blobs(
+    k, d, shift, appended, seed
+):
+    """What fairDS's refresh does, on blobs that drift: new samples arrive
+    ``shift`` (in blob widths) off their blobs, every sample has the cluster
+    id the old fit gave it, and Lloyd starts from the per-cluster means of
+    the *current* data grouped by those ids.  Blobs sit on distinct corners
+    of a cube, ten widths apart, so the partition to find is unambiguous —
+    given that the old fit found it, the warm start must not do worse than
+    three fresh k-means++ starts by more than 5 %, and must keep the ids."""
+    rng = np.random.default_rng(seed)
+    corners = rng.choice(2**d, size=k, replace=False)
+    centres = 10.0 * ((corners[:, None] >> np.arange(d)) & 1)
+    x0 = np.repeat(centres, 40, axis=0) + rng.normal(size=(40 * k, d))
+    old = KMeans(n_clusters=k, seed=seed).fit(x0)
+    assume(len(set(old.predict(centres))) == k)  # the old fit separated the blobs
+    direction = rng.normal(size=d)
+    direction *= shift / np.linalg.norm(direction)
+    n_new = int(appended * len(x0))
+    new = centres[rng.integers(0, k, size=n_new)] + rng.normal(size=(n_new, d)) + direction
+    x = np.vstack([x0, new])
+    carried = np.concatenate([old.labels_, old.predict(new)])
+    init = np.stack([x[carried == c].mean(axis=0) for c in range(k)])
+
+    warm = KMeans(n_clusters=k, seed=seed).fit(x, init=init)
+    cold = KMeans(n_clusters=k, n_init=3, seed=seed).fit(x)
+    assert warm.inertia_ <= 1.05 * cold.inertia_
+    assert np.mean(warm.labels_ == carried) >= 0.95

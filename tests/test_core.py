@@ -276,6 +276,21 @@ def test_fairms_ranking_orders_by_jsd():
     assert bmw[0].distance <= bmw[1].distance <= bmw[2].distance
 
 
+def test_fairms_rank_scores_each_record_once_and_keeps_zoo_order_on_ties(monkeypatch):
+    zoo = ModelZoo()
+    for i, name in enumerate(["first", "far", "second"]):
+        zoo.add(_tiny_model(i, name), _dist([0.0, 1.0] if name == "far" else [0.5, 0.5]), name=name)
+    scored = []
+    real = DatasetDistribution.distance
+    monkeypatch.setattr(DatasetDistribution, "distance",
+                        lambda self, other: scored.append(other) or real(self, other))
+    ranking = FairMS(zoo).rank(_dist([0.5, 0.5]))
+    assert len(scored) == 3
+    assert [r.record.name for r in ranking] == ["first", "second", "far"]
+    assert [r.distance for r in ranking] == [real(_dist([0.5, 0.5]), r.record.distribution)
+                                             for r in ranking]
+
+
 def test_fairms_scratch_decision():
     zoo = ModelZoo()
     zoo.add(_tiny_model(), _dist([1.0, 0.0]), name="far")

@@ -215,9 +215,9 @@ def test_steady_state_lookups_do_no_per_document_work(monkeypatch):
 
 
 def test_fit_feeds_the_index_from_the_arrays_it_holds(monkeypatch):
-    """``fit`` reads the documents back once, for the catalog, and parses no
-    stored embedding: the index gets the ids, embeddings and cluster ids that
-    ``fit`` computed."""
+    """``fit`` never reads the documents back and parses no stored embedding:
+    the index *and the catalog* get the ids, labels, embeddings and cluster
+    ids that ``fit`` computed."""
     rng = np.random.default_rng(0)
     images, labels = _scan(rng, 40)
     reads = {"find": 0, "embedding": 0}
@@ -235,7 +235,7 @@ def test_fit_feeds_the_index_from_the_arrays_it_holds(monkeypatch):
     monkeypatch.setattr(Document, "__getitem__", spy_getitem, raising=False)
     fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=N_CLUSTERS, index_dtype=np.float64)
     fairds.fit(images, labels)
-    assert reads == {"find": 1, "embedding": 0}
+    assert reads == {"find": 0, "embedding": 0}
     # The index answers with the stored documents, which keep their fields.
     for (label, distance), want in zip(fairds.nearest_labeled(images[:5]), labels[:5]):
         np.testing.assert_array_equal(label, want)

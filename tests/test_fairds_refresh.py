@@ -10,15 +10,31 @@ samples and replaces the collection.  The contract tested here:
   collection, the index, and an empty embedding cache;
 * **the store bypasses the embedding cache** — a fit embeds the store once
   and leaves the LRU to the queries;
-* **a refresh's trace names its stages**.
+* **a refresh's trace names its stages**, and says how the payloads were
+  decoded and how Lloyd was started;
+* **generation N+1 is derived from N** — the clustering starts from N's
+  partition, so an unchanged store refreshes to what a cold refit finds, and
+  a store that grew keeps its cluster ids (the ids every Zoo record's cluster
+  PDF is written in); the warm start is declined when N's partition cannot
+  seed N+1's, and a ``fit`` never takes it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.fairds as fairds_module
 from repro import FairDS
+from repro.api.registry import register_component, unregister_component
+from repro.clustering.kmeans import KMeans
+from repro.core.fairms import FairMS
+from repro.core.model_zoo import ModelZoo
 from repro.embedding import PCAEmbedder
+from repro.nn.layers import Dense
+from repro.nn.network import Sequential
 from repro.observability.tracing import Tracer
+from repro.storage.codecs import CompressedCodec
 from repro.storage.documentdb import DocumentDB, NetworkModel
 
 SIDE = 5
@@ -111,6 +127,14 @@ def test_refresh_is_charged_for_reading_payloads_not_for_writing_them_back():
     assert charged.count(0) == 1                # ... the write sent fields only
     assert set(charged) == {0, stored}
     assert fairds.collection.storage_bytes() == stored
+    # The stacked read a refresh (and a lookup) makes is billed like the
+    # per-document one the training fetch path makes.
+    coll = fairds.collection
+    some = coll.ids()[::7]
+    del charged[:]
+    coll.fetch_payload_stack(some)
+    coll.fetch_payloads(some)
+    assert len(charged) == 2 and charged[0] == charged[1] == 18 * len(coll.get(some[0])["payload"])
 
 
 def test_fit_embeds_the_store_without_the_embedding_cache():
@@ -157,3 +181,154 @@ def test_fit_and_refresh_traces_name_their_stages(op, stages):
     assert all(s.status == "ok" for s in spans)
     covered = sum(s.duration_s for s in children)
     assert 0.9 * parent.duration_s <= covered <= parent.duration_s
+
+
+# -- generation N+1 derived from N -----------------------------------------------------
+def _traced(call):
+    """Run ``call`` under a trace; the attributes of the spans it finished, by name."""
+    tracer = Tracer(sample_rate=1.0)
+    root = tracer.start_trace("system-plane")
+    with tracer.activate(root):
+        call()
+    tracer.end(root)
+    return {span.name: dict(span.attributes) for span in tracer.finished_spans()}
+
+
+class ColdOnlyKMeans(KMeans):
+    """A registered clusterer whose ``fit`` has no ``init``: always the cold path."""
+
+    def fit(self, x):
+        return super().fit(x)
+
+
+@pytest.fixture(scope="module")
+def cold_only():
+    register_component("clustering", "cold-only-kmeans", ColdOnlyKMeans)
+    yield "cold-only-kmeans"
+    assert unregister_component("clustering", "cold-only-kmeans")
+
+
+def _stored(fairds):
+    docs = fairds.collection.find()
+    return (np.array([d["cluster_id"] for d in docs]), np.array([d["embedding"] for d in docs]))
+
+
+def test_refresh_spans_say_how_payloads_were_decoded_and_how_lloyd_started():
+    rng = np.random.default_rng(2)
+    images, labels = _scan(rng, 120)
+    fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3)
+    spans = _traced(lambda: fairds.fit(images, labels))
+    assert spans["clustering.fit"]["warm_start"] is False
+    cold_iterations = spans["clustering.fit"]["lloyd_iterations"]
+    assert cold_iterations >= 2 and spans["fairds.fit"]["generation"] == 1
+    # A second fit has a generation to start from, and does not: fit is the cold path.
+    assert _traced(lambda: fairds.fit(images, labels))["clustering.fit"]["warm_start"] is False
+
+    spans = _traced(fairds.refresh)
+    assert spans["refresh.read"]["payload_decode"] == "stacked"
+    assert spans["clustering.fit"] == {"warm_start": True, "lloyd_iterations": 2}
+    assert spans["fairds.refresh"]["generation"] == 3
+
+    zipped = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3,
+                    db=DocumentDB(codec=CompressedCodec())).fit(images, labels)
+    assert _traced(zipped.refresh)["refresh.read"]["payload_decode"] == "each"
+    np.testing.assert_array_equal(_stored(zipped)[0], _stored(fairds)[0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(60, 160), k=st.integers(2, 4))
+def test_an_unchanged_store_refreshes_to_what_the_cold_path_finds(cold_only, seed, n, k):
+    """Warm-started and cold refreshes of the same unchanged store agree on
+    every stored cluster id and embedding, and on the next seeded lookups."""
+    rng = np.random.default_rng(seed)
+    images, labels = _scan(rng, n)
+    probe = _scan(rng, 25)[0]
+    twins = [
+        FairDS(PCAEmbedder(embedding_dim=3), n_clusters=k, seed=seed, **kwargs).fit(images, labels)
+        for kwargs in ({}, {"clustering_algorithm": cold_only})
+    ]
+    started = [_traced(twin.refresh)["clustering.fit"]["warm_start"] for twin in twins]
+    assert started == [True, False]
+    (warm_ids, warm_embeddings), (cold_ids, cold_embeddings) = map(_stored, twins)
+    np.testing.assert_array_equal(warm_ids, cold_ids)
+    np.testing.assert_array_equal(warm_embeddings, cold_embeddings)
+    for _ in range(2):
+        warm, cold = (twin.lookup(probe) for twin in twins)
+        np.testing.assert_array_equal(warm.images, cold.images)
+        np.testing.assert_array_equal(warm.labels, cold.labels)
+        np.testing.assert_array_equal(warm.retrieved_distribution.pdf,
+                                      cold.retrieved_distribution.pdf)
+        assert warm.images.flags.owndata and warm.images.flags.writeable
+
+
+def _tiny_model(i):
+    return Sequential([Dense(4, 2, seed=i, name=f"m{i}_fc")], name=f"m{i}")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(90, 180))
+def test_cluster_ids_keep_their_meaning_across_a_refresh_of_a_store_that_grew(seed, n):
+    """Every Zoo record's cluster PDF is written in generation N's cluster
+    ids.  After a same-distribution scan is ingested and the store refreshed,
+    at least 0.9 of the carried samples keep their id — so the record fairMS
+    recommends for a dataset is the one it recommended before.  (A cold
+    refit relabels: 0.17 kept where this was first measured.)"""
+    rng = np.random.default_rng(seed)
+    fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3, seed=seed)
+    fairds.fit(*_scan(rng, n))
+    zoo = ModelZoo()
+    # One Zoo model per blob: trained on data from (mostly) that blob alone.
+    blob_scans = []
+    for blob in range(3):
+        blobs = np.where(rng.random(40) < 0.9, blob, (blob + 1) % 3)
+        blob_scans.append(rng.normal(size=(40, SIDE, SIDE)) + 5.0 * blobs[:, None, None])
+    for i, images in enumerate(blob_scans):
+        zoo.add(_tiny_model(i), fairds.dataset_distribution(images), name=f"blob-{i}")
+    fairms = FairMS(zoo, distance_threshold=0.9)
+    before = [fairms.recommend(fairds.dataset_distribution(images)).record.name
+              for images in blob_scans]
+    assert before == ["blob-0", "blob-1", "blob-2"]
+
+    fairds.ingest(*_scan(rng, n // 3))
+    carried = _stored(fairds)[0]
+    assert _traced(fairds.refresh)["clustering.fit"]["warm_start"] is True
+    assert np.mean(_stored(fairds)[0] == carried) >= 0.9
+    after = [fairms.recommend(fairds.dataset_distribution(images)).record.name
+             for images in blob_scans]
+    assert after == before
+
+
+@pytest.mark.parametrize("why", ["a carried cluster is empty", "K changes", "fit has no init",
+                                 "a carried sample has no cluster id"])
+def test_the_warm_start_is_declined_when_generation_n_cannot_seed_it(monkeypatch, cold_only, why):
+    rng = np.random.default_rng(3)
+    images, labels = _scan(rng, 120)
+    kwargs = {"n_clusters": 3}
+    if why == "K changes":
+        kwargs["n_clusters"] = "auto"
+        chosen = iter([3, 3, 4])
+        monkeypatch.setattr(fairds_module, "select_k_elbow",
+                            lambda *args, **kw: (next(chosen), None))
+    elif why == "fit has no init":
+        kwargs["clustering_algorithm"] = cold_only
+    fairds = FairDS(PCAEmbedder(embedding_dim=3), seed=3, **kwargs).fit(images, labels)
+    if why == "K changes":
+        # Same K as generation 1: taken.  Then the elbow moves: declined.
+        assert _traced(fairds.refresh)["clustering.fit"]["warm_start"] is True
+    elif why == "a carried cluster is empty":
+        assert fairds.collection.delete_many({"cluster_id": 1}) > 0
+    elif why == "a carried sample has no cluster id":
+        fairds.collection.insert_one({"label": [0.0, 0.0]}, payload=images[0])
+    size = fairds.store_size()
+
+    spans = _traced(fairds.refresh)
+
+    assert spans["clustering.fit"]["warm_start"] is False
+    assert spans["clustering.fit"]["lloyd_iterations"] >= 2
+    assert fairds.n_clusters == (4 if why == "K changes" else 3) and fairds.store_size() == size
+    stored_ids, stored_embeddings = _stored(fairds)
+    assert set(stored_ids) == set(range(fairds.n_clusters))
+    # The published clustering describes the store it was fitted on.
+    clusterer = fairds._generation.clusterer
+    np.testing.assert_array_equal(clusterer.predict(stored_embeddings), stored_ids)
+    assert len(fairds.lookup(images[:10])) == 10

@@ -17,7 +17,7 @@ from repro.storage.codecs import (
     Codec,
 )
 from repro.storage.concurrency import ReadWriteLock
-from repro.storage.document import Document, new_object_id
+from repro.storage.document import Document, new_object_id, new_object_ids
 from repro.storage.documentdb import DocumentDB, NetworkModel
 from repro.storage.file_store import FileStore
 from repro.storage.vector_index import ClusteredVectorIndex, VectorIndex
@@ -86,6 +86,136 @@ def test_codec_roundtrip_property(shape, seed):
         np.testing.assert_array_equal(codec.decode(codec.encode(arr)), arr)
 
 
+# -- codecs: a batch decoded at once ----------------------------------------------------
+def _assert_decodes_like_the_loop(codec, blobs):
+    """``decode_many`` against the loop it replaces; returns what it returned."""
+    want = [codec.decode(blob) for blob in blobs]
+    got = codec.decode_many(blobs)
+    assert len(got) == len(want)
+    for one, ref in zip(got, want):
+        assert type(one) is type(ref)
+        if isinstance(ref, np.ndarray):
+            assert one.dtype == ref.dtype and one.shape == ref.shape
+            assert one.flags.writeable or not isinstance(got, np.ndarray)  # stacked rows are
+            if ref.dtype.hasobject:
+                np.testing.assert_array_equal(one, ref)
+            else:  # bit for bit: the fuzz draws NaNs of every payload
+                assert one.tobytes() == ref.tobytes()
+        else:
+            assert one == ref
+    return got
+
+
+_FUZZ_DTYPES = ["f8", "f4", ">f8", "i2", "u1", "?", "c8", "M8[s]", "i4,f4", "O"]
+
+
+def _fuzz_array(rng, dtype, shape, layout):
+    """An array of ``dtype`` and ``shape`` in one of four memory layouts."""
+    if layout == "strided":  # every other column of a wider array
+        shape = shape[:-1] + (2 * shape[-1],) if shape else shape
+    raw = rng.integers(0, 256, size=int(np.prod(shape)) * np.dtype(dtype).itemsize or 1)
+    if dtype == "O":
+        arr = np.array([{"n": int(v)} for v in raw[: int(np.prod(shape))]], dtype=object)
+    else:
+        arr = raw.astype(np.uint8)[: int(np.prod(shape)) * np.dtype(dtype).itemsize].view(dtype)
+    arr = arr.reshape(shape)
+    if layout == "fortran":
+        arr = np.asfortranarray(arr)
+    elif layout == "strided" and shape:
+        arr = arr[..., ::2]
+    elif layout == "readonly":
+        arr.flags.writeable = False
+    return arr
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dtype=st.sampled_from(_FUZZ_DTYPES),
+    shape=st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
+    layout=st.sampled_from(["c", "fortran", "strided", "readonly"]),
+    n=st.integers(1, 6),
+    odd=st.none() | st.sampled_from(["shape", "dtype", "layout", "object", "scalar", "text"]),
+    odd_at=st.integers(0, 5),
+    as_bytearray=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_decode_many_is_the_decode_loop(dtype, shape, layout, n, odd, odd_at, as_bytearray, seed):
+    rng = np.random.default_rng(seed)
+    payloads = [_fuzz_array(rng, dtype, shape, layout) for _ in range(n)]
+    if odd is not None:  # one payload of the batch is not like the others
+        payloads[odd_at % n] = {
+            "shape": _fuzz_array(rng, dtype, shape + (2,), layout),
+            "dtype": _fuzz_array(rng, "i8" if dtype != "i8" else "f8", shape, layout),
+            "layout": _fuzz_array(rng, dtype, shape, "fortran" if layout != "fortran" else "c"),
+            "object": _fuzz_array(rng, "O", shape, "c"),
+            "scalar": np.float64(rng.normal()),
+            "text": {"not": "an array", "n": int(rng.integers(9))},
+        }[odd]
+    codec = PickleCodec()  # the one codec that overrides the loop
+    blobs = [codec.encode(payload) for payload in payloads]
+    if as_bytearray:
+        blobs = [bytearray(blob) for blob in blobs]
+    kept = [bytes(blob) for blob in blobs]
+    got = _assert_decodes_like_the_loop(codec, blobs)
+    if isinstance(got, np.ndarray):  # the caller's memory: scribbling reaches no blob
+        got.reshape(-1).view(np.uint8)[:] = 255
+    assert [bytes(blob) for blob in blobs] == kept
+
+
+def test_decode_many_stacks_what_it_can_and_loops_over_the_rest(rng):
+    codec = PickleCodec()
+    patches = rng.normal(size=(9, 5, 5))
+    blobs = [codec.encode(patch) for patch in patches]
+    stacked = _assert_decodes_like_the_loop(codec, blobs)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (9, 5, 5)
+    assert stacked.flags.owndata
+    # A batch of one, an empty batch, and any batch of another codec: the loop.
+    assert isinstance(_assert_decodes_like_the_loop(codec, blobs[:1]), list)
+    assert codec.decode_many([]) == []
+    assert isinstance(CompressedCodec().decode_many(
+        [CompressedCodec().encode(patch) for patch in patches]), list)
+    # The first array's bytes also occur in the pickle's own header (every
+    # protocol-5 pickle starts 80 05): the window is ambiguous, so the loop.
+    header = np.frombuffer(blobs[0][:2], dtype=np.uint8)
+    twice = [codec.encode(header.copy()), codec.encode(np.array([1, 2], dtype=np.uint8))]
+    assert twice[0].count(header.tobytes()) == 2
+    assert isinstance(_assert_decodes_like_the_loop(codec, twice), list)
+    # A later patch whose pixels spell out the whole first blob is just pixels.
+    pixels = np.frombuffer(blobs[0], dtype=np.uint8)
+    plain = (pixels + 1).astype(np.uint8)
+    assert isinstance(_assert_decodes_like_the_loop(
+        codec, [codec.encode(plain), codec.encode(pixels.copy())]), np.ndarray)
+    # Same length, different opcodes (the dtype string differs): the loop.
+    mixed = [codec.encode(np.arange(4, dtype="<i4")), codec.encode(np.arange(4, dtype="<u4"))]
+    assert len(mixed[0]) == len(mixed[1])
+    assert isinstance(_assert_decodes_like_the_loop(codec, mixed), list)
+    # What is not bytes is refused, wherever it sits in the batch.
+    for bad in ([blobs[0], 123], [123, blobs[0]]):
+        with pytest.raises(StorageError, match="expects bytes"):
+            codec.decode_many(bad)
+
+
+def test_fetch_payload_stack_is_fetch_payloads_as_one_array(monkeypatch):
+    _, coll, payloads = _populated_collection()
+    ids = coll.ids()
+    wanted = [ids[7], ids[2], ids[7], ids[11]]
+    charged = []
+    monkeypatch.setattr(NetworkModel, "charge", lambda self, n_bytes: charged.append(n_bytes))
+    stack = coll.fetch_payload_stack(wanted)
+    listed = coll.fetch_payloads(wanted)
+    assert len(charged) == 2 and charged[0] == charged[1] > 0  # one operation, same bytes
+    assert stack.dtype == listed[0].dtype
+    np.testing.assert_array_equal(stack, np.stack(listed))
+    stack[:] = 0.0  # the caller's copy
+    np.testing.assert_array_equal(coll.fetch_payload_stack(wanted), np.stack(listed))
+    with pytest.raises(StorageError, match="missing-id"):
+        coll.fetch_payload_stack([ids[0], "missing-id"])
+    # Payloads the codec cannot stack still come back as one array.
+    other = DocumentDB(codec=CompressedCodec()).collection("x")
+    other_ids = other.insert_many([{"i": i} for i in range(4)], list(payloads[:4]))
+    np.testing.assert_array_equal(other.fetch_payload_stack(other_ids), np.stack(payloads[:4]))
+
+
 # -- Document ---------------------------------------------------------------------
 def test_document_assigns_unique_ids():
     a, b = Document({"x": 1}), Document({"x": 2})
@@ -100,16 +230,19 @@ def test_new_object_ids_unique_under_threads():
 
     def gen():
         for _ in range(200):
-            i = new_object_id()
+            mine = [new_object_id()] + new_object_ids(3)  # singly and by the block
             with lock:
-                ids.append(i)
+                ids.extend(mine)
 
     threads = [threading.Thread(target=gen) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert len(ids) == len(set(ids))
+    assert len(ids) == len(set(ids)) == 4 * 200 * 4
+    assert new_object_ids(0) == []
+    block = new_object_ids(5)
+    assert block == sorted(block)  # time-ordered within a block too
 
 
 def test_document_matches_equality_and_ranges():
@@ -309,6 +442,27 @@ def test_insert_many_payload_length_mismatch():
     db = DocumentDB()
     with pytest.raises(StorageError):
         db.collection("x").insert_many([{"a": 1}], [np.zeros(2), np.zeros(2)])
+
+
+@pytest.mark.parametrize("clash", ["with the store", "within the batch"])
+def test_insert_many_rejects_a_duplicate_id_before_it_stores_anything(clash):
+    _, coll, _ = _populated_collection()
+    coll.create_index("cluster_id")
+    before = (coll.count(), coll.ids(), coll.version,
+              {c: len(coll.find({"cluster_id": c})) for c in range(5)})
+    twin = coll.ids()[3] if clash == "with the store" else "fresh-1"
+    batch = [{"_id": "fresh-0", "cluster_id": 0}, {"_id": "fresh-1", "cluster_id": 1},
+             {"_id": twin, "cluster_id": 2}]
+    with pytest.raises(StorageError, match=f"duplicate _id '{twin}'"):
+        coll.insert_many(batch, [np.zeros(2)] * 3)
+    after = (coll.count(), coll.ids(), coll.version,
+             {c: len(coll.find({"cluster_id": c})) for c in range(5)})
+    assert after == before
+    assert coll.find({"_id": "fresh-0"}) == []
+    # The same batch without the clash goes in whole, as one write.
+    batch[2]["_id"] = "fresh-2"
+    assert coll.insert_many(batch) == ["fresh-0", "fresh-1", "fresh-2"]
+    assert coll.version == before[2] + 1 and coll.count() == before[0] + 3
 
 
 def test_db_collection_management():
