@@ -4,7 +4,7 @@ The paper's monitor → trigger → retrain loop spends its compute budget in tw
 places: (re)training application models and probing their certainty with MC
 dropout.  This benchmark pits the vectorized float32 compute plane against
 the frozen pre-optimisation reference path
-(:mod:`repro.nn._reference`: float64 everywhere, index-gather im2col,
+(``benchmarks/nn_reference.py``: float64 everywhere, index-gather im2col,
 ``np.add.at`` col2im, per-parameter dict-keyed Adam, one forward pass per MC
 sample) on a BraggNN-scale convolutional model.
 
@@ -51,10 +51,10 @@ import numpy as np
 from repro.api.registry import create_component
 from repro.models import build_braggnn
 from repro.nn import Trainer, TrainingConfig, mc_dropout_predict
-from repro.nn._reference import LoopedAdam, legacy_variant, looped_mc_dropout_predict
 from repro.utils.rng import default_rng
 
 from common import print_table, write_bench_json
+from nn_reference import LoopedAdam, legacy_variant, looped_mc_dropout_predict
 
 #: Documented tolerance for float32-vs-float64 final-train-loss agreement,
 #: and for data-parallel final-loss parity with the serial trainer.

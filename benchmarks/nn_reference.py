@@ -20,8 +20,8 @@ as they were before the vectorised float32 engine landed:
 
 so the training-throughput benchmark measures the new engine against the
 *actual* pre-PR behaviour rather than a strawman, and the equivalence tests
-pin the new math to the old.  Nothing here is exported from ``repro.nn``;
-production code must not import it.
+pin the new math to the old.  It lives outside the package: only that
+benchmark and ``tests/test_nn_fast_compute.py`` import it.
 """
 
 from __future__ import annotations

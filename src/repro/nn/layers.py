@@ -211,7 +211,7 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> Tuple[np.n
     """Rearrange image patches into columns: output shape ``(C*kh*kw, N*out_h*out_w)``.
 
     Column ordering matches the historical index-gather implementation (kept
-    as :func:`repro.nn._reference.reference_im2col` for golden tests): rows
+    as ``reference_im2col`` in ``benchmarks/nn_reference.py`` for golden tests): rows
     iterate ``(c, ki, kj)`` and columns ``(out_h, out_w, n)``.
     """
     n, c, h, w = x.shape

@@ -43,6 +43,10 @@ class Codec:
     def decode(self, payload: bytes) -> Any:
         raise NotImplementedError
 
+    def encode_many(self, objs: Sequence[Any]) -> List[bytes]:
+        """``[encode(obj) for obj in objs]``, byte for byte, however made."""
+        return [self.encode(obj) for obj in objs]
+
     def decode_many(self, payloads: Sequence[bytes]) -> Union[List[Any], np.ndarray]:
         """``[decode(p) for p in payloads]`` — or, from a codec that can lift
         a batch of equal-shaped arrays at once, the same arrays as the rows of
@@ -62,6 +66,44 @@ class PickleCodec(Codec):
         if not isinstance(payload, (bytes, bytearray)):
             raise StorageError("PickleCodec.decode expects bytes")
         return pickle.loads(payload)
+
+    def encode_many(self, objs: Sequence[Any]) -> List[bytes]:
+        """Pickle the first two rows only, when the others can be shown to
+        pickle to the same bytes around their own buffer.
+
+        The mirror of :meth:`decode_many`: a plain ndarray pickles to opcodes
+        fixed by its type, dtype, shape and flags, with its buffer spliced in
+        verbatim.  For the rows of one stack, or a sequence of C-contiguous
+        non-object non-empty ndarrays sharing dtype object, shape and
+        writeability, the first row's pickle is split at its buffer (found
+        exactly once), the split is proved on the second row, and every other
+        blob is that head and tail around the row's bytes.  Anything else is
+        pickled object by object.
+        """
+        stacked = type(objs) is np.ndarray
+        first = objs[0] if len(objs) > 2 else None
+        if (
+            type(first) is np.ndarray and not first.dtype.hasobject
+            and first.nbytes and first.flags.c_contiguous
+            and (stacked or all(
+                type(row) is np.ndarray and row.dtype is first.dtype
+                and row.shape == first.shape and row.flags.c_contiguous
+                and row.flags.writeable == first.flags.writeable
+                for row in objs
+            ))
+        ):
+            blob, raw = self.encode(first), first.tobytes()
+            start, width = blob.find(raw), len(raw)
+            head, tail = blob[:start], blob[start + width:]
+            if (
+                start >= 0 and blob.find(raw, start + 1) < 0
+                and self.encode(objs[1]) == head + objs[1].tobytes() + tail
+            ):
+                if not stacked:
+                    return [head + row.tobytes() + tail for row in objs]
+                data = objs.tobytes()
+                return [head + data[at : at + width] + tail for at in range(0, len(data), width)]
+        return super().encode_many(objs)
 
     def decode_many(self, payloads: Sequence[bytes]) -> Union[List[Any], np.ndarray]:
         """Unpickle the first blob only, when the others can be shown to

@@ -38,13 +38,11 @@ class Document(dict):
     """
 
     def __init__(self, data: Optional[Mapping[str, Any]] = None, **kwargs):
-        super().__init__()
-        if data is not None:
-            if not isinstance(data, Mapping):
-                raise ValidationError("Document data must be a mapping")
-            self.update(data)
-        if kwargs:
-            self.update(kwargs)
+        if data is None:
+            data = ()
+        elif not isinstance(data, dict) and not isinstance(data, Mapping):
+            raise ValidationError("Document data must be a mapping")
+        super().__init__(data, **kwargs)
         if "_id" not in self:
             self["_id"] = new_object_id()
 

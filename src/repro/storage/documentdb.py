@@ -104,10 +104,11 @@ class Collection:
     def indexed_fields(self) -> List[str]:
         return sorted(self._indexes)
 
-    def _index_add(self, doc: Document) -> None:
+    def _index_add(self, docs: Sequence[Document]) -> None:
         for field, index in self._indexes.items():
-            if field in doc:
-                index.setdefault(doc[field], set()).add(doc.id)
+            for doc in docs:
+                if field in doc:
+                    index.setdefault(doc[field], set()).add(doc["_id"])
 
     def _index_remove(self, doc: Document) -> None:
         for field, index in self._indexes.items():
@@ -124,31 +125,37 @@ class Collection:
     def insert_many(
         self, datas: Sequence[Mapping[str, Any]], payloads: Optional[Sequence[Any]] = None
     ) -> List[str]:
+        """Insert one document per mapping, all or none; returns their ids.
+
+        A :class:`Document` is stored as the object it is (the caller hands it
+        over); any other mapping is copied into a new one.  ``payloads`` (one
+        per document) are encoded as one batch by the codec.  An empty batch
+        changes nothing, :attr:`version` included.
+        """
         if payloads is not None and len(payloads) != len(datas):
             raise StorageError("payloads must match datas in length")
-        docs = []
+        if not len(datas):
+            return []
+        docs = [data if type(data) is Document else Document(data) for data in datas]
         total_bytes = 0
-        for i, data in enumerate(datas):
-            doc = Document(data)
-            if payloads is not None:
-                blob = self.codec.encode(payloads[i])
+        if payloads is not None:
+            for doc, blob in zip(docs, self.codec.encode_many(payloads)):
                 doc["payload"] = blob
-                doc["payload_bytes"] = len(blob)
-                total_bytes += len(blob)
-            docs.append(doc)
-        ids = [doc.id for doc in docs]
+                doc["payload_bytes"] = size = len(blob)
+                total_bytes += size
+        ids = [doc["_id"] for doc in docs]
         self.network.charge(total_bytes)
         with self._lock.write():
             # All or nothing: the batch is checked against the store and
             # against itself before the first document is stored.
-            taken: set = set()
-            for doc_id in ids:
-                if doc_id in taken or doc_id in self._docs:
-                    raise StorageError(f"duplicate _id {doc_id!r}")
-                taken.add(doc_id)
-            for doc_id, doc in zip(ids, docs):
-                self._docs[doc_id] = doc
-                self._index_add(doc)
+            if len(set(ids)) != len(ids) or not self._docs.keys().isdisjoint(ids):
+                taken: set = set()
+                for doc_id in ids:  # only to name the offender
+                    if doc_id in taken or doc_id in self._docs:
+                        raise StorageError(f"duplicate _id {doc_id!r}")
+                    taken.add(doc_id)
+            self._docs.update(zip(ids, docs))
+            self._index_add(docs)
             self._version += 1
         return ids
 
@@ -160,7 +167,7 @@ class Collection:
                 if doc.matches(query):
                     self._index_remove(doc)
                     doc.update({k: v for k, v in changes.items() if k != "_id"})
-                    self._index_add(doc)
+                    self._index_add([doc])
                     self._version += 1
                     return True
         return False
@@ -224,13 +231,13 @@ class Collection:
             if target is not None:
                 self._index_remove(target)
                 target.update({k: v for k, v in changes.items() if k != "_id"})
-                self._index_add(target)
+                self._index_add([target])
                 return target.id
             data = {k: v for k, v in query.items() if not isinstance(v, Mapping)}
             data.update({k: v for k, v in changes.items() if k != "_id"})
             doc = Document(data)
             self._docs[doc.id] = doc
-            self._index_add(doc)
+            self._index_add([doc])
             return doc.id
 
     def delete_many(self, query: Mapping[str, Any]) -> int:

@@ -86,18 +86,18 @@ class _Partition:
         )
         self._code_size = 0
 
-    def add(self, keys: Sequence[str], vectors: np.ndarray,
-            codes: Optional[np.ndarray] = None) -> None:
-        # The caller (``routed_upsert``) has already evicted duplicate keys,
-        # so every append is a genuine extension and the code rows stay
-        # aligned with the inner index's rows.
+    def _append(self, keys: List[str], vectors: np.ndarray,
+                codes: Optional[np.ndarray] = None) -> None:
+        # ``routed_upsert`` has evicted the keys it re-sends, so every row
+        # is a genuine extension and the code rows stay aligned with the
+        # inner index's rows.
         if self.codes is not None:
             assert codes is not None and codes.shape[0] == vectors.shape[0]
             needed = self._code_size + codes.shape[0]
             self.codes = grown(self.codes, self._code_size, needed)
             self.codes[self._code_size : needed] = codes
             self._code_size = needed
-        self.index.add(keys, vectors)
+        self.index._append(keys, vectors)
 
     def discard(self, keys: Sequence[str]) -> None:
         """Swap-remove ``keys``, replaying the same row moves on the PQ codes

@@ -158,17 +158,22 @@ class VectorIndex:
                 overwrite_src.append(src)
         if overwrite_rows:
             self._data[np.asarray(overwrite_rows)] = vectors[np.asarray(overwrite_src)]
-        if fresh_keys:
-            n = len(fresh_keys)
-            self._data = grown(self._data, self._size, self._size + n)
-            self._data[self._size : self._size + n] = vectors[fresh_src]
-            self._keys.extend(fresh_keys)
-            for offset, key in enumerate(fresh_keys):
-                self._key_rows[key] = self._size + offset
-            # Invalidate before publishing the new size so a concurrent query
-            # never pairs the stale keys view with the grown size.
-            self._keys_cache = None
-            self._size += n
+        self._append(fresh_keys, vectors[fresh_src])
+
+    def _append(self, keys: List[str], vectors: np.ndarray) -> None:
+        """Append ``vectors`` as new rows under ``keys``, which the caller has
+        shown to be strings, distinct and not stored (:meth:`add`,
+        :func:`routed_upsert`); ``vectors`` is ``(len(keys), dim)``."""
+        size = self._size
+        end = size + len(keys)
+        self._data = grown(self._data, size, end)
+        self._data[size:end] = vectors
+        self._keys.extend(keys)
+        self._key_rows.update(zip(keys, range(size, end)))
+        # Invalidate before publishing the new size so a concurrent query
+        # never pairs the stale keys view with the grown size.
+        self._keys_cache = None
+        self._size = end
         self._writes += 1
 
     def discard(self, keys: Sequence[str]) -> List[Tuple[int, int]]:
@@ -371,27 +376,35 @@ def routed_upsert(key_partition: Dict[str, int], partitions: Sequence, keys: Seq
     partitions named by ``assignments`` — the write path of both partitioned
     indexes.  Of a key repeated in the call only the final occurrence is kept;
     a stored key is swap-removed (``discard``) from the partition holding it
-    before its new row is appended (``add``), so a key that re-routes never
-    leaves a second row behind.  ``key_partition`` records where each key went.
+    before its new row is appended, so a key that re-routes never leaves a
+    second row behind — and every row left to write is new to its partition,
+    which takes it through ``_append`` without looking the keys up again.
+    ``key_partition`` records where each key went.
     """
-    source_rows = {str(key): i for i, key in enumerate(keys)}
+    source_rows = dict(zip(map(str, keys), range(len(keys))))
     if not source_rows:
         return
+    if not key_partition.keys().isdisjoint(source_rows):
+        stale: Dict[int, List[str]] = {}
+        for key in source_rows:
+            if key in key_partition:
+                stale.setdefault(key_partition[key], []).append(key)
+        for pid, gone in stale.items():
+            partitions[pid].discard(gone)
+    # What is left to write is distinct and stored nowhere: group it by
+    # partition with one gather per column, then append each slice.
     keys = list(source_rows)
     kept = np.fromiter(source_rows.values(), dtype=np.int64, count=len(keys))
-    stale: Dict[int, List[str]] = {}
-    for key in keys:
-        if key in key_partition:
-            stale.setdefault(key_partition[key], []).append(key)
-    for pid, gone in stale.items():
-        partitions[pid].discard(gone)
     routes = assignments[kept]
     order = np.argsort(routes, kind="stable")
-    for members in np.split(order, np.flatnonzero(np.diff(routes[order])) + 1):
-        pid, rows = int(routes[members[0]]), kept[members]
-        member_keys = [keys[j] for j in members]
-        partitions[pid].add(member_keys, *(column[rows] for column in columns))
-        key_partition.update(dict.fromkeys(member_keys, pid))
+    routes, rows = routes[order], kept[order]
+    keys = [keys[j] for j in order.tolist()]
+    columns = [column[rows] for column in columns]
+    bounds = [0, *(np.flatnonzero(np.diff(routes)) + 1).tolist(), len(keys)]
+    for start, end in zip(bounds, bounds[1:]):
+        pid = int(routes[start])
+        partitions[pid]._append(keys[start:end], *(column[start:end] for column in columns))
+        key_partition.update(dict.fromkeys(keys[start:end], pid))
 
 
 def partitioned_topk(
@@ -507,6 +520,8 @@ class ClusteredVectorIndex:
         across clusters (:func:`routed_upsert`)."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=self.dtype))
         cluster_ids = np.asarray(cluster_ids, dtype=int)
+        if vectors.shape[1] != self.dim:
+            raise ValidationError(f"expected dim {self.dim}, got {vectors.shape[1]}")
         if not (len(keys) == vectors.shape[0] == cluster_ids.shape[0]):
             raise ValidationError("keys, vectors and cluster_ids must have equal length")
         if np.any(cluster_ids < 0) or np.any(cluster_ids >= self.centers.shape[0]):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 import numpy as np
 
@@ -39,8 +39,8 @@ def row_digests(batch: np.ndarray) -> List[bytes]:
     """Per-sample digests of a batch: one digest per leading-axis slice.
 
     Equivalent to ``[array_digest(row) for row in batch]`` but hot-path
-    cheap: the dtype/shape preamble is encoded once for the whole batch and
-    each row is hashed in a single one-shot call over its contiguous bytes.
+    cheap: the dtype/shape preamble is hashed once for the whole batch, and
+    each row's bytes are hashed where they lie by a copy of that hasher.
     """
     batch = np.asarray(batch)
     if batch.ndim == 0:
@@ -49,9 +49,17 @@ def row_digests(batch: np.ndarray) -> List[bytes]:
     # Matches array_digest's update stream: dtype bytes, then the per-row
     # shape, then the row's C-order bytes (blake2b streams concatenate).
     prefix = str(batch.dtype).encode() + np.asarray(batch.shape[1:], dtype=np.int64).tobytes()
-    return [
-        hashlib.blake2b(prefix + row.tobytes(), digest_size=16).digest() for row in batch
-    ]
+    primed = hashlib.blake2b(prefix, digest_size=16)
+    if batch.dtype.hasobject or not batch.size:
+        rows = [row.tobytes() for row in batch]  # no byte view of these exists
+    else:
+        rows = batch.reshape(batch.shape[0], -1).view(np.uint8)
+    digests = []
+    for row in rows:
+        hasher = primed.copy()
+        hasher.update(row)
+        digests.append(hasher.digest())
+    return digests
 
 
 class LRUCache:
@@ -82,23 +90,42 @@ class LRUCache:
 
     def get(self, key: Hashable, default: Optional[Any] = None) -> Optional[Any]:
         """Return the cached value (marking it most-recently-used) or ``default``."""
+        return self.get_many((key,), default)[0]
+
+    def get_many(self, keys: Iterable[Hashable], default: Optional[Any] = None) -> List[Any]:
+        """``[get(key, default) for key in keys]`` under one acquisition of
+        the lock: the same hits, misses and recency, key by key."""
+        values = []
+        missed = 0
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                self.hits += 1
-                return self._data[key]
-            self.misses += 1
-            return default
+            data = self._data
+            for key in keys:
+                if key in data:
+                    data.move_to_end(key)
+                    values.append(data[key])
+                else:
+                    values.append(default)
+                    missed += 1
+            self.hits += len(values) - missed
+            self.misses += missed
+        return values
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh ``key``, evicting the least-recently-used overflow."""
+        self.put_many((key,), (value,))
+
+    def put_many(self, keys: Iterable[Hashable], values: Iterable[Any]) -> None:
+        """``put(key, value)`` pair by pair, in order, under one acquisition
+        of the lock: the same final contents, recency and evictions."""
         if self.maxsize == 0:
             return
         with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+            data = self._data
+            for key, value in zip(keys, values):
+                data[key] = value
+                data.move_to_end(key)
+                while len(data) > self.maxsize:
+                    data.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:

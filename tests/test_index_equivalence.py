@@ -10,13 +10,22 @@ effort.  Around that: ``ivf`` at full probe ≡ ``flat`` ≡ ``clustered`` at
 full probe; ``topk`` with and without supplied query norms; an uncached
 mirror and an mmap-opened store ≡ the in-memory index.
 
+The partitioned *write* (``routed_upsert`` appending the rows it has shown to
+be new through ``VectorIndex._append``) replaced a per-key path — every
+partition's rows through the public ``add``, which looked each key up again —
+kept here as ``reference_flat_add`` / ``reference_routed_upsert``: the same
+adds through either leave the same keys, vectors and PQ codes in the same
+rows of the same partitions, and the same answers.
+
 Stores are hypothesis-generated with the cases the merge has to get right:
 duplicate vectors (grid-valued data, so distances tie exactly), upserts that
 move a key between partitions, partitions left empty or smaller than ``k``,
 ``k`` beyond the store size, and batches of 1 to 40 queries.
 """
 
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -25,11 +34,12 @@ from hypothesis import strategies as st
 from repro.storage import (
     ClusteredVectorIndex,
     IVFVectorIndex,
+    ShardedVectorStore,
     VectorIndex,
     open_mmap,
     save_mmap,
 )
-from repro.storage.vector_index import QueryResult
+from repro.storage.vector_index import QueryResult, grown
 from repro.utils.stats import pairwise_squared_distances
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -151,6 +161,99 @@ def reference_partitioned_query(
     counts = {"partitions_probed": sum(len(chosen) for chosen in probe_lists),
               "candidates_scanned": scanned, "reranked": reranked}
     return out, counts
+
+
+# -- the reference: the per-key write path this PR removed from src/ ------------------------
+def reference_flat_add(index: VectorIndex, keys, vectors) -> None:
+    """``VectorIndex.add`` as it was: one pass over the keys that sorts them
+    into overwrites and appends, and a key -> row entry set per new key."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=index.dtype))
+    assert vectors.shape == (len(keys), index.dim)
+    source_rows = {str(k): i for i, k in enumerate(keys)}
+    overwrite_rows, overwrite_src, fresh_keys, fresh_src = [], [], [], []
+    for key, src in source_rows.items():
+        row = index._key_rows.get(key)
+        if row is None:
+            fresh_keys.append(key)
+            fresh_src.append(src)
+        else:
+            overwrite_rows.append(row)
+            overwrite_src.append(src)
+    if overwrite_rows:
+        index._data[np.asarray(overwrite_rows)] = vectors[np.asarray(overwrite_src)]
+    if fresh_keys:
+        n = len(fresh_keys)
+        index._data = grown(index._data, index._size, index._size + n)
+        index._data[index._size : index._size + n] = vectors[fresh_src]
+        index._keys.extend(fresh_keys)
+        for offset, key in enumerate(fresh_keys):
+            index._key_rows[key] = index._size + offset
+        index._keys_cache = None
+        index._size += n
+    index._writes += 1
+
+
+def reference_routed_upsert(key_partition, partitions, keys, assignments, *columns) -> None:
+    """``routed_upsert`` as it was: stale keys looked up one by one, a gather
+    per partition and column, and each partition's rows through ``add`` (for
+    an IVF inverted list: its PQ codes first, then the inner index's ``add``)."""
+    source_rows = {str(key): i for i, key in enumerate(keys)}
+    if not source_rows:
+        return
+    keys = list(source_rows)
+    kept = np.fromiter(source_rows.values(), dtype=np.int64, count=len(keys))
+    stale: Dict[int, List[str]] = {}
+    for key in keys:
+        if key in key_partition:
+            stale.setdefault(key_partition[key], []).append(key)
+    for pid, gone in stale.items():
+        partitions[pid].discard(gone)
+    routes = assignments[kept]
+    order = np.argsort(routes, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(routes[order])) + 1):
+        pid, rows = int(routes[members[0]]), kept[members]
+        member_keys = [keys[j] for j in members]
+        part = partitions[pid]
+        vectors, *codes = (column[rows] for column in columns)
+        if codes:
+            needed = part._code_size + len(rows)
+            part.codes = grown(part.codes, part._code_size, needed)
+            part.codes[part._code_size : needed] = codes[0]
+            part._code_size = needed
+        reference_flat_add(getattr(part, "index", part), member_keys, vectors)
+        key_partition.update(dict.fromkeys(member_keys, pid))
+
+
+@contextmanager
+def per_key_writes():
+    """Every index write inside goes through the reference path, none
+    through the append that replaced it."""
+    with mock.patch("repro.storage.vector_index.routed_upsert", reference_routed_upsert), \
+            mock.patch("repro.storage.ivf_index.routed_upsert", reference_routed_upsert), \
+            mock.patch.object(VectorIndex, "add", reference_flat_add), \
+            mock.patch.object(VectorIndex, "_append", side_effect=AssertionError("appended")):
+        yield
+
+
+def contents(index) -> list:
+    """What an index holds, row by row: per flat store (a partition, a shard's
+    inverted list, ...) its keys, its vectors and its PQ codes, if any; then
+    the key -> partition maps met on the way."""
+    if isinstance(index, VectorIndex):
+        return [(index.keys, index.vectors.tolist(), None)]
+    if isinstance(index, ClusteredVectorIndex):
+        return [contents(part) for part in index._partitions] + [dict(index._key_partition)]
+    if isinstance(index, IVFVectorIndex):
+        if index._state is None:
+            return contents(index._flat)
+        return [
+            (part.index.keys, part.index.vectors.tolist(),
+             None if part.codes is None else part.codes[: len(part.index)].tolist())
+            for part in index._state.partitions
+        ] + [dict(index._key_partition), index._state.centers.tolist()]
+    assert isinstance(index, ShardedVectorStore)
+    return [(tenant, sorted(state.keys), [contents(shard) for shard in state.shards])
+            for tenant, state in sorted(index._tenants.items())]
 
 
 # -- generated stores ------------------------------------------------------------------
@@ -319,3 +422,67 @@ def test_topk_norms_uncached_mirror_and_mmap_equal_the_in_memory_index(tmp_path_
     assert uncached.query_batch(queries, k=k) == want and uncached._mirror is None
     mapped = open_mmap(save_mmap(flat, tmp_path_factory.mktemp("mmap")))
     assert mapped.query_batch(queries, k=k) == want and mapped._mirror is None
+
+
+def build_sharded(batches, n_parts, **kwargs) -> ShardedVectorStore:
+    """Two tenants taking turns, so a re-sent key may be the other tenant's."""
+    sharded = ShardedVectorStore(batches[0][1].shape[1], n_shards=min(n_parts, 3), seed=1, **kwargs)
+    for turn, (keys, vectors) in enumerate(batches):
+        sharded.add(keys, vectors, tenant="ab"[turn % 2])
+        sharded.query_batch(vectors[:1], k=2, tenant="ab"[turn % 2])
+    return sharded
+
+
+@SETTINGS
+@given(stores(), st.integers(1, 70), st.integers(1, 4))
+def test_appending_proved_rows_leaves_what_the_per_key_path_left(store, k, bits):
+    batches, final, queries, n_parts, rng = store
+    dim = batches[0][1].shape[1]
+    clustered_seed = int(rng.integers(2**32))
+    builders = {
+        "flat": lambda: build_flat(batches),
+        "ivf": lambda: build_ivf(batches, n_parts, n_probe=2),
+        "ivf+pq": lambda: build_ivf(batches, n_parts, n_probe=2, rerank=3,
+                                    pq={"m": dim, "bits": bits, "max_iter": 4}),
+        "clustered": lambda: build_clustered(
+            batches, n_parts, np.random.default_rng(clustered_seed), n_probe=2),
+        "sharded": lambda: build_sharded(batches, n_parts, replication=min(n_parts, 2)),
+        "sharded ivf": lambda: build_sharded(
+            batches, n_parts, shard_backend="ivf",
+            shard_params={"n_partitions": n_parts, "train_threshold": 4}),
+    }
+    for name, build in builders.items():
+        got = build()
+        with per_key_writes():
+            want = build()
+        assert contents(got) == contents(want), name
+        if name.startswith("sharded"):
+            for tenant in got._tenants:
+                assert (got.query_batch(queries, k=k, tenant=tenant)
+                        == want.query_batch(queries, k=k, tenant=tenant)), name
+        else:
+            assert len(got) == len(final) and all(key in got for key in final)
+            assert got.query_batch(queries, k=k) == want.query_batch(queries, k=k), name
+
+
+def test_public_adds_still_validate_and_dedupe_what_they_are_given():
+    """The append inside skips the checks; no public ``add`` does."""
+    import pytest
+
+    from repro.utils.errors import ValidationError
+
+    flat = VectorIndex(2)
+    ivf = IVFVectorIndex(2, n_partitions=2, train_threshold=2)
+    clustered = ClusteredVectorIndex(np.eye(2))
+    for index, extra in ((flat, ()), (ivf, ()), (clustered, ([0, 1],))):
+        index.add(["a", "b"], np.eye(2), *extra)
+        with pytest.raises(ValidationError):
+            index.add(["c"], np.ones((1, 3)), *(e[:1] for e in extra))
+        with pytest.raises(ValidationError):
+            index.add(["c", "d"], np.ones((1, 2)), *(e[:1] for e in extra))
+        # 7 is passed through str(); "a" is re-sent, and twice: the last wins.
+        index.add([7, "a", "a"], np.array([[5.0, 5.0], [9.0, 9.0], [0.0, 2.0]]), *(
+            [0, 0, 1] for _ in extra))
+        assert len(index) == 3 and "7" in index
+        assert index.query_batch(np.array([[0.0, 2.0]]), k=1) == [[("a", 0.0)]]
+    assert ivf.is_trained and sorted(ivf._key_partition) == ["7", "a", "b"]

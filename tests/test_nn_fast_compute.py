@@ -1,7 +1,7 @@
 """Equivalence and golden-value tests for the vectorized float32 compute plane.
 
 Pins the rewritten kernels to the frozen pre-optimisation reference
-implementations in :mod:`repro.nn._reference`:
+implementations in ``benchmarks/nn_reference.py``:
 
 * sliding-window im2col / slice-add col2im  vs  index-gather / ``np.add.at``,
 * workspace Conv2D                          vs  the legacy float64 Conv2D,
@@ -9,6 +9,9 @@ implementations in :mod:`repro.nn._reference`:
 * batched (folded) MC dropout               vs  one forward pass per sample,
 * float32 training curves                   vs  the float64 baseline.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,11 @@ from repro.nn import (
     get_default_dtype,
     mc_dropout_predict,
 )
-from repro.nn._reference import (
+from repro.nn.layers import col2im, im2col
+from repro.models import build_braggnn
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from nn_reference import (  # noqa: E402
     LegacyConv2D,
     LoopedAdam,
     LoopedSGD,
@@ -38,8 +45,6 @@ from repro.nn._reference import (
     reference_col2im,
     reference_im2col,
 )
-from repro.nn.layers import col2im, im2col
-from repro.models import build_braggnn
 
 
 # -- im2col / col2im golden values --------------------------------------------

@@ -94,7 +94,7 @@ def _assert_decodes_like_the_loop(codec, blobs):
     assert len(got) == len(want)
     for one, ref in zip(got, want):
         assert type(one) is type(ref)
-        if isinstance(ref, np.ndarray):
+        if isinstance(ref, (np.ndarray, np.generic)):  # (a scalar may be a NaN, too)
             assert one.dtype == ref.dtype and one.shape == ref.shape
             assert one.flags.writeable or not isinstance(got, np.ndarray)  # stacked rows are
             if ref.dtype.hasobject:
@@ -193,6 +193,121 @@ def test_decode_many_stacks_what_it_can_and_loops_over_the_rest(rng):
     for bad in ([blobs[0], 123], [123, blobs[0]]):
         with pytest.raises(StorageError, match="expects bytes"):
             codec.decode_many(bad)
+
+
+# -- codecs: a batch encoded at once ----------------------------------------------------
+def _assert_encodes_like_the_loop(codec, payloads):
+    """``encode_many`` against the loop it replaces, byte for byte, and back
+    through ``decode_many`` to the payloads; returns the blobs."""
+    want = [codec.encode(payload) for payload in payloads]
+    blobs = codec.encode_many(payloads)
+    assert isinstance(blobs, list) and all(type(blob) is bytes for blob in blobs)
+    assert blobs == want
+    back = _assert_decodes_like_the_loop(codec, blobs)
+    for one, payload in zip(back, payloads):
+        # (Through ``__reduce__`` — strided, subclass — NumPy itself brings a
+        # big-endian array back as a native one.)
+        if type(payload) is np.ndarray and not payload.dtype.hasobject \
+                and payload.flags.c_contiguous:
+            assert one.dtype == payload.dtype and one.shape == payload.shape
+            assert one.tobytes() == payload.tobytes()
+    return blobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from(_FUZZ_DTYPES),
+    shape=st.lists(st.integers(0, 4), min_size=0, max_size=4).map(tuple),
+    layout=st.sampled_from(["c", "fortran", "strided", "readonly"]),
+    n=st.integers(1, 7),
+    form=st.sampled_from(["stack", "views", "arrays"]),
+    odd=st.none() | st.sampled_from(
+        ["shape", "dtype", "layout", "readonly", "object", "scalar", "text", "subclass"]),
+    odd_at=st.integers(0, 6),
+    seed=st.integers(0, 10**6),
+)
+def test_encode_many_is_the_encode_loop(dtype, shape, layout, n, form, odd, odd_at, seed):
+    rng = np.random.default_rng(seed)
+    if form == "arrays":  # separately made arrays, each its own memory
+        payloads = [_fuzz_array(rng, dtype, shape, layout) for _ in range(n)]
+    else:  # one array of n rows, handed over whole or as a list of its rows
+        payloads = _fuzz_array(rng, dtype, (n,) + shape, layout)
+        if form == "views":
+            payloads = list(payloads)
+    if odd is not None and form != "stack":  # one payload is not like the others
+        like = payloads[0]
+        readonly = np.array(like)
+        readonly.flags.writeable = not like.flags.writeable if isinstance(like, np.ndarray) else False
+        payloads[odd_at % n] = {
+            "shape": _fuzz_array(rng, dtype, shape + (2,), layout),
+            "dtype": _fuzz_array(rng, "i8", shape, layout),
+            "layout": _fuzz_array(rng, dtype, shape, "fortran" if layout != "fortran" else "c"),
+            "readonly": readonly,
+            "object": _fuzz_array(rng, "O", shape, "c"),
+            "scalar": np.float64(rng.normal()),
+            "text": {"not": "an array", "n": int(rng.integers(9))},
+            "subclass": np.array(like).view(np.recarray if np.array(like).dtype.names else np.matrix)
+            if np.array(like).ndim == 2 else np.array(like).view(_Tagged),
+        }[odd]
+    _assert_encodes_like_the_loop(PickleCodec(), payloads)
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass: pickles through ``__reduce__``, not as a buffer."""
+
+
+def test_encode_many_splices_what_it_can_and_loops_over_the_rest(rng, tmp_path, monkeypatch):
+    codec = PickleCodec()
+    patches = rng.normal(size=(9, 5, 5))
+    calls = []
+    real = PickleCodec.encode
+    monkeypatch.setattr(PickleCodec, "encode",
+                        lambda self, obj: calls.append(1) or real(self, obj))
+
+    def pickled(payloads):
+        """How many objects ``encode_many(payloads)`` pickled one by one."""
+        del calls[:]
+        got = codec.encode_many(payloads)
+        spent = len(calls)
+        assert got == [real(codec, payload) for payload in payloads]
+        return spent
+
+    # The first two rows are pickled — one to find the buffer, one to prove
+    # the splice — whether the batch is a stack, its row views or twins.
+    assert pickled(patches) == pickled(list(patches)) == 2
+    assert pickled([patch.copy() for patch in patches]) == 2
+    frozen = patches.copy()
+    frozen.flags.writeable = False
+    assert pickled(frozen) == 2 and codec.encode_many(frozen) != codec.encode_many(patches)
+    assert pickled(patches.astype(">f4")) == pickled(patches[:, None, :, :]) == 2
+    assert pickled(rng.normal(size=(4, 3))) == 2  # 1-d rows
+    # Batches of none, one and two gain nothing from a splice: the loop.
+    assert codec.encode_many([]) == [] and codec.encode_many(patches[:0]) == []
+    assert pickled(patches[:1]) == 1 and pickled(patches[:2]) == 2
+    # Rows that pickle differently from one another, or not as one buffer.
+    mixed_flags = list(patches)
+    mixed_flags[4] = frozen[4]
+    views = patches.view(_Tagged)
+    memmap = np.memmap(tmp_path / "rows.bin", dtype=np.float64, mode="w+", shape=(4, 6))
+    memmap[:] = rng.normal(size=(4, 6))
+    for odd in (mixed_flags, patches[:, :, ::2], np.asfortranarray(patches).T.copy().T,
+                list(patches[:3]) + [patches[3].astype(np.float32)],
+                list(patches[:3]) + [patches[3][:4]], views, list(views), memmap, list(memmap),
+                np.zeros((4, 0)), rng.normal(size=4), [np.array(v) for v in rng.normal(size=4)][:2],
+                np.array([[{"a": 1}] * 2] * 4, dtype=object), [1, "two", None, 4.0]):
+        assert pickled(odd) == len(odd)
+    # 0-d arrays carry a buffer like any other and are spliced.
+    assert pickled([np.array(v) for v in rng.normal(size=5)]) == 2
+    # The first patch's pixels repeat the pickle's own first bytes (every
+    # protocol-5 pickle starts 80 05): the buffer is found twice, so the loop.
+    header = np.frombuffer(real(codec, patches[0])[:2], dtype=np.uint8)
+    echo = np.stack([header, header + 1, header + 2, header + 3])
+    assert real(codec, echo[0]).count(echo[0].tobytes()) == 2
+    assert pickled(echo) == 1 + 4  # the first row once to look, then every row
+    # Any other codec encodes object by object, the default.
+    squeezed = CompressedCodec()
+    assert squeezed.encode_many(patches) == [squeezed.encode(patch) for patch in patches]
+    assert RawArrayCodec().encode_many(patches) == [RawArrayCodec().encode(p) for p in patches]
 
 
 def test_fetch_payload_stack_is_fetch_payloads_as_one_array(monkeypatch):
@@ -463,6 +578,59 @@ def test_insert_many_rejects_a_duplicate_id_before_it_stores_anything(clash):
     batch[2]["_id"] = "fresh-2"
     assert coll.insert_many(batch) == ["fresh-0", "fresh-1", "fresh-2"]
     assert coll.version == before[2] + 1 and coll.count() == before[0] + 3
+
+
+def test_insert_many_takes_documents_dicts_and_dicts_without_an_id():
+    db = DocumentDB()
+    coll = db.collection("x")
+    coll.create_index("cluster_id")
+    handed = Document({"_id": "d-0", "cluster_id": 1, "label": [0.0]})
+    plain = {"_id": "d-1", "cluster_id": 1}
+    anonymous = {"cluster_id": 2}
+    payloads = np.arange(12.0).reshape(3, 4)
+    ids = coll.insert_many([handed, plain, anonymous], payloads)
+    assert ids[:2] == ["d-0", "d-1"] and ids[2] not in ("d-0", "d-1") and coll.count() == 3
+    # A Document is stored as the object it is; a plain mapping is copied.
+    assert coll.get("d-0") is handed and coll.get("d-1") is not plain
+    assert "payload" not in plain and "_id" not in anonymous
+    assert [doc["payload"] for doc in coll.get_many(ids)] == [
+        coll.codec.encode(row) for row in payloads]
+    assert [doc["payload_bytes"] for doc in coll.get_many(ids)] == [
+        len(coll.codec.encode(row)) for row in payloads]
+    assert sorted(doc.id for doc in coll.find({"cluster_id": 1})) == ["d-0", "d-1"]
+    assert [doc.id for doc in coll.find({"cluster_id": 2})] == [ids[2]]
+    # The same plain rows go in again under fresh ids; the last id of a batch
+    # clashing with its first is refused whole, naming the id.
+    version = coll.version
+    assert coll.insert_many([anonymous, anonymous])[0] != ids[2] and coll.count() == 5
+    with pytest.raises(StorageError, match="duplicate _id 'e-0'"):
+        coll.insert_many([Document({"_id": "e-0"}), {"cluster_id": 3}, {"_id": "e-0"}])
+    assert coll.count() == 5 and coll.version == version + 1 and coll.find({"cluster_id": 3}) == []
+
+
+def test_insert_many_of_nothing_changes_nothing():
+    _, coll, _ = _populated_collection()
+    coll.create_index("cluster_id")
+    before = (coll.version, coll.count(), coll.ids(), len(coll.find({"cluster_id": 1})))
+    assert coll.insert_many([]) == [] and coll.insert_many([], []) == []
+    assert coll.insert_many((), np.empty((0, 3))) == []
+    assert (coll.version, coll.count(), coll.ids(), len(coll.find({"cluster_id": 1}))) == before
+    with pytest.raises(StorageError, match="payloads must match"):
+        coll.insert_many([], [np.zeros(2)])
+
+
+def test_insert_many_charges_the_network_once_with_every_encoded_byte(monkeypatch):
+    db = DocumentDB()
+    coll = db.collection("x")
+    charged = []
+    monkeypatch.setattr(NetworkModel, "charge", lambda self, n_bytes: charged.append(n_bytes))
+    patches = np.random.default_rng(5).normal(size=(6, 4, 4))
+    coll.insert_many([{"i": i} for i in range(6)], patches)
+    coll.insert_many([{"i": i} for i in range(6)], list(patches))
+    coll.insert_many([{"i": 0}])
+    each = sum(len(coll.codec.encode(patch)) for patch in patches)
+    assert charged == [each, each, 0]
+    assert coll.storage_bytes() == 2 * each
 
 
 def test_db_collection_management():
