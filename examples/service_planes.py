@@ -65,8 +65,11 @@ def main() -> None:
     print(f"[system] batched certainty monitor: "
           f"{[round(c, 1) for c in certs]} % per scan")
     cache = dms.fairds.embedding_cache_info()
+    # PCA declares memoize = False (a projection is cheaper than hashing its
+    # input), so this prints zeros; a network embedder would report hits here.
     print(f"[system] embedding cache: {cache['hits']:.0f} hits / "
-          f"{cache['misses']:.0f} misses (repeated scans skip the embedder)")
+          f"{cache['misses']:.0f} misses of {cache['maxsize']:.0f} slots "
+          f"(memoised only where the embedder says a transform costs more than a digest)")
 
     # --- system plane ------------------------------------------------------
     scan11 = experiment.scan(11)  # post-phase-change data, now labeled offline

@@ -51,6 +51,7 @@ from repro.observability.tracing import current_span, trace_span
 from repro.storage.document import Document, new_object_ids
 from repro.storage.documentdb import Collection, DocumentDB
 from repro.storage.capabilities import IndexCapabilities, probe_index_capabilities
+from repro.storage.vector_index import appended
 from repro.utils.cache import LRUCache, row_digests
 from repro.utils.errors import ConfigurationError, NotFittedError, ValidationError
 from repro.utils.rng import SeedLike, derive_seed
@@ -72,6 +73,14 @@ def _transform64(embedder: Embedder, images: np.ndarray) -> np.ndarray:
     return np.asarray(embedder.transform(images), dtype=np.float64)
 
 
+def _nonempty64(images: np.ndarray) -> np.ndarray:
+    """``images`` as float64, holding at least one sample."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[0] == 0:
+        raise ValidationError("images must be non-empty")
+    return images
+
+
 @dataclass
 class LookupResult:
     """Labeled data returned by a fairDS pseudo-labeling lookup.
@@ -91,31 +100,7 @@ class LookupResult:
         return self.images.shape[0]
 
 
-class _IntColumn:
-    """Append-only integer column with amortised O(1) append.
-
-    :meth:`append` returns a view of everything appended so far.  Views handed
-    out earlier stay valid and unchanged — later values land beyond their end,
-    or in a fresh buffer after a doubling — which is what lets a published
-    catalog snapshot be read without a lock while the next one is prepared.
-    One writer at a time.
-    """
-
-    __slots__ = ("_buffer", "_size")
-
-    def __init__(self) -> None:
-        self._buffer = np.empty(0, dtype=np.intp)
-        self._size = 0
-
-    def append(self, values: np.ndarray) -> np.ndarray:
-        size = self._size + len(values)
-        if size > self._buffer.size:
-            grown = np.empty(max(size, 2 * self._buffer.size), dtype=np.intp)
-            grown[: self._size] = self._buffer[: self._size]
-            self._buffer = grown
-        self._buffer[self._size : size] = values
-        self._size = size
-        return self._buffer[:size]
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 class _SampleCatalog(NamedTuple):
@@ -125,9 +110,12 @@ class _SampleCatalog(NamedTuple):
     order: row ``i`` is the ``i``-th document.  It describes its generation's
     collection at write ``version``, no other state of it.  ``cluster_ids`` and
     ``members`` (row numbers per cluster id present) are NumPy views of
-    exactly this snapshot's length; ``doc_ids`` and ``labels`` are append-only
-    lists shared with later snapshots, of which only the rows below
-    ``len(cluster_ids)`` belong to this one.
+    exactly this snapshot's length, the heads of buffers later snapshots grow
+    (:func:`~repro.storage.vector_index.appended`: a view handed out stays as
+    it was, so a published snapshot is read without a lock while the next is
+    prepared); ``doc_ids`` and ``labels`` are append-only lists shared with
+    later snapshots, of which only the rows below ``len(cluster_ids)`` belong
+    to this one.
     """
 
     version: int
@@ -135,13 +123,11 @@ class _SampleCatalog(NamedTuple):
     labels: List[Any]
     cluster_ids: np.ndarray
     members: Dict[int, np.ndarray]
-    cluster_column: _IntColumn
-    member_columns: Dict[int, _IntColumn]
 
     @classmethod
     def empty(cls, version: int) -> "_SampleCatalog":
         """The catalog of a collection that holds no document at ``version``."""
-        return cls(version, [], [], np.empty(0, dtype=np.intp), {}, _IntColumn(), {})
+        return cls(version, [], [], _NO_ROWS, {})
 
     def extended(
         self, version: int, doc_ids: Sequence[str], labels: Sequence[Any], cluster_ids: np.ndarray
@@ -149,7 +135,7 @@ class _SampleCatalog(NamedTuple):
         """The snapshot after documents ``doc_ids`` with these labels and
         cluster ids were appended to the collection, in O(batch + clusters).
 
-        Consumes ``self``: the shared lists and columns grow in place (beyond
+        Consumes ``self``: the shared lists and buffers grow in place (beyond
         what ``self`` and older snapshots read), so only the newest snapshot
         may be extended, by one thread at a time.
         """
@@ -157,14 +143,11 @@ class _SampleCatalog(NamedTuple):
         first_row = self.cluster_ids.size
         members = dict(self.members)
         for c, rows in cluster_members(added).items():
-            column = self.member_columns.get(c)
-            if column is None:
-                column = self.member_columns[c] = _IntColumn()
-            members[c] = column.append(rows + first_row)
+            members[c] = appended(members.get(c, _NO_ROWS), rows + first_row)
         self.doc_ids.extend(doc_ids)
         self.labels.extend(labels)
         return self._replace(
-            version=version, cluster_ids=self.cluster_column.append(added), members=members
+            version=version, cluster_ids=appended(self.cluster_ids, added), members=members
         )
 
 
@@ -215,14 +198,10 @@ class FairDS:
         RNG seed for clustering and sampling.
     embedding_cache_size:
         Capacity of the LRU embedding cache keyed on per-sample content
-        digests: samples already embedded by the current generation skip the
-        embedder entirely on repeated lookups/monitoring probes.  ``0``
-        disables caching (use this for stochastic embedders whose transform
-        is not a pure per-sample function).  The measured trade, per 15×15
-        sample: digest + cache ≈ 3 µs on a hit and ≈ 4–5 µs on a miss,
-        against ≈ 0.3–0.6 µs for a PCA transform — so the cache pays only
-        for the network embedders (BYOL, autoencoder), whose transform costs
-        far more than a digest.
+        digests: samples the current generation has embedded skip the
+        embedder when they come again.  Used only where the embedder declares
+        ``memoize`` (:class:`~repro.embedding.base.Embedder`: the network
+        embedders do; PCA, cheaper than a digest, does not); ``0`` disables it.
     index_dtype:
         Storage dtype of the nearest-neighbour index.  The index answers
         queries against a cached float64 mirror either way, so float32
@@ -343,10 +322,8 @@ class FairDS:
     def _validate_labelled(
         images: np.ndarray, labels: np.ndarray, metadata: Optional[Sequence[Dict]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        images = np.asarray(images, dtype=np.float64)
+        images = _nonempty64(images)
         labels = np.asarray(labels, dtype=np.float64)
-        if images.shape[0] == 0:
-            raise ValidationError("images must be non-empty")
         if images.shape[0] != labels.shape[0]:
             raise ValidationError("images and labels must have the same length")
         if metadata is not None and len(metadata) != images.shape[0]:
@@ -355,14 +332,12 @@ class FairDS:
 
     @staticmethod
     def _embed(gen: _Generation, images: np.ndarray) -> np.ndarray:
-        """Embed ``images``, serving repeated samples from ``gen``'s LRU cache.
-
-        Samples are keyed by a digest of their raw bytes.  The cache belongs
-        to the generation whose embedder filled it, so an embedding computed
-        with an old representation — even one put by a thread racing a
-        refresh — lands where no reader of the new clustering looks.  Only
-        cache misses are pushed through the embedder.
-        """
+        """Embed ``images``.  Where ``gen`` holds a cache (its embedder
+        memoises), samples are keyed by a digest of their raw bytes and only
+        misses reach the embedder.  The cache belongs to the generation whose
+        embedder filled it, so an embedding computed with an old representation
+        — even one put by a thread racing a refresh — lands where no reader of
+        the new clustering looks."""
         images = np.asarray(images, dtype=np.float64)
         cache = gen.cache
         if cache.maxsize == 0:
@@ -386,7 +361,7 @@ class FairDS:
 
     def embedding_cache_info(self) -> Dict[str, float]:
         """Hit/miss counters of the published generation's embedding cache
-        (they restart with every refit)."""
+        (they restart with every refit; all zeros where it is bypassed)."""
         gen = self._generation
         return (gen.cache if gen is not None else LRUCache(self.embedding_cache_size)).info()
 
@@ -508,7 +483,8 @@ class FairDS:
             self._index_add(index, caps, ids, embeddings, cluster_ids)
         gen = _Generation(
             prev.number + 1 if prev is not None else 1, embedder,
-            LRUCache(self.embedding_cache_size), clusterer, coll, index, caps, catalog,
+            LRUCache(self.embedding_cache_size if embedder.memoize else 0),
+            clusterer, coll, index, caps, catalog,
         )
         # Publication: the collection takes over its name, then one reference
         # assignment.  Generation N is simply no longer referenced from here.
@@ -749,13 +725,7 @@ class FairDS:
             raise ValidationError("labels must match the number of batches")
         if not len(batches):
             return []
-        validated = []
-        for images in batches:
-            images = np.asarray(images, dtype=np.float64)
-            if images.shape[0] == 0:
-                raise ValidationError("images must be non-empty")
-            validated.append(images)
-        embeddings = self._embed_batches(gen, validated)
+        embeddings = self._embed_batches(gen, [_nonempty64(images) for images in batches])
         cluster_ids = gen.clusterer.predict(np.vstack(embeddings))
         out: List[DatasetDistribution] = []
         start = 0
@@ -893,7 +863,7 @@ class FairDS:
             threshold = np.inf
         elif threshold <= 0:
             raise ValidationError("threshold must be positive")
-        embeddings = self._embed(gen, np.asarray(images, dtype=np.float64))
+        embeddings = self._embed(gen, _nonempty64(images))
         hits = [hit for (hit,) in self._index_query_batch(gen, embeddings, k=1)]
         docs = iter(gen.collection.get_many(
             [doc_id for doc_id, dist in hits if dist < threshold]))
@@ -926,9 +896,7 @@ class FairDS:
         fuzzy memberships of all datasets are computed in a single pass.
         """
         gen = self._live("certainty_batch")
-        embeddings = self._embed_batches(
-            gen, [np.asarray(images, dtype=np.float64) for images in batches]
-        )
+        embeddings = self._embed_batches(gen, [_nonempty64(images) for images in batches])
         return assignment_certainty_batch(
             embeddings, gen.clusterer.cluster_centers_, m=fuzzifier, confidence=confidence
         )

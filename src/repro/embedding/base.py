@@ -17,6 +17,10 @@ class Embedder:
     callable repeatedly.
     """
 
+    #: Whether fairDS memoises :meth:`transform` per sample, by content digest:
+    #: False where it costs less than the digest or is not a pure function.
+    memoize = True
+
     def __init__(self, embedding_dim: int = 16):
         if embedding_dim < 1:
             raise ConfigurationError("embedding_dim must be >= 1")

@@ -19,6 +19,8 @@ from repro.utils.errors import NotFittedError, ValidationError
 class PCAEmbedder(Embedder):
     """Projects samples onto the top ``embedding_dim`` principal components."""
 
+    memoize = False  # a projection is cheaper than hashing its input
+
     def __init__(self, embedding_dim: int = 16, whiten: bool = False):
         super().__init__(embedding_dim)
         self.whiten = bool(whiten)

@@ -66,10 +66,10 @@ ERROR_TYPES = (
     "closed",            # the serving runtime is not accepting traffic
     "unavailable",       # no healthy replica could accept the request
     "unknown_op",        # the operation is not served here
-    "bad_request",       # the frame parsed but the request shape is invalid
+    "bad_request",       # the request's shape is invalid, or its handler raised ValidationError
     "frame_too_large",   # the frame exceeded max_frame_bytes
     "deadline_exceeded", # the request's deadline expired before a worker took it
-    "internal",          # the handler raised
+    "internal",          # the handler raised anything else
 )
 
 _KIND = "__repro__"  # marker key of codec-encoded values

@@ -63,6 +63,7 @@ from repro.utils.errors import (
     NetworkError,
     ServiceClosedError,
     ServiceOverloadedError,
+    ValidationError,
 )
 from repro.utils.logging import get_logger
 
@@ -369,6 +370,8 @@ class NetworkServer:
                 "deadline_exceeded", str(exc), request_id)
         except NetworkError as exc:
             status, body = "unavailable", error_body("unavailable", str(exc), request_id)
+        except ValidationError as exc:  # the handler refused the caller's data
+            status, body = "bad_request", error_body("bad_request", str(exc), request_id)
         except Exception as exc:  # handler raised: typed internal error
             status, body = "internal", error_body("internal", f"{type(exc).__name__}: {exc}",
                                                   request_id)

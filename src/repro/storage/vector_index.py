@@ -56,6 +56,24 @@ def grown(buffer: np.ndarray, size: int, needed: int) -> np.ndarray:
     return out
 
 
+def appended(head: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``head`` followed by ``rows``.  Where ``head`` is the leading rows of a
+    buffer (what this returned before) the rows are written past its end into
+    that buffer, :func:`grown` when full, so arrays handed out earlier stay as
+    they were; any other ``head`` is copied.  Only the newest head of a buffer
+    may be extended (the buffer does not know how far it is written), by one
+    writer at a time."""
+    size, end = head.shape[0], head.shape[0] + rows.shape[0]
+    buffer = head.base
+    if not (type(buffer) is np.ndarray and buffer.dtype == head.dtype
+            and buffer.shape[1:] == head.shape[1:] and buffer.strides == head.strides
+            and np.may_share_memory(buffer[:1], head[:1])):  # i.e. they start on one row
+        buffer = head
+    buffer = grown(buffer, size, end)
+    buffer[size:end] = rows
+    return buffer[:end]
+
+
 class VectorIndex:
     """Exact nearest-neighbour index with incremental adds.
 
@@ -69,10 +87,10 @@ class VectorIndex:
         mirror (a free view when the storage dtype is already float64).
     cache_query_matrix:
         Whether to keep the float64 mirror (and its squared row norms) between
-        queries, rebuilt lazily after adds.  True favours query latency at the
-        cost of holding both copies (1.5x a plain float64 index for float32
-        storage); False favours memory and pays the conversion on every query
-        call, which is the right trade for huge, rarely-queried stores.
+        queries: grown by each append, rebuilt by the first query after any
+        other write.  True favours query latency at the cost of holding both
+        copies (1.5-2x a plain float64 index for float32 storage); False pays
+        the conversion on every query: right for huge, rarely-queried stores.
     """
 
     def __init__(self, dim: int, dtype=np.float32, cache_query_matrix: bool = True):
@@ -91,7 +109,8 @@ class VectorIndex:
         # against other norms, and served only while ``_writes`` still equals
         # its count.  Every write bumps ``_writes`` *last*, so a mirror a
         # reader computed across a write — whenever it gets stored — carries
-        # a count the finished write has made stale.
+        # a stale count.  A pure append publishes the current mirror plus its
+        # rows under the next count; every other write leaves it stale.
         self._mirror: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         self._writes = 0
 
@@ -158,7 +177,9 @@ class VectorIndex:
                 overwrite_src.append(src)
         if overwrite_rows:
             self._data[np.asarray(overwrite_rows)] = vectors[np.asarray(overwrite_src)]
-        self._append(fresh_keys, vectors[fresh_src])
+            self._writes += 1  # drops the mirror before an append could carry the old rows across
+        if fresh_keys:
+            self._append(fresh_keys, vectors[fresh_src])
 
     def _append(self, keys: List[str], vectors: np.ndarray) -> None:
         """Append ``vectors`` as new rows under ``keys``, which the caller has
@@ -173,8 +194,21 @@ class VectorIndex:
         # Invalidate before publishing the new size so a concurrent query
         # never pairs the stale keys view with the grown size.
         self._keys_cache = None
+        mirror, writes = self._mirror, self._writes
         self._size = end
-        self._writes += 1
+        if mirror is not None and mirror[0] == writes:
+            # Per append: rows x dim float64 and a norm each; the next query
+            # rebuilds nothing.  Readers of the old tuple keep its prefix.
+            rows, rows_sq = self._float64_rows(size, end)
+            matrix = self._data[:end] if self.dtype == np.float64 else appended(mirror[1], rows)
+            self._mirror = (writes + 1, matrix, appended(mirror[2], rows_sq))
+        self._writes = writes + 1
+
+    def _float64_rows(self, start: int, end: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows ``[start, end)`` as the mirror holds them: in float64 (a view
+        when that is the storage dtype) and their squared norms."""
+        rows = np.asarray(self._data[start:end], dtype=np.float64)
+        return rows, np.sum(rows * rows, axis=1)
 
     def discard(self, keys: Sequence[str]) -> List[Tuple[int, int]]:
         """Remove ``keys`` (absent keys are ignored) by swap-with-last.
@@ -216,8 +250,7 @@ class VectorIndex:
         mirror = self._mirror
         writes = self._writes
         if mirror is None or mirror[0] != writes:
-            matrix = np.asarray(self._data[: self._size], dtype=np.float64)
-            mirror = (writes, matrix, np.sum(matrix * matrix, axis=1))
+            mirror = (writes, *self._float64_rows(0, self._size))
             if self.cache_query_matrix:
                 self._mirror = mirror
         _, matrix, matrix_sq = mirror

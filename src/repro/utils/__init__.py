@@ -17,7 +17,7 @@ from repro.utils.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.utils.cache import LRUCache, array_digest, row_digests
+from repro.utils.cache import LRUCache, row_digests
 from repro.utils.rng import default_rng, spawn_rngs, set_global_seed, get_global_seed
 from repro.utils.timing import Timer, StopWatch, timed
 from repro.utils.stats import (
@@ -56,6 +56,5 @@ __all__ = [
     "running_mean",
     "thread_map",
     "LRUCache",
-    "array_digest",
     "row_digests",
 ]

@@ -1,11 +1,9 @@
 """Light-weight caching primitives.
 
-The fairDS user plane sees the same samples over and over — repeated lookups
-on a drifting stream, re-submitted datasets, monitoring probes — and the
-embedding model is by far the most expensive part of answering them.  An LRU
-cache keyed on *content digests* of the raw sample bytes lets every service
-layer skip the embedder for samples it has already seen, without trusting
-object identity or array ids.
+Where an embedding model costs more than a digest of its input (the embedder
+says so: ``Embedder.memoize``), an LRU cache keyed on *content digests* of the
+raw sample bytes lets fairDS skip the embedder for samples it has already
+seen, without trusting object identity or array ids.
 """
 
 from __future__ import annotations
@@ -20,34 +18,18 @@ import numpy as np
 from repro.utils.errors import ConfigurationError
 
 
-def array_digest(array: np.ndarray) -> bytes:
-    """Content digest of one array — dtype- and shape-aware.
-
-    Two arrays get the same digest iff they have equal dtype, shape and
-    C-order bytes, so a float32 copy or a reshaped view never aliases the
-    original's cache entry.
-    """
-    arr = np.ascontiguousarray(array)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.dtype).encode())
-    h.update(np.asarray(arr.shape, dtype=np.int64).tobytes())
-    h.update(arr.tobytes())
-    return h.digest()
-
-
 def row_digests(batch: np.ndarray) -> List[bytes]:
-    """Per-sample digests of a batch: one digest per leading-axis slice.
-
-    Equivalent to ``[array_digest(row) for row in batch]`` but hot-path
-    cheap: the dtype/shape preamble is hashed once for the whole batch, and
-    each row's bytes are hashed where they lie by a copy of that hasher.
-    """
+    """Per-sample content digests of a batch, one per leading-axis slice
+    (``[]`` for zero rows): equal iff dtype, shape and C-order bytes are, so
+    a float32 copy or a reshaped view never aliases the original's cache
+    entry.  The dtype/shape preamble is hashed once for the whole batch and
+    each row's bytes where they lie, by a copy of that hasher."""
     batch = np.asarray(batch)
     if batch.ndim == 0:
         raise ConfigurationError("cannot digest a 0-d array as a batch")
     batch = np.ascontiguousarray(batch)
-    # Matches array_digest's update stream: dtype bytes, then the per-row
-    # shape, then the row's C-order bytes (blake2b streams concatenate).
+    # One update stream per row: dtype bytes, then the per-row shape, then
+    # the row's C-order bytes (blake2b streams concatenate).
     prefix = str(batch.dtype).encode() + np.asarray(batch.shape[1:], dtype=np.int64).tobytes()
     primed = hashlib.blake2b(prefix, digest_size=16)
     if batch.dtype.hasobject or not batch.size:

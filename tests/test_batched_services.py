@@ -132,6 +132,7 @@ def test_certainty_batch_matches_single_certainty():
 # -- embedding LRU cache -------------------------------------------------------
 class _CountingEmbedder(PCAEmbedder):
     name = "counting-pca"
+    memoize = True  # PCAEmbedder declares False (cheaper than a digest): these tests need the cache
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -182,7 +183,7 @@ def test_embedding_cache_handles_flat_single_sample():
     """A 1-d input is one flattened sample (Embedder.flatten semantics), not a
     batch of scalars — the cached path must agree with the uncached one."""
     images, labels = _data()
-    cached_ds = FairDS(PCAEmbedder(embedding_dim=6), n_clusters=5, seed=0)
+    cached_ds = FairDS(_CountingEmbedder(embedding_dim=6), n_clusters=5, seed=0)
     uncached_ds = FairDS(PCAEmbedder(embedding_dim=6), n_clusters=5, seed=0, embedding_cache_size=0)
     cached_ds.fit(images, labels)
     uncached_ds.fit(images, labels)
@@ -193,6 +194,8 @@ def test_embedding_cache_handles_flat_single_sample():
     np.testing.assert_array_equal(with_cache.pdf, without_cache.pdf)
     # Second call is a pure cache hit and still agrees.
     np.testing.assert_array_equal(cached_ds.dataset_distribution(flat_sample).pdf, with_cache.pdf)
+    assert cached_ds.embedding_cache_info()["hits"] == 1
+    assert uncached_ds.embedding_cache_info()["misses"] == 0  # PCA: bypassed, not missed
 
 
 def test_embedding_cache_can_be_disabled():

@@ -91,26 +91,36 @@ def test_reads_beside_refreshes_and_ingests_answer_from_exactly_one_generation()
     def ingests():
         fairds.ingest(*_scan(ingest_rng, 5, offset=float(ingest_rng.integers(-3, 3))))
 
-    threads = [guarded(lookups), guarded(lookups), guarded(nearest), guarded(ingests)]
+    def refresh_after(scan):
+        fairds.ingest(*scan)  # drift: the embedder moves
+        fairds.refresh()
+        generations[fairds.generation] = (fairds.collection, fairds.n_clusters)
+
+    threads = [guarded(lookups), guarded(lookups), guarded(nearest)]
+    opening = _scan(rng, 20, offset=2.0)  # drawn before the nearest thread shares rng
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for thread in threads:
             thread.start()
-        for step in range(6):
-            fairds.ingest(*_scan(rng, 20, offset=2.0 * (step + 1)))  # drift: the embedder moves
-            fairds.refresh()
-            generations[fairds.generation] = (fairds.collection, fairds.n_clusters)
+        # Generation 2 is refreshed beside the readers alone, so its store — and
+        # with it its auto-selected cluster count — is the seed's: 4 against
+        # generation 1's 3, whatever the racing ingests make of the later ones.
+        refresh_after(opening)
+        threads.append(guarded(ingests))
+        threads[-1].start()
+        for step in range(1, 7):
+            refresh_after(_scan(rng, 20, offset=2.0 * (step + 1)))
     finally:
         stop.set()
         _join(threads)
         sys.setswitchinterval(interval)
 
     assert not errors, errors[:3]
-    assert sorted(generations) == list(range(1, 8))
+    assert sorted(generations) == list(range(1, 9))
     ids = {number: set(coll.ids()) for number, (coll, _) in generations.items()}
     assert sum(len(s) for s in ids.values()) == len(set().union(*ids.values()))  # new per generation
-    assert len({k for _, k in generations.values()}) > 1  # the check below can tell them apart
+    assert generations[1][1] != generations[2][1]  # the check below can tell them apart
     assert results and {r.generation for r in results} <= set(generations)
     for result in results:
         assert set(result.doc_ids) <= ids[result.generation]
@@ -163,6 +173,7 @@ class _GatedEmbedder(PCAEmbedder):
     (deep-copied) generation's embedder shares them."""
 
     name = "gated-pca"
+    memoize = True  # PCAEmbedder declares False: its generations would hold no cache to race for
     entered, release = threading.Event(), threading.Event()
 
     def __init__(self, **kwargs):

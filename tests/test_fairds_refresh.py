@@ -36,6 +36,7 @@ from repro.nn.network import Sequential
 from repro.observability.tracing import Tracer
 from repro.storage.codecs import CompressedCodec
 from repro.storage.documentdb import DocumentDB, NetworkModel
+from test_fairds_embed import MemoisedPCA  # PCA holds no cache: what one holds is asserted on this
 
 SIDE = 5
 
@@ -46,11 +47,11 @@ def _scan(rng, n, offset=0.0):
     return images, rng.normal(size=(n, 2))
 
 
-def _store(n=90, db=None, seed=0):
+def _store(n=90, db=None, seed=0, embedder=PCAEmbedder):
     """A fitted fairDS with per-sample metadata, then a drifted scan ingested
     (so a refresh has something to learn)."""
     rng = np.random.default_rng(seed)
-    fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3, db=db, seed=seed)
+    fairds = FairDS(embedder(embedding_dim=3), n_clusters=3, db=db, seed=seed)
     images, labels = _scan(rng, n)
     fairds.fit(images, labels, metadata=[{"scan": i // 30, "tag": f"s{i}"} for i in range(n)])
     fairds.ingest(*_scan(rng, 30, offset=-9.0), metadata=[{"scan": 9}] * 30)
@@ -65,7 +66,7 @@ def _stored_centers(docs):
 
 
 def test_refresh_carries_payload_blobs_over_and_rewrites_the_rest():
-    fairds, rng = _store()
+    fairds, rng = _store(embedder=MemoisedPCA)
     old_coll = fairds.collection
     old_docs = old_coll.find()
     old_ids = [d.id for d in old_docs]
@@ -138,7 +139,7 @@ def test_refresh_is_charged_for_reading_payloads_not_for_writing_them_back():
 
 
 def test_fit_embeds_the_store_without_the_embedding_cache():
-    fairds, rng = _store()
+    fairds, rng = _store(embedder=MemoisedPCA)
     info = fairds.embedding_cache_info()
     # Only the ingested scan went through the LRU; the 90 fitted samples did not.
     assert (info["size"], info["misses"], info["hits"]) == (30, 30, 0)
@@ -147,7 +148,7 @@ def test_fit_embeds_the_store_without_the_embedding_cache():
     # The new generation's own cache: empty, its counters at zero.
     assert (info["size"], info["misses"], info["hits"]) == (0, 0, 0)
     images, labels = _scan(rng, 40)
-    fresh = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3).fit(images, labels)
+    fresh = FairDS(MemoisedPCA(embedding_dim=3), n_clusters=3).fit(images, labels)
     assert fresh.embedding_cache_info()["size"] == fresh.embedding_cache_info()["misses"] == 0
     # A query that repeats a stored sample is embedded like any other.
     (label, distance), = fresh.nearest_labeled(images[:1])

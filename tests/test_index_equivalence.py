@@ -465,6 +465,242 @@ def test_appending_proved_rows_leaves_what_the_per_key_path_left(store, k, bits)
             assert got.query_batch(queries, k=k) == want.query_batch(queries, k=k), name
 
 
+# -- a mirror that grows: any interleaving of writes and reads ----------------------------
+@st.composite
+def histories(draw):
+    """Writes and reads in any order over a small key pool, as ``(kind, ...)``
+    operations: ``append`` (keys never stored: the write that extends a
+    published mirror), ``overwrite`` (stored keys only), ``mixed`` (stored and
+    new keys in one call, one of them repeated), ``add`` (whatever the pool
+    gives), ``discard`` and ``query``; plus the dimension."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.integers(2, 30))
+    grid = draw(st.booleans())
+    kinds = draw(st.lists(
+        st.sampled_from(["append", "append", "overwrite", "mixed", "add", "discard", "query"]),
+        min_size=2, max_size=14))
+
+    def points(n):
+        if grid:
+            return rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+        return rng.normal(scale=3.0, size=(n, dim))
+
+    ops, stored, minted = [], set(), 0
+    for kind in ["append", "query", *kinds, "query"]:
+        n = int(rng.integers(1, 12))
+        if kind == "query":
+            ops.append((kind, points(n), int(rng.integers(1, 8))))
+            continue
+        keys = [f"k{i}" for i in rng.integers(0, pool, size=n)]
+        if kind == "discard":
+            stored -= set(keys)
+            ops.append((kind, keys))
+            continue
+        new = [f"n{minted + i}" for i in range(n)]
+        minted += n
+        some_stored = sorted(stored)[:: max(1, len(stored) // n)][:n]
+        if kind == "append":
+            keys = new
+        elif kind == "overwrite" and stored:
+            keys = some_stored
+        elif kind == "mixed" and stored:
+            keys = [*some_stored, *new, some_stored[0], new[0]]
+        stored |= set(keys)
+        ops.append(("add", keys, points(len(keys))))
+    return ops, dim
+
+
+def flat_stores(index) -> List[VectorIndex]:
+    """Every ``VectorIndex`` an index answers from."""
+    if isinstance(index, VectorIndex):
+        return [index]
+    if isinstance(index, ClusteredVectorIndex):
+        return list(index._partitions)
+    if isinstance(index, IVFVectorIndex):
+        if index._state is None:
+            return [index._flat]
+        return [part.index for part in index._state.partitions]
+    return [store for state in index._tenants.values() for shard in state.shards
+            for store in flat_stores(shard)]
+
+
+def assert_answers_as_if_rebuilt(index, ask, queries, k):
+    """Whatever mirrors ``index``'s history has left — extended, rebuilt, stale
+    or none — it answers, bit for bit, what fresh ``VectorIndex``es holding the
+    same rows answer: store by store, then as a whole with every mirror dropped."""
+    for store in flat_stores(index):
+        mirror = store._mirror
+        assert mirror is None or store.cache_query_matrix
+        if mirror is not None and mirror[0] == store._writes:  # the one a query would be served
+            assert mirror[1].shape == (len(store), store.dim) and mirror[2].shape == (len(store),)
+        if not len(store):
+            continue
+        fresh = VectorIndex(store.dim, dtype=store.dtype, cache_query_matrix=False)
+        fresh.add(list(store.keys), store.vectors)
+        for got, want in zip(store.topk(queries, k), fresh.topk(queries, k)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert store.query_batch(queries, k=k) == fresh.query_batch(queries, k=k)
+    got = ask(queries, k)
+    for store in flat_stores(index):
+        store._mirror = None
+    assert ask(queries, k) == got
+
+
+@SETTINGS
+@given(histories(), st.sampled_from([np.float32, np.float64]), st.booleans())
+def test_a_flat_index_answers_as_a_fresh_one_after_any_history(tmp_path_factory, history, dtype,
+                                                              cache):
+    import pytest
+
+    from repro.utils.errors import StorageError
+
+    ops, dim = history
+    index = VectorIndex(dim, dtype=dtype, cache_query_matrix=cache)
+    final: Dict[str, np.ndarray] = {}
+    for kind, *args in ops:
+        if kind == "add":
+            index.add(*args)
+            final.update(zip(*args))
+        elif kind == "discard":
+            index.discard(args[0])
+            for key in args[0]:
+                final.pop(key, None)
+        else:
+            assert_answers_as_if_rebuilt(
+                index, lambda queries, k: index.query_batch(queries, k=k), *args)
+        assert dict(zip(index.keys, index.vectors.tolist())) == {
+            key: vector.astype(dtype).tolist() for key, vector in final.items()}
+    assert (index._mirror is not None) == cache
+
+    _, queries, k = ops[-1]
+    mapped = open_mmap(save_mmap(index, tmp_path_factory.mktemp("mmap")))
+    assert mapped.query_batch(queries, k=k) == index.query_batch(queries, k=k)
+    with pytest.raises(StorageError, match="read-only"):
+        mapped.add(["late"], np.zeros((1, dim)))
+    assert mapped._mirror is None and not mapped.cache_query_matrix and len(mapped) == len(final)
+
+
+@SETTINGS
+@given(histories(), st.sampled_from([np.float32, np.float64]), st.booleans(),
+       st.sampled_from(["clustered", "ivf", "ivf+pq", "sharded", "sharded ivf"]), st.integers(1, 5))
+def test_partitioned_indexes_answer_as_fresh_ones_after_any_history(history, dtype, cache,
+                                                                    backend, n_parts):
+    ops, dim = history
+    rng = np.random.default_rng(len(ops))
+    ivf_params = {"n_partitions": n_parts, "train_threshold": 4, "cache_query_matrix": cache,
+                  "n_probe": 2, **({"pq": {"m": dim, "bits": 2, "max_iter": 3}, "rerank": 3}
+                                   if backend == "ivf+pq" else {})}
+    if backend == "clustered":
+        index = ClusteredVectorIndex(rng.normal(scale=3.0, size=(n_parts, dim)), n_probe=2,
+                                     dtype=dtype, cache_query_matrix=cache)
+    elif backend.startswith("ivf"):
+        index = IVFVectorIndex(dim, dtype=dtype, seed=1, **ivf_params)
+    else:
+        index = ShardedVectorStore(
+            dim, n_shards=min(n_parts, 3), dtype=dtype, seed=1,
+            shard_backend="ivf" if backend == "sharded ivf" else "flat",
+            shard_params=ivf_params if backend == "sharded ivf" else {"cache_query_matrix": cache})
+    final: Dict[str, np.ndarray] = {}
+    for kind, *args in ops:
+        if kind == "add":
+            keys, vectors = args
+            if backend == "clustered":  # a stored key usually lands elsewhere: evicted, then appended
+                index.add(keys, vectors, rng.integers(0, n_parts, size=len(keys)))
+            else:
+                index.add(keys, vectors)
+            final.update(zip(keys, vectors))
+        elif kind == "query":
+            assert_answers_as_if_rebuilt(
+                index, lambda queries, k: index.query_batch(queries, k=k), *args)
+        held = {key: vector for store in flat_stores(index)
+                for key, vector in zip(store.keys, store.vectors.tolist())}
+        assert held == {key: vector.astype(dtype).tolist() for key, vector in final.items()}
+
+
+def test_a_pure_append_extends_the_mirror_and_every_other_write_drops_it():
+    """Counted, not timed: which writes leave the next query a mirror to
+    rebuild (``_float64_rows`` from row 0) and which extend it in place."""
+    rng = np.random.default_rng(4)
+    built: List[Tuple[int, int]] = []
+    real = VectorIndex._float64_rows
+
+    def recorded(self, start, end):
+        built.append((start, end))
+        return real(self, start, end)
+
+    def since(action):
+        del built[:]
+        action()
+        return list(built)
+
+    def twin(index):
+        fresh = VectorIndex(index.dim, dtype=index.dtype, cache_query_matrix=False)
+        fresh.add(list(index.keys), index.vectors)
+        return fresh
+
+    queries = rng.normal(size=(6, 3))
+    with mock.patch.object(VectorIndex, "_float64_rows", recorded):
+        for dtype in (np.float32, np.float64):
+            index = VectorIndex(3, dtype=dtype)
+            index.add([f"s{i}" for i in range(40)], rng.normal(size=(40, 3)))
+            assert since(lambda: index.query_batch(queries, k=3)) == [(0, 40)]
+            assert since(lambda: index.query_batch(queries, k=3)) == []
+            held = index._mirror  # what a reader in mid-scan holds
+            kept = (held[1].copy(), held[2].copy())
+            # Appends, across capacity doublings of the store and of the mirror.
+            size = 40
+            for n in (5, 1, 30, 200, 1):
+                keys = [f"a{size + i}" for i in range(n)]
+                assert since(lambda: index.add(keys, rng.normal(size=(n, 3)))) == [(size, size + n)]
+                size += n
+                assert since(lambda: index.query_batch(queries, k=3)) == []
+                assert index.query_batch(queries, k=size) == twin(index).query_batch(queries, k=size)
+            _, matrix, norms = index._mirror
+            assert matrix.shape == (size, 3) and norms.shape == (size,)
+            assert np.shares_memory(matrix, index._data) == (dtype is np.float64)
+            np.testing.assert_array_equal(matrix, np.asarray(index.vectors, dtype=np.float64))
+            np.testing.assert_array_equal(norms, np.sum(matrix * matrix, axis=1))
+            # The reader's tuple is a prefix nothing wrote into.
+            assert held[1].shape == (40, 3) and held[2].shape == (40,)
+            np.testing.assert_array_equal(held[1], kept[0])
+            np.testing.assert_array_equal(held[2], kept[1])
+            # Every other write: nothing at write time, a rebuild at the next query.
+            for write in (
+                lambda: index.add(["s3"], [[9.0, 9.0, 9.0]]),                         # overwrite
+                lambda: index.add(["s4", "z0"], [[7.0, 7.0, 7.0], [1.0, 1.0, 1.0]]),  # with an append
+                lambda: index.add(["z1", "z1"], rng.normal(size=(2, 3))),   # appended, after a query
+                lambda: index.discard(["s5", "never stored"]),
+            ):
+                was = len(index)
+                built_by_write = since(write)
+                extended = [(was, len(index))] if len(index) > was and built_by_write else []
+                assert built_by_write == extended
+                rebuilt = since(lambda: index.query_batch(queries, k=3))
+                assert rebuilt == ([] if extended else [(0, len(index))])
+                assert index.query_batch(queries, k=5) == twin(index).query_batch(queries, k=5)
+            assert index.query([9.0, 9.0, 9.0])[0][0] == "s3"
+            assert index.query([7.0, 7.0, 7.0])[0][0] == "s4"
+
+        # A key that re-routes: evicted from one partition (dropped there),
+        # appended to the other (extended there).
+        clustered = ClusteredVectorIndex(np.array([[0.0, 0.0], [10.0, 10.0]]), n_probe=2)
+        clustered.add(["a", "b", "c", "d"], [[0, 1], [1, 0], [10, 9], [9, 10]], [0, 0, 1, 1])
+        both = np.array([[0.0, 0.0], [10.0, 10.0]])
+        assert since(lambda: clustered.query_batch(both, k=4)) == [(0, 2), (0, 2)]
+        assert since(lambda: clustered.add(["a"], [[9, 9]], [1])) == [(2, 3)]
+        assert since(lambda: clustered.query_batch(both, k=4)) == [(0, 1)]
+        assert [key for key, _ in clustered.query([10.0, 10.0], k=4)] == ["c", "d", "a", "b"]
+
+        # No cached mirror, nothing to extend: every query converts, no write does.
+        uncached = VectorIndex(3, cache_query_matrix=False)
+        uncached.add(["p", "q"], rng.normal(size=(2, 3)))
+        uncached.query_batch(queries, k=1)
+        assert since(lambda: uncached.add(["r"], rng.normal(size=(1, 3)))) == []
+        assert since(lambda: uncached.query_batch(queries, k=1)) == [(0, 3)]
+        assert uncached._mirror is None
+
+
 def test_public_adds_still_validate_and_dedupe_what_they_are_given():
     """The append inside skips the checks; no public ``add`` does."""
     import pytest

@@ -735,3 +735,39 @@ def test_server_grafts_runtime_spans_under_one_request_root():
         }
     finally:
         rs.close()
+
+
+def test_a_handlers_validation_error_is_a_bad_request_and_any_other_raise_stays_internal():
+    """Data the handler refuses (a 7x7 patch sent to a 15x15 deployment, an
+    empty batch, a non-positive ``n_samples``) is the caller's fault: typed
+    and counted ``bad_request``, so ``repro_net_requests_total{status="internal"}``
+    counts server bugs only — which a handler's ``RuntimeError`` still is."""
+    from unittest import mock
+
+    from repro import Deployment, FairDS, preset
+
+    rng = np.random.default_rng(0)
+    with Deployment(preset("minimal")) as dep:
+        dep.fit(rng.normal(size=(60, 15, 15)), rng.normal(size=(60, 2)))
+        address = dep.serve_network().address
+        counted = dep.registry.get("repro_net_requests_total")
+
+        def count():
+            return [counted.labels(status=s).value for s in ("bad_request", "internal", "ok")]
+
+        before = count()
+        with NetworkClient(*address) as client:
+            for op, payload, message in [
+                ("nearest_labeled", rng.normal(size=(7, 7)), "expected 225 features, got 49"),
+                ("certainty", np.empty((0, 15, 15)), "images must be non-empty"),
+                ("lookup_labeled_data", (rng.normal(size=(4, 15, 15)), 0), "n_samples must be >= 1"),
+            ]:
+                with pytest.raises(RemoteError, match=message) as refused:
+                    client.call(op, payload)
+                assert refused.value.error_type == "bad_request", op
+            assert client.call("nearest_labeled", rng.normal(size=(15, 15)))["within"] is True
+            with mock.patch.object(FairDS, "nearest_labeled", side_effect=RuntimeError("boom")):
+                with pytest.raises(RemoteError, match="RuntimeError: boom") as broke:
+                    client.call("nearest_labeled", rng.normal(size=(15, 15)))
+            assert broke.value.error_type == "internal"
+        assert [after - was for after, was in zip(count(), before)] == [3.0, 1.0, 1.0]

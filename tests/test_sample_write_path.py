@@ -18,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from test_fairds_embed import MemoisedPCA  # PCA holds no cache: the cache half runs on this
 from test_index_equivalence import contents, per_key_writes
 
 from repro import FairDS
@@ -205,7 +206,7 @@ def _observed(fairds, answers):
 ])  # ("sharded" places a row by its key's hash, and ids differ between two instances)
 def test_a_history_written_by_batch_is_the_history_written_by_row(backend, params, cache_size):
     def build():
-        return FairDS(PCAEmbedder(embedding_dim=4), n_clusters=4, seed=3, index_backend=backend,
+        return FairDS(MemoisedPCA(embedding_dim=4), n_clusters=4, seed=3, index_backend=backend,
                       index_params=params, embedding_cache_size=cache_size)
 
     by_batch = build()
@@ -216,6 +217,7 @@ def test_a_history_written_by_batch_is_the_history_written_by_row(backend, param
     assert got.keys() == want.keys()
     for what in got:
         assert got[what] == want[what], what
+    assert bool(got["cache keys"]) == bool(cache_size)  # the cache half was compared, not skipped
     blobs = [doc["payload"] for doc in got["documents"]]
     assert all(type(blob) is bytes for blob in blobs) and len(blobs) == 64 + 20 + 14 + 14 + 9 + 7 + 10
     assert [doc["payload_bytes"] for doc in got["documents"]] == [len(blob) for blob in blobs]

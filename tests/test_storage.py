@@ -20,7 +20,7 @@ from repro.storage.concurrency import ReadWriteLock
 from repro.storage.document import Document, new_object_id, new_object_ids
 from repro.storage.documentdb import DocumentDB, NetworkModel
 from repro.storage.file_store import FileStore
-from repro.storage.vector_index import ClusteredVectorIndex, VectorIndex
+from repro.storage.vector_index import ClusteredVectorIndex, VectorIndex, appended
 from repro.utils.errors import ConfigurationError, StorageError, ValidationError
 
 
@@ -914,6 +914,135 @@ def test_mirror_computed_across_an_overwrite_is_never_served(monkeypatch):
     assert raced
     ((key, distance),) = index.query([9.0, 0.0])
     assert (key, distance) == ("a", pytest.approx(1.0))
+
+
+def test_mirror_computed_across_an_append_is_rebuilt_not_extended(monkeypatch):
+    """The same race with an appending ``add``: the reader's mirror lacks the
+    new row and carries the count the append has made stale, so neither it nor
+    an extension of it is ever served."""
+    index = VectorIndex(dim=2)
+    index.add(["a", "b"], [[0.0, 0.0], [10.0, 10.0]])
+    real_sum, raced = np.sum, []
+
+    def sum_then_append(*args, **kwargs):
+        out = real_sum(*args, **kwargs)
+        if not raced:
+            raced.append(True)
+            index.add(["c"], [[5.0, 5.0]])
+        return out
+
+    monkeypatch.setattr(np, "sum", sum_then_append)
+    index.query_batch([[0.0, 0.0]])
+    monkeypatch.undo()
+    assert raced and index._mirror[1].shape[0] == 2 and index._mirror[0] != index._writes
+    index.add(["d"], [[5.0, 6.0]])  # must not extend the stale two-row mirror to three
+    assert index.query_batch([[5.0, 5.2], [5.0, 5.9]]) == [
+        [("c", pytest.approx(0.2))], [("d", pytest.approx(0.1))]]
+    assert index._mirror[1].shape == (4, 2)
+
+
+def test_mirror_published_between_an_overwrite_and_its_append_is_not_extended(monkeypatch):
+    """One ``add`` that overwrites ``a`` and appends ``c``: a reader that read
+    the rows before the overwrite publishes its mirror after it, just before
+    the append looks.  Extending that mirror would serve the old ``a``."""
+    index = VectorIndex(dim=2)
+    index.add(["a", "b"], [[0.0, 0.0], [10.0, 10.0]])
+    index.query_batch([[0.0, 0.0]])
+    stale = index._mirror  # tagged with the write count the reader saw
+    real_append = VectorIndex._append
+
+    def late_reader_then_append(self, keys, vectors):
+        self._mirror = stale
+        real_append(self, keys, vectors)
+
+    monkeypatch.setattr(VectorIndex, "_append", late_reader_then_append)
+    index.add(["a", "c"], [[10.0, 0.0], [5.0, 5.0]])
+    monkeypatch.undo()
+    assert index.query_batch([[9.0, 0.0], [5.0, 4.0]]) == [
+        [("a", pytest.approx(1.0))], [("c", pytest.approx(1.0))]]
+
+
+def test_appended_writes_past_a_leading_view_and_copies_any_other_head(tmp_path):
+    """``appended`` grows in place only behind the leading rows of an array of
+    the head's own dtype and row shape; whatever else it is handed — the
+    middle of an array, its columns, a reinterpreted or mapped one — it copies,
+    so nothing the head's owner still reads is written over."""
+    first = appended(np.arange(3.0), np.array([3.0]))  # an owned head: copied into a buffer with room
+    second = appended(first, np.array([4.0, 5.0]))
+    assert np.shares_memory(first, second) and first.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert second.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    matrix = appended(appended(np.zeros((2, 3)), np.ones((1, 3))), 2 * np.ones((2, 3)))
+    assert matrix.shape == (5, 3) and matrix.sum(axis=1).tolist() == [0.0, 0.0, 3.0, 6.0, 6.0]
+
+    owner = np.arange(24.0).reshape(8, 3)
+    mapped = np.memmap(tmp_path / "rows.bin", dtype=np.float64, mode="w+", shape=(8, 3))
+    mapped[:] = owner
+    for head in (owner[2:5], owner[:4, 1:], owner[:4].view(np.int64), owner[:4:2], owner[::-1][:4],
+                 owner.reshape(4, 6)[:2], mapped[:4]):
+        kept, was = owner.copy(), np.array(head)
+        out = appended(head, np.full((2,) + head.shape[1:], -1, dtype=head.dtype))
+        assert not np.shares_memory(out, owner) and not np.shares_memory(out, mapped)
+        np.testing.assert_array_equal(owner, kept)
+        np.testing.assert_array_equal(mapped, kept)
+        np.testing.assert_array_equal(out[:-2], was)
+        assert (out[-2:] == -1).all()
+
+
+def test_readers_beside_appends_only_ever_see_a_whole_mirror():
+    """Readers beside a writer whose appends extend the published mirror
+    across many capacity doublings: every tuple a reader takes has as many
+    norms as rows, no more rows than there are keys to resolve them, the norms
+    of exactly its rows, and the rows of exactly its keys."""
+    import sys
+
+    rng = np.random.default_rng(0)
+    index = VectorIndex(dim=3)
+    held = {}
+
+    def add(keys, vectors):
+        held.update(zip(keys, np.float32(vectors).astype(np.float64).tolist()))
+        index.add(keys, vectors)
+
+    add([f"s{i}" for i in range(8)], rng.normal(size=(8, 3)))
+    queries = rng.normal(size=(2, 3))
+    index.query_batch(queries)
+    errors, taken, stop = [], [], threading.Event()
+
+    def reader():
+        try:
+            while not stop.is_set():
+                writes, matrix, norms = index._mirror
+                keys = index._keys  # read after the tuple: never fewer than its rows
+                assert matrix.shape[0] == norms.shape[0] <= len(keys)
+                np.testing.assert_array_equal(norms, np.sum(matrix * matrix, axis=1))
+                for at in (0, matrix.shape[0] // 2, matrix.shape[0] - 1):  # the newest row too
+                    assert matrix[at].tolist() == held[keys[at]]
+                for query, hits in zip(queries.tolist(), index.query_batch(queries, k=2)):
+                    for key, distance in hits:
+                        assert distance == pytest.approx(np.linalg.norm(np.subtract(held[key], query)))
+                taken.append(matrix.shape[0])
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(1500):
+            n = 1 + i % 3
+            add([f"w{i}_{j}" for j in range(n)], rng.normal(size=(n, 3)))
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+    assert len(set(taken)) > 3 and len(index) == len(held) == 8 + 3000
+    index.query_batch(queries)
+    assert index._mirror[0] == index._writes and index._mirror[1].shape == (3008, 3)
 
 
 # -- Collection.upsert_one -----------------------------------------------------------
