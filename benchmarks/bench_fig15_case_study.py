@@ -26,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.compute import ThreadExecutor
 from repro.core import FairDMS, FairDS, UpdatePolicy
 from repro.embedding import PCAEmbedder
 from repro.labeling import VOIGT_80, VOIGT_1440, LabelingEngine
@@ -93,8 +94,9 @@ def test_fig15_end_to_end_case_study(benchmark, report_sink):
 
     # -- Voigt-80 / Voigt-1440: conventional labeling + scratch training ----------------
     for name, cost_model in (("Voigt-80", VOIGT_80), ("Voigt-1440", VOIGT_1440)):
-        engine = LabelingEngine(cost_model=cost_model, local_workers=2, sample_fraction=0.25)
-        label_report = engine.label(new_images[:, 0])
+        with ThreadExecutor(max_workers=2) as executor:
+            engine = LabelingEngine(cost_model=cost_model, sample_fraction=0.25, executor=executor)
+            label_report = engine.label(new_images[:, 0])
         # Extrapolate the measured per-peak fitting cost to a full HEDM scan's
         # worth of peaks before applying the simulated core-count model.
         serial_full_scan = label_report.per_patch_seconds * FULL_SCAN_PEAKS

@@ -8,9 +8,8 @@ thread pools, so the backend is a deployment decision — ``ExecutorSpec`` on
 Two calling shapes:
 
 * :meth:`Executor.map` — stateless fan-out: ``fn(item)`` per item, results in
-  input order.  Same semantics as ``utils.parallel.thread_map`` (which now
-  delegates here), including ``chunk=True`` ceil-division chunking and
-  cancel-and-reraise on the first error.
+  input order, with ``chunk=True`` ceil-division chunking and
+  cancel-and-reraise on the first error (``KeyboardInterrupt`` included).
 * :meth:`Executor.open_session` — stateful fan-out for hot loops: a
   :class:`Session` pins per-worker state (built once by ``setup``) and a set
   of named shared ndarrays, then ``session.map(fn, items)`` calls
@@ -88,8 +87,8 @@ class Session:
 
 
 def chunk_items(items: List[Any], max_workers: int) -> List[List[Any]]:
-    """Ceil-division contiguous chunking (``thread_map``'s historical rule):
-    9 items / 4 workers → chunks of 3, i.e. ceil(9/4) per chunk."""
+    """Ceil-division contiguous chunking: 9 items / 4 workers → chunks of 3,
+    i.e. ceil(9/4) per chunk, so there are never more chunks than workers."""
     n = -(-len(items) // max(1, max_workers))
     return [items[i : i + n] for i in range(0, len(items), n)]
 
@@ -112,8 +111,8 @@ class Executor:
     # -- public surface ----------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any], chunk: bool = False) -> List[Any]:
         """Apply ``fn`` to every item; results in input order.  With
-        ``chunk=True``, ``fn`` receives contiguous chunks instead (ceil
-        division, matching ``thread_map``)."""
+        ``chunk=True``, ``fn`` receives contiguous chunks instead (see
+        :func:`chunk_items`)."""
         self._require_open()
         items = list(items)
         if chunk and items:
@@ -298,9 +297,8 @@ class ThreadExecutor(Executor):
             return self._pool
 
     def _collect(self, futures: List[Any]) -> List[Any]:
-        """Gather in submission order; on any error cancel what has not
-        started and re-raise (``thread_map``'s historical semantics —
-        KeyboardInterrupt included)."""
+        """Gather in submission order; on any error — KeyboardInterrupt
+        included — cancel what has not started and re-raise."""
         results = []
         try:
             for future in futures:

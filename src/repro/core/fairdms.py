@@ -210,7 +210,7 @@ class FairDMS:
 
         The recommend/fine-tune-or-scratch stage of :meth:`update_model`,
         exposed on its own so the continual-learning pipeline can run
-        labeling and training as separate (checkpointed) DAG steps.  When a
+        labeling and training as separate (checkpointed) steps of its chain.  When a
         ``watch`` is given, the ``recommend`` and ``train`` phases are timed
         into it.
         """

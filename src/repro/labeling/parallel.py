@@ -7,7 +7,7 @@ cluster ("Voigt-1440", the maximum parallelism MIDAS supports).  We do not
 have either machine, so the engine
 
 1. measures the *real* per-patch fitting cost on this machine using a sample
-   of the workload (optionally fanning across local threads), and
+   of the workload (optionally fanning across a compute-plane executor), and
 2. extrapolates the full-workload wall-clock under a simulated core count
    with a configurable parallel efficiency, which preserves the relative
    ordering and approximate speedup factors of the paper's comparison.
@@ -101,8 +101,6 @@ class LabelingEngine:
     ----------
     cost_model:
         Simulated machine (e.g. ``VOIGT_80``); defaults to a single local core.
-    local_workers:
-        Threads used for the *real* fits on this machine.
     sample_fraction:
         Fraction of patches actually fitted to estimate the per-patch cost;
         the remaining labels are still produced (all patches are fitted when
@@ -112,23 +110,19 @@ class LabelingEngine:
     executor:
         Optional :class:`repro.compute.Executor` that the real fits fan out
         across (the patch stack is shipped once through session shared
-        memory).  A process executor sidesteps the GIL that limits
-        ``local_workers`` threads; when unset the thread path is used.
+        memory).  A process executor sidesteps the GIL that limits a thread
+        executor; when unset, or with one worker, the fits run serially.
     """
 
     def __init__(
         self,
         cost_model: Optional[CostModel] = None,
-        local_workers: int = 1,
         sample_fraction: float = 1.0,
         executor: Optional["Executor"] = None,
     ):
         if not 0.0 < sample_fraction <= 1.0:
             raise ConfigurationError("sample_fraction must be in (0, 1]")
-        if local_workers < 1:
-            raise ConfigurationError("local_workers must be >= 1")
         self.cost_model = cost_model or CostModel()
-        self.local_workers = int(local_workers)
         self.sample_fraction = float(sample_fraction)
         self.executor = executor
 
@@ -143,9 +137,7 @@ class LabelingEngine:
         n_fit = max(1, int(round(n * self.sample_fraction)))
 
         with Timer() as t:
-            fitted = label_patches(
-                patches[:n_fit], max_workers=self.local_workers, executor=self.executor
-            )
+            fitted = label_patches(patches[:n_fit], executor=self.executor)
         per_patch = t.elapsed / n_fit
 
         if n_fit < n:
@@ -159,11 +151,10 @@ class LabelingEngine:
 
         # per_patch already amortises whatever local parallelism did the fits,
         # so scale it back up to a one-core figure before extrapolating.
-        if self.executor is not None and not self.executor.closed and self.executor.max_workers > 1:
-            effective_workers = self.executor.max_workers
-        else:
-            effective_workers = self.local_workers
-        serial_total = per_patch * n * max(1, effective_workers)
+        workers = 1
+        if self.executor is not None and not self.executor.closed:
+            workers = self.executor.max_workers
+        serial_total = per_patch * n * workers
         simulated = self.cost_model.wall_clock(serial_total)
         return LabelingReport(
             labels=labels,

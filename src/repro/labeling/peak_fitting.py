@@ -17,7 +17,6 @@ from scipy.optimize import least_squares
 
 from repro.labeling.pseudo_voigt import PeakParameters, pseudo_voigt_2d
 from repro.utils.errors import ValidationError
-from repro.utils.parallel import thread_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.executor import Executor
@@ -125,19 +124,19 @@ def _fit_range_task(ctx, item: Tuple[int, int, int]) -> np.ndarray:
 
 def label_patches(
     patches: np.ndarray,
-    max_workers: int = 1,
     max_nfev: int = 200,
     executor: Optional["Executor"] = None,
 ) -> np.ndarray:
     """Label a stack of patches; returns an ``(n, 2)`` array of peak centres.
 
-    With an ``executor``, the fits fan out across its workers — the patch
-    stack travels once through session shared memory and each worker fits a
-    contiguous range.  The pseudo-Voigt inner loop is pure-Python-heavy
-    (parameter packing around many small ``least_squares`` solves), so the
-    process backend parallelises it where threads mostly serialise on the
-    GIL.  Without an executor, fits run across ``max_workers`` threads as
-    before.
+    With an open ``executor`` of more than one worker, the fits fan out
+    across its workers — the patch stack travels once through session shared
+    memory and each worker fits a contiguous range.  The pseudo-Voigt inner
+    loop is pure-Python-heavy (parameter packing around many small
+    ``least_squares`` solves), so the process backend parallelises it where
+    threads mostly serialise on the GIL.  Otherwise the fits run in a plain
+    loop on the calling thread.  Each patch's fit is independent, so the
+    labels do not depend on the path taken.
     """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim == 4 and patches.shape[1] == 1:
@@ -155,7 +154,5 @@ def label_patches(
         with executor.open_session(shared={"patches": patches}) as session:
             blocks = session.map(_fit_range_task, ranges)
         return np.vstack(blocks)
-    results = thread_map(
-        lambda p: fit_peak_center(p, max_nfev=max_nfev), list(patches), max_workers=max_workers
-    )
-    return np.array([r.center for r in results], dtype=np.float64)
+    return np.array([fit_peak_center(p, max_nfev=max_nfev).center for p in patches],
+                    dtype=np.float64)

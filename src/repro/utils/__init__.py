@@ -3,8 +3,8 @@
 The :mod:`repro.utils` package collects the small, dependency-free building
 blocks used throughout the library: deterministic random-number handling,
 wall-clock timing, distribution statistics (histograms, Jensen-Shannon
-divergence, percentiles), content-digest LRU caching, light-weight
-thread-pool helpers and the common exception hierarchy.
+divergence, percentiles), content-digest LRU caching and the common
+exception hierarchy.
 """
 
 from repro.utils.errors import (
@@ -19,7 +19,7 @@ from repro.utils.errors import (
 )
 from repro.utils.cache import LRUCache, row_digests
 from repro.utils.rng import default_rng, spawn_rngs, set_global_seed, get_global_seed
-from repro.utils.timing import Timer, StopWatch, timed
+from repro.utils.timing import Timer, StopWatch
 from repro.utils.stats import (
     jensen_shannon_divergence,
     kl_divergence,
@@ -29,7 +29,6 @@ from repro.utils.stats import (
     percentile_summary,
     running_mean,
 )
-from repro.utils.parallel import thread_map
 
 __all__ = [
     "ReproError",
@@ -46,7 +45,6 @@ __all__ = [
     "get_global_seed",
     "Timer",
     "StopWatch",
-    "timed",
     "jensen_shannon_divergence",
     "kl_divergence",
     "normalize_distribution",
@@ -54,7 +52,6 @@ __all__ = [
     "percentile_summary",
     "latency_summary",
     "running_mean",
-    "thread_map",
     "LRUCache",
     "row_digests",
 ]

@@ -35,7 +35,7 @@ class ValidationError(ReproError):
 
 
 class PipelineError(ReproError):
-    """Raised by the workflow DAG orchestrator (:mod:`repro.workflow.pipeline`)."""
+    """Raised by the workflow step-chain engine (:mod:`repro.workflow.pipeline`)."""
 
 
 class StepTimeoutError(PipelineError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 
 @dataclass
@@ -84,41 +84,3 @@ class StopWatch:
     def reset(self) -> None:
         self.segments.clear()
         self.counts.clear()
-
-
-def timed(fn: Callable) -> Callable:
-    """Decorator returning ``(result, elapsed_seconds)`` from the wrapped call."""
-
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        return result, time.perf_counter() - start
-
-    wrapper.__name__ = getattr(fn, "__name__", "timed")
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-class RateMeter:
-    """Tracks throughput (items/second) over a sliding set of updates."""
-
-    def __init__(self) -> None:
-        self._items: List[int] = []
-        self._times: List[float] = []
-        self._start = time.perf_counter()
-
-    def update(self, n_items: int) -> None:
-        self._items.append(int(n_items))
-        self._times.append(time.perf_counter())
-
-    @property
-    def total_items(self) -> int:
-        return int(sum(self._items))
-
-    @property
-    def rate(self) -> float:
-        """Average items per second since construction."""
-        elapsed = time.perf_counter() - self._start
-        if elapsed <= 0:
-            return 0.0
-        return self.total_items / elapsed

@@ -3,17 +3,18 @@
 The paper's end-to-end deployment uses Globus Flows to define the workflow,
 funcX as a serverless function-execution fabric, and Globus Transfer to move
 data and models between the experimental facility and the compute cluster.
-Locally the workflow is a DAG engine, the plane functions are plain calls
-(:class:`repro.core.planes.FairDMSService`), and the transfer is modelled:
+Locally the workflow is a step-chain engine, the plane functions are plain
+calls (:class:`repro.core.planes.FairDMSService`), and the transfer is
+modelled:
 
-* :class:`~repro.workflow.pipeline.Pipeline` — an async DAG of named steps
-  with dependencies, per-step retries and timeouts, thread-pool execution of
-  ready steps, and checkpointed resume through a
+* :class:`~repro.workflow.pipeline.Pipeline` — an ordered chain of named
+  steps run on the calling thread, with per-step retries and timeouts and
+  checkpointed resume through a
   :class:`~repro.workflow.pipeline.CheckpointStore` persisted in the document
   database.
 * :class:`~repro.workflow.continual.ContinualLearningPipeline` — the closed
-  monitor → pseudo-label → train → validate → promote → hot-swap loop built
-  on the engine (imported lazily; also available as
+  monitor → refresh → pseudo-label → train → validate → promote → hot-swap
+  loop built on the engine (imported lazily; also available as
   ``repro.workflow.continual``).
 * :class:`~repro.workflow.transfer.TransferService` — models a WAN link with
   latency + bandwidth and "transfers" byte payloads, recording the simulated

@@ -1,4 +1,4 @@
-"""The closed continual-learning loop as a checkpointed DAG.
+"""The closed continual-learning loop as a checkpointed step chain.
 
 This is the paper's end-to-end story as one subsystem instead of example
 scripts: monitor incoming scans, detect degradation/drift, pseudo-label the
@@ -7,7 +7,7 @@ via fairMS), gate on validation, promote the new model into the Zoo under a
 version tag, and hot-swap it into the live serving runtime — all while
 requests keep flowing.
 
-One :meth:`ContinualLearningPipeline.process_scan` call runs this DAG::
+One :meth:`ContinualLearningPipeline.process_scan` call runs this chain::
 
     monitor ──▶ refresh ──▶ pseudo_label ──▶ train ──▶ validate ──▶ promote ──▶ hot_swap
 
@@ -113,7 +113,7 @@ class ContinualLearningPipeline:
     absolute_gate:
         Optional absolute validation-loss ceiling applied in addition.
     step_retries / step_timeout_s:
-        Fault-tolerance knobs applied to every step of the cycle DAG.
+        Fault-tolerance knobs applied to every step of the cycle chain.
     """
 
     STEPS = ("monitor", "refresh", "pseudo_label", "train", "validate", "promote", "hot_swap")
@@ -129,7 +129,6 @@ class ContinualLearningPipeline:
         tag: str = "latest",
         gate_factor: float = 2.0,
         absolute_gate: Optional[float] = None,
-        max_workers: int = 2,
         step_retries: int = 0,
         step_timeout_s: Optional[float] = None,
         tracer: Optional[Tracer] = None,
@@ -147,7 +146,6 @@ class ContinualLearningPipeline:
         self.tag = tag
         self.gate_factor = float(gate_factor)
         self.absolute_gate = absolute_gate
-        self.max_workers = int(max_workers)
         self.step_retries = int(step_retries)
         self.step_timeout_s = step_timeout_s
         #: Forwarded into every cycle's :class:`Pipeline`, so each retraining
@@ -190,7 +188,7 @@ class ContinualLearningPipeline:
         """An unstarted :class:`ServingRuntime` serving the live model."""
         return ServingRuntime(self.serving_handlers(), policy=policy, num_workers=num_workers)
 
-    # -- the cycle DAG ------------------------------------------------------------
+    # -- the cycle chain ----------------------------------------------------------
     @staticmethod
     def run_id_for(scan: np.ndarray) -> str:
         """The default run id of a scan: a digest of its content.
@@ -204,17 +202,14 @@ class ContinualLearningPipeline:
         return f"scan-{digest[:16]}"
 
     def build(self, scan: np.ndarray) -> Pipeline:
-        """The DAG for one monitoring/retraining cycle over ``scan``.
+        """The step chain of one monitoring/retraining cycle over ``scan``.
 
         Exposed so callers can inspect or instrument individual steps before
         running with ``pipeline.run(run_id=...)``; most callers use
         :meth:`process_scan`, which also supplies the run id.
         """
         scan = np.asarray(scan)
-        pipeline = Pipeline(
-            PIPELINE_NAME, max_workers=self.max_workers,
-            checkpoints=self.checkpoints, tracer=self.tracer,
-        )
+        pipeline = Pipeline(PIPELINE_NAME, checkpoints=self.checkpoints, tracer=self.tracer)
         common = dict(retries=self.step_retries, timeout_s=self.step_timeout_s)
         # monitor mutates the stateful trigger, so like refresh/promote below
         # it gets retries but no timeout (a timed-out attempt's abandoned
@@ -227,26 +222,20 @@ class ContinualLearningPipeline:
         # gets retries but NO timeout: a timed-out attempt's abandoned thread
         # would keep re-fitting shared fairDS state concurrently with its own
         # retry.
-        pipeline.add_step("refresh", self._refresh_step, depends_on=("monitor",),
-                          output_key="refresh", checkpoint=False,
-                          retries=self.step_retries)
-        pipeline.add_step("pseudo_label", self._label_step(scan), depends_on=("refresh",),
-                          output_key="lookup", **common)
-        pipeline.add_step("train", self._train_step, depends_on=("pseudo_label",),
-                          output_key="trained", **common)
-        pipeline.add_step("validate", self._validate_step, depends_on=("train",),
-                          output_key="validation", **common)
+        pipeline.add_step("refresh", self._refresh_step, output_key="refresh",
+                          checkpoint=False, retries=self.step_retries)
+        pipeline.add_step("pseudo_label", self._label_step(scan), output_key="lookup", **common)
+        pipeline.add_step("train", self._train_step, output_key="trained", **common)
+        pipeline.add_step("validate", self._validate_step, output_key="validation", **common)
         # promote/hot_swap deliberately get NO timeout and NO retries: a
         # timed-out attempt's abandoned thread could still commit its Zoo
         # mutation and race a retry into duplicate promotions; these steps are
         # local and fast, so fault-tolerance knobs stay on the long-running
         # compute steps above.
-        pipeline.add_step("promote", self._promote_step, depends_on=("validate",),
-                          output_key="promotion")
+        pipeline.add_step("promote", self._promote_step, output_key="promotion")
         # Not checkpointed: the swap mutates the in-memory handle, which does
         # not survive a crash — a resumed run must re-apply it.
-        pipeline.add_step("hot_swap", self._swap_step, depends_on=("promote",),
-                          output_key="swap", checkpoint=False)
+        pipeline.add_step("hot_swap", self._swap_step, output_key="swap", checkpoint=False)
         return pipeline
 
     def process_scan(
@@ -255,8 +244,8 @@ class ContinualLearningPipeline:
         """Run one full cycle for an arriving scan.
 
         The common case — an in-distribution scan that does not fire the
-        trigger — takes a fast path: one monitoring observation, no DAG, no
-        checkpoint traffic.  A firing trigger runs the full DAG.  Re-invoking
+        trigger — takes a fast path: one monitoring observation, no chain, no
+        checkpoint traffic.  A firing trigger runs the full chain.  Re-invoking
         with the same ``run_id`` after a crash (and a configured checkpoint
         store) resumes from the last completed step instead of restarting;
         checkpoints of a fully successful cycle are cleared.  The default run
@@ -287,7 +276,7 @@ class ContinualLearningPipeline:
                 self.checkpoints.record(PIPELINE_NAME, run_id, "monitor",
                                         value=monitor, has_output=True)
             else:
-                # No durability configured: hand the observation to the DAG's
+                # No durability configured: hand the observation to the chain's
                 # monitor step in-memory instead.
                 initial_context["monitor_pre"] = monitor
         pipeline = self.build(scan)

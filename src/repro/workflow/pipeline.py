@@ -1,10 +1,8 @@
-"""Async DAG orchestration engine with retries, timeouts, and durable checkpoints.
+"""Step-chain orchestration engine with retries, timeouts, and durable checkpoints.
 
-A :class:`Pipeline` is a set of named :class:`PipelineStep` nodes connected by
-``depends_on`` edges.  Ready steps (all dependencies completed) execute
-concurrently on a thread pool, so independent branches of the graph — e.g.
-pseudo-labeling one scan while the previous scan's model is still training —
-overlap instead of serialising.
+A :class:`Pipeline` is an ordered list of named :class:`PipelineStep` s that
+share one context dict.  :meth:`Pipeline.run` executes them in declaration
+order on the calling thread, so Ctrl-C lands directly in the running step.
 
 Fault tolerance is per step:
 
@@ -13,8 +11,7 @@ Fault tolerance is per step:
 * ``timeout_s`` bounds one attempt's wall-clock time — a stuck attempt raises
   :class:`~repro.utils.errors.StepTimeoutError` (which counts as a failed
   attempt and is therefore retriable);
-* a failed step fails only its *transitive dependents* (marked ``skipped``);
-  independent branches keep running to completion.
+* a failed step marks every later step ``skipped``.
 
 Durability: give the pipeline a :class:`CheckpointStore` (a thin layer over a
 :class:`~repro.storage.documentdb.DocumentDB` collection) and call
@@ -22,10 +19,11 @@ Durability: give the pipeline a :class:`CheckpointStore` (a thin layer over a
 persisted under ``(pipeline, run_id, step)``; re-running the same ``run_id``
 — after a crash, or from a different process via
 :meth:`~repro.storage.documentdb.DocumentDB.save` /
-:meth:`~repro.storage.documentdb.DocumentDB.load` — restores those outputs
-into the context and re-executes only the steps that never completed.
+:meth:`~repro.storage.documentdb.DocumentDB.load` — restores the longest
+checkpointed prefix of the chain into the context and executes the rest.
 Steps with side effects that must re-apply on resume (e.g. swapping the live
-serving model) opt out with ``checkpoint=False``.
+serving model) opt out with ``checkpoint=False``; such a step re-runs where
+it stands and does not end the restored prefix.
 
 Checkpointing is **at-least-once**: a checkpoint is written after the step
 completes, so a crash landing exactly between the two re-executes the step
@@ -38,8 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +49,6 @@ logger = get_logger("repro.workflow.pipeline")
 
 #: Step lifecycle states recorded in :class:`PipelineResult.statuses`.
 PENDING = "pending"
-RUNNING = "running"
 COMPLETED = "completed"
 RESUMED = "resumed"
 FAILED = "failed"
@@ -66,7 +61,7 @@ RESUMED_CONTEXT_KEY = "pipeline_resumed"
 
 @dataclass
 class PipelineStep:
-    """One node of the DAG.
+    """One link of the chain.
 
     ``fn`` receives the shared context dict; its return value is stored under
     ``output_key`` (when given) once the step completes, and — when the run is
@@ -77,7 +72,6 @@ class PipelineStep:
 
     name: str
     fn: Callable[[Dict[str, Any]], Any]
-    depends_on: Tuple[str, ...] = ()
     output_key: Optional[str] = None
     retries: int = 0
     retry_delay_s: float = 0.0
@@ -93,9 +87,6 @@ class PipelineStep:
             raise ConfigurationError("retry_delay_s must be non-negative")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive when set")
-        self.depends_on = tuple(self.depends_on)
-        if self.name in self.depends_on:
-            raise ConfigurationError(f"step {self.name!r} cannot depend on itself")
 
 
 @dataclass
@@ -170,9 +161,9 @@ class PipelineResult:
     step_times: Dict[str, float] = field(default_factory=dict)
     step_attempts: Dict[str, int] = field(default_factory=dict)
     errors: Dict[str, BaseException] = field(default_factory=dict)
-    #: Steps restored from checkpoints instead of executed, in topological order.
+    #: Steps restored from checkpoints instead of executed, in chain order.
     resumed: List[str] = field(default_factory=list)
-    #: Topological order the engine used (deterministic for a given pipeline).
+    #: The step names in declaration (= execution) order.
     order: List[str] = field(default_factory=list)
 
     @property
@@ -193,23 +184,19 @@ class PipelineResult:
 
 
 class Pipeline:
-    """A DAG of steps executed concurrently with checkpointed resume."""
+    """A chain of steps executed in order with checkpointed resume."""
 
     def __init__(
         self,
         name: str,
         steps: Optional[Sequence[PipelineStep]] = None,
-        max_workers: int = 4,
         checkpoints: Optional[CheckpointStore] = None,
         tracer: Optional[Tracer] = None,
     ):
         if not name:
             raise ConfigurationError("pipeline must have a name")
-        if max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
         self.name = name
         self.steps: List[PipelineStep] = list(steps or [])
-        self.max_workers = int(max_workers)
         self.checkpoints = checkpoints
         #: Optional tracer: each (sampled) run gets a ``pipeline.run`` root
         #: span with one ``pipeline.step.<name>`` child per executed step;
@@ -221,17 +208,16 @@ class Pipeline:
         self,
         name: str,
         fn: Callable[[Dict[str, Any]], Any],
-        depends_on: Sequence[str] = (),
         output_key: Optional[str] = None,
         retries: int = 0,
         retry_delay_s: float = 0.0,
         timeout_s: Optional[float] = None,
         checkpoint: bool = True,
     ) -> "Pipeline":
-        """Add a step; returns ``self`` for chaining."""
+        """Append a step to the chain; returns ``self`` for chaining."""
         self.steps.append(
             PipelineStep(
-                name=name, fn=fn, depends_on=tuple(depends_on), output_key=output_key,
+                name=name, fn=fn, output_key=output_key,
                 retries=retries, retry_delay_s=retry_delay_s, timeout_s=timeout_s,
                 checkpoint=checkpoint,
             )
@@ -247,46 +233,20 @@ class Pipeline:
 
     # -- validation --------------------------------------------------------------
     def validate(self) -> List[str]:
-        """Check the graph and return a deterministic topological order.
+        """Check the chain and return its step names in execution order.
 
-        Raises :class:`ConfigurationError` on duplicate step names, unknown
-        dependencies, or cycles.
+        Raises :class:`ConfigurationError` on duplicate step names or a step
+        writing the reserved :data:`RESUMED_CONTEXT_KEY`.
         """
-        names = [s.name for s in self.steps]
-        seen: set = set()
-        for name in names:
-            if name in seen:
-                raise ConfigurationError(f"duplicate step name {name!r}")
-            seen.add(name)
+        order: List[str] = []
         for step in self.steps:
-            unknown = set(step.depends_on) - seen
-            if unknown:
-                raise ConfigurationError(
-                    f"step {step.name!r} depends on unknown steps: {sorted(unknown)}"
-                )
+            if step.name in order:
+                raise ConfigurationError(f"duplicate step name {step.name!r}")
             if step.output_key == RESUMED_CONTEXT_KEY:
                 raise ConfigurationError(
                     f"output_key {RESUMED_CONTEXT_KEY!r} is reserved for the engine"
                 )
-        # Kahn's algorithm; ties broken by declaration order so the schedule
-        # (and therefore failure attribution) is reproducible.
-        indegree = {s.name: len(set(s.depends_on)) for s in self.steps}
-        dependents: Dict[str, List[str]] = defaultdict(list)
-        for step in self.steps:
-            for dep in set(step.depends_on):
-                dependents[dep].append(step.name)
-        order: List[str] = []
-        ready = [name for name in names if indegree[name] == 0]
-        while ready:
-            name = ready.pop(0)
-            order.append(name)
-            for child in dependents[name]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        if len(order) != len(names):
-            cycle = sorted(set(names) - set(order))
-            raise ConfigurationError(f"pipeline {self.name!r} has a dependency cycle among {cycle}")
+            order.append(step.name)
         return order
 
     # -- execution ---------------------------------------------------------------
@@ -296,97 +256,49 @@ class Pipeline:
         run_id: Optional[str] = None,
         raise_on_error: bool = False,
     ) -> PipelineResult:
-        """Execute the DAG.
+        """Execute the chain on the calling thread.
 
-        With a ``run_id`` and a configured :class:`CheckpointStore`, steps
-        already checkpointed for that run are *resumed* (their outputs are
-        restored into the context, they are not re-executed) — except steps
-        declared with ``checkpoint=False``, which always re-run.  The
+        With a ``run_id`` and a configured :class:`CheckpointStore`, the
+        longest prefix of checkpointed steps is *resumed* (their outputs are
+        restored into the context, they are not re-executed); a step declared
+        ``checkpoint=False`` inside that prefix re-runs where it stands.  The
         reserved context key :data:`RESUMED_CONTEXT_KEY` then holds the
-        resumed step names (topological order), so re-running steps can tell
-        whether their upstream artifacts came from checkpoints of a crashed
-        run or were produced fresh (the key is absent on non-checkpointed
-        runs, and may not be used as an ``output_key``).  When ``raise_on_error`` is set the first failing
-        step's exception is re-raised after the rest of the graph has
-        settled.
+        resumed step names, so re-running steps can tell whether their
+        upstream artifacts came from checkpoints of a crashed run or were
+        produced fresh (the key is absent on non-checkpointed runs, and may
+        not be used as an ``output_key``).  When ``raise_on_error`` is set the
+        failing step's exception is re-raised once the rest of the chain has
+        been marked skipped.
         """
         order = self.validate()
-        by_name = {s.name: s for s in self.steps}
         context: Dict[str, Any] = dict(initial_context or {})
         result = PipelineResult(context=context, order=order)
         result.statuses = {name: PENDING for name in order}
-        ctx_lock = threading.Lock()
+        checkpointed = run_id is not None and self.checkpoints is not None
 
-        deps_left = {s.name: set(s.depends_on) for s in self.steps}
-        dependents: Dict[str, List[str]] = defaultdict(list)
-        for step in self.steps:
-            for dep in set(step.depends_on):
-                dependents[dep].append(step.name)
-
-        # Restore checkpoints (topological order, so a step only resumes when
-        # every dependency resumed too — a checkpoint above a re-running
-        # dependency is stale and is re-executed instead).  A dependency
-        # declared ``checkpoint=False`` re-runs *by design* (side-effect
-        # re-application); it does not make downstream checkpoints stale, so
-        # it counts as resume-compatible when its own dependencies do.
-        checkpointed: Dict[str, Checkpoint] = {}
-        if run_id is not None and self.checkpoints is not None:
-            checkpointed = self.checkpoints.completed(self.name, run_id)
-        resumed: set = set()
-        resume_ok: set = set()  # resumed steps + re-run-by-design steps above them
-        for name in order:
-            step = by_name[name]
-            if any(dep not in resume_ok for dep in step.depends_on):
-                continue
-            if not step.checkpoint:
-                resume_ok.add(name)  # will execute, but doesn't block resume below
-                continue
-            entry = checkpointed.get(name)
-            if entry is None:
-                continue
-            resumed.add(name)
-            resume_ok.add(name)
-            result.statuses[name] = RESUMED
-            result.resumed.append(name)
-            if step.output_key is not None and entry.has_output:
-                context[step.output_key] = entry.value
-        # Rewire the graph around resumed steps.  A resumed step satisfies its
-        # dependents immediately — EXCEPT that any re-running ancestor
-        # reachable through a chain of resumed steps (a ``checkpoint=False``
-        # step re-applying its side effect) remains a real prerequisite: its
-        # still-pending transitive dependents must run after it, and must be
-        # skipped if it fails, exactly as on a fresh run.
-        rerun_upstream: Dict[str, set] = {}
-        for name in order:
-            if name not in resumed:
-                continue
-            ancestors: set = set()
-            for dep in by_name[name].depends_on:
-                if dep in resumed:
-                    ancestors |= rerun_upstream.get(dep, set())
-                else:
-                    ancestors.add(dep)  # a step that will (re-)execute
-            rerun_upstream[name] = ancestors
-            for child in list(dependents[name]):
-                deps_left[child].discard(name)
-                if child in resumed:
-                    continue
-                for ancestor in ancestors:
-                    if child not in dependents[ancestor]:
-                        deps_left[child].add(ancestor)
-                        dependents[ancestor].append(child)
-        if run_id is not None and self.checkpoints is not None:
-            context[RESUMED_CONTEXT_KEY] = [name for name in order if name in resumed]
-        if resumed:
+        if checkpointed:
+            records = self.checkpoints.completed(self.name, run_id)
+            for step in self.steps:
+                if not step.checkpoint:
+                    continue  # re-runs by design; its checkpointed successors stay valid
+                entry = records.get(step.name)
+                if entry is None:
+                    break
+                result.statuses[step.name] = RESUMED
+                result.resumed.append(step.name)
+                if step.output_key is not None and entry.has_output:
+                    context[step.output_key] = entry.value
+            context[RESUMED_CONTEXT_KEY] = list(result.resumed)
+        if result.resumed:
             logger.info("pipeline %r run %r: resumed %d/%d steps from checkpoints",
-                        self.name, run_id, len(resumed), len(order))
+                        self.name, run_id, len(result.resumed), len(order))
 
         trace_root: Optional[Span] = None
         if self.tracer is not None:
             trace_root = self.tracer.start_trace(
                 "pipeline.run", pipeline=self.name,
                 run_id=run_id if run_id is not None else "",
-                steps=len(order), resumed=len(resumed),
+                steps=len(order), resumed=len(result.resumed),
             )
         registry = default_registry()
         m_steps = registry.counter(
@@ -400,97 +312,49 @@ class Pipeline:
             ("pipeline", "step"),
         )
 
-        def handle_completion(name: str, outcome: Tuple) -> List[str]:
-            """Record one step's outcome; returns newly ready step names."""
-            step = by_name[name]
-            value, attempts, elapsed, error = outcome
-            result.step_attempts[name] = attempts
-            result.step_times[name] = elapsed
-            m_steps.labels(
-                pipeline=self.name, status=FAILED if error is not None else COMPLETED
-            ).inc()
-            m_step_seconds.labels(pipeline=self.name, step=name).observe(elapsed)
-            if error is not None:
-                result.statuses[name] = FAILED
-                result.errors[name] = error
-                logger.warning("pipeline %r step %r failed after %d attempt(s): %s",
-                               self.name, name, attempts, error)
-                # Fail only the transitive dependents; siblings continue.
-                stack = list(dependents[name])
-                while stack:
-                    child = stack.pop()
-                    if result.statuses[child] == PENDING:
-                        result.statuses[child] = SKIPPED
-                        m_steps.labels(pipeline=self.name, status=SKIPPED).inc()
-                        stack.extend(dependents[child])
-                return []
-            result.statuses[name] = COMPLETED
-            if step.output_key is not None:
-                with ctx_lock:
-                    context[step.output_key] = value
-            if run_id is not None and self.checkpoints is not None and step.checkpoint:
-                try:
-                    self.checkpoints.record(
-                        self.name, run_id, name,
-                        value=value if step.output_key is not None else None,
-                        has_output=step.output_key is not None,
-                    )
-                except Exception:
-                    # Durability degrades (the step re-runs on resume) but
-                    # this run proceeds with the in-memory output — e.g. an
-                    # unpicklable step output must not crash the whole graph
-                    # after the step succeeded.
-                    logger.exception(
-                        "pipeline %r step %r: checkpoint write failed; "
-                        "the step will re-run on resume", self.name, name,
-                    )
-            ready: List[str] = []
-            for child in dependents[name]:
-                deps_left[child].discard(name)
-                if not deps_left[child] and result.statuses[child] == PENDING:
-                    ready.append(child)
-            return ready
-
-        initial_ready = [name for name in order
-                         if name not in resumed and not deps_left[name]]
         try:
-            if self.max_workers == 1:
-                # Serial pipelines (``max_workers=1``) execute on the
-                # calling thread: no pool hand-off, and Ctrl-C lands directly in
-                # the running step instead of blocking on a pool shutdown.
-                queue: List[str] = list(initial_ready)
-                while queue:
-                    name = queue.pop(0)
-                    result.statuses[name] = RUNNING
-                    queue.extend(handle_completion(
-                        name, self._run_step(by_name[name], context, trace_root)
-                    ))
-            else:
-                futures: Dict[Future, str] = {}
-                pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix=f"pipeline-{self.name}"
-                )
-                try:
-                    for name in initial_ready:
-                        result.statuses[name] = RUNNING
-                        futures[pool.submit(
-                            self._run_step, by_name[name], context, trace_root
-                        )] = name
-                    while futures:
-                        done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                        for fut in done:
-                            name = futures.pop(fut)
-                            for child in handle_completion(name, fut.result()):
-                                result.statuses[child] = RUNNING
-                                futures[pool.submit(
-                                    self._run_step, by_name[child], context, trace_root
-                                )] = child
-                    pool.shutdown(wait=True)
-                except BaseException:
-                    # Best effort on interrupt: stop feeding work and don't block
-                    # on steps already running (they cannot be killed).
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
+            for step in self.steps:
+                name = step.name
+                if result.statuses[name] == RESUMED:
+                    continue
+                if result.errors:
+                    result.statuses[name] = SKIPPED
+                    m_steps.labels(pipeline=self.name, status=SKIPPED).inc()
+                    continue
+                value, attempts, elapsed, error = self._run_step(step, context, trace_root)
+                result.step_attempts[name] = attempts
+                result.step_times[name] = elapsed
+                result.statuses[name] = FAILED if error is not None else COMPLETED
+                m_steps.labels(pipeline=self.name, status=result.statuses[name]).inc()
+                m_step_seconds.labels(pipeline=self.name, step=name).observe(elapsed)
+                if error is not None:
+                    result.errors[name] = error
+                    logger.warning("pipeline %r step %r failed after %d attempt(s): %s",
+                                   self.name, name, attempts, error)
+                    continue
+                if step.output_key is not None:
+                    context[step.output_key] = value
+                if checkpointed and step.checkpoint:
+                    try:
+                        self.checkpoints.record(
+                            self.name, run_id, name,
+                            value=value if step.output_key is not None else None,
+                            has_output=step.output_key is not None,
+                        )
+                    except Exception:
+                        # Durability degrades (the step re-runs on resume) but
+                        # this run proceeds with the in-memory output — e.g. an
+                        # unpicklable step output must not crash the chain
+                        # after the step succeeded.
+                        logger.exception(
+                            "pipeline %r step %r: checkpoint write failed; "
+                            "the step will re-run on resume", self.name, name,
+                        )
+                        registry.counter(
+                            "repro_internal_errors_total",
+                            "Exceptions caught, logged and survived inside the library",
+                            ("site",),
+                        ).labels(site="pipeline.checkpoint").inc()
         finally:
             if trace_root is not None:
                 self.tracer.end(
@@ -509,11 +373,11 @@ class Pipeline:
         """Run one step with retries; never raises for ordinary exceptions.
 
         ``KeyboardInterrupt``/``SystemExit`` are *not* absorbed — they
-        propagate through the future into the orchestrating thread.
+        propagate out of :meth:`run`.
 
         With a sampled ``trace_root``, the whole step (all attempts) runs
-        under a ``pipeline.step.<name>`` span activated on this worker
-        thread, so the step body's own ``trace_span`` calls nest under it.
+        under an activated ``pipeline.step.<name>`` span, so the step body's
+        own ``trace_span`` calls nest under it.
         """
         span = None
         if trace_root is not None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,55 @@ def test_stats_and_metrics_accumulate(kind):
     assert stats["tasks_completed"] == 5
     assert stats["busy_seconds"] >= 0.0
     assert counter.value == before + 5
+
+
+def test_thread_executor_map_propagates_keyboard_interrupt_from_a_worker():
+    def boom(x):
+        if x == 3:
+            raise KeyboardInterrupt
+        return x
+
+    with ThreadExecutor(max_workers=4) as ex:
+        with pytest.raises(KeyboardInterrupt):
+            ex.map(boom, list(range(8)))
+
+
+def test_thread_executor_chunked_map_propagates_keyboard_interrupt():
+    def boom(chunk):
+        raise KeyboardInterrupt
+
+    with ThreadExecutor(max_workers=4) as ex:
+        with pytest.raises(KeyboardInterrupt):
+            ex.map(boom, list(range(8)), chunk=True)
+
+
+def test_thread_executor_chunked_map_produces_at_most_max_workers_chunks():
+    for n_items, workers in [(1, 4), (4, 4), (5, 4), (8, 4), (9, 4), (17, 4), (100, 7), (3, 8)]:
+        with ThreadExecutor(max_workers=workers) as ex:
+            chunks = ex.map(list, list(range(n_items)), chunk=True)
+        assert len(chunks) <= workers
+        assert all(chunks)  # no empty chunks
+        assert [x for c in chunks for x in c] == list(range(n_items))
+
+
+def test_thread_executor_map_runs_on_pool_threads():
+    seen = set()
+
+    def record(x):
+        seen.add(threading.get_ident())
+        time.sleep(0.01)
+        return x
+
+    with ThreadExecutor(max_workers=4) as ex:
+        assert ex.map(record, list(range(8))) == list(range(8))
+    assert len(seen) >= 2
+    assert threading.get_ident() not in seen
+
+
+def test_single_worker_thread_executor_map_preserves_order():
+    with ThreadExecutor(max_workers=1) as ex:
+        assert ex.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        assert ex.map(sum, [1, 2, 3], chunk=True) == [6]
 
 
 def test_max_workers_validated():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compute import ThreadExecutor
 from repro.labeling.parallel import VOIGT_80, VOIGT_1440, CostModel, LabelingEngine
 from repro.labeling.peak_fitting import (
     FitResult,
@@ -154,9 +155,43 @@ def test_label_patches_shapes_and_accuracy():
 
 def test_label_patches_parallel_matches_serial():
     patches, _ = _patch_stack(6)
-    serial = label_patches(patches, max_workers=1)
-    parallel = label_patches(patches, max_workers=4)
+    serial = label_patches(patches)
+    with ThreadExecutor(max_workers=2) as executor:
+        parallel = label_patches(patches, executor=executor)
     np.testing.assert_allclose(serial, parallel, atol=1e-8)
+
+
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_label_patches_executor_labels_are_bit_identical_to_serial(workers):
+    """Uneven ranges and more workers than patches partition the stack
+    differently; every path yields the very same labels."""
+    patches, _ = _patch_stack(6)
+    serial = label_patches(patches)
+    with ThreadExecutor(max_workers=workers) as executor:
+        fanned = label_patches(patches, executor=executor)
+        assert executor.stats["tasks_completed"] == min(workers, 6)
+    np.testing.assert_array_equal(serial, fanned)
+
+
+def _no_session(*args, **kwargs):
+    raise AssertionError("the serial path must not open an executor session")
+
+
+def test_label_patches_single_worker_executor_runs_the_serial_loop(monkeypatch):
+    patches, _ = _patch_stack(4)
+    with ThreadExecutor(max_workers=1) as executor:
+        monkeypatch.setattr(executor, "open_session", _no_session)
+        labels = label_patches(patches, executor=executor)
+        assert executor.stats["tasks_completed"] == 0
+    np.testing.assert_array_equal(labels, label_patches(patches))
+
+
+def test_label_patches_closed_executor_runs_the_serial_loop():
+    patches, _ = _patch_stack(4)
+    executor = ThreadExecutor(max_workers=2)
+    executor.close()
+    np.testing.assert_array_equal(label_patches(patches, executor=executor),
+                                  label_patches(patches))
 
 
 def test_label_patches_accepts_channel_dim():
@@ -197,7 +232,7 @@ def test_voigt_1440_faster_than_voigt_80():
 
 def test_labeling_engine_reports_costs():
     patches, truths = _patch_stack(6)
-    engine = LabelingEngine(cost_model=VOIGT_80, local_workers=1)
+    engine = LabelingEngine(cost_model=VOIGT_80)
     report = engine.label(patches)
     assert report.labels.shape == (6, 2)
     np.testing.assert_allclose(report.labels, truths, atol=0.15)
@@ -205,6 +240,16 @@ def test_labeling_engine_reports_costs():
     assert report.simulated_wall_clock > 0
     assert report.cost_model.cores == 80
     assert report.as_dict()["n_patches"] == 6
+
+
+def test_labeling_engine_fans_out_through_its_executor():
+    patches, _ = _patch_stack(6)
+    serial = LabelingEngine(cost_model=VOIGT_80).label(patches)
+    with ThreadExecutor(max_workers=2) as executor:
+        fanned = LabelingEngine(cost_model=VOIGT_80, executor=executor).label(patches)
+        assert executor.stats["tasks_completed"] == 2  # one contiguous range per worker
+    np.testing.assert_array_equal(fanned.labels, serial.labels)
+    assert fanned.n_patches == serial.n_patches == 6
 
 
 def test_labeling_engine_sampled_fraction_completes_labels():
@@ -218,7 +263,5 @@ def test_labeling_engine_sampled_fraction_completes_labels():
 def test_labeling_engine_validation():
     with pytest.raises(ConfigurationError):
         LabelingEngine(sample_fraction=0.0)
-    with pytest.raises(ConfigurationError):
-        LabelingEngine(local_workers=0)
     with pytest.raises(ValidationError):
         LabelingEngine().label(np.zeros((0, 15, 15)))

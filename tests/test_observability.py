@@ -571,8 +571,8 @@ def test_pipeline_run_traces_steps_and_counts_them(registry):
 
     pipeline = (Pipeline("obs", tracer=tracer)
                 .add_step("head", lambda ctx: 1)
-                .add_step("mid", mid, depends_on=("head",))
-                .add_step("boom", lambda ctx: 1 / 0, depends_on=("mid",)))
+                .add_step("mid", mid)
+                .add_step("boom", lambda ctx: 1 / 0))
     result = pipeline.run()
     assert result.failed_steps == ["boom"]
 

@@ -1,4 +1,4 @@
-"""Tests for the async DAG pipeline engine (ordering, fault tolerance, resume)."""
+"""Tests for the step-chain pipeline engine (ordering, fault tolerance, resume)."""
 
 import threading
 import time
@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.observability.metrics import MetricsRegistry, set_default_registry
 from repro.storage.documentdb import DocumentDB
 from repro.utils.errors import ConfigurationError, PipelineError, StepTimeoutError
 from repro.workflow.pipeline import (
@@ -35,32 +36,10 @@ def _recorder():
     return log, make
 
 
-# -- graph validation -------------------------------------------------------------
+# -- chain validation -------------------------------------------------------------
 def test_duplicate_step_names_rejected():
     p = Pipeline("p").add_step("a", lambda ctx: 1).add_step("a", lambda ctx: 2)
     with pytest.raises(ConfigurationError, match="duplicate"):
-        p.validate()
-
-
-def test_unknown_dependency_rejected():
-    p = Pipeline("p").add_step("a", lambda ctx: 1, depends_on=("ghost",))
-    with pytest.raises(ConfigurationError, match="unknown"):
-        p.validate()
-
-
-def test_self_dependency_rejected():
-    with pytest.raises(ConfigurationError):
-        PipelineStep(name="a", fn=lambda ctx: 1, depends_on=("a",))
-
-
-def test_cycle_detected():
-    p = (
-        Pipeline("p")
-        .add_step("a", lambda ctx: 1, depends_on=("c",))
-        .add_step("b", lambda ctx: 1, depends_on=("a",))
-        .add_step("c", lambda ctx: 1, depends_on=("b",))
-    )
-    with pytest.raises(ConfigurationError, match="cycle"):
         p.validate()
 
 
@@ -75,50 +54,85 @@ def test_step_parameter_validation():
         PipelineStep(name="a", fn=lambda ctx: 1, retry_delay_s=-0.1)
     with pytest.raises(ConfigurationError):
         Pipeline("")
-    with pytest.raises(ConfigurationError):
-        Pipeline("p", max_workers=0)
 
 
 # -- execution order --------------------------------------------------------------
-def test_dependencies_execute_before_dependents():
+def test_steps_run_on_the_calling_thread_in_declaration_order():
+    seen = []
+
+    def make(name):
+        return lambda ctx: seen.append((name, threading.get_ident()))
+
+    p = Pipeline("chain")
+    for name in ("d", "b", "a", "c"):
+        p.add_step(name, make(name))
+    result = p.run()
+    assert result.succeeded
+    assert result.order == ["d", "b", "a", "c"]
+    assert seen == [(name, threading.get_ident()) for name in ("d", "b", "a", "c")]
+
+
+def test_run_without_timeouts_starts_no_thread(monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    p = Pipeline("threadless")
+    for name in ("a", "b", "c"):
+        p.add_step(name, lambda ctx: None, retries=1)
+    assert p.run().succeeded
+    assert started == []
+
+
+def test_only_a_step_with_a_timeout_leaves_the_calling_thread():
+    seen = {}
+
+    def record(name):
+        def fn(ctx):
+            seen[name] = threading.get_ident()
+
+        return fn
+
+    p = (
+        Pipeline("mixed")
+        .add_step("before", record("before"))
+        .add_step("bounded", record("bounded"), timeout_s=5.0)
+        .add_step("after", record("after"))
+    )
+    assert p.run().succeeded
+    caller = threading.get_ident()
+    assert seen["before"] == caller and seen["after"] == caller
+    assert seen["bounded"] != caller
+
+
+def test_constructor_steps_run_before_added_steps_in_order():
     log, make = _recorder()
-    p = (
-        Pipeline("diamond", max_workers=4)
-        .add_step("a", make("a"))
-        .add_step("b", make("b"), depends_on=("a",))
-        .add_step("c", make("c"), depends_on=("a",))
-        .add_step("d", make("d"), depends_on=("b", "c"))
-    )
+    p = Pipeline("seeded", steps=[PipelineStep("y", make("y")), PipelineStep("x", make("x"))])
+    p.add_step("w", make("w"))
     result = p.run()
     assert result.succeeded
-    assert set(log) == {"a", "b", "c", "d"}
-    assert log.index("a") < log.index("b")
-    assert log.index("a") < log.index("c")
-    assert log.index("d") == 3
+    assert result.order == ["y", "x", "w"]
+    assert log == ["y", "x", "w"]
 
 
-def test_independent_steps_run_concurrently():
-    barrier = threading.Barrier(2, timeout=5.0)
-
-    def wait_at_barrier(ctx):
-        barrier.wait()  # only passes if both steps are in flight at once
-        return True
-
-    p = (
-        Pipeline("parallel", max_workers=2)
-        .add_step("left", wait_at_barrier)
-        .add_step("right", wait_at_barrier)
-    )
-    result = p.run()
-    assert result.succeeded
+def test_step_lookup_by_name():
+    fn = lambda ctx: 1  # noqa: E731
+    p = Pipeline("p").add_step("a", fn).add_step("b", lambda ctx: 2, retries=3)
+    assert p.step("a").fn is fn
+    assert p.step("b").retries == 3
+    with pytest.raises(ConfigurationError, match="no step 'ghost'"):
+        p.step("ghost")
 
 
 def test_outputs_flow_through_context():
     p = (
         Pipeline("ctx")
         .add_step("double", lambda ctx: ctx["x"] * 2, output_key="doubled")
-        .add_step("plus_one", lambda ctx: ctx["doubled"] + 1,
-                  depends_on=("double",), output_key="result")
+        .add_step("plus_one", lambda ctx: ctx["doubled"] + 1, output_key="result")
     )
     result = p.run({"x": 5})
     assert result.succeeded
@@ -127,33 +141,71 @@ def test_outputs_flow_through_context():
 
 
 # -- failure semantics ------------------------------------------------------------
-def test_failure_skips_transitive_dependents_but_independent_branch_completes():
+def test_failure_skips_every_later_step():
     log, make = _recorder()
     p = (
-        Pipeline("partial", max_workers=2)
+        Pipeline("partial")
+        .add_step("first", make("first"))
         .add_step("boom", lambda ctx: 1 / 0)
-        .add_step("child", make("child"), depends_on=("boom",))
-        .add_step("grandchild", make("grandchild"), depends_on=("child",))
-        .add_step("island", make("island"))
-        .add_step("island2", make("island2"), depends_on=("island",))
+        .add_step("child", make("child"))
+        .add_step("grandchild", make("grandchild"))
     )
     result = p.run()
     assert not result.succeeded
+    assert result.statuses["first"] == COMPLETED
     assert result.statuses["boom"] == FAILED
     assert result.statuses["child"] == SKIPPED
     assert result.statuses["grandchild"] == SKIPPED
-    assert result.statuses["island"] == COMPLETED
-    assert result.statuses["island2"] == COMPLETED
     assert isinstance(result.errors["boom"], ZeroDivisionError)
     assert result.failed_steps == ["boom"]
-    assert set(result.skipped_steps) == {"child", "grandchild"}
-    assert "child" not in log and "grandchild" not in log
+    assert result.skipped_steps == ["child", "grandchild"]
+    assert log == ["first"]
 
 
 def test_raise_on_error_reraises_original_exception():
     p = Pipeline("p").add_step("boom", lambda ctx: 1 / 0)
     with pytest.raises(ZeroDivisionError):
         p.run(raise_on_error=True)
+
+
+def test_raise_on_error_marks_later_steps_skipped_before_raising():
+    log, make = _recorder()
+    p = (
+        Pipeline("raising")
+        .add_step("boom", lambda ctx: 1 / 0)
+        .add_step("after", make("after"))
+        .add_step("later", make("later"))
+    )
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    try:
+        with pytest.raises(ZeroDivisionError):
+            p.run(raise_on_error=True)
+    finally:
+        set_default_registry(previous)
+    steps = registry.get("repro_pipeline_steps_total")
+    assert steps.labels(pipeline="raising", status=FAILED).value == 1.0
+    assert steps.labels(pipeline="raising", status=SKIPPED).value == 2.0
+    assert log == []
+
+
+@pytest.mark.parametrize("timeout_s", [None, 5.0])
+def test_keyboard_interrupt_propagates_out_of_run(timeout_s):
+    log, make = _recorder()
+
+    def interrupted(ctx):
+        log.append("ctrl_c")
+        raise KeyboardInterrupt
+
+    p = (
+        Pipeline("interrupted")
+        .add_step("first", make("first"))
+        .add_step("ctrl_c", interrupted, retries=2, timeout_s=timeout_s)
+        .add_step("after", make("after"))
+    )
+    with pytest.raises(KeyboardInterrupt):
+        p.run()
+    assert log == ["first", "ctrl_c"]  # not retried, and the chain stops
 
 
 def test_retries_rerun_failed_attempts():
@@ -183,10 +235,10 @@ def test_retries_exhausted_reports_failure():
 def test_step_timeout_fails_step_and_skips_dependents():
     log, make = _recorder()
     p = (
-        Pipeline("timeout", max_workers=2)
+        Pipeline("timeout")
         .add_step("slow", lambda ctx: time.sleep(5.0), timeout_s=0.05)
-        .add_step("after", make("after"), depends_on=("slow",))
-        .add_step("island", make("island"))
+        .add_step("after", make("after"))
+        .add_step("later", make("later"))
     )
     start = time.perf_counter()
     result = p.run()
@@ -195,7 +247,8 @@ def test_step_timeout_fails_step_and_skips_dependents():
     assert isinstance(result.errors["slow"], StepTimeoutError)
     assert isinstance(result.errors["slow"], PipelineError)
     assert result.statuses["after"] == SKIPPED
-    assert result.statuses["island"] == COMPLETED
+    assert result.statuses["later"] == SKIPPED
+    assert log == []
 
 
 def test_timeout_attempt_is_retriable():
@@ -230,9 +283,9 @@ def _counting_pipeline(store, counters, fail_step=None):
 
     p = Pipeline("resumable", checkpoints=store)
     p.add_step("a", step("a", np.arange(6).reshape(2, 3)), output_key="a_out")
-    p.add_step("b", step("b", {"k": 1}), depends_on=("a",), output_key="b_out")
-    p.add_step("c", step("c", "cc"), depends_on=("b",), output_key="c_out")
-    p.add_step("d", step("d", 4), depends_on=("c",), output_key="d_out")
+    p.add_step("b", step("b", {"k": 1}), output_key="b_out")
+    p.add_step("c", step("c", "cc"), output_key="c_out")
+    p.add_step("d", step("d", 4), output_key="d_out")
     return p
 
 
@@ -276,6 +329,23 @@ def test_resume_survives_database_save_and_load(tmp_path):
     assert np.array_equal(result.context["a_out"], np.arange(6).reshape(2, 3))
 
 
+def test_resume_restores_only_the_prefix_before_a_missing_checkpoint():
+    store = CheckpointStore()
+    counters = {}
+    assert _counting_pipeline(store, counters).run(run_id="run-P").succeeded
+    # b's checkpoint is lost; c's and d's survive but lie beyond the gap.
+    assert store.collection.delete_many(
+        {"pipeline": "resumable", "run_id": "run-P", "step": "b"}
+    ) == 1
+
+    result = _counting_pipeline(store, counters).run(run_id="run-P")
+    assert result.succeeded
+    assert result.resumed == ["a"]
+    assert result.statuses == {"a": RESUMED, "b": COMPLETED, "c": COMPLETED, "d": COMPLETED}
+    assert counters == {"a": 1, "b": 2, "c": 2, "d": 2}
+    assert set(store.completed("resumable", "run-P")) == {"a", "b", "c", "d"}
+
+
 def test_runs_are_isolated_by_run_id():
     store = CheckpointStore()
     counters = {}
@@ -302,8 +372,7 @@ def test_non_checkpointed_step_reruns_on_resume():
     def build(fail=False):
         p = Pipeline("fx", checkpoints=store)
         p.add_step("side", side_effect, output_key="s", checkpoint=False)
-        p.add_step("tail", (lambda ctx: 1 / 0) if fail else (lambda ctx: "ok"),
-                   depends_on=("side",), output_key="t")
+        p.add_step("tail", (lambda ctx: 1 / 0) if fail else (lambda ctx: "ok"), output_key="t")
         return p
 
     build(fail=True).run(run_id="r")
@@ -330,10 +399,10 @@ def test_checkpoint_store_distinguishes_none_output():
     assert entry.has_output and entry.value is None
 
 
-# -- serial pipelines (max_workers=1 runs on the calling thread) --------------------
+# -- linear flows -----------------------------------------------------------------
 def test_flow_supports_step_timeouts():
-    """A timeout must also fire when there is no pool thread to abandon."""
-    flow = Pipeline("slow", max_workers=1).add_step("s", lambda ctx: time.sleep(5.0), timeout_s=0.05)
+    """A timeout fires although steps otherwise run on the calling thread."""
+    flow = Pipeline("slow").add_step("s", lambda ctx: time.sleep(5.0), timeout_s=0.05)
     result = flow.run()
     assert not result.succeeded
     assert result.failed_steps == ["s"]
@@ -349,10 +418,10 @@ def test_flow_as_pipeline_resumes_from_checkpoints():
         return "h"
 
     def build(fail=False):
-        flow = Pipeline("resumable-flow", max_workers=1, checkpoints=store)
+        flow = Pipeline("resumable-flow", checkpoints=store)
         flow.add_step("head", head, output_key="h")
         flow.add_step("tail", (lambda ctx: 1 / 0) if fail else (lambda ctx: ctx["h"] + "!"),
-                      depends_on=("head",), output_key="t")
+                      output_key="t")
         return flow
 
     build(fail=True).run(run_id="f1")
@@ -368,10 +437,10 @@ def test_reserved_resumed_context_key():
     p = Pipeline("p").add_step("a", lambda ctx: 1, output_key=RESUMED_CONTEXT_KEY)
     with pytest.raises(ConfigurationError, match="reserved"):
         p.validate()
-    # Non-checkpointed runs (pooled or serial) never see the key.
+    # Non-checkpointed runs never see the key.
     result = Pipeline("q").add_step("a", lambda ctx: 1, output_key="x").run({"seed": 0})
     assert result.context == {"seed": 0, "x": 1}
-    serial = Pipeline("f", max_workers=1).add_step("s", lambda ctx: 2, output_key="y").run()
+    serial = Pipeline("f").add_step("s", lambda ctx: 2, output_key="y").run()
     assert RESUMED_CONTEXT_KEY not in serial.context
     # Checkpointed runs expose it (empty on a fresh run).
     store = CheckpointStore()
@@ -397,9 +466,9 @@ def test_mid_chain_non_checkpointed_step_does_not_block_downstream_resume():
     def build(fail_c):
         p = Pipeline("fxchain", checkpoints=store)
         p.add_step("a", counting("a"), output_key="a")
-        p.add_step("fx", counting("fx"), depends_on=("a",), checkpoint=False)
-        p.add_step("b", counting("b"), depends_on=("fx",), output_key="b")
-        p.add_step("c", counting("c", fail=fail_c), depends_on=("b",), output_key="c")
+        p.add_step("fx", counting("fx"), checkpoint=False)
+        p.add_step("b", counting("b"), output_key="b")
+        p.add_step("c", counting("c", fail=fail_c), output_key="c")
         return p
 
     assert not build(fail_c=True).run(run_id="R").succeeded
@@ -429,10 +498,10 @@ def test_failed_rerunning_step_skips_pending_descendants_through_resumed_steps()
     def build(fx_fails, d_fails):
         p = Pipeline("skipchain", checkpoints=store)
         p.add_step("a", step("a"), output_key="a")
-        p.add_step("fx", step("fx", fail=fx_fails), depends_on=("a",), checkpoint=False)
-        p.add_step("b", step("b"), depends_on=("fx",), output_key="b")
-        p.add_step("c", step("c"), depends_on=("b",), output_key="c")
-        p.add_step("d", step("d", fail=d_fails), depends_on=("c",), output_key="d")
+        p.add_step("fx", step("fx", fail=fx_fails), checkpoint=False)
+        p.add_step("b", step("b"), output_key="b")
+        p.add_step("c", step("c"), output_key="c")
+        p.add_step("d", step("d", fail=d_fails), output_key="d")
         return p
 
     assert not build(fx_fails=False, d_fails=True).run(run_id="R").succeeded
@@ -465,11 +534,11 @@ def test_pending_step_waits_for_rerunning_ancestor_through_resumed_chain():
         return fn
 
     def build(d_fails, fx_delay=0.0):
-        p = Pipeline("orderchain", max_workers=4, checkpoints=store)
+        p = Pipeline("orderchain", checkpoints=store)
         p.add_step("a", step("a"), output_key="a")
-        p.add_step("fx", step("fx", delay=fx_delay), depends_on=("a",), checkpoint=False)
-        p.add_step("b", step("b"), depends_on=("fx",), output_key="b")
-        p.add_step("d", step("d", fail=d_fails), depends_on=("b",), output_key="d")
+        p.add_step("fx", step("fx", delay=fx_delay), checkpoint=False)
+        p.add_step("b", step("b"), output_key="b")
+        p.add_step("d", step("d", fail=d_fails), output_key="d")
         return p
 
     assert not build(d_fails=True).run(run_id="S").succeeded
@@ -485,10 +554,18 @@ def test_checkpoint_write_failure_degrades_durability_but_not_the_run():
     p = (
         Pipeline("badckpt", checkpoints=store)
         .add_step("a", lambda ctx: unpicklable, output_key="a")
-        .add_step("b", lambda ctx: "ok", depends_on=("a",), output_key="b")
+        .add_step("b", lambda ctx: "ok", output_key="b")
     )
-    result = p.run(run_id="R")  # must not raise despite the pickle failure
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    try:
+        result = p.run(run_id="R")  # must not raise despite the pickle failure
+    finally:
+        set_default_registry(previous)
     assert result.succeeded
     assert result.context["b"] == "ok"
     # Only b's checkpoint landed; a will simply re-run on resume.
     assert set(store.completed("badckpt", "R")) == {"b"}
+    # The swallowed exception is counted, once.
+    errors = registry.get("repro_internal_errors_total")
+    assert errors.labels(site="pipeline.checkpoint").value == 1.0

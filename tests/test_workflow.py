@@ -1,4 +1,4 @@
-"""Tests for the orchestration substrate (serial linear flows, transfer)."""
+"""Tests for the orchestration substrate (linear flows, transfer)."""
 
 import numpy as np
 import pytest
@@ -8,19 +8,14 @@ from repro.workflow.pipeline import FAILED, SKIPPED, Pipeline, PipelineStep
 from repro.workflow.transfer import TransferService
 
 
-# -- linear flows on a serial pipeline ---------------------------------------------
-# The paper's Globus Flow is an ordered step list sharing one context.  On the
-# engine that is a dependency chain with ``max_workers=1``, which runs on the
-# calling thread through its own branch of ``Pipeline.run`` — these are the
-# tests of that branch.
+# -- linear flows -------------------------------------------------------------------
+# The paper's Globus Flow is an ordered step list sharing one context, which is
+# exactly what a ``Pipeline`` is.
 def _flow(name, *steps):
-    """A serial pipeline in which each ``(name, fn, kwargs)`` step depends on
-    the one before it."""
-    pipeline = Pipeline(name, max_workers=1)
-    previous = ()
+    """A pipeline of the ``(name, fn, kwargs)`` steps, in order."""
+    pipeline = Pipeline(name)
     for step_name, fn, kwargs in steps:
-        pipeline.add_step(step_name, fn, depends_on=previous, **kwargs)
-        previous = (step_name,)
+        pipeline.add_step(step_name, fn, **kwargs)
     return pipeline
 
 
