@@ -13,14 +13,11 @@ All layers compute in the dtype of the active
 the ``dtype`` constructor argument or :func:`repro.nn.dtype.dtype_scope`).
 Input casts are copy-free when the dtype already matches.
 
-Convolutions use the im2col formulation so the heavy lifting is a single
-matrix multiply per layer.  The im2col gather is built on
-``numpy.lib.stride_tricks.sliding_window_view`` plus one contiguous copy into
-a reusable per-(shape, kernel) workspace, and the col2im scatter in the
-backward pass is a sum over the ``kh * kw`` kernel offsets — each a strided
-slice-add — instead of the far slower ``np.add.at`` fancy-index scatter.
-Steady-state training therefore reuses its big intermediate buffers instead
-of reallocating them every batch.
+Convolutions are one matrix multiply per pass on a flattened shift layout
+(see :class:`_ConvWorkspace`): each kernel offset is one contiguous slice of
+the padded input, so the gather and the backward scatter are ``kh * kw``
+contiguous copies / adds into reusable per-(shape, dtype) workspaces, and
+steady-state training reallocates none of its big intermediates per batch.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import init as initializers
 from repro.nn.dtype import DtypeLike, resolve_dtype
@@ -58,7 +54,7 @@ class Layer:
 
         Called for the *first* layer of a network being trained end-to-end,
         where the input gradient would be discarded.  Layers with an
-        expensive input-gradient path (Conv2D's col2im) override this.
+        expensive input-gradient path (Conv2D's scatter) override this.
         """
         self.backward(grad_output)
 
@@ -191,87 +187,37 @@ class Dense(Layer):
 
 
 # ---------------------------------------------------------------------------
-# Convolution via im2col
+# Convolution as a flattened shift
 # ---------------------------------------------------------------------------
 def conv_output_size(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> Tuple[int, int]:
     return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
 
-def _patch_windows(
-    x_padded: np.ndarray, kh: int, kw: int, stride: int
-) -> np.ndarray:
-    """Strided (zero-copy) view of all kernel windows: ``(N, C, oh, ow, kh, kw)``."""
-    win = sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
-    if stride != 1:
-        win = win[:, :, ::stride, ::stride]
-    return win
-
-
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> Tuple[np.ndarray, int, int]:
-    """Rearrange image patches into columns: output shape ``(C*kh*kw, N*out_h*out_w)``.
-
-    Column ordering matches the historical index-gather implementation (kept
-    as ``reference_im2col`` in ``benchmarks/nn_reference.py`` for golden tests): rows
-    iterate ``(c, ki, kj)`` and columns ``(out_h, out_w, n)``.
-    """
-    n, c, h, w = x.shape
-    if pad:
-        x_padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    else:
-        x_padded = x
-    out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
-    win = _patch_windows(x_padded, kh, kw, stride)  # (n, c, oh, ow, kh, kw)
-    cols = win.transpose(1, 4, 5, 2, 3, 0).reshape(c * kh * kw, out_h * out_w * n)
-    return cols, out_h, out_w
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an NCHW tensor.
-
-    Implemented as a sum over the ``kh * kw`` kernel offsets — each offset is
-    one fully vectorised strided slice-add — which is dramatically faster than
-    the equivalent ``np.add.at`` fancy-index scatter.
-    """
-    n, c, h, w = x_shape
-    out_h, out_w = conv_output_size(h, w, kh, kw, stride, pad)
-    x_padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    g6 = cols.reshape(c, kh, kw, out_h, out_w, n)
-    for ki in range(kh):
-        for kj in range(kw):
-            x_padded[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride] += (
-                g6[:, ki, kj].transpose(3, 0, 1, 2)
-            )
-    if pad == 0:
-        return x_padded
-    return x_padded[:, :, pad:-pad, pad:-pad]
-
-
 class _ConvWorkspace:
     """Reusable buffers for one ``(input shape, dtype)`` of a Conv2D layer.
 
-    Holding these per layer (and per thread, so concurrent inference through
-    the serving plane stays safe) means steady-state training re-uses the
-    large im2col/col2im intermediates instead of reallocating them per batch.
+    Held per layer and per thread (so concurrent inference through the
+    serving plane stays safe); steady-state training re-uses these large
+    intermediates instead of reallocating them per batch.
 
-    The column layout is ``(c, kh, kw, n, oh, ow)`` and the image buffers are
-    kept channel-first-transposed (``(c, n, H, W)``): the gather/scatter then
-    runs as ``kh * kw`` big slice copies with *matching* axis order on both
-    sides and a full (strided) image row as the inner dimension — orders of
-    magnitude fewer iterator steps than a fancy-index gather or an
-    element-wise transpose copy per offset.
+    The padded input ``xpt`` is kept channel-first (``(c, n, Hp, Wp)``) and
+    read as one row of length ``L = n * Hp * Wp`` per channel.  Kernel offset
+    ``(ki, kj)`` is then the contiguous slice ``[ki*Wp + kj : ki*Wp + kj + m]``
+    of every row, with ``m = L - ((kh-1)*Wp + kw-1)``: ``cols`` holds those
+    ``kh * kw`` slices as ``(c, kh*kw, m)``.  The forward GEMM writes the
+    first ``m`` flat positions of a padded ``(oc, n, Hp, Wp)`` output grid (a
+    per-call temporary, so idle inference workspaces do not hold it), and
+    only ``[:, :, :s*oh:s, :s*ow:s]`` are valid outputs.  Every other column
+    mixes pixels across rows or samples and is never read.
+
+    Two buffers carry zeros as an invariant: the padding border of ``xpt``
+    (the forward only rewrites the interior) and every non-output position
+    of ``grad_grid`` (the backward only writes the output positions), which
+    keeps the junk columns out of both gradients.  The backward writes the
+    column gradient into ``cols`` once the weight gradient has read it.
     """
 
-    __slots__ = (
-        "x_shape", "out_h", "out_w",
-        "xpt", "cols6", "cols2", "grad_out", "grad_cols2", "grad_cols6", "gxt",
-    )
+    __slots__ = ("x_shape", "out_h", "out_w", "m", "offsets", "xpt", "cols", "grad_grid", "gxt")
 
     def __init__(
         self,
@@ -284,22 +230,25 @@ class _ConvWorkspace:
         dtype: np.dtype,
     ):
         n, c, h, w = x_shape
+        hp, wp = h + 2 * pad, w + 2 * pad
         self.x_shape = x_shape
         self.out_h, self.out_w = conv_output_size(h, w, kh, kw, stride, pad)
-        oh, ow = self.out_h, self.out_w
-        # Channel-first padded input; the zeroed border survives reuse
-        # because every forward only rewrites the interior.
-        self.xpt = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=dtype)
-        self.cols6 = np.empty((c, kh, kw, n, oh, ow), dtype=dtype)
-        self.cols2 = self.cols6.reshape(c * kh * kw, n * oh * ow)
-        self.grad_out = np.empty((oc, n, oh, ow), dtype=dtype)
-        self.grad_cols2 = np.empty_like(self.cols2)
-        self.grad_cols6 = self.grad_cols2.reshape(c, kh, kw, n, oh, ow)
-        self.gxt = np.empty((c, n, h + 2 * pad, w + 2 * pad), dtype=dtype)
+        self.m = n * hp * wp - ((kh - 1) * wp + kw - 1)
+        self.offsets = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
+        self.xpt = np.zeros((c, n, hp, wp), dtype=dtype)
+        self.cols = np.empty((c, kh * kw, self.m), dtype=dtype)
+        self.grad_grid = np.zeros((oc, n, hp, wp), dtype=dtype)
+        self.gxt = np.empty((c, n, hp, wp), dtype=dtype)
 
 
 class Conv2D(Layer):
-    """2-D convolution over NCHW tensors using the im2col matrix-multiply form."""
+    """2-D convolution over NCHW tensors as one matrix multiply per pass.
+
+    See :class:`_ConvWorkspace` for the flattened shift layout: the gather
+    and the scatter are ``kh * kw`` contiguous slice copies/adds, and a
+    stride above one computes the dense grid and keeps every ``stride``-th
+    position.
+    """
 
     #: Workspaces kept per (shape, dtype), LRU-evicted; bounds per-layer
     #: buffer memory while covering the batch-size mix a micro-batching
@@ -386,6 +335,11 @@ class Conv2D(Layer):
         k, s, p = self.kernel_size, self.stride, self.padding
         return conv_output_size(h, w, k, k, s, p)
 
+    def _outputs(self, grid: np.ndarray, ws: _ConvWorkspace) -> np.ndarray:
+        """View of the valid output positions of an ``(oc, n, Hp, Wp)`` grid."""
+        s = self.stride
+        return grid[:, :, : s * ws.out_h : s, : s * ws.out_w : s]
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = self._cast(x)
         if x.ndim != 4:
@@ -394,61 +348,58 @@ class Conv2D(Layer):
             raise ValueError(
                 f"Conv2D {self.name!r}: expected {self.in_channels} channels, got {x.shape[1]}"
             )
-        n, _, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
+        n, c, h, w = x.shape
+        oc, p = self.out_channels, self.padding
         ws = self._workspace(x.shape, x.dtype)
-        oh, ow = ws.out_h, ws.out_w
+        m = ws.m
         np.copyto(ws.xpt[:, :, p : p + h, p : p + w], x.transpose(1, 0, 2, 3))
-        # im2col gather: one large strided slice copy per kernel offset.
-        for ki in range(k):
-            for kj in range(k):
-                np.copyto(
-                    ws.cols6[:, ki, kj],
-                    ws.xpt[:, :, ki : ki + s * oh : s, kj : kj + s * ow : s],
-                )
-        w_col = self.weight.data.reshape(self.out_channels, -1)
-        out = w_col @ ws.cols2  # (out_channels, N*oh*ow)
+        rows = ws.xpt.reshape(c, -1)
+        for o, off in enumerate(ws.offsets):
+            np.copyto(ws.cols[:, o], rows[:, off : off + m])
+        w_col = self.weight.data.reshape(oc, -1)
+        grid = np.empty((oc,) + ws.xpt.shape[1:], dtype=x.dtype)
+        np.matmul(w_col, ws.cols.reshape(-1, m), out=grid.reshape(oc, -1)[:, :m])
+        out = np.empty((n, oc, ws.out_h, ws.out_w), dtype=x.dtype)
+        valid = self._outputs(grid, ws).transpose(1, 0, 2, 3)
         if self.bias is not None:
-            out += self.bias.data[:, None]
-        out = np.ascontiguousarray(
-            out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
-        )
+            np.add(valid, self.bias.data[:, None, None], out=out)
+        else:
+            np.copyto(out, valid)
         # The workspace doubles as the backward cache; backward must follow
         # its own training forward (the Trainer's loop guarantees this).
         self._cache = ws if training else None
         return out
 
-    def _backward_param_grads(self, grad_output: np.ndarray) -> np.ndarray:
+    def _backward_param_grads(self, grad_output: np.ndarray) -> Tuple[_ConvWorkspace, np.ndarray]:
         ws = self._cache
         if ws is None:
             raise RuntimeError("backward() called before a training forward pass")
-        n = ws.x_shape[0]
-        np.copyto(ws.grad_out, grad_output.transpose(1, 0, 2, 3))
-        grad_flat = ws.grad_out.reshape(self.out_channels, n * ws.out_h * ws.out_w)
+        # The backward reads (and overwrites) the forward's columns: one
+        # backward per training forward.
+        self._cache = None
+        oc = self.out_channels
+        np.copyto(self._outputs(ws.grad_grid, ws), grad_output.transpose(1, 0, 2, 3))
+        grad_flat = ws.grad_grid.reshape(oc, -1)[:, : ws.m]
         if self.bias is not None:
-            self.bias.grad += grad_flat.sum(axis=1)
-        self.weight.grad += (grad_flat @ ws.cols2.T).reshape(self.weight.data.shape)
-        return grad_flat
+            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
+        cols2 = ws.cols.reshape(-1, ws.m)
+        self.weight.grad += (cols2 @ grad_flat.T).T.reshape(self.weight.data.shape)
+        return ws, grad_flat
 
     def backward_params_only(self, grad_output: np.ndarray) -> None:
         self._backward_param_grads(self._cast(grad_output))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad_flat = self._backward_param_grads(self._cast(grad_output))
-        ws = self._cache
-        n, _, h, w = ws.x_shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        oh, ow = ws.out_h, ws.out_w
+        ws, grad_flat = self._backward_param_grads(self._cast(grad_output))
+        n, c, h, w = ws.x_shape
+        p, m = self.padding, ws.m
         w_col = self.weight.data.reshape(self.out_channels, -1)
-        np.matmul(w_col.T, grad_flat, out=ws.grad_cols2)
+        np.matmul(w_col.T, grad_flat, out=ws.cols.reshape(-1, m))
         gx = ws.gxt
         gx.fill(0)
-        g6 = ws.grad_cols6
-        # col2im scatter: one strided slice-add per kernel offset (no add.at);
-        # source and destination share the (c, n, ...) axis order.
-        for ki in range(k):
-            for kj in range(k):
-                gx[:, :, ki : ki + s * oh : s, kj : kj + s * ow : s] += g6[:, ki, kj]
+        rows = gx.reshape(c, -1)
+        for o, off in enumerate(ws.offsets):
+            rows[:, off : off + m] += ws.cols[:, o]
         # Copy out of the reusable workspace so callers may hold the gradient.
         return np.ascontiguousarray(gx[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3))
 
@@ -598,7 +549,14 @@ class LeakyReLU(Layer):
         if self._x is None:
             raise RuntimeError("backward() called before a training forward pass")
         g = self._cast(grad_output)
-        return np.where(self._x > 0, g, g * self.dtype.type(self.negative_slope))
+        # g*(x>0) + slope*g*(x<=0): bit-identical to np.where(x > 0, g,
+        # slope*g) but as float multiplies, which run faster than a select.
+        pos = self._x > 0
+        out = g * pos
+        neg = g * self.dtype.type(self.negative_slope)
+        neg *= np.logical_not(pos, out=pos)
+        out += neg
+        return out
 
 
 class Sigmoid(Layer):

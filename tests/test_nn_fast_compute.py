@@ -3,14 +3,15 @@
 Pins the rewritten kernels to the frozen pre-optimisation reference
 implementations in ``benchmarks/nn_reference.py``:
 
-* sliding-window im2col / slice-add col2im  vs  index-gather / ``np.add.at``,
-* workspace Conv2D                          vs  the legacy float64 Conv2D,
+* shift-convolution Conv2D                  vs  the legacy float64 Conv2D
+                                               (index-gather / ``np.add.at``),
 * packed flat-buffer SGD/Adam               vs  the per-parameter loops,
 * batched (folded) MC dropout               vs  one forward pass per sample,
 * float32 training curves                   vs  the float64 baseline.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,6 @@ from repro.nn import (
     get_default_dtype,
     mc_dropout_predict,
 )
-from repro.nn.layers import col2im, im2col
 from repro.models import build_braggnn
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -42,40 +42,150 @@ from nn_reference import (  # noqa: E402
     LoopedSGD,
     legacy_variant,
     looped_mc_dropout_predict,
-    reference_col2im,
-    reference_im2col,
 )
 
 
-# -- im2col / col2im golden values --------------------------------------------
-IM2COL_CASES = [
-    # (n, c, h, w, kh, kw, stride, pad)
-    (2, 3, 6, 6, 3, 3, 1, 1),
-    (1, 1, 5, 5, 3, 3, 1, 0),
-    (2, 2, 7, 7, 3, 3, 2, 0),
-    (3, 1, 4, 4, 2, 2, 2, 0),
-    (1, 4, 8, 8, 5, 5, 1, 2),
-    (2, 2, 9, 7, 3, 3, 2, 1),
+# -- Conv2D golden values -----------------------------------------------------
+CONV_CASES = [
+    # (n, c, h, w, k, stride, pad)
+    (2, 3, 6, 6, 3, 1, 1),
+    (1, 1, 5, 5, 3, 1, 0),
+    (2, 2, 7, 7, 3, 2, 0),
+    (3, 1, 4, 4, 2, 2, 0),
+    (1, 4, 8, 8, 5, 1, 2),
+    (2, 2, 9, 7, 3, 2, 1),
 ]
 
 
-@pytest.mark.parametrize("n,c,h,w,kh,kw,stride,pad", IM2COL_CASES)
-def test_im2col_matches_reference(rng, n, c, h, w, kh, kw, stride, pad):
+def _conv_pair(c, k, stride, pad, oc=3, seed=5):
+    new = Conv2D(c, oc, kernel_size=k, stride=stride, padding=pad, seed=seed, dtype=np.float64)
+    old = LegacyConv2D(c, oc, kernel_size=k, stride=stride, padding=pad, seed=seed)
+    bias = np.linspace(-0.5, 0.5, oc)  # non-zero, so the bias path is checked
+    new.bias.data[...] = bias
+    old.weight.data[...] = new.weight.data
+    old.bias.data[...] = bias
+    return new, old
+
+
+@pytest.mark.parametrize("n,c,h,w,k,stride,pad", CONV_CASES)
+def test_conv2d_matches_legacy_on_golden_cases(rng, n, c, h, w, k, stride, pad):
+    """Forward output and all three gradients against the index-gather /
+    ``np.add.at`` Conv2D, across kernels 2/3/5, strides 1/2, pads 0/1/2,
+    non-square inputs and batch 1."""
+    new, old = _conv_pair(c, k, stride, pad)
     x = rng.normal(size=(n, c, h, w))
-    cols, oh, ow = im2col(x, kh, kw, stride, pad)
-    ref_cols, ref_oh, ref_ow = reference_im2col(x, kh, kw, stride, pad)
-    assert (oh, ow) == (ref_oh, ref_ow)
-    np.testing.assert_array_equal(cols, ref_cols)
+    out_new = new.forward(x, training=True)
+    out_old = old.forward(x, training=True)
+    assert out_new.shape == out_old.shape == (n, 3) + new.output_shape(h, w)
+    np.testing.assert_allclose(out_new, out_old, atol=1e-12)
+
+    grad = rng.normal(size=out_new.shape)
+    np.testing.assert_allclose(new.backward(grad), old.backward(grad), atol=1e-12)
+    np.testing.assert_allclose(new.weight.grad, old.weight.grad, atol=1e-12)
+    np.testing.assert_allclose(new.bias.grad, old.bias.grad, atol=1e-12)
 
 
-@pytest.mark.parametrize("n,c,h,w,kh,kw,stride,pad", IM2COL_CASES)
-def test_col2im_matches_reference(rng, n, c, h, w, kh, kw, stride, pad):
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    cols = rng.normal(size=(c * kh * kw, oh * ow * n))
-    out = col2im(cols, (n, c, h, w), kh, kw, stride, pad)
-    ref = reference_col2im(cols, (n, c, h, w), kh, kw, stride, pad)
-    np.testing.assert_allclose(out, ref, atol=1e-12)
+def _poison(ws, layer, h, w):
+    """NaN every workspace byte that carries no zero invariant: all of
+    ``cols`` and ``gxt``, the interior of ``xpt`` and the output positions
+    of ``grad_grid``."""
+    p = layer.padding
+    ws.cols.fill(np.nan)
+    ws.gxt.fill(np.nan)
+    ws.xpt[:, :, p : p + h, p : p + w] = np.nan
+    layer._outputs(ws.grad_grid, ws)[...] = np.nan
+
+
+@pytest.fixture
+def nan_empty(monkeypatch):
+    """``np.empty`` / ``np.empty_like`` hand out NaN-filled float memory, so
+    a read of a never-written byte (the forward grid's tail past ``m``
+    included) shows up as a NaN instead of as whatever memory held."""
+    empty, empty_like = np.empty, np.empty_like
+
+    def poisoned(make):
+        def wrapper(*args, **kwargs):
+            arr = make(*args, **kwargs)
+            if arr.dtype.kind == "f":
+                arr.fill(np.nan)
+            return arr
+        return wrapper
+
+    monkeypatch.setattr(np, "empty", poisoned(empty))
+    monkeypatch.setattr(np, "empty_like", poisoned(empty_like))
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (2, 0)])
+def test_conv2d_poisoned_workspace_never_reaches_a_result(rng, nan_empty, stride, pad):
+    """The GEMM tail beyond ``m``, the grid positions that are not outputs and
+    the columns that straddle rows or samples must never be read."""
+    x = rng.normal(size=(3, 2, 9, 8))
+    clean, _ = _conv_pair(2, 3, stride, pad)
+    poisoned, _ = _conv_pair(2, 3, stride, pad)
+    ws = poisoned._workspace(x.shape, np.dtype(np.float64))
+    _poison(ws, poisoned, 9, 8)
+
+    for _ in range(2):  # the second round runs on buffers the first left behind
+        out = poisoned.forward(x, training=True)
+        want = clean.forward(x, training=True)
+        assert np.isfinite(out).all()
+        np.testing.assert_array_equal(out, want)
+        grad = rng.normal(size=out.shape)
+        gx = poisoned.backward(grad)
+        assert np.isfinite(gx).all()
+        np.testing.assert_array_equal(gx, clean.backward(grad))
+        for got, ref in zip(poisoned.parameters(), clean.parameters()):
+            assert np.isfinite(got.grad).all()
+            np.testing.assert_array_equal(got.grad, ref.grad)
+        _poison(ws, poisoned, 9, 8)
+
+    # The zero invariants survived: the padding border and the non-output
+    # positions of the gradient grid.
+    assert np.count_nonzero(np.nan_to_num(ws.xpt, nan=0.0)) == 0
+    grad_grid = ws.grad_grid.copy()
+    poisoned._outputs(grad_grid, ws)[...] = 0
+    assert np.count_nonzero(grad_grid) == 0
+
+
+def test_conv2d_second_backward_without_forward_raises(rng):
+    """The backward overwrites the forward's columns with the column
+    gradient, so each training forward admits exactly one backward."""
+    layer = Conv2D(2, 3, kernel_size=3, padding=1, seed=0)
+    out = layer.forward(rng.normal(size=(2, 2, 5, 5)), training=True)
+    layer.backward(np.ones_like(out))
+    with pytest.raises(RuntimeError):
+        layer.backward(np.ones_like(out))
+    layer.forward(rng.normal(size=(2, 2, 5, 5)), training=True)
+    layer.backward_params_only(np.ones_like(out))
+    with pytest.raises(RuntimeError):
+        layer.backward_params_only(np.ones_like(out))
+
+
+def test_conv2d_workspaces_are_thread_local(rng):
+    """Two threads predicting different batch sizes through one BraggNN,
+    with the GIL handed over every few bytecodes, get the serial answers."""
+    model = build_braggnn(patch_size=11, width=4, seed=0)
+    batches = [rng.normal(size=(b, 1, 11, 11)).astype(np.float32) for b in (5, 8)]
+    serial = [model.predict(xb) for xb in batches]
+    results = {}
+
+    def worker(i):
+        results[i] = [model.predict(batches[i]) for _ in range(20)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    for i, want in enumerate(serial):
+        assert len(results[i]) == 20
+        for got in results[i]:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_conv2d_naive_reference_conv(rng):

@@ -16,8 +16,6 @@ from repro.nn.layers import (
     Sigmoid,
     Softmax,
     Tanh,
-    col2im,
-    im2col,
 )
 from repro.utils.errors import ConfigurationError
 
@@ -61,20 +59,6 @@ def test_dense_backward_before_forward_raises(rng):
         layer.backward(rng.normal(size=(3, 2)))
 
 
-# -- im2col / col2im --------------------------------------------------------------
-def test_im2col_col2im_roundtrip_counts(rng):
-    x = rng.normal(size=(2, 3, 6, 6))
-    cols, oh, ow = im2col(x, 3, 3, stride=1, pad=1)
-    assert cols.shape == (3 * 3 * 3, 2 * oh * ow)
-    # col2im of the im2col output sums each pixel as many times as it appears
-    # in a patch; with a ones input this gives the patch-coverage count.
-    ones = np.ones_like(x)
-    cols1, _, _ = im2col(ones, 3, 3, stride=1, pad=1)
-    back = col2im(cols1, x.shape, 3, 3, stride=1, pad=1)
-    assert back.min() >= 1  # every pixel covered at least once
-    assert back.max() <= 9
-
-
 # -- Conv2D ------------------------------------------------------------------------
 def test_conv2d_output_shape(rng):
     layer = Conv2D(2, 4, kernel_size=3, stride=1, padding=1, seed=0)
@@ -104,6 +88,17 @@ def test_conv2d_channel_mismatch(rng):
     layer = Conv2D(3, 2)
     with pytest.raises(ValueError):
         layer.forward(rng.normal(size=(1, 2, 5, 5)))
+
+
+def test_conv2d_input_gradient_counts_patch_coverage(rng):
+    # With all-ones weights and an all-ones output gradient, the input
+    # gradient of each pixel is the number of kernel windows covering it.
+    layer = Conv2D(1, 1, kernel_size=3, padding=1, bias=False, dtype=np.float64)
+    layer.weight.data[...] = 1.0
+    out = layer.forward(rng.normal(size=(2, 1, 6, 5)), training=True)
+    grad = layer.backward(np.ones_like(out))
+    rows, cols = np.array([2, 3, 3, 3, 3, 2.0]), np.array([2, 3, 3, 3, 2.0])
+    np.testing.assert_array_equal(grad, np.broadcast_to(np.outer(rows, cols), (2, 1, 6, 5)))
 
 
 def test_conv2d_matches_naive_convolution(rng):
@@ -147,6 +142,18 @@ def test_activation_gradients(layer_cls, rng):
 def test_relu_zeroes_negatives():
     out = ReLU().forward(np.array([[-1.0, 0.5]]))
     np.testing.assert_array_equal(out, [[0.0, 0.5]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_leaky_relu_backward_equals_select_form(rng, dtype):
+    layer = LeakyReLU(0.01, dtype=dtype)
+    x = rng.normal(size=(4, 3, 5, 5)).astype(dtype)
+    x.flat[::7] = 0.0  # x == 0 takes the slope branch
+    g = rng.normal(size=x.shape).astype(dtype)
+    layer.forward(x, training=True)
+    got = layer.backward(g)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, np.where(x > 0, g, g * dtype(0.01)))
 
 
 def test_leaky_relu_slope():
