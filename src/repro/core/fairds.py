@@ -5,7 +5,7 @@ Responsibilities (paper Section II-A):
 1. **Indexing** — train a self-supervised embedding model on historical data,
    cluster the embedding space with k-means (K chosen by the elbow method when
    not given), and write every labeled historical sample to the data store
-   together with its embedding and cluster id.
+   with its cluster id, and its embedding to the lookup index.
 2. **Discovery / pseudo-labeling** — given new *unlabeled* data, compute its
    cluster probability distribution and return the same number of already
    labeled historical samples drawn to follow that distribution
@@ -26,7 +26,8 @@ wholly from N or wholly from N+1 (lookups say which:
 raises leaves N published and untouched.  Readers take no lock.  The writers
 (:meth:`FairDS.fit`, :meth:`FairDS.refresh`, :meth:`FairDS.ingest`, the
 ``n_probe`` retune) are serialised by one lock: an ingest that arrives during
-a refresh waits for it and lands in generation N+1.
+a refresh waits for it and lands in generation N+1.  Those writers are the
+store's only ones: :attr:`FairDS.collection` is read-only to everyone else.
 """
 
 from __future__ import annotations
@@ -104,33 +105,34 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 class _SampleCatalog(NamedTuple):
-    """What a lookup needs of every stored sample, column by column.
+    """The generation's sample table: every sample fairDS stored, column by
+    column, in write order.
 
-    One immutable snapshot of the labelled store in ``Collection.find()``
-    order: row ``i`` is the ``i``-th document.  It describes its generation's
-    collection at write ``version``, no other state of it.  ``cluster_ids`` and
-    ``members`` (row numbers per cluster id present) are NumPy views of
-    exactly this snapshot's length, the heads of buffers later snapshots grow
-    (:func:`~repro.storage.vector_index.appended`: a view handed out stays as
-    it was, so a published snapshot is read without a lock while the next is
-    prepared); ``doc_ids`` and ``labels`` are append-only lists shared with
-    later snapshots, of which only the rows below ``len(cluster_ids)`` belong
-    to this one.
+    fairDS is the only writer of its collection, always through
+    :meth:`FairDS._write_samples`, which extends this table by the rows it
+    inserted: row ``i`` *is* the ``i``-th document (its id, label and cluster
+    id), so lookups and refreshes read the table, not the documents.
+    ``cluster_ids`` and ``members`` (row numbers per cluster id present) are
+    NumPy views of exactly this snapshot's length, the heads of buffers later
+    snapshots grow (:func:`~repro.storage.vector_index.appended`: a view
+    handed out stays as it was, so a published snapshot is read without a
+    lock while the next is prepared); ``doc_ids`` and ``labels`` are
+    append-only lists shared with later snapshots, of which only the rows
+    below ``len(cluster_ids)`` belong to this one.
     """
 
-    version: int
     doc_ids: List[str]
     labels: List[Any]
     cluster_ids: np.ndarray
     members: Dict[int, np.ndarray]
 
     @classmethod
-    def empty(cls, version: int) -> "_SampleCatalog":
-        """The catalog of a collection that holds no document at ``version``."""
-        return cls(version, [], [], _NO_ROWS, {})
+    def empty(cls) -> "_SampleCatalog":
+        """The table of a collection that holds no sample yet."""
+        return cls([], [], _NO_ROWS, {})
 
     def extended(
-        self, version: int, doc_ids: Sequence[str], labels: Sequence[Any], cluster_ids: np.ndarray
+        self, doc_ids: Sequence[str], labels: Sequence[Any], cluster_ids: np.ndarray
     ) -> "_SampleCatalog":
         """The snapshot after documents ``doc_ids`` with these labels and
         cluster ids were appended to the collection, in O(batch + clusters).
@@ -146,9 +148,7 @@ class _SampleCatalog(NamedTuple):
             members[c] = appended(members.get(c, _NO_ROWS), rows + first_row)
         self.doc_ids.extend(doc_ids)
         self.labels.extend(labels)
-        return self._replace(
-            version=version, cluster_ids=appended(self.cluster_ids, added), members=members
-        )
+        return self._replace(cluster_ids=appended(self.cluster_ids, added), members=members)
 
 
 @dataclass(eq=False)
@@ -159,7 +159,7 @@ class _Generation:
     the index grow under :meth:`FairDS.ingest`, each safe beside readers).
     The last two are the slots that legitimately move afterwards, and belong
     to the generation because they describe nothing else: ``catalog`` (the
-    newest :class:`_SampleCatalog` of ``collection``, replaced whole) and
+    sample table of ``collection``, replaced whole by every ingest) and
     ``session`` (the process-executor session holding ``embedder``, opened
     on first use and closed once the generation is superseded).
     """
@@ -273,8 +273,7 @@ class FairDS:
         #: The one piece of published state (``None`` before the first fit):
         #: replaced whole by :meth:`_rebuild`, read once per public read.
         self._generation: Optional[_Generation] = None
-        #: Serialises the writers — fit, refresh, ingest, the ``n_probe``
-        #: retune, and a catalog rebuilt after an out-of-band store write.
+        #: Serialises the writers — fit, refresh, ingest, the ``n_probe`` retune.
         self._write_lock = threading.Lock()
         #: Optional parallel compute plane for multi-dataset embedding fans
         #: (certainty/distribution batches).  ``None`` keeps every serial
@@ -304,6 +303,10 @@ class FairDS:
 
     @property
     def collection(self) -> Collection:
+        """The published generation's sample documents (``_id``, ``label``,
+        metadata, ``cluster_id``, encoded ``payload``).  Read-only to callers:
+        fairDS writes it only through :meth:`fit` / :meth:`ingest` /
+        :meth:`refresh`, and answers from the sample table those writes keep."""
         gen = self._generation
         return gen.collection if gen is not None else self.db.collection(self.collection_name)
 
@@ -471,10 +474,8 @@ class FairDS:
 
         with trace_span("store.write"):
             coll = self.db.detached_collection(self.collection_name)
-            coll.create_index("cluster_id")
             ids, catalog = self._write_samples(
-                coll, _SampleCatalog.empty(coll.version), carried, embeddings, cluster_ids, payloads
-            )
+                coll, _SampleCatalog.empty(), carried, cluster_ids, payloads)
         with trace_span("index.build"):
             index, caps = self._make_index(clusterer)
             n_probe = getattr(prev.index, "n_probe", None) if prev is not None else None
@@ -511,7 +512,6 @@ class FairDS:
         coll: Collection,
         catalog: _SampleCatalog,
         carried: Sequence[Mapping[str, Any]],
-        embeddings: np.ndarray,
         cluster_ids: np.ndarray,
         payloads: Optional[np.ndarray],
     ) -> Tuple[List[str], _SampleCatalog]:
@@ -520,26 +520,19 @@ class FairDS:
         A document is its sample's ``carried`` fields by reference — label and
         metadata, or at a refresh all of generation N's document, encoded
         payload included — under a fresh ``_id`` with this generation's
-        ``embedding`` and ``cluster_id``.  Returns the new ids and ``catalog``
-        extended by the columns in hand — if it described ``coll`` just before
-        this insert and nothing else was written meanwhile; otherwise as it
-        was, behind, for the next lookup to rebuild.
+        ``cluster_id``.  Returns the new ids and ``catalog``, the sample table
+        of ``coll`` before the insert, extended by the rows inserted.
         """
-        version = coll.version
         ids = coll.insert_many(
             [
-                Document(fields, _id=doc_id, embedding=embedding, cluster_id=cluster_id)
-                for fields, doc_id, embedding, cluster_id in zip(
-                    carried, new_object_ids(len(carried)), embeddings.tolist(), cluster_ids.tolist()
+                Document(fields, _id=doc_id, cluster_id=cluster_id)
+                for fields, doc_id, cluster_id in zip(
+                    carried, new_object_ids(len(carried)), cluster_ids.tolist()
                 )
             ],
             payloads,
         )
-        if catalog.version == version and coll.version == version + 1:
-            catalog = catalog.extended(
-                version + 1, ids, [fields["label"] for fields in carried], cluster_ids
-            )
-        return ids, catalog
+        return ids, catalog.extended(ids, [fields["label"] for fields in carried], cluster_ids)
 
     def _make_clusterer(self, k: int):
         """The clustering model named by ``clustering_algorithm``, through the
@@ -648,37 +641,6 @@ class FairDS:
             return {}
         return dict(gen.index.scan_stats())
 
-    def _sample_catalog(self, gen: _Generation) -> _SampleCatalog:
-        """The catalog of ``gen``'s store as it is now.
-
-        The published snapshot is served for as long as it is at the
-        collection's current write version — so a change made behind fairDS's
-        back (``insert`` / ``update_one`` / ``delete_many`` on the collection)
-        is never answered from stale columns.  Otherwise the catalog is
-        rebuilt from ``find()``.
-        """
-        coll = gen.collection
-        catalog = gen.catalog
-        if catalog.version != coll.version:
-            with self._write_lock:
-                # An ingest or another lookup may have caught up while we waited.
-                catalog = gen.catalog
-                if catalog.version != coll.version:
-                    version = coll.version
-                    docs = coll.find()
-                    catalog = _SampleCatalog.empty(version).extended(
-                        version,
-                        [d["_id"] for d in docs],
-                        [d["label"] for d in docs],
-                        [d["cluster_id"] for d in docs],
-                    )
-                    # A write that raced the read leaves the documents
-                    # unattributable to one version: good for this caller, as
-                    # find() always was, but not to publish.
-                    if coll.version == version:
-                        gen.catalog = catalog
-        return catalog
-
     def ingest(
         self,
         images: np.ndarray,
@@ -695,8 +657,7 @@ class FairDS:
             embeddings = self._embed(gen, images)
             cluster_ids = np.asarray(gen.clusterer.predict(embeddings), dtype=np.intp)
             ids, gen.catalog = self._write_samples(
-                gen.collection, gen.catalog, self._labelled(labels, metadata),
-                embeddings, cluster_ids, images,
+                gen.collection, gen.catalog, self._labelled(labels, metadata), cluster_ids, images
             )
             self._index_add(gen.index, gen.caps, ids, embeddings, cluster_ids)
         return ids
@@ -763,10 +724,10 @@ class FairDS:
 
         Results are *identical* to calling :meth:`lookup` once per dataset, in
         order, but all retrieved payloads are fetched in a single call.  The
-        store itself is not walked: the draw reads the sample catalog
-        (:meth:`_sample_catalog`), so a lookup costs O(request + clusters) in
-        Python plus one ``rng.choice`` per wanted cluster, whatever the store
-        size.
+        store itself is not walked: the draw reads the generation's sample
+        table (:class:`_SampleCatalog`), so a lookup costs O(request +
+        clusters) in Python plus one ``rng.choice`` per wanted cluster,
+        whatever the store size.
 
         ``n_samples`` may be a single override applied to every dataset, or a
         per-dataset sequence (``None`` entries fall back to the dataset size).
@@ -789,10 +750,8 @@ class FairDS:
                 raise ValidationError("n_samples must be >= 1")
             n_outs.append(n_out)
 
-        catalog = self._sample_catalog(gen)
+        catalog = gen.catalog
         n_clusters = gen.clusterer.n_clusters
-        if not catalog.cluster_ids.size:
-            raise ValidationError("the fairDS store is empty; ingest historical data first")
         if max(catalog.members) >= n_clusters:
             raise ValidationError("the store holds a cluster id the fitted clustering does not have")
 
@@ -911,8 +870,9 @@ class FairDS:
         the next generation, while reads keep answering from this one; a
         refresh that raises leaves this one published, and may be retried.
 
-        Generation N+1 is derived from N.  *Carried over:* every document
-        field but ``_id`` / ``embedding`` / ``cluster_id`` — label, metadata
+        Generation N+1 is derived from N, read through N's sample table (the
+        documents it names, in write order; no ``find()``).  *Carried over:*
+        every document field but ``_id`` / ``cluster_id`` — label, metadata
         and the encoded payload, by reference (payloads are decoded once,
         stacked, for the embedder; never encoded again) — and N's partition,
         which warm-starts the clustering when :meth:`_rebuild`'s conditions
@@ -923,17 +883,8 @@ class FairDS:
             gen = self._live("refresh")
             with trace_span("fairds.refresh"):
                 with trace_span("refresh.read"):
-                    coll = gen.collection
-                    docs = coll.find()
-                    if not docs:
-                        raise ValidationError("cannot refresh an empty store")
-                    images = np.asarray(
-                        coll.fetch_payload_stack([d["_id"] for d in docs]), dtype=np.float64
-                    )
-                    # A document written behind fairDS's back without a cluster
-                    # id counts as holding one generation N does not have.
-                    unknown = gen.clusterer.n_clusters
-                    clusters = np.array(
-                        [d.get("cluster_id", unknown) for d in docs], dtype=np.intp
-                    )
-                return self._rebuild(images, docs, None, embedder_kwargs, clusters)
+                    catalog = gen.catalog
+                    ids = catalog.doc_ids[: catalog.cluster_ids.size]
+                    docs = gen.collection.get_many(ids)
+                    images = np.asarray(gen.collection.fetch_payload_stack(ids), dtype=np.float64)
+                return self._rebuild(images, docs, None, embedder_kwargs, catalog.cluster_ids)

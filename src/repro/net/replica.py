@@ -179,6 +179,11 @@ class ReplicaSet:
         self._m_ejections = registry.counter(
             "repro_replica_ejections_total", "Replicas ejected by health accounting"
         )
+        self._m_probe_errors = registry.counter(
+            "repro_internal_errors_total",
+            "Exceptions caught, logged and survived inside the library",
+            ("site",),
+        ).labels(site="replica.probe")
         for _ in range(replicas):
             self._add_replica_locked()
         self._health_stop = threading.Event()
@@ -333,12 +338,17 @@ class ReplicaSet:
                 logger.warning("replica %d ejected after repeated failures", replica.id)
 
     def check_health(self) -> Dict[int, bool]:
-        """Probe every replica once; returns ``{replica_id: healthy_now}``."""
+        """Probe every replica once; returns ``{replica_id: healthy_now}``.
+
+        A probe that raises counts as a failed probe, and is logged and
+        counted in ``repro_internal_errors_total{site="replica.probe"}``."""
         results: Dict[int, bool] = {}
         for replica in self.replicas:
             try:
                 ok = bool(self._probe(replica))
             except Exception:
+                logger.exception("health probe of replica %d raised", replica.id)
+                self._m_probe_errors.inc()
                 ok = False
             self._note_probe(replica, ok=ok)
             results[replica.id] = replica.healthy

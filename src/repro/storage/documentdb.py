@@ -80,16 +80,6 @@ class Collection:
         self._lock = lock
         self._docs: Dict[str, Document] = {}
         self._indexes: Dict[str, Dict[Any, set]] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Write version: increases (under the write lock) with every change
-        to the stored documents, never otherwise.  Two reads of the same
-        value on the same ``Collection`` object bracket an unchanged store,
-        which is what lets a derived view (fairDS's sample catalog) prove
-        itself current without re-reading the documents."""
-        return self._version
 
     # -- indexes -----------------------------------------------------------------
     def create_index(self, field: str) -> None:
@@ -130,7 +120,7 @@ class Collection:
         A :class:`Document` is stored as the object it is (the caller hands it
         over); any other mapping is copied into a new one.  ``payloads`` (one
         per document) are encoded as one batch by the codec.  An empty batch
-        changes nothing, :attr:`version` included.
+        changes nothing.
         """
         if payloads is not None and len(payloads) != len(datas):
             raise StorageError("payloads must match datas in length")
@@ -156,7 +146,6 @@ class Collection:
                     taken.add(doc_id)
             self._docs.update(zip(ids, docs))
             self._index_add(docs)
-            self._version += 1
         return ids
 
     def update_one(self, query: Mapping[str, Any], changes: Mapping[str, Any]) -> bool:
@@ -168,7 +157,6 @@ class Collection:
                     self._index_remove(doc)
                     doc.update({k: v for k, v in changes.items() if k != "_id"})
                     self._index_add([doc])
-                    self._version += 1
                     return True
         return False
 
@@ -227,7 +215,6 @@ class Collection:
             changes = transform(dict(target) if target is not None else None)
             if changes is None:
                 return target.id if target is not None else None
-            self._version += 1
             if target is not None:
                 self._index_remove(target)
                 target.update({k: v for k, v in changes.items() if k != "_id"})
@@ -247,8 +234,6 @@ class Collection:
             for doc_id in doomed:
                 self._index_remove(self._docs[doc_id])
                 del self._docs[doc_id]
-            if doomed:
-                self._version += 1
         return len(doomed)
 
     # -- reads ---------------------------------------------------------------------
@@ -462,7 +447,6 @@ class DocumentDB:
                 for doc in content["documents"]:
                     restored = Document(doc)
                     coll._docs[restored.id] = restored
-                coll._version += 1
             for field in content.get("indexes", []):
                 coll.create_index(field)
         return db

@@ -90,9 +90,9 @@ def test_fairds_fit_populates_store_and_clusters():
     assert fairds.is_fitted
     assert fairds.n_clusters == 6
     assert fairds.store_size() == images.shape[0]
-    # Documents carry embedding + cluster id + label.
+    # Documents carry cluster id + label; the embedding lives in the index only.
     doc = fairds.collection.find_one()
-    assert "embedding" in doc and "cluster_id" in doc and "label" in doc
+    assert "cluster_id" in doc and "label" in doc and "embedding" not in doc
 
 
 def test_fairds_auto_cluster_selection():

@@ -1,16 +1,20 @@
-"""fairDS's columnar sample catalog: lookups without the full-store walk.
+"""fairDS's columnar sample table: lookups and refreshes without the store walk.
 
-``FairDS.lookup_batch`` answers from append-only columns (document ids,
-cluster ids, labels, per-cluster row numbers) instead of walking every stored
-document.  The contract tested here:
+``FairDS.lookup_batch`` and ``FairDS.refresh`` answer from the generation's
+append-only sample table (document ids, cluster ids, labels, per-cluster row
+numbers) instead of walking every stored document.  fairDS is the only writer
+of its collection — through ``fit`` / ``ingest`` / ``refresh`` — so the table
+is the store, not a mirror that has to prove itself current.  The contract
+tested here:
 
+* **the table is the store** — after any history of those writes, the
+  table's columns are the collection's documents in write order, and no
+  document holds an embedding (the index does);
 * **equivalence** — what a lookup returns is bit-identical to a reference that
   walks ``collection.find()`` on every call, which is what lookups did before
-  the catalog existed;
-* **no per-document work** — steady-state lookups never call
-  ``Collection.find`` or ``Document.matches``;
-* **invalidation** — a store changed behind fairDS's back is never answered
-  from stale columns;
+  the table existed, across ingests and refreshes;
+* **no per-document work** — lookups and refreshes never call
+  ``Collection.find``, and steady-state lookups never ``Document.matches``;
 * **concurrency** — lookups beside an ingest see the store before or after
   it, never half of it, and concurrent lookups never share a sampler seed.
 """
@@ -25,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FairDS
+from repro.api.registry import register_component, unregister_component
+from repro.clustering.kmeans import KMeans
 from repro.core.distribution import DatasetDistribution
 from repro.dataio.sampler import WeightedClusterSampler
 from repro.embedding import PCAEmbedder
@@ -37,9 +43,9 @@ SIDE = 4
 N_CLUSTERS = 4
 
 
-def _scan(rng, n, blob=None):
-    """``n`` patches around one of four well-separated blobs (or a mix)."""
-    blobs = rng.integers(0, N_CLUSTERS, size=n) if blob is None else np.full(n, blob)
+def _scan(rng, n):
+    """``n`` patches, each around one of four well-separated blobs."""
+    blobs = rng.integers(0, N_CLUSTERS, size=n)
     images = rng.normal(size=(n, SIDE, SIDE)) + 6.0 * blobs[:, None, None]
     return images, rng.normal(size=(n, 2))
 
@@ -120,7 +126,7 @@ def _check_lookups(fairds, reference, batches, n_samples):
         st.one_of(
             st.tuples(st.just("ingest"), st.integers(1, 40)),
             st.tuples(st.just("lookup"), st.integers(1, 3)),
-            st.tuples(st.just("empty_cluster"), st.integers(0, N_CLUSTERS - 1)),
+            st.tuples(st.just("refresh"), st.none()),
         ),
         min_size=1,
         max_size=6,
@@ -132,11 +138,8 @@ def test_lookups_match_a_reference_that_walks_the_store(seed, data_seed, steps):
     for kind, arg in steps + [("lookup", 2)]:
         if kind == "ingest":
             fairds.ingest(*_scan(rng, arg))
-        elif kind == "empty_cluster":
-            # Out of band, and never the last cluster standing: the sampler
-            # must then borrow from a donor cluster.
-            if fairds.collection.count({"cluster_id": arg}) < fairds.store_size():
-                fairds.collection.delete_many({"cluster_id": arg})
+        elif kind == "refresh":
+            fairds.refresh()
         else:
             batches = [_scan(rng, int(rng.integers(1, 30)))[0] for _ in range(arg)]
             # None = as many as the input; otherwise up to several times the
@@ -148,38 +151,45 @@ def test_lookups_match_a_reference_that_walks_the_store(seed, data_seed, steps):
             _check_lookups(fairds, reference, batches, n_samples)
 
 
-def test_lookup_borrows_from_a_donor_when_the_wanted_cluster_is_empty():
-    fairds, rng = _fitted()
-    reference = WalkingReference(fairds)
-    query, _ = _scan(rng, 12, blob=2)
-    wanted = int(np.argmax(fairds.dataset_distribution(query).pdf))
-    fairds.collection.delete_many({"cluster_id": wanted})
-    (expected,) = reference.lookup_batch([query], [None])
-    result = fairds.lookup(query)
-    _assert_identical(result, expected)
-    assert len(result) == 12
-    assert result.retrieved_distribution.pdf[wanted] == 0.0
+class ForeignIdKMeans(KMeans):
+    """A registered clusterer whose ``predict`` answers ``n_clusters`` — an id
+    its clustering does not have — for a sample far from every centre."""
+
+    def predict(self, x):
+        far = self.transform(x).min(axis=1) > 100.0
+        return np.where(far, self.n_clusters, super().predict(x))
 
 
-def test_lookup_on_emptied_store_and_foreign_cluster_id_are_rejected_untouched():
-    """Both rejections happen before a sampler seed is reserved."""
-    fairds, rng = _fitted()
-    twin, _ = _fitted()
+@pytest.fixture
+def foreign_ids():
+    register_component("clustering", "foreign-id-kmeans", ForeignIdKMeans)
+    yield "foreign-id-kmeans"
+    assert unregister_component("clustering", "foreign-id-kmeans")
+
+
+def test_lookup_on_a_foreign_cluster_id_is_rejected_untouched(foreign_ids):
+    """An ingest through such a clusterer stores the foreign id (the flat
+    index takes no cluster ids to refuse); a lookup then is rejected before a
+    sampler seed is reserved, and a refresh, whose clustering labels every
+    sample itself, makes the store answer again."""
+    rng = np.random.default_rng(0)
+    images, labels = _scan(rng, 48)
     query, _ = _scan(rng, 9)
-    doc_id = fairds.collection.ids()[0]
-    original = fairds.collection.get(doc_id)["cluster_id"]
-    fairds.collection.update_one({"_id": doc_id}, {"cluster_id": N_CLUSTERS + 3})
-    with pytest.raises(ValidationError):
-        fairds.lookup(query)
-    fairds.collection.update_one({"_id": doc_id}, {"cluster_id": original})
-    positions = {d: i for i, d in enumerate(fairds.collection.ids())}
-    twin_positions = {d: i for i, d in enumerate(twin.collection.ids())}
-    assert [positions[d] for d in fairds.lookup(query).doc_ids] == [
-        twin_positions[d] for d in twin.lookup(query).doc_ids
-    ]
-    fairds.collection.delete_many({})
-    with pytest.raises(ValidationError, match="empty"):
-        fairds.lookup(query)
+    twins = []
+    for _ in range(2):
+        fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=N_CLUSTERS, index_backend="flat",
+                        clustering_algorithm=foreign_ids).fit(images, labels)
+        fairds.ingest(np.full((1, SIDE, SIDE), 1e3), [[0.0, 0.0]])
+        twins.append(fairds)
+    assert twins[0].collection.get(twins[0].collection.ids()[-1])["cluster_id"] == N_CLUSTERS
+    with pytest.raises(ValidationError, match="cluster id"):
+        twins[0].lookup(query)
+    answers = []
+    for fairds in twins:
+        fairds.refresh()
+        positions = {d: i for i, d in enumerate(fairds.collection.ids())}
+        answers.append([positions[d] for d in fairds.lookup(query).doc_ids])
+    assert answers[0] == answers[1]
 
 
 # -- (b) no per-document work ------------------------------------------------------
@@ -208,10 +218,27 @@ def test_steady_state_lookups_do_no_per_document_work(monkeypatch):
             fairds.ingest(*_scan(rng, 10))
     assert calls == {"find": 0, "matches": 0}
 
-    # ...and the spy does see a rebuild when one is due.
-    fairds.collection.delete_many({"_id": fairds.collection.ids()[0]})
-    fairds.lookup(_scan(rng, 4)[0])
-    assert calls["find"] == 1
+
+def test_refresh_and_lookups_never_walk_the_store(monkeypatch):
+    """A refresh reads the samples it carries over through the table, by id,
+    and the lookups of the generation it publishes answer from that
+    generation's table."""
+    fairds, rng = _fitted(n=120)
+    fairds.ingest(*_scan(rng, 30))
+    walks = []
+    real_find = Collection.find
+
+    def spy_find(self, *args, **kwargs):
+        walks.append(self)
+        return real_find(self, *args, **kwargs)
+
+    monkeypatch.setattr(Collection, "find", spy_find)
+    for _ in range(2):
+        fairds.refresh()
+        fairds.ingest(*_scan(rng, 10))
+        assert len(fairds.lookup_batch([_scan(rng, 16)[0], _scan(rng, 5)[0]])) == 2
+        assert len(fairds.lookup(_scan(rng, 8)[0])) == 8
+    assert walks == [] and fairds.generation == 3
 
 
 def test_fit_feeds_the_index_from_the_arrays_it_holds(monkeypatch):
@@ -240,11 +267,50 @@ def test_fit_feeds_the_index_from_the_arrays_it_holds(monkeypatch):
     for (label, distance), want in zip(fairds.nearest_labeled(images[:5]), labels[:5]):
         np.testing.assert_array_equal(label, want)
         assert distance < 1e-6
-    assert {"embedding", "cluster_id", "label"} <= set(fairds.collection.find_one())
+    assert {"cluster_id", "label"} <= set(fairds.collection.find_one())
 
 
-# -- (c) invalidation --------------------------------------------------------------
-def test_out_of_band_writes_and_refresh_are_never_served_stale():
+# -- (c) the table is the store ----------------------------------------------------
+def _assert_table_is_the_store(fairds):
+    gen = fairds._generation
+    catalog, docs = gen.catalog, gen.collection.find()
+    assert catalog.doc_ids == [d["_id"] for d in docs]
+    assert catalog.labels == [d["label"] for d in docs]
+    np.testing.assert_array_equal(catalog.cluster_ids, [d["cluster_id"] for d in docs])
+    assert catalog.members.keys() == set(catalog.cluster_ids.tolist())
+    for c, rows in catalog.members.items():
+        np.testing.assert_array_equal(
+            rows, [i for i, d in enumerate(docs) if d["cluster_id"] == c])
+    assert not any("embedding" in d for d in docs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data_seed=st.integers(0, 10_000),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["fit", "ingest"]), st.integers(N_CLUSTERS, 40),
+                      st.booleans()),
+            st.tuples(st.just("refresh"), st.none(), st.none()),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_the_sample_table_is_the_store_in_write_order(data_seed, steps):
+    """Whatever history of fairDS's writes made it, with or without metadata."""
+    fairds, rng = _fitted(data_seed=data_seed)
+    _assert_table_is_the_store(fairds)
+    for kind, n, tagged in steps:
+        if kind == "refresh":
+            fairds.refresh()
+        else:
+            metadata = [{"tag": i} for i in range(n)] if tagged else None
+            getattr(fairds, kind)(*_scan(rng, n), metadata=metadata)
+        _assert_table_is_the_store(fairds)
+
+
+def test_a_refresh_is_never_served_stale():
     fairds, rng = _fitted(n=80)
     reference = WalkingReference(fairds)
     coll = fairds.collection
@@ -254,58 +320,11 @@ def test_out_of_band_writes_and_refresh_are_never_served_stale():
             _check_lookups(fairds, reference, [_scan(rng, 20)[0]], [None])
 
     check()
-    doomed = coll.ids()[::3]
-    for doc_id in doomed:
-        assert coll.delete_many({"_id": doc_id}) == 1
-    for _ in range(5):
-        result = fairds.lookup(_scan(rng, 40)[0], n_samples=200)
-        assert not set(result.doc_ids) & set(doomed)
-    reference.counter += 5
-    check()
-
-    for doc_id in coll.ids()[:10]:
-        moved_to = (coll.get(doc_id)["cluster_id"] + 1) % N_CLUSTERS
-        assert coll.update_one({"_id": doc_id}, {"cluster_id": moved_to})
-    check()
-
-    query, _ = _scan(rng, 10, blob=1)
-    wanted = int(np.argmax(fairds.dataset_distribution(query).pdf))
-    inserted = coll.insert_one(
-        {"label": [9.0, 9.0], "cluster_id": wanted}, payload=np.zeros((SIDE, SIDE))
-    )
-    check()
-    # Drawn with replacement from a cluster of a few dozen: 400 draws that all
-    # miss one member would be a ~1e-7 event.
-    assert inserted in fairds.lookup(query, n_samples=400).doc_ids
-    reference.counter += 1
-
     fairds.refresh()
     assert fairds.collection is not coll
     check()
     gone = set(coll.ids())
     assert not gone & set(fairds.lookup(_scan(rng, 30)[0]).doc_ids)
-
-
-def test_collection_version_moves_with_every_change_and_only_then():
-    fairds, _ = _fitted()
-    coll = fairds.collection
-    versions = [coll.version]
-
-    def moved():
-        versions.append(coll.version)
-        return versions[-1] > versions[-2]
-
-    coll.find(), coll.count(), coll.ids(), coll.create_index("cluster_id")
-    coll.snapshot_one({"cluster_id": 0}), coll.transform_one({"cluster_id": 0}, lambda doc: None)
-    assert not moved()
-    doc_id = coll.insert_one({"cluster_id": 0, "label": [0, 0]})
-    assert moved()
-    assert coll.update_one({"_id": doc_id}, {"cluster_id": 1}) and moved()
-    assert not coll.update_one({"_id": "missing"}, {"cluster_id": 1}) and not moved()
-    coll.upsert_one({"_id": doc_id}, {"cluster_id": 2})
-    assert moved()
-    assert coll.delete_many({"_id": "missing"}) == 0 and not moved()
-    assert coll.delete_many({"_id": doc_id}) == 1 and moved()
 
 
 # -- (d) concurrency ---------------------------------------------------------------

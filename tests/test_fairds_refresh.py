@@ -58,10 +58,19 @@ def _store(n=90, db=None, seed=0, embedder=PCAEmbedder):
     return fairds, rng
 
 
-def _stored_centers(docs):
+def _stored(fairds):
+    """Cluster id and embedding of every stored sample, in store order.  The
+    embedding is the stored payload re-embedded by the published embedder:
+    bit-equal to what a fit or refresh of the whole store computed."""
+    coll = fairds.collection
+    ids = coll.ids()
+    return (np.array([d["cluster_id"] for d in coll.get_many(ids)]),
+            fairds.embedder.transform(coll.fetch_payload_stack(ids)))
+
+
+def _stored_centers(fairds):
     """Cluster centres as the store records them: the mean embedding per cluster id."""
-    embeddings = np.array([d["embedding"] for d in docs])
-    cluster_ids = np.array([d["cluster_id"] for d in docs])
+    cluster_ids, embeddings = _stored(fairds)
     return np.stack([embeddings[cluster_ids == c].mean(axis=0) for c in sorted(set(cluster_ids))])
 
 
@@ -71,7 +80,7 @@ def test_refresh_carries_payload_blobs_over_and_rewrites_the_rest():
     old_docs = old_coll.find()
     old_ids = [d.id for d in old_docs]
     old_images = old_coll.fetch_payloads(old_ids)
-    old_centers = _stored_centers(old_docs)
+    old_centers = _stored_centers(fairds)
     fairds.lookup(_scan(rng, 20)[0])
     assert fairds.embedding_cache_info()["size"] > 0
 
@@ -94,15 +103,14 @@ def test_refresh_carries_payload_blobs_over_and_rewrites_the_rest():
         assert new["payload_bytes"] == old["payload_bytes"] == len(new["payload"])
         assert set(new) == set(old)
 
-    # Embeddings and cluster ids come from the re-fitted models ...
+    # Cluster ids come from the re-fitted models ...
     images = np.stack(old_images)
-    embeddings = np.array([d["embedding"] for d in docs])
-    np.testing.assert_allclose(embeddings, fairds.embedder.transform(images), atol=1e-12)
     stored_clusters = np.array([d["cluster_id"] for d in docs])
     for c in set(stored_clusters):
         # Every stored cluster id is what the re-fitted clustering predicts.
         assert fairds.dataset_distribution(images[stored_clusters == c]).pdf[c] == 1.0
-    assert not np.allclose(_stored_centers(docs), old_centers)  # the clustering was re-fitted
+    assert not np.allclose(_stored_centers(fairds), old_centers)  # the clustering was re-fitted
+    assert not any("embedding" in doc for doc in docs)  # the index holds the embeddings
     # ... and so do the answers.
     for (label, distance), doc in zip(fairds.nearest_labeled(images[:8]), docs):
         np.testing.assert_array_equal(label, doc["label"])
@@ -209,9 +217,27 @@ def cold_only():
     assert unregister_component("clustering", "cold-only-kmeans")
 
 
-def _stored(fairds):
-    docs = fairds.collection.find()
-    return (np.array([d["cluster_id"] for d in docs]), np.array([d["embedding"] for d in docs]))
+@pytest.fixture
+def one_unused():
+    """A registered clusterer whose first fit leaves its last cluster unused
+    (Lloyd on one centre fewer, the last put beyond every sample); every
+    later fit is plain KMeans."""
+    fits = []
+
+    class FirstFitLeavesOneUnused(KMeans):
+        def fit(self, x, init=None):
+            fits.append(init)
+            if len(fits) > 1:
+                return super().fit(x, init)
+            k, self.n_clusters = self.n_clusters, self.n_clusters - 1
+            super().fit(x)
+            self.n_clusters = k
+            self.cluster_centers_ = np.vstack([self.cluster_centers_, np.full(x.shape[1], 1e9)])
+            return self
+
+    register_component("clustering", "first-fit-leaves-one-unused", FirstFitLeavesOneUnused)
+    yield "first-fit-leaves-one-unused"
+    assert unregister_component("clustering", "first-fit-leaves-one-unused")
 
 
 def test_refresh_spans_say_how_payloads_were_decoded_and_how_lloyd_started():
@@ -299,9 +325,9 @@ def test_cluster_ids_keep_their_meaning_across_a_refresh_of_a_store_that_grew(se
     assert after == before
 
 
-@pytest.mark.parametrize("why", ["a carried cluster is empty", "K changes", "fit has no init",
-                                 "a carried sample has no cluster id"])
-def test_the_warm_start_is_declined_when_generation_n_cannot_seed_it(monkeypatch, cold_only, why):
+@pytest.mark.parametrize("why", ["a carried cluster is empty", "K changes", "fit has no init"])
+def test_the_warm_start_is_declined_when_generation_n_cannot_seed_it(
+        monkeypatch, request, cold_only, why):
     rng = np.random.default_rng(3)
     images, labels = _scan(rng, 120)
     kwargs = {"n_clusters": 3}
@@ -312,14 +338,14 @@ def test_the_warm_start_is_declined_when_generation_n_cannot_seed_it(monkeypatch
                             lambda *args, **kw: (next(chosen), None))
     elif why == "fit has no init":
         kwargs["clustering_algorithm"] = cold_only
+    elif why == "a carried cluster is empty":
+        kwargs["clustering_algorithm"] = request.getfixturevalue("one_unused")
     fairds = FairDS(PCAEmbedder(embedding_dim=3), seed=3, **kwargs).fit(images, labels)
     if why == "K changes":
         # Same K as generation 1: taken.  Then the elbow moves: declined.
         assert _traced(fairds.refresh)["clustering.fit"]["warm_start"] is True
     elif why == "a carried cluster is empty":
-        assert fairds.collection.delete_many({"cluster_id": 1}) > 0
-    elif why == "a carried sample has no cluster id":
-        fairds.collection.insert_one({"label": [0.0, 0.0]}, payload=images[0])
+        assert set(_stored(fairds)[0]) == {0, 1}
     size = fairds.store_size()
 
     spans = _traced(fairds.refresh)

@@ -10,6 +10,7 @@ hysteresis/cooldown control law under a fake clock.
 """
 
 import asyncio
+import logging
 import socket
 import threading
 import time
@@ -32,6 +33,7 @@ from repro.net import (
     write_frame,
 )
 from repro.net.protocol import async_read_frame
+from repro.observability.metrics import MetricsRegistry
 from repro.serving import BatchingPolicy, ModelHandle, ServingRuntime, versioned_handler
 from repro.serving.hot_swap import VersionedResult
 from repro.utils.errors import (
@@ -480,6 +482,34 @@ def test_health_loop_ejects_and_recovers_via_probe():
         assert rs.replicas[0].healthy and rs.replicas[0].accepting
     finally:
         rs.close()
+
+
+def test_a_raising_probe_ejects_like_a_failing_one_and_is_counted_and_logged():
+    def probe(replica):
+        if replica.id == 0:
+            raise RuntimeError("probe bug")
+        return True
+
+    registry = MetricsRegistry()
+    rs = ReplicaSet(_runtime_factory(), replicas=2, eject_after=2, health_interval_s=None,
+                    probe=probe, registry=registry)
+    # repro loggers do not propagate to root (caplog can't see them).
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.net.replica")
+    logger.addHandler(handler)
+    errors = registry.get("repro_internal_errors_total").labels(site="replica.probe")
+    try:
+        assert rs.check_health() == {0: True, 1: True}  # one failure: below eject_after
+        assert errors.value == 1.0
+        assert rs.check_health() == {0: False, 1: True}  # the second ejects
+        assert errors.value == 2.0 and not rs.replicas[0].accepting
+    finally:
+        logger.removeHandler(handler)
+        rs.close()
+    raised = [r for r in records if r.levelno >= logging.ERROR]
+    assert len(raised) == 2 and all(r.exc_info is not None for r in raised)
 
 
 # ---------------------------------------------------------------------------------

@@ -90,28 +90,22 @@ def reference_insert_many(self, datas, payloads=None):
             for field, index in self._indexes.items():
                 if field in doc:
                     index.setdefault(doc[field], set()).add(doc.id)
-        self._version += 1
     return ids
 
 
-def reference_write_samples(coll, catalog, carried, embeddings, cluster_ids, payloads):
+def reference_write_samples(coll, catalog, carried, cluster_ids, payloads):
     """``FairDS._write_samples`` as it was: a dict per sample, the payloads as
     a list of rows."""
-    version = coll.version
     ids = coll.insert_many(
         [
-            {**fields, "_id": doc_id, "embedding": embedding, "cluster_id": cluster_id}
-            for fields, doc_id, embedding, cluster_id in zip(
-                carried, new_object_ids(len(carried)), embeddings.tolist(), cluster_ids.tolist()
+            {**fields, "_id": doc_id, "cluster_id": cluster_id}
+            for fields, doc_id, cluster_id in zip(
+                carried, new_object_ids(len(carried)), cluster_ids.tolist()
             )
         ],
         None if payloads is None else list(payloads),
     )
-    if catalog.version == version and coll.version == version + 1:
-        catalog = catalog.extended(
-            version + 1, ids, [fields["label"] for fields in carried], cluster_ids
-        )
-    return ids, catalog
+    return ids, catalog.extended(ids, [fields["label"] for fields in carried], cluster_ids)
 
 
 @contextmanager
@@ -236,13 +230,13 @@ def test_ingest_and_fit_refuse_metadata_of_another_length(n_metadata):
     fairds, rng = _fitted()
     images, labels = rng.normal(size=(5, SIDE, SIDE)), rng.normal(size=(5, 2))
     metadata = [{"tag": i} for i in range(n_metadata)]
-    before = (fairds.store_size(), fairds.collection.version, fairds.embedding_cache_info())
+    before = (fairds.store_size(), fairds.collection.ids(), fairds.embedding_cache_info())
     with mock.patch.object(PCAEmbedder, "transform", side_effect=AssertionError("embedded")):
         with pytest.raises(ValidationError, match="metadata must match"):
             fairds.ingest(images, labels, metadata=metadata)
         with pytest.raises(ValidationError, match="metadata must match"):
             fairds.fit(images, labels, metadata=metadata)
-    assert (fairds.store_size(), fairds.collection.version, fairds.embedding_cache_info()) == before
+    assert (fairds.store_size(), fairds.collection.ids(), fairds.embedding_cache_info()) == before
     assert fairds.generation == 1
 
 
