@@ -9,8 +9,11 @@ combination over the answers, the stored cluster ids / labels / payload bytes
 and the per-partition index contents, stored vectors included (doc ids
 replaced by store position: they embed a timestamp).  A stored document's
 embedding is not digested on its own: the index's rows are the stored
-embeddings.  Two trees give the same answers when their outputs ``diff``
-equal.
+embeddings.  ``nearest_labeled`` distances are digested rounded to 9
+decimals, so a change to how the scan rounds (the order of the additions in
+``|q|² + |x|² − 2q·x``) does not read as a different answer; its labels, and
+every lookup, certainty and index content, are digested exactly.  Two trees
+give the same answers when their outputs ``diff`` equal.
 """
 import hashlib
 import json
@@ -41,8 +44,8 @@ for backend, params in [("flat", {}), ("clustered", {}), ("ivf", {"n_partitions"
         for step in range(6):
             ds.ingest(*scan(rng, 120, off=step))
             probe = scan(rng, 64)[0]
-            note([(None if l is None else l.tolist(), d) for l, d in ds.nearest_labeled(probe)])
-            note([(None if l is None else l.tolist(), d) for l, d in ds.nearest_labeled(probe[:7], threshold=3.0)])
+            note([(None if l is None else l.tolist(), round(d, 9)) for l, d in ds.nearest_labeled(probe)])
+            note([(None if l is None else l.tolist(), round(d, 9)) for l, d in ds.nearest_labeled(probe[:7], threshold=3.0)])
             r = ds.lookup(scan(rng, 50)[0])
             pos = {i: n for n, i in enumerate(ds.collection.ids())}
             note([[pos[i] for i in r.doc_ids], r.labels, r.images, r.retrieved_distribution.pdf])
