@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.replica import ReplicaSet
-from repro.observability.metrics import MetricsRegistry, default_registry
+from repro.observability.metrics import MetricsRegistry, default_registry, internal_errors
 from repro.utils.errors import ConfigurationError
 from repro.utils.logging import get_logger
 
@@ -183,6 +183,7 @@ class Autoscaler:
             "repro_autoscaler_decisions_total",
             "Autoscaler decisions by direction", ("direction",),
         )
+        self._m_step_errors = internal_errors(registry, "autoscaler.step")
 
     # -- signal acquisition ------------------------------------------------------
     def _read_signals(self) -> Dict[str, float]:
@@ -310,6 +311,7 @@ class Autoscaler:
                 self.step()
             except Exception:  # keep the control loop alive through any one bad step
                 logger.exception("autoscaler step failed")
+                self._m_step_errors.inc()
 
     def stop(self) -> None:
         self._stop.set()

@@ -34,7 +34,7 @@ import time
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.observability.metrics import MetricsRegistry, default_registry
+from repro.observability.metrics import MetricsRegistry, default_registry, internal_errors
 from repro.serving.hot_swap import ModelHandle
 from repro.serving.runtime import ServingRuntime
 from repro.utils.errors import (
@@ -179,11 +179,8 @@ class ReplicaSet:
         self._m_ejections = registry.counter(
             "repro_replica_ejections_total", "Replicas ejected by health accounting"
         )
-        self._m_probe_errors = registry.counter(
-            "repro_internal_errors_total",
-            "Exceptions caught, logged and survived inside the library",
-            ("site",),
-        ).labels(site="replica.probe")
+        self._m_probe_errors = internal_errors(registry, "replica.probe")
+        self._m_health_errors = internal_errors(registry, "replica.health_pass")
         for _ in range(replicas):
             self._add_replica_locked()
         self._health_stop = threading.Event()
@@ -362,6 +359,7 @@ class ReplicaSet:
                 self.check_health()
             except Exception:  # the loop must survive any probe bug
                 logger.exception("health check pass failed")
+                self._m_health_errors.inc()
 
     # -- scaling -----------------------------------------------------------------
     def scale_to(self, n: int) -> int:

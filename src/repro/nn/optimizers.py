@@ -16,6 +16,7 @@ across parameters.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -246,9 +247,10 @@ class Adam(Optimizer):
         np.multiply(g_eff, g_eff, out=ws)
         ws *= 1.0 - self.beta2
         v += ws
-        # theta <- theta - lr/(1-b1^t) * m / (sqrt(v)/sqrt(1-b2^t) + eps)
+        # theta <- theta - lr/(1-b1^t) * m / (sqrt(v)/sqrt(1-b2^t) + eps), the
+        # corrections as Python floats (a float64 scalar would cast float32 ws).
         np.sqrt(v, out=ws)
-        ws *= 1.0 / np.sqrt(1.0 - self.beta2**t)
+        ws *= 1.0 / math.sqrt(1.0 - self.beta2**t)
         ws += self.eps
         np.divide(m, ws, out=ws)
         ws *= self.lr / (1.0 - self.beta1**t)

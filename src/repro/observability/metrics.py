@@ -425,6 +425,14 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
+def internal_errors(registry: MetricsRegistry, site: str) -> _CounterChild:
+    """``repro_internal_errors_total{site=...}``: one per exception caught,
+    logged and survived at ``site`` (every such ``except`` counts here)."""
+    return registry.counter("repro_internal_errors_total",
+                            "Exceptions caught, logged and survived inside the library",
+                            ("site",)).labels(site=site)
+
+
 # -- the process-global default ----------------------------------------------------
 _default_registry = MetricsRegistry()
 _default_lock = threading.Lock()

@@ -440,11 +440,10 @@ class IVFVectorIndex:
 
     # -- reads -------------------------------------------------------------------
     def _scan_pq(self, state: _IVFState, reranked: List[int], pid: int,
-                 sub_queries: np.ndarray, sub_queries_sq: np.ndarray, k: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
+                 sub_queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """ADC scan of one partition's codes + exact re-rank of the top
-        candidates: per-query ``(rows, squared distances)`` of the best ``k``;
-        the re-ranked row count is appended to ``reranked``."""
+        candidates: per-query ``(rows, exact squared distances)`` of the best
+        ``k``; the re-ranked row count is appended to ``reranked``."""
         pq, part = state.pq, state.partitions[pid]
         assert pq is not None and part.codes is not None
         n = len(part.index)
@@ -508,6 +507,4 @@ class IVFVectorIndex:
                           reranked=sum(reranked))
         return results
 
-    def query(self, vector: np.ndarray, k: int = 1) -> QueryResult:
-        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        return self.query_batch(vector, k=k)[0]
+    query = VectorIndex.query

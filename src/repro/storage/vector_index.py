@@ -8,11 +8,12 @@ nearest cluster centre, then search only within that cluster.
 
 Both indexes keep their vectors in one contiguous ``(capacity, dim)`` matrix
 (float32 by default) grown by amortised doubling, and answer whole query
-batches in a single vectorised distance computation with ``np.argpartition``
-top-k selection.  ``query`` is the one-row special case of ``query_batch``,
-so the per-vector and batched paths can never drift apart.  Distances are
-accumulated in float64 regardless of the storage dtype so the reported
-nearest-neighbour ordering stays numerically stable.
+batches with one GEMM per matrix, ranking on ``|x|² − 2q·x`` (``|q|²`` and
+the clip at 0 are applied to the selected entries only).  ``query`` is the
+one-row special case of ``query_batch``, so the per-vector and batched paths
+can never drift apart.  Distances are accumulated in float64 regardless of the
+storage dtype so the reported nearest-neighbour ordering stays numerically
+stable.
 """
 
 from __future__ import annotations
@@ -129,14 +130,8 @@ class VectorIndex:
 
     @property
     def keys(self) -> Tuple[str, ...]:
-        """The stored keys, row-aligned with :attr:`vectors`.
-
-        The tuple is cached between adds: repeated access (shard statistics
-        polling, per-partition scans) is O(1), not an O(n) rebuild.  The cache
-        is keyed on the published size, so a reader racing an in-flight add
-        falls back to building (and caching) the view for the size it
-        observed.
-        """
+        """The stored keys, row-aligned with :attr:`vectors`: a tuple cached
+        for the published size (a reader racing an add builds its own)."""
         cached = self._keys_cache
         size = self._size
         if cached is None or len(cached) != size:
@@ -146,15 +141,10 @@ class VectorIndex:
 
     # -- writes ----------------------------------------------------------------
     def add(self, keys: Sequence[str], vectors: np.ndarray) -> None:
-        """Add (or overwrite) vectors under ``keys``.
-
-        Duplicate keys follow **last-write-wins** semantics: a key that is
-        already stored has its vector overwritten in place (the row keeps its
-        position), and when the same key appears several times within one
-        call only the final occurrence is kept.  The index therefore never
-        holds two rows for one key, so ``query_batch`` can never return the
-        same key twice with different distances.
-        """
+        """Add (or overwrite) vectors under ``keys``, **last write wins**: a
+        stored key is overwritten in place (its row keeps its position), and of
+        a key repeated in the call only the final occurrence is kept — so no
+        key ever holds two rows, or comes back twice from ``query_batch``."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=self.dtype))
         if vectors.shape[1] != self.dim:
             raise ValidationError(f"expected dim {self.dim}, got {vectors.shape[1]}")
@@ -238,13 +228,9 @@ class VectorIndex:
         return moves
 
     # -- reads -----------------------------------------------------------------
-    def topk(self, queries: np.ndarray, k: int, queries_sq: Optional[np.ndarray] = None
-             ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``min(k, len(self))`` nearest rows of a non-empty index per query
-        as ``(rows, squared_distances)``, nearest first, ties by row number:
-        :meth:`query_batch` before keys are resolved.  ``queries`` is float64
-        ``(B, dim)``, ``queries_sq`` its squared row norms if already known.
-        """
+    def _ranked(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`topk` before ``|q|²`` is added: rows and their keys
+        ``|x|² − 2q·x``, from one ``(B, n)`` temporary (the GEMM, in place)."""
         # One local snapshot, so a concurrent add() (system-plane ingest racing
         # a user-plane lookup) never pairs a mirror with other norms or sizes.
         mirror = self._mirror
@@ -254,38 +240,52 @@ class VectorIndex:
             if self.cache_query_matrix:
                 self._mirror = mirror
         _, matrix, matrix_sq = mirror
-        if queries_sq is None:
-            queries_sq = np.sum(queries * queries, axis=1)
-        d2 = queries_sq[:, None] + matrix_sq[None, :] - 2.0 * (queries @ matrix.T)
-        np.maximum(d2, 0.0, out=d2)
+        s = queries @ matrix.T
+        s *= -2.0
+        s += matrix_sq
         n = matrix.shape[0]
         k = min(k, n)
-        each = np.arange(d2.shape[0])[:, None]
+        each = np.arange(s.shape[0])[:, None]
         if k == 1:
-            rows = d2.argmin(axis=1)[:, None]
-            return rows, d2[each, rows]
+            rows = s.argmin(axis=1)[:, None]
+            return rows, s[each, rows]
         if k < n:
-            rows = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            rows = np.argpartition(s, k - 1, axis=1)[:, :k]
         else:
-            rows = np.broadcast_to(np.arange(n), d2.shape)
-        selected = d2[each, rows]
+            rows = np.broadcast_to(np.arange(n), s.shape)
+        selected = s[each, rows]
         order = np.argsort(selected, axis=1, kind="stable")
         return rows[each, order], selected[each, order]
+
+    def topk(self, queries: np.ndarray, k: int, queries_sq: Optional[np.ndarray] = None
+             ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``min(k, len(self))`` nearest rows of a non-empty index per query
+        as ``(rows, squared_distances)``, nearest first, ties by row number:
+        :meth:`query_batch` before keys are resolved.  ``queries`` is float64
+        ``(B, dim)``, ``queries_sq`` its squared row norms if already known.
+
+        Rows are ranked on ``|x|² − 2q·x`` (:meth:`_ranked`): on ``d²`` up to
+        rounding.  ``|q|²`` and the clip at 0 are applied to the selected
+        entries.  Exact on integer-valued data; on continuous data ``d²`` is
+        within 1e-9 of ``(|q|² + |x|²) − 2q·x``, and distinct rows whose ``d²``
+        rounds to ≤ 0 rank by ``|x|² − 2q·x``, not by row number."""
+        rows, d2 = self._ranked(queries, k)
+        if queries_sq is None:
+            queries_sq = np.sum(queries * queries, axis=1)
+        d2 += queries_sq[:, None]
+        np.maximum(d2, 0.0, out=d2)
+        return rows, d2
 
     def query_batch(
         self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
     ) -> List[QueryResult]:
-        """Top-``k`` ``(key, distance)`` pairs for every row of ``vectors``.
+        """Top-``k`` ``(key, distance)`` pairs for every row of ``vectors``,
+        the whole batch in one :meth:`topk`.
 
-        The distance matrix, selection and ordering are computed for the whole
-        batch at once — there is no per-sample Python loop on the numeric path.
-
-        An empty index raises :class:`StorageError` by default — on the
-        direct single-index path an empty store is almost always a wiring
-        bug.  Scatter-gather callers (the sharded store querying a cold
-        shard) pass ``allow_empty=True`` to receive an empty result list per
-        query instead: a shard with nothing stored contributes zero
-        candidates to the merge rather than aborting the whole lookup.
+        An empty index raises :class:`StorageError` (on the direct path an
+        empty store is almost always a wiring bug) unless ``allow_empty``:
+        then each query gets ``[]``, so a cold shard adds zero candidates to
+        a scatter-gather merge instead of aborting it.
         """
         queries = as_queries(vectors, self.dim, k)
         if self._size == 0:
@@ -323,9 +323,7 @@ def save_mmap(index: VectorIndex, directory: Union[str, Path]) -> Path:
     compute plane's shared-memory handoff.
     """
     if not isinstance(index, VectorIndex):
-        raise StorageError(
-            f"save_mmap requires a flat VectorIndex, got {type(index).__name__}"
-        )
+        raise StorageError(f"save_mmap requires a flat VectorIndex, got {type(index).__name__}")
     if len(index) == 0:
         raise StorageError("refusing to save an empty vector index")
     directory = Path(directory)
@@ -333,13 +331,8 @@ def save_mmap(index: VectorIndex, directory: Union[str, Path]) -> Path:
     vectors = np.ascontiguousarray(index.vectors)
     np.save(directory / _MMAP_VECTORS, vectors)
     (directory / _MMAP_KEYS).write_text(json.dumps(list(index.keys)))
-    meta = {
-        "format": _MMAP_FORMAT,
-        "version": 1,
-        "dim": index.dim,
-        "dtype": vectors.dtype.name,
-        "size": int(vectors.shape[0]),
-    }
+    meta = {"format": _MMAP_FORMAT, "version": 1, "dim": index.dim,
+            "dtype": vectors.dtype.name, "size": int(vectors.shape[0])}
     (directory / _MMAP_META).write_text(json.dumps(meta, indent=2))
     return directory
 
@@ -352,10 +345,8 @@ class MmapVectorIndex(VectorIndex):
     the same directory share pages rather than duplicating the store.  The
     float64 query mirror is deliberately **not** cached: keeping it would
     re-materialise the whole store in private memory, defeating the mmap.
-
-    The index is immutable — :meth:`add` raises :class:`StorageError`; to
-    change the store, rebuild a regular index and :func:`save_mmap` it to a
-    fresh directory.
+    The index is immutable: :meth:`add` raises :class:`StorageError` (rebuild a
+    regular index and :func:`save_mmap` it to a fresh directory instead).
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -449,17 +440,20 @@ def partitioned_topk(
     ``probe_order`` is ``(B, P)``: each query's partitions, nearest centre
     first.  A query visits its nearest *non-empty* partitions until ``n_probe``
     are probed and ``k`` candidates exist; each touched partition is scanned
-    once with the ascending sub-batch of queries visiting it — ``scan(partition,
-    queries, queries_sq, k) -> (rows, squared_distances)``, by default
-    :meth:`VectorIndex.topk`.  Results land in a padded ``(B, slots * k)``
-    matrix in probe order, so one ``argmin`` / stable ``argsort`` merges them,
-    ties broken by probe rank, then row.  Returns the ``(key, distance)`` lists
-    and the scan's ``(query, partition)`` pair and candidate counts, which are
-    also added to the active trace span, if any.
+    once with the ascending sub-batch of queries visiting it, by ``scan(pid,
+    queries, k) -> (rows, squared_distances)`` if given, else exactly by
+    :meth:`VectorIndex._ranked`, whose ``|q|²`` and clip at 0 are applied once,
+    to the padded ``(pairs, k)`` matrix, after the loop (``inf`` stays ``inf``).
+    Results land in a padded ``(B, slots * k)`` matrix in probe order, so one
+    ``argmin`` / stable ``argsort`` merges them, ties broken by probe rank, then
+    row.  Returns the ``(key, distance)`` lists and the scan's ``(query,
+    partition)`` pair and candidate counts, which are also added to the active
+    trace span, if any.
     """
-    if scan is None:
-        def scan(pid, sub_queries, sub_queries_sq, width):
-            return partitions[pid].topk(sub_queries, width, sub_queries_sq)
+    exact = scan is None
+    if exact:
+        def scan(pid, sub_queries, width):
+            return partitions[pid]._ranked(sub_queries, width)
     n_queries, n_parts = probe_order.shape
     sizes = np.fromiter((len(part) for part in partitions), dtype=np.int64, count=n_parts)
     ordered = sizes[probe_order]
@@ -480,14 +474,17 @@ def partitioned_topk(
     bounds = np.flatnonzero(np.diff(pids, prepend=-1, append=n_parts)).tolist()
 
     # Gathered once in pair order: a partition's sub-batch is then a slice.
-    pair_queries, pair_queries_sq = queries[qi], np.sum(queries * queries, axis=1)[qi]
+    pair_queries = queries[qi]
     pair_rows = np.zeros((n_pairs, k), dtype=np.int64)
     pair_d2 = np.full((n_pairs, k), np.inf)
     touched = pids[bounds[:-1]]
     widths = np.minimum(sizes[touched], k).tolist()
     for pid, width, start, end in zip(touched.tolist(), widths, bounds, bounds[1:]):
         pair_rows[start:end, :width], pair_d2[start:end, :width] = scan(
-            pid, pair_queries[start:end], pair_queries_sq[start:end], width)
+            pid, pair_queries[start:end], width)
+    if exact:
+        pair_d2 += np.sum(queries * queries, axis=1)[qi, None]
+        np.maximum(pair_d2, 0.0, out=pair_d2)
 
     pair_of = np.zeros((n_queries, n_slots), dtype=np.int64)
     pair_of[qi, slots] = np.arange(n_pairs)
@@ -579,6 +576,4 @@ class ClusteredVectorIndex:
         probe_order = np.argsort(pairwise_squared_distances(queries, self.centers), kind="stable")
         return partitioned_topk(queries, probe_order, self._partitions, self.n_probe, k)[0]
 
-    def query(self, vector: np.ndarray, k: int = 1) -> QueryResult:
-        vector = np.asarray(vector, dtype=np.float64).reshape(1, -1)
-        return self.query_batch(vector, k=k)[0]
+    query = VectorIndex.query

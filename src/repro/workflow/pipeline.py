@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.observability.metrics import default_registry
+from repro.observability.metrics import default_registry, internal_errors
 from repro.observability.tracing import Span, Tracer
 from repro.storage.documentdb import Collection, DocumentDB
 from repro.utils.errors import ConfigurationError, StepTimeoutError
@@ -350,11 +350,7 @@ class Pipeline:
                             "pipeline %r step %r: checkpoint write failed; "
                             "the step will re-run on resume", self.name, name,
                         )
-                        registry.counter(
-                            "repro_internal_errors_total",
-                            "Exceptions caught, logged and survived inside the library",
-                            ("site",),
-                        ).labels(site="pipeline.checkpoint").inc()
+                        internal_errors(registry, "pipeline.checkpoint").inc()
         finally:
             if trace_root is not None:
                 self.tracer.end(

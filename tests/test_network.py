@@ -730,6 +730,33 @@ def test_autoscaler_background_loop_starts_and_stops():
     assert len(rs) == 1  # long cooldown: the idle fleet was not shrunk
 
 
+def test_raising_health_passes_and_autoscaler_steps_are_counted_and_survived():
+    """Both background loops log *and* count a failed iteration, keep running,
+    and still stop: their threads are joined."""
+    registry = MetricsRegistry()
+    rs = ReplicaSet(_runtime_factory(), replicas=1, health_interval_s=0.01, registry=registry)
+    scaler = Autoscaler(rs, AutoscalePolicy(interval_s=0.01), registry=registry)
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("loop bug")
+
+    rs.check_health = raising
+    scaler.step = raising
+    threads = [rs._health_thread, scaler.start()._thread]
+    errors = registry.get("repro_internal_errors_total")
+    health = errors.labels(site="replica.health_pass")
+    step = errors.labels(site="autoscaler.step")
+    try:
+        deadline = time.monotonic() + 10.0
+        while min(health.value, step.value) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert health.value >= 3 and step.value >= 3  # counted, and the loops went on
+    finally:
+        scaler.stop()
+        rs.close()
+    assert not any(thread.is_alive() for thread in threads)
+
+
 # ---------------------------------------------------------------------------------
 # Tracing integration
 # ---------------------------------------------------------------------------------

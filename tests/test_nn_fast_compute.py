@@ -279,6 +279,27 @@ def test_packed_optimizer_skips_frozen_segment(rng):
     np.testing.assert_array_equal(got[1], want[1])  # frozen stayed put
 
 
+def test_adam_steps_float32_parameters_in_float32(rng):
+    """Every operation of a float32 step runs in float32: the update equals, bit
+    for bit, the same arithmetic with float32 constants (a float64 bias
+    correction would compute in float64 and cast back)."""
+    f32 = np.float32
+    param = Parameter(rng.normal(size=257), dtype=np.float32)
+    opt = Adam([param], lr=0.01)
+    theta, m, v = param.data.copy(), np.zeros(257, f32), np.zeros(257, f32)
+    for t in range(1, 6):
+        g = rng.normal(size=257).astype(f32)
+        opt.zero_grad()
+        param.grad[...] = g
+        opt.step()
+        m = m * f32(0.9) + g * f32(1 - 0.9)
+        v = v * f32(0.999) + g * g * f32(1 - 0.999)
+        denominator = np.sqrt(v) * f32(1 / np.sqrt(1 - 0.999**t)) + f32(1e-8)
+        theta = theta - m / denominator * f32(0.01 / (1 - 0.9**t))
+        assert theta.dtype == param.data.dtype == f32
+        np.testing.assert_array_equal(param.data, theta)
+
+
 def test_packed_optimizer_handles_trainable_toggled_after_construction(rng):
     params_fast = _param_set(rng)
     params_ref = [p.copy() for p in params_fast]
