@@ -4,7 +4,7 @@ usage: python benchmarks/same_answers.py <tree root>   (e.g. ``.`` and a clone o
 
 Runs ``fit`` + 6 ``ingest`` + 2 ``refresh`` with ``nearest_labeled`` (plain and
 thresholded), ``lookup`` and ``certainty`` after every ingest, on flat,
-clustered, ivf and ivf+pq x float32 / float64, and prints one digest per
+clustered and ivf x float32 / float64, and prints one digest per
 combination over the answers, the stored cluster ids / labels / payload bytes
 and the per-partition index contents, stored vectors included (doc ids
 replaced by store position: they embed a timestamp).  A stored document's
@@ -31,8 +31,7 @@ def scan(rng, n, off=0.0):
     return rng.normal(size=(n, 15, 15)) + 5.0 * blobs[:, None, None] + off, rng.normal(size=(n, 2))
 
 out = {}
-for backend, params in [("flat", {}), ("clustered", {}), ("ivf", {"n_partitions": 16, "train_threshold": 200}),
-                        ("ivf", {"n_partitions": 8, "train_threshold": 200, "pq": {"m": 2, "bits": 4}, "rerank": 8})]:
+for backend, params in [("flat", {}), ("clustered", {}), ("ivf", {"n_partitions": 16, "train_threshold": 200})]:
     for dtype in (np.float32, np.float64):
         rng = np.random.default_rng(5)
         ds = FairDS(PCAEmbedder(embedding_dim=8), n_clusters=6, seed=3, index_backend=backend,
@@ -62,5 +61,5 @@ for backend, params in [("flat", {}), ("clustered", {}), ("ivf", {"n_partitions"
             if isinstance(v, (list, tuple)): return [by_pos(x) for x in v]
             return v
         note(by_pos(contents(ds._generation.index)))
-        out[f"{backend}{'+pq' if 'pq' in params else ''}/{np.dtype(dtype).name}"] = h.hexdigest()[:16]
+        out[f"{backend}/{np.dtype(dtype).name}"] = h.hexdigest()[:16]
 print(json.dumps(out, indent=1))

@@ -267,18 +267,18 @@ def per_key_writes():
 
 def contents(index) -> list:
     """What an index holds, row by row: per flat store (a partition, a shard's
-    inverted list, ...) its keys, its vectors and its PQ codes, if any; then
-    the key -> partition maps met on the way."""
+    inverted list, ...) its keys and its vectors, then its PQ codes where it
+    has any; then the key -> partition maps met on the way."""
     if isinstance(index, VectorIndex):
-        return [(index.keys, index.vectors.tolist(), None)]
+        return [(index.keys, index.vectors.tolist())]
     if isinstance(index, ClusteredVectorIndex):
         return [contents(part) for part in index._partitions] + [dict(index._key_partition)]
     if isinstance(index, IVFVectorIndex):
         if index._state is None:
             return contents(index._flat)
         return [
-            (part.index.keys, part.index.vectors.tolist(),
-             None if part.codes is None else part.codes[: len(part.index)].tolist())
+            (part.index.keys, part.index.vectors.tolist())
+            + (() if part.codes is None else (part.codes[: len(part.index)].tolist(),))
             for part in index._state.partitions
         ] + [dict(index._key_partition), index._state.centers.tolist()]
     assert isinstance(index, ShardedVectorStore)
