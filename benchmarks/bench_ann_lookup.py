@@ -14,9 +14,6 @@ keeping **recall@10 >= 0.95** against brute-force ground truth.  Smoke mode
 shrinks the corpus but still asserts the recall bar, so every CI run checks
 that partition probing does not silently lose neighbours.
 
-A product-quantized section reports the compressed-scan path (PQ residual
-codes + asymmetric distance + exact re-ranking) at a fixed ``n_probe``.
-
 Results land in ``BENCH_ann_lookup.json`` (see ``common.write_bench_json``).
 
 Run standalone:  python benchmarks/bench_ann_lookup.py [--smoke]
@@ -43,12 +40,12 @@ K = 10
 FULL = dict(
     n_vectors=1_000_000, n_queries=256, n_blobs=1024, repeats=3,
     n_partitions="auto", train_size=32768, n_probe_sweep=(1, 2, 4, 8, 16, 32),
-    pq_probe=8, assert_speedup=10.0, assert_recall=0.95,
+    assert_speedup=10.0, assert_recall=0.95,
 )
 SMOKE = dict(
     n_vectors=20_000, n_queries=128, n_blobs=128, repeats=2,
     n_partitions=64, train_size=8192, n_probe_sweep=(1, 4, 8, 16),
-    pq_probe=8, assert_speedup=None, assert_recall=0.95,
+    assert_speedup=None, assert_recall=0.95,
 )
 
 
@@ -129,32 +126,6 @@ def run(smoke: bool = False, report_sink=None) -> Dict[str, object]:
         sink=report_sink,
     )
 
-    # -- compressed-scan section: PQ residual codes + exact re-ranking ----------
-    pq_start = time.perf_counter()
-    ivf_pq = IVFVectorIndex(
-        dim=DIM,
-        n_partitions=cfg["n_partitions"],
-        n_probe=cfg["pq_probe"],
-        train_threshold=2,
-        train_size=cfg["train_size"],
-        pq={"m": 8, "bits": 8},
-        rerank=4 * K,
-    )
-    ivf_pq.add(keys, vectors)
-    pq_build_s = time.perf_counter() - pq_start
-    pq_recall = recall_at_k(_retrieved_keys(ivf_pq, queries), truth_keys, K)
-    pq_qps = _best_qps(ivf_pq, queries, repeats)
-    exact_row = next(r for r in sweep_rows if r[0] == cfg["pq_probe"])
-    print_table(
-        f"PQ compressed scan (m=8, bits=8, rerank={4 * K}, n_probe={cfg['pq_probe']})",
-        ["path", f"recall@{K}", "queries_per_s", "speedup_vs_flat"],
-        [
-            ("ivf exact scan", exact_row[1], exact_row[2], exact_row[3]),
-            ("ivf pq + rerank", pq_recall, pq_qps, pq_qps / flat_qps),
-        ],
-        sink=report_sink,
-    )
-
     # The acceptance point: the best-throughput sweep entry that clears the
     # recall bar.
     qualifying = [c for c in curve if c["recall_at_10"] >= cfg["assert_recall"]]
@@ -166,13 +137,6 @@ def run(smoke: bool = False, report_sink=None) -> Dict[str, object]:
         "ivf_build_s": round(build_s, 2),
         "curve": curve,
         "best_qualifying": best,
-        "pq": {
-            "recall_at_10": round(pq_recall, 4),
-            "qps": round(pq_qps, 1),
-            "speedup": round(pq_qps / flat_qps, 2),
-            "build_s": round(pq_build_s, 2),
-            "n_probe": cfg["pq_probe"],
-        },
         "n_partitions": stats["n_partitions"],
     }
     write_bench_json(

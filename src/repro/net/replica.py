@@ -6,9 +6,8 @@ deployments, that replica's own hot-swappable
 :class:`~repro.serving.hot_swap.ModelHandle` — per-replica handles are what
 make **rolling** deploys possible: one replica swaps at a time while the
 balancer routes around it).  Replicas share the deployment's read-only data
-plane (embedder, store, index — including the PR-8 ``mmap`` codec when the
-spec uses it), so adding a replica adds scheduling and execution capacity,
-not data copies.
+plane (embedder, store, index), so adding a replica adds scheduling and
+execution capacity, not data copies.
 
 Balancing is round-robin seeded **power-of-two-choices**: each submit takes
 the next two replicas in rotation and picks the one with the lower observed

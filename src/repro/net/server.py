@@ -54,7 +54,7 @@ from repro.net.protocol import (
     error_body,
 )
 from repro.net.replica import ReplicaSet
-from repro.observability.metrics import MetricsRegistry, default_registry
+from repro.observability.metrics import MetricsRegistry, default_registry, internal_errors
 from repro.observability.tracing import Tracer
 from repro.utils.errors import (
     ConfigurationError,
@@ -147,6 +147,7 @@ class NetworkServer:
         self._m_requests = registry.counter(
             "repro_net_requests_total", "Wire requests by response status", ("status",)
         )
+        self._m_close_errors = internal_errors(registry, "server.close")
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "NetworkServer":
@@ -225,7 +226,7 @@ class NetworkServer:
                 conn.queue.put_nowait(_CLOSE)
                 conn.writer.close()
             except Exception:
-                pass
+                self._close_failed(conn.peer)
         # let writer tasks observe their sentinels/cancellation
         pending = [t for t in asyncio.all_tasks() if t is not asyncio.current_task()]
         for task in pending:
@@ -273,7 +274,11 @@ class NetworkServer:
             try:
                 writer.close()
             except Exception:
-                pass
+                self._close_failed(conn.peer)
+
+    def _close_failed(self, peer: str) -> None:
+        logger.warning("closing the connection to %s failed", peer, exc_info=True)
+        self._m_close_errors.inc()
 
     def _handle_request(self, conn: _Connection, body: Dict[str, Any]) -> None:
         t_recv = time.monotonic()

@@ -17,13 +17,9 @@ Blosc) and compares training-time I/O against reading files directly from NFS
   an ``.npy`` file on the local filesystem.
 * :mod:`repro.storage.vector_index` — exact and cluster-partitioned
   nearest-neighbour lookup over embedding vectors, stored contiguously and
-  queried a whole batch at a time, plus an mmap codec
-  (:func:`~repro.storage.vector_index.save_mmap` /
-  :func:`~repro.storage.vector_index.open_mmap`) so multiple processes share
-  one on-disk store through the page cache.
+  queried a whole batch at a time.
 * :mod:`repro.storage.ivf_index` — the self-training IVF approximate index:
-  coarse-quantized inverted lists with a live ``n_probe`` knob and an
-  optional product-quantized compressed scan path.
+  coarse-quantized inverted lists with a live ``n_probe`` knob.
 * :mod:`repro.storage.sharded` — hash-routed multi-tenant sharding over any
   registered index backend: scatter-gather lookup with an exact vectorised
   merge, structural tenant isolation, per-tenant quotas, and replication.
@@ -42,7 +38,6 @@ from repro.storage.codecs import (
     Codec,
     PickleCodec,
     CompressedCodec,
-    ProductQuantizer,
     RawArrayCodec,
     get_codec,
 )
@@ -58,13 +53,7 @@ from repro.storage.capabilities import (
 )
 from repro.storage.ivf_index import IVFVectorIndex
 from repro.storage.sharded import DEFAULT_TENANT, ShardedVectorStore, shard_of
-from repro.storage.vector_index import (
-    VectorIndex,
-    ClusteredVectorIndex,
-    MmapVectorIndex,
-    open_mmap,
-    save_mmap,
-)
+from repro.storage.vector_index import VectorIndex, ClusteredVectorIndex
 
 __all__ = [
     "IndexBackend",
@@ -83,12 +72,8 @@ __all__ = [
     "DocumentDB",
     "NetworkModel",
     "FileStore",
-    "ProductQuantizer",
     "VectorIndex",
     "ClusteredVectorIndex",
-    "MmapVectorIndex",
-    "open_mmap",
-    "save_mmap",
     "IVFVectorIndex",
     "DEFAULT_TENANT",
     "ShardedVectorStore",

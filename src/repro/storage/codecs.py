@@ -6,23 +6,17 @@ serialiser; without the C library available offline we reproduce its cost
 structure (compression on write, decompression on read, smaller payloads)
 with zlib-compressed pickles.  The codec interface is deliberately tiny so
 users can plug in their own.
-
-Beyond the byte codecs, this module also hosts the lossy *vector* codec used
-by the ANN fast path: :class:`ProductQuantizer` compresses residual vectors
-to a few bytes each and supports asymmetric distance computation (ADC), the
-scan kernel of :class:`repro.storage.ivf_index.IVFVectorIndex`'s compressed
-inverted lists.
 """
 
 from __future__ import annotations
 
 import pickle
 import zlib
-from typing import Any, Dict, List, Sequence, Tuple, Type, Union
+from typing import Any, Dict, List, Sequence, Type, Union
 
 import numpy as np
 
-from repro.utils.errors import ConfigurationError, NotFittedError, StorageError, ValidationError
+from repro.utils.errors import ConfigurationError, StorageError
 
 
 #: Most array bytes :meth:`PickleCodec.decode_many` holds twice at a time: it
@@ -193,141 +187,6 @@ class RawArrayCodec(Codec):
         dtype_str, shape = pickle.loads(payload[4 : 4 + header_len])
         data = np.frombuffer(payload[4 + header_len :], dtype=np.dtype(dtype_str))
         return data.reshape(shape).copy()
-
-
-class ProductQuantizer:
-    """Product quantisation of ``dim``-dimensional vectors into ``m`` bytes.
-
-    The vector space is split into ``m`` contiguous subspaces of
-    ``dim / m`` dimensions; each subspace gets its own codebook of
-    ``2**bits`` centroids fitted with k-means, and a vector is encoded as the
-    per-subspace centroid ids — ``m`` uint8 codes replacing ``dim`` floats.
-
-    Queries never decode: :meth:`distance_tables` precomputes, per query, the
-    squared distance from the query's sub-vector to every codebook centroid,
-    and :meth:`adc` (asymmetric distance computation) scores a whole code
-    matrix with ``m`` table gathers per query — no per-vector arithmetic.
-    ADC distances are approximate (codebook quantisation error), which is why
-    the IVF scan path re-ranks the top ADC candidates exactly.
-
-    Unlike the byte codecs above, this codec maps vectors to code *arrays*
-    (not byte strings), so it is not part of the ``get_codec`` registry.
-    """
-
-    def __init__(self, dim: int, m: int = 8, bits: int = 8, max_iter: int = 25,
-                 seed: int = 0):
-        if dim < 1:
-            raise ConfigurationError("ProductQuantizer: dim must be >= 1")
-        if m < 1 or dim % m != 0:
-            raise ConfigurationError(
-                f"ProductQuantizer: m must divide dim (got dim={dim}, m={m})"
-            )
-        if not 1 <= bits <= 8:
-            raise ConfigurationError("ProductQuantizer: bits must be in [1, 8]")
-        if max_iter < 1:
-            raise ConfigurationError("ProductQuantizer: max_iter must be >= 1")
-        self.dim = int(dim)
-        self.m = int(m)
-        self.bits = int(bits)
-        self.ksub = 2 ** int(bits)
-        self.dsub = self.dim // self.m
-        self.max_iter = int(max_iter)
-        self.seed = seed
-        #: ``(m, k_eff, dsub)`` codebooks after :meth:`fit` (``k_eff <= ksub``
-        #: when the training set is smaller than the codebook).
-        self.codebooks: "np.ndarray | None" = None
-
-    @property
-    def is_fitted(self) -> bool:
-        return self.codebooks is not None
-
-    def _require_fitted(self, op: str) -> np.ndarray:
-        if self.codebooks is None:
-            raise NotFittedError(f"ProductQuantizer.{op}() requires fit() first")
-        return self.codebooks
-
-    def _check_vectors(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if vectors.shape[1] != self.dim:
-            raise ValidationError(f"expected dim {self.dim}, got {vectors.shape[1]}")
-        return vectors
-
-    def fit(self, vectors: np.ndarray) -> "ProductQuantizer":
-        """Fit one k-means codebook per subspace on the training vectors."""
-        from repro.clustering.kmeans import KMeans
-        from repro.utils.rng import derive_seed
-
-        vectors = self._check_vectors(vectors)
-        n = vectors.shape[0]
-        if n < 1:
-            raise ValidationError("ProductQuantizer.fit() needs at least one vector")
-        k_eff = min(self.ksub, n)
-        codebooks = np.empty((self.m, k_eff, self.dsub), dtype=np.float64)
-        for j in range(self.m):
-            sub = vectors[:, j * self.dsub : (j + 1) * self.dsub]
-            km = KMeans(n_clusters=k_eff, max_iter=self.max_iter, n_init=1,
-                        seed=derive_seed(self.seed, 7001, j))
-            codebooks[j] = km.fit(sub).cluster_centers_
-        self.codebooks = codebooks
-        return self
-
-    def encode(self, vectors: np.ndarray) -> np.ndarray:
-        """Quantise vectors to their ``(n, m)`` uint8 code matrix."""
-        from repro.utils.stats import pairwise_squared_distances
-
-        codebooks = self._require_fitted("encode")
-        vectors = self._check_vectors(vectors)
-        codes = np.empty((vectors.shape[0], self.m), dtype=np.uint8)
-        for j in range(self.m):
-            sub = vectors[:, j * self.dsub : (j + 1) * self.dsub]
-            codes[:, j] = np.argmin(pairwise_squared_distances(sub, codebooks[j]), axis=1)
-        return codes
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Reconstruct the (lossy) vectors of a code matrix."""
-        codebooks = self._require_fitted("decode")
-        codes = np.atleast_2d(np.asarray(codes))
-        if codes.shape[1] != self.m:
-            raise ValidationError(f"expected {self.m} codes per vector, got {codes.shape[1]}")
-        out = np.empty((codes.shape[0], self.dim), dtype=np.float64)
-        for j in range(self.m):
-            out[:, j * self.dsub : (j + 1) * self.dsub] = codebooks[j][codes[:, j]]
-        return out
-
-    def distance_tables(self, queries: np.ndarray) -> np.ndarray:
-        """Per-query ADC lookup tables, shape ``(n_queries, m, k_eff)``.
-
-        Entry ``[q, j, c]`` is the squared distance from query ``q``'s ``j``-th
-        sub-vector to centroid ``c`` of subspace ``j``.
-        """
-        from repro.utils.stats import pairwise_squared_distances
-
-        codebooks = self._require_fitted("distance_tables")
-        queries = self._check_vectors(queries)
-        tables = np.empty((queries.shape[0], self.m, codebooks.shape[1]), dtype=np.float64)
-        for j in range(self.m):
-            sub = queries[:, j * self.dsub : (j + 1) * self.dsub]
-            tables[:, j, :] = pairwise_squared_distances(sub, codebooks[j])
-        return tables
-
-    def adc(self, tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Approximate squared distances, shape ``(n_queries, n_codes)``.
-
-        Sums, per query and stored code row, the per-subspace table entries —
-        ``m`` gathers over the code matrix instead of any float arithmetic on
-        the original vectors.
-        """
-        self._require_fitted("adc")
-        tables = np.asarray(tables, dtype=np.float64)
-        codes = np.atleast_2d(np.asarray(codes))
-        if tables.ndim != 3 or tables.shape[1] != self.m:
-            raise ValidationError("tables must come from distance_tables()")
-        if codes.shape[1] != self.m:
-            raise ValidationError(f"expected {self.m} codes per vector, got {codes.shape[1]}")
-        out = np.zeros((tables.shape[0], codes.shape[0]), dtype=np.float64)
-        for j in range(self.m):
-            out += tables[:, j, codes[:, j]]
-        return out
 
 
 _CODECS: Dict[str, Type[Codec]] = {

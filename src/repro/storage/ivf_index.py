@@ -28,31 +28,20 @@ Lifecycle:
 ``n_probe`` is a **live knob**: :meth:`set_n_probe` is a single atomic
 attribute publication read once per query batch, so a serving runtime can
 trade recall for latency under load without a restart or a rebuild.
-
-With a ``pq`` configuration, each partition additionally stores
-:class:`~repro.storage.codecs.ProductQuantizer` codes of the residuals
-(vector minus its centroid).  Probed lists are then scanned with asymmetric
-distance computation over the codes — a few table gathers per stored byte —
-and only the best ``rerank`` ADC candidates per query get exact distances
-against the full-precision vectors (which are kept; PQ here buys scan speed,
-not memory).
 """
 
 from __future__ import annotations
 
 import threading
-from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.observability.metrics import default_registry
-from repro.storage.codecs import ProductQuantizer
 from repro.storage.vector_index import (
     QueryResult,
     VectorIndex,
     as_queries,
-    grown,
     partitioned_topk,
     routed_upsert,
 )
@@ -68,58 +57,14 @@ _ASSIGN_CHUNK_CELLS = 8_000_000
 _MAX_AUTO_PARTITIONS = 4096
 
 
-class _Partition:
-    """One inverted list: a :class:`VectorIndex` plus optional PQ codes.
-
-    The vector matrix reuses ``VectorIndex``'s amortised-doubling growth and
-    its torn-read discipline (size published after the rows are written); the
-    code matrix follows the same discipline, and is appended *before* the
-    vectors so a reader that observes the new size always finds the codes.
-    """
-
-    __slots__ = ("index", "codes", "_code_size")
-
-    def __init__(self, dim: int, dtype, cache_query_matrix: bool, code_width: int):
-        self.index = VectorIndex(dim, dtype=dtype, cache_query_matrix=cache_query_matrix)
-        self.codes: Optional[np.ndarray] = (
-            np.empty((0, code_width), dtype=np.uint8) if code_width else None
-        )
-        self._code_size = 0
-
-    def _append(self, keys: List[str], vectors: np.ndarray,
-                codes: Optional[np.ndarray] = None) -> None:
-        # ``routed_upsert`` has evicted the keys it re-sends, so every row
-        # is a genuine extension and the code rows stay aligned with the
-        # inner index's rows.
-        if self.codes is not None:
-            assert codes is not None and codes.shape[0] == vectors.shape[0]
-            needed = self._code_size + codes.shape[0]
-            self.codes = grown(self.codes, self._code_size, needed)
-            self.codes[self._code_size : needed] = codes
-            self._code_size = needed
-        self.index._append(keys, vectors)
-
-    def discard(self, keys: Sequence[str]) -> None:
-        """Swap-remove ``keys``, replaying the same row moves on the PQ codes
-        so codes stay row-aligned with the inner index."""
-        moves = self.index.discard(keys)
-        if self.codes is not None:
-            for row, last in moves:
-                if row != last:
-                    self.codes[row] = self.codes[last]
-                self._code_size -= 1
-
-
 class _IVFState:
     """The trained, atomically published routing state."""
 
-    __slots__ = ("centers", "partitions", "pq")
+    __slots__ = ("centers", "partitions")
 
-    def __init__(self, centers: np.ndarray, partitions: List[_Partition],
-                 pq: Optional[ProductQuantizer]):
+    def __init__(self, centers: np.ndarray, partitions: List[VectorIndex]):
         self.centers = centers
         self.partitions = partitions
-        self.pq = pq
 
 
 class IVFVectorIndex:
@@ -143,14 +88,6 @@ class IVFVectorIndex:
     train_size:
         Quantizer training subsample cap — training cost stays bounded no
         matter how large the triggering add is.
-    pq:
-        ``None`` for exact partition scans, or a mapping of
-        :class:`~repro.storage.codecs.ProductQuantizer` options (``m``,
-        ``bits``, ``max_iter``) to scan compressed residual codes with exact
-        re-ranking of the top candidates.
-    rerank:
-        With ``pq``: how many top ADC candidates per query get exact
-        distances (clamped up to ``k``).
     clustering_algorithm / quantizer_params:
         Registry name (kind ``"clustering"``) and extra constructor kwargs of
         the coarse quantizer.  Speed-oriented defaults (``n_init=1``, a small
@@ -170,8 +107,6 @@ class IVFVectorIndex:
         dtype=np.float32,
         train_threshold: int = 4096,
         train_size: int = 32768,
-        pq: Optional[Dict[str, Any]] = None,
-        rerank: int = 32,
         clustering_algorithm: str = "kmeans",
         quantizer_params: Optional[Dict[str, Any]] = None,
         seed: SeedLike = 0,
@@ -189,10 +124,6 @@ class IVFVectorIndex:
             raise ConfigurationError("train_threshold must be >= 2")
         if train_size < 2:
             raise ConfigurationError("train_size must be >= 2")
-        if rerank < 1:
-            raise ConfigurationError("rerank must be >= 1")
-        if pq is not None and not hasattr(pq, "items"):
-            raise ConfigurationError("pq must be None or a mapping of ProductQuantizer options")
         from repro.api.registry import is_registered
 
         if not is_registered("clustering", clustering_algorithm):
@@ -205,8 +136,6 @@ class IVFVectorIndex:
         self.n_partitions = n_partitions if n_partitions == "auto" else int(n_partitions)
         self.train_threshold = int(train_threshold)
         self.train_size = int(train_size)
-        self.pq_config = dict(pq) if pq is not None else None
-        self.rerank = int(rerank)
         self.clustering_algorithm = clustering_algorithm
         self.quantizer_params = dict(quantizer_params or {})
         self.seed = seed
@@ -228,7 +157,6 @@ class IVFVectorIndex:
             "batches": 0,
             "partitions_probed": 0,
             "candidates_scanned": 0,
-            "reranked": 0,
             "flat_queries": 0,
         }
         # Cumulative scan effort also lands in the process-global metrics
@@ -251,7 +179,7 @@ class IVFVectorIndex:
     def __len__(self) -> int:
         state = self._state
         if state is not None:
-            return sum(len(p.index) for p in state.partitions)
+            return sum(len(p) for p in state.partitions)
         flat = self._flat
         return len(flat) if flat is not None else 0
 
@@ -293,8 +221,7 @@ class IVFVectorIndex:
         ``partitions_probed`` and ``candidates_scanned`` divide by ``queries``
         to give the per-query scan effort — the signal an autoscaler (or a
         human tuning ``n_probe``) watches; ``flat_queries`` counts queries
-        answered by the pre-training exact fallback, and ``reranked`` the
-        exact re-rank volume of the PQ path.
+        answered by the pre-training exact fallback.
         """
         with self._stats_lock:
             stats = dict(self._stats)
@@ -306,13 +233,12 @@ class IVFVectorIndex:
         return stats
 
     def _record_scan(self, queries: int, partitions: int, candidates: int,
-                     reranked: int = 0, flat: int = 0) -> None:
+                     flat: int = 0) -> None:
         with self._stats_lock:
             self._stats["queries"] += queries
             self._stats["batches"] += 1
             self._stats["partitions_probed"] += partitions
             self._stats["candidates_scanned"] += candidates
-            self._stats["reranked"] += reranked
             self._stats["flat_queries"] += flat
         self._m_scans.inc(queries)
         self._m_partitions.inc(partitions)
@@ -409,22 +335,11 @@ class IVFVectorIndex:
         quantizer.fit(vectors[train_rows])
         centers = np.atleast_2d(np.asarray(quantizer.cluster_centers_, dtype=np.float64))
 
-        pq: Optional[ProductQuantizer] = None
-        if self.pq_config is not None:
-            pq = ProductQuantizer(
-                self.dim,
-                **{"seed": derive_seed(self.seed, 9003), **self.pq_config},
-            )
-            train_vectors = vectors[train_rows]
-            residuals = train_vectors - centers[self._assign(centers, train_vectors)]
-            pq.fit(residuals)
-
         partitions = [
-            _Partition(self.dim, self.dtype, self.cache_query_matrix,
-                       pq.m if pq is not None else 0)
+            VectorIndex(self.dim, dtype=self.dtype, cache_query_matrix=self.cache_query_matrix)
             for _ in range(centers.shape[0])
         ]
-        state = _IVFState(centers, partitions, pq)
+        state = _IVFState(centers, partitions)
         self._route_add(state, keys, vectors)
         # Publish fully built state first; only then retire the flat index,
         # so a concurrent reader always holds one complete view.
@@ -432,42 +347,10 @@ class IVFVectorIndex:
         self._flat = None
 
     def _route_add(self, state: _IVFState, keys: Sequence[str], vectors: np.ndarray) -> None:
-        assignments = self._assign(state.centers, vectors)
-        columns = [vectors]
-        if state.pq is not None:
-            columns.append(state.pq.encode(vectors - state.centers[assignments]))
-        routed_upsert(self._key_partition, state.partitions, keys, assignments, *columns)
+        routed_upsert(self._key_partition, state.partitions, keys,
+                      self._assign(state.centers, vectors), vectors)
 
     # -- reads -------------------------------------------------------------------
-    def _scan_pq(self, state: _IVFState, reranked: List[int], pid: int,
-                 sub_queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """ADC scan of one partition's codes + exact re-rank of the top
-        candidates: per-query ``(rows, exact squared distances)`` of the best
-        ``k``; the re-ranked row count is appended to ``reranked``."""
-        pq, part = state.pq, state.partitions[pid]
-        assert pq is not None and part.codes is not None
-        n = len(part.index)
-        codes = part.codes[:n]
-        residual_queries = sub_queries - state.centers[pid]
-        tables = pq.distance_tables(residual_queries)
-        adc = pq.adc(tables, codes)
-        r = min(max(k, self.rerank), n)
-        if r < n:
-            top = np.argpartition(adc, r - 1, axis=1)[:, :r]
-        else:
-            top = np.broadcast_to(np.arange(n), adc.shape)
-        vectors = part.index.vectors
-        out_rows = np.empty((sub_queries.shape[0], k), dtype=np.int64)
-        out_d2 = np.empty((sub_queries.shape[0], k))
-        for qi in range(sub_queries.shape[0]):
-            rows = top[qi]
-            exact = np.asarray(vectors[rows], dtype=np.float64)
-            d2 = np.sum((exact - sub_queries[qi]) ** 2, axis=1)
-            order = np.argsort(d2, kind="stable")[:k]
-            out_rows[qi], out_d2[qi] = rows[order], d2[order]
-        reranked.append(sub_queries.shape[0] * r)
-        return out_rows, out_d2
-
     def query_batch(
         self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
     ) -> List[QueryResult]:
@@ -497,14 +380,9 @@ class IVFVectorIndex:
         n_probe = self._n_probe  # one snapshot: the live-knob read point
 
         center_d2 = pairwise_squared_distances(queries, state.centers)
-        reranked: List[int] = []
         results, probed, scanned = partitioned_topk(
-            queries, np.argsort(center_d2, axis=1, kind="stable"),
-            [part.index for part in state.partitions], n_probe, k,
-            scan=partial(self._scan_pq, state, reranked) if state.pq is not None else None,
-        )
-        self._record_scan(queries.shape[0], partitions=probed, candidates=scanned,
-                          reranked=sum(reranked))
+            queries, np.argsort(center_d2, axis=1, kind="stable"), state.partitions, n_probe, k)
+        self._record_scan(queries.shape[0], partitions=probed, candidates=scanned)
         return results
 
     query = VectorIndex.query

@@ -18,9 +18,7 @@ stable.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,16 +198,12 @@ class VectorIndex:
         rows = np.asarray(self._data[start:end], dtype=np.float64)
         return rows, np.sum(rows * rows, axis=1)
 
-    def discard(self, keys: Sequence[str]) -> List[Tuple[int, int]]:
+    def discard(self, keys: Sequence[str]) -> None:
         """Remove ``keys`` (absent keys are ignored) by swap-with-last.
 
-        Returns the list of ``(removed_row, former_last_row)`` moves applied,
-        in order, so callers maintaining row-aligned side arrays (e.g. the
-        IVF partitions' PQ code matrices) can replay the same compaction.
         Unlike :meth:`add`, removal is not safe against concurrent readers —
         callers synchronise externally (the IVF index holds its write lock).
         """
-        moves: List[Tuple[int, int]] = []
         for key in keys:
             row = self._key_rows.pop(str(key), None)
             if row is None:
@@ -223,9 +217,7 @@ class VectorIndex:
             self._keys.pop()
             self._keys_cache = None
             self._size = last
-            moves.append((row, last))
         self._writes += 1
-        return moves
 
     # -- reads -----------------------------------------------------------------
     def _ranked(self, queries: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -305,104 +297,15 @@ class VectorIndex:
         return self.query_batch(vector, k=k)[0]
 
 
-# -- mmap persistence -------------------------------------------------------
-_MMAP_META = "meta.json"
-_MMAP_VECTORS = "vectors.npy"
-_MMAP_KEYS = "keys.json"
-_MMAP_FORMAT = "repro-mmap-index"
-
-
-def save_mmap(index: VectorIndex, directory: Union[str, Path]) -> Path:
-    """Persist a flat :class:`VectorIndex` as an mmap-openable directory.
-
-    Writes ``meta.json`` (format tag, dim, dtype, size), ``vectors.npy`` (the
-    contiguous vector matrix, loadable with ``np.load(mmap_mode="r")``) and
-    ``keys.json``.  Several processes can then :func:`open_mmap` the same
-    directory and share the vector pages through the OS page cache instead of
-    each holding a private copy — the multiprocess-serving companion of the
-    compute plane's shared-memory handoff.
-    """
-    if not isinstance(index, VectorIndex):
-        raise StorageError(f"save_mmap requires a flat VectorIndex, got {type(index).__name__}")
-    if len(index) == 0:
-        raise StorageError("refusing to save an empty vector index")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    vectors = np.ascontiguousarray(index.vectors)
-    np.save(directory / _MMAP_VECTORS, vectors)
-    (directory / _MMAP_KEYS).write_text(json.dumps(list(index.keys)))
-    meta = {"format": _MMAP_FORMAT, "version": 1, "dim": index.dim,
-            "dtype": vectors.dtype.name, "size": int(vectors.shape[0])}
-    (directory / _MMAP_META).write_text(json.dumps(meta, indent=2))
-    return directory
-
-
-class MmapVectorIndex(VectorIndex):
-    """Read-only :class:`VectorIndex` over a :func:`save_mmap` directory.
-
-    The vector matrix is memory-mapped (``np.load(mmap_mode="r")``), so
-    opening is O(1) regardless of index size and concurrent processes opening
-    the same directory share pages rather than duplicating the store.  The
-    float64 query mirror is deliberately **not** cached: keeping it would
-    re-materialise the whole store in private memory, defeating the mmap.
-    The index is immutable: :meth:`add` raises :class:`StorageError` (rebuild a
-    regular index and :func:`save_mmap` it to a fresh directory instead).
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        path = Path(path)
-        meta_path = path / _MMAP_META
-        if not meta_path.is_file():
-            raise StorageError(f"not an mmap index directory (no {_MMAP_META}): {path}")
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StorageError(f"unreadable mmap index metadata at {meta_path}: {exc}") from exc
-        if meta.get("format") != _MMAP_FORMAT:
-            raise StorageError(
-                f"unrecognised mmap index format {meta.get('format')!r} at {path}"
-            )
-        super().__init__(
-            int(meta["dim"]), dtype=np.dtype(meta["dtype"]), cache_query_matrix=False
-        )
-        try:
-            vectors = np.load(path / _MMAP_VECTORS, mmap_mode="r")
-            keys = json.loads((path / _MMAP_KEYS).read_text())
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise StorageError(f"corrupt mmap index at {path}: {exc}") from exc
-        size = int(meta["size"])
-        if vectors.ndim != 2 or vectors.shape != (size, self.dim) or len(keys) != size:
-            raise StorageError(
-                f"mmap index at {path} is inconsistent: meta says {(size, self.dim)}, "
-                f"vectors are {vectors.shape} with {len(keys)} keys"
-            )
-        self.path = path
-        self._data = vectors
-        self._size = size
-        self._keys = [str(k) for k in keys]
-        self._key_rows = {key: row for row, key in enumerate(self._keys)}
-
-    def add(self, keys: Sequence[str], vectors: np.ndarray) -> None:
-        raise StorageError(
-            "mmap-backed vector index is read-only; rebuild a VectorIndex and "
-            "save_mmap() it to a new directory to change the store"
-        )
-
-
-def open_mmap(path: Union[str, Path]) -> MmapVectorIndex:
-    """Open a :func:`save_mmap` directory read-only (registry name ``mmap``)."""
-    return MmapVectorIndex(path)
-
-
-def routed_upsert(key_partition: Dict[str, int], partitions: Sequence, keys: Sequence[str],
-                  assignments: np.ndarray, *columns: np.ndarray) -> None:
-    """Last-write-wins add of row-aligned ``columns`` under ``keys`` to the
-    partitions named by ``assignments`` — the write path of both partitioned
-    indexes.  Of a key repeated in the call only the final occurrence is kept;
-    a stored key is swap-removed (``discard``) from the partition holding it
-    before its new row is appended, so a key that re-routes never leaves a
-    second row behind — and every row left to write is new to its partition,
-    which takes it through ``_append`` without looking the keys up again.
+def routed_upsert(key_partition: Dict[str, int], partitions: Sequence[VectorIndex],
+                  keys: Sequence[str], assignments: np.ndarray, vectors: np.ndarray) -> None:
+    """Last-write-wins add of ``vectors`` under ``keys`` to the partitions
+    named by ``assignments`` — the write path of both partitioned indexes.
+    Of a key repeated in the call only the final occurrence is kept; a stored
+    key is swap-removed (``discard``) from the partition holding it before its
+    new row is appended, so a key that re-routes never leaves a second row
+    behind — and every row left to write is new to its partition, which takes
+    it through ``_append`` without looking the keys up again.
     ``key_partition`` records where each key went.
     """
     source_rows = dict(zip(map(str, keys), range(len(keys))))
@@ -416,32 +319,31 @@ def routed_upsert(key_partition: Dict[str, int], partitions: Sequence, keys: Seq
         for pid, gone in stale.items():
             partitions[pid].discard(gone)
     # What is left to write is distinct and stored nowhere: group it by
-    # partition with one gather per column, then append each slice.
+    # partition with one gather, then append each slice.
     keys = list(source_rows)
     kept = np.fromiter(source_rows.values(), dtype=np.int64, count=len(keys))
     routes = assignments[kept]
     order = np.argsort(routes, kind="stable")
     routes, rows = routes[order], kept[order]
     keys = [keys[j] for j in order.tolist()]
-    columns = [column[rows] for column in columns]
+    vectors = vectors[rows]
     bounds = [0, *(np.flatnonzero(np.diff(routes)) + 1).tolist(), len(keys)]
     for start, end in zip(bounds, bounds[1:]):
         pid = int(routes[start])
-        partitions[pid]._append(keys[start:end], *(column[start:end] for column in columns))
+        partitions[pid]._append(keys[start:end], vectors[start:end])
         key_partition.update(dict.fromkeys(keys[start:end], pid))
 
 
 def partitioned_topk(
     queries: np.ndarray, probe_order: np.ndarray, partitions: Sequence[VectorIndex],
-    n_probe: int, k: int, scan: Optional[Callable] = None,
+    n_probe: int, k: int,
 ) -> Tuple[List[QueryResult], int, int]:
     """Merged top-``k`` of a query batch over a partitioned store.
 
     ``probe_order`` is ``(B, P)``: each query's partitions, nearest centre
     first.  A query visits its nearest *non-empty* partitions until ``n_probe``
     are probed and ``k`` candidates exist; each touched partition is scanned
-    once with the ascending sub-batch of queries visiting it, by ``scan(pid,
-    queries, k) -> (rows, squared_distances)`` if given, else exactly by
+    once with the ascending sub-batch of queries visiting it, by
     :meth:`VectorIndex._ranked`, whose ``|q|²`` and clip at 0 are applied once,
     to the padded ``(pairs, k)`` matrix, after the loop (``inf`` stays ``inf``).
     Results land in a padded ``(B, slots * k)`` matrix in probe order, so one
@@ -450,10 +352,6 @@ def partitioned_topk(
     partition)`` pair and candidate counts, which are also added to the active
     trace span, if any.
     """
-    exact = scan is None
-    if exact:
-        def scan(pid, sub_queries, width):
-            return partitions[pid]._ranked(sub_queries, width)
     n_queries, n_parts = probe_order.shape
     sizes = np.fromiter((len(part) for part in partitions), dtype=np.int64, count=n_parts)
     ordered = sizes[probe_order]
@@ -480,11 +378,10 @@ def partitioned_topk(
     touched = pids[bounds[:-1]]
     widths = np.minimum(sizes[touched], k).tolist()
     for pid, width, start, end in zip(touched.tolist(), widths, bounds, bounds[1:]):
-        pair_rows[start:end, :width], pair_d2[start:end, :width] = scan(
-            pid, pair_queries[start:end], width)
-    if exact:
-        pair_d2 += np.sum(queries * queries, axis=1)[qi, None]
-        np.maximum(pair_d2, 0.0, out=pair_d2)
+        pair_rows[start:end, :width], pair_d2[start:end, :width] = partitions[pid]._ranked(
+            pair_queries[start:end], width)
+    pair_d2 += np.sum(queries * queries, axis=1)[qi, None]
+    np.maximum(pair_d2, 0.0, out=pair_d2)
 
     pair_of = np.zeros((n_queries, n_slots), dtype=np.int64)
     pair_of[qi, slots] = np.arange(n_pairs)

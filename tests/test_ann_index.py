@@ -1,5 +1,5 @@
-"""Tests for the IVF ANN index, the PQ residual codec, capability probing,
-and the benchmark-side recall/ground-truth helpers."""
+"""Tests for the IVF ANN index, capability probing, and the benchmark-side
+recall/ground-truth helpers."""
 
 import math
 import sys
@@ -9,14 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api.registry import available_components, create_component, register_component
+from repro.api.registry import (
+    available_components,
+    create_component,
+    register_component,
+    unregister_component,
+)
 from repro.core.fairds import FairDS
 from repro.embedding import PCAEmbedder
 from repro.storage import (
     ClusteredVectorIndex,
     IVFVectorIndex,
     IndexCapabilities,
-    ProductQuantizer,
     VectorIndex,
     probe_index_capabilities,
 )
@@ -162,8 +166,6 @@ def test_ivf_empty_index_and_validation(rng):
     with pytest.raises(ConfigurationError):
         IVFVectorIndex(dim=3, train_threshold=1)
     with pytest.raises(ConfigurationError):
-        IVFVectorIndex(dim=3, pq=42)
-    with pytest.raises(ConfigurationError):
         IVFVectorIndex(dim=3, clustering_algorithm="no-such-algorithm")
     index = IVFVectorIndex(dim=3)
     with pytest.raises(StorageError):
@@ -219,68 +221,6 @@ def test_scan_stats_counters(rng):
     assert all(isinstance(v, int) for v in stats1.values())
 
 
-# -- product quantizer -----------------------------------------------------------
-def test_pq_roundtrip_reduces_error_vs_zero(rng):
-    pq = ProductQuantizer(dim=16, m=4, bits=6)
-    vectors = rng.normal(size=(600, 16))
-    pq.fit(vectors)
-    codes = pq.encode(vectors)
-    assert codes.shape == (600, 4) and codes.dtype == np.uint8
-    recon = pq.decode(codes)
-    err = float(np.mean(np.sum((vectors - recon) ** 2, axis=1)))
-    baseline = float(np.mean(np.sum(vectors**2, axis=1)))
-    assert err < 0.5 * baseline
-
-
-def test_pq_adc_approximates_true_distances(rng):
-    pq = ProductQuantizer(dim=8, m=4, bits=8)
-    vectors = rng.normal(size=(400, 8))
-    pq.fit(vectors)
-    codes = pq.encode(vectors)
-    queries = rng.normal(size=(5, 8))
-    adc = pq.adc(pq.distance_tables(queries), codes)
-    assert adc.shape == (5, 400)
-    true_d2 = ((queries[:, None, :] - pq.decode(codes)[None, :, :]) ** 2).sum(axis=2)
-    np.testing.assert_allclose(adc, true_d2, rtol=1e-6, atol=1e-6)
-
-
-def test_pq_validation_and_not_fitted():
-    with pytest.raises(ConfigurationError):
-        ProductQuantizer(dim=10, m=3)  # m must divide dim
-    with pytest.raises(ConfigurationError):
-        ProductQuantizer(dim=8, m=4, bits=0)
-    with pytest.raises(ConfigurationError):
-        ProductQuantizer(dim=8, m=4, bits=9)
-    pq = ProductQuantizer(dim=8, m=4)
-    with pytest.raises(NotFittedError):
-        pq.encode(np.zeros((1, 8)))
-    with pytest.raises(NotFittedError):
-        pq.distance_tables(np.zeros((1, 8)))
-    pq.fit(np.random.default_rng(0).normal(size=(300, 8)))
-    with pytest.raises(ValidationError):
-        pq.encode(np.zeros((1, 7)))
-
-
-def test_ivf_pq_path_reranks_to_high_recall(rng):
-    vectors, centers = _blobs(rng, 1500, n_blobs=12)
-    keys = [f"k{i}" for i in range(1500)]
-    index = IVFVectorIndex(
-        dim=8, n_partitions=12, n_probe=4, train_threshold=2,
-        pq={"m": 4, "bits": 8}, rerank=64,
-    )
-    index.add(keys, vectors)
-    assert index.is_trained
-    queries = centers[rng.integers(0, 12, size=48)] + rng.normal(size=(48, 8))
-    truth = [[keys[i] for i in row] for row in exact_nearest_neighbors(vectors, queries, 10)]
-    retrieved = [[k for k, _ in hits] for hits in index.query_batch(queries, k=10)]
-    assert recall_at_k(retrieved, truth, 10) >= 0.9
-    assert index.scan_stats()["reranked"] > 0
-    # Distances of the re-ranked hits are exact, not ADC approximations.
-    hit = index.query(vectors[7], k=1)[0]
-    assert hit[0] == "k7"
-    assert hit[1] == pytest.approx(0.0, abs=1e-5)
-
-
 # -- capability probing and composability ----------------------------------------
 def test_probe_index_capabilities_builtins():
     flat = VectorIndex(dim=3)
@@ -322,19 +262,22 @@ def test_fairds_composes_with_minimal_custom_backend(rng):
         supports_n_probe=False, supports_scan_stats=False,
     )
     register_component("index", "minimal-test", _MinimalIndex, overwrite=True)
-    images = rng.normal(size=(120, 6, 6))
-    labels = rng.integers(0, 4, size=120)
-    fairds = FairDS(PCAEmbedder(embedding_dim=4), n_clusters=3, seed=0,
-                    index_backend="minimal-test")
-    fairds.fit(images, labels)
-    assert fairds.index_capabilities == caps
-    assert fairds.index_n_probe is None
-    assert fairds.index_stats() == {}
-    with pytest.raises(ConfigurationError):
-        fairds.set_index_n_probe(4)
-    # nearest_labeled works through the per-row query() fallback.
-    hits = fairds.nearest_labeled(images[:3], threshold=None)
-    assert len(hits) == 3 and all(label is not None for label, _ in hits)
+    try:
+        images = rng.normal(size=(120, 6, 6))
+        labels = rng.integers(0, 4, size=120)
+        fairds = FairDS(PCAEmbedder(embedding_dim=4), n_clusters=3, seed=0,
+                        index_backend="minimal-test")
+        fairds.fit(images, labels)
+        assert fairds.index_capabilities == caps
+        assert fairds.index_n_probe is None
+        assert fairds.index_stats() == {}
+        with pytest.raises(ConfigurationError):
+            fairds.set_index_n_probe(4)
+        # nearest_labeled works through the per-row query() fallback.
+        hits = fairds.nearest_labeled(images[:3], threshold=None)
+        assert len(hits) == 3 and all(label is not None for label, _ in hits)
+    finally:
+        unregister_component("index", "minimal-test")
 
 
 def test_fairds_with_ivf_backend_exposes_knob(rng):

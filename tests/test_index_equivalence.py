@@ -5,22 +5,22 @@ array operations over ``VectorIndex.topk``) replaced a list-based
 implementation — per-partition ``(key, float)`` lists, dict-of-dict scatter,
 a Python sort per query — that lives on here as the **reference**: the new
 routine must return the same keys, the same float distances and the same tie
-order at every ``(k, n_probe)``, exact and PQ, and count the same scan
-effort.  The reference scans an exact partition with its own ``topk``, so that
-comparison is bit for bit on the merge; ``topk`` (which ranks on
-``|x|² − 2q·x`` and adds ``|q|²`` after selecting) is held to
+order at every ``(k, n_probe)``, and count the same scan effort.  The
+reference scans a partition with its own ``topk``, so that comparison is bit
+for bit on the merge; ``topk`` (which ranks on ``|x|² − 2q·x`` and adds
+``|q|²`` after selecting) is held to
 ``reference_topk`` (the clipped ``(|q|² + |x|²) − 2q·x``) bit for bit on
 grid-valued stores, where both are exact, and to the same keys with distances
 within 1e-9 on continuous ones.  Around that: ``ivf`` at full probe ≡ ``flat``
 ≡ ``clustered`` at full probe; ``topk`` with and without supplied query norms;
-an uncached mirror and an mmap-opened store ≡ the in-memory index.
+an uncached mirror ≡ the in-memory index.
 
 The partitioned *write* (``routed_upsert`` appending the rows it has shown to
 be new through ``VectorIndex._append``) replaced a per-key path — every
 partition's rows through the public ``add``, which looked each key up again —
 kept here as ``reference_flat_add`` / ``reference_routed_upsert``: the same
-adds through either leave the same keys, vectors and PQ codes in the same
-rows of the same partitions, and the same answers.
+adds through either leave the same keys and vectors in the same rows of the
+same partitions, and the same answers.
 
 Stores are hypothesis-generated with the cases the merge has to get right:
 duplicate vectors (grid-valued data, so distances tie exactly), upserts that
@@ -30,7 +30,7 @@ move a key between partitions, partitions left empty or smaller than ``k``,
 
 import tracemalloc
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 from unittest import mock
 
 import numpy as np
@@ -42,8 +42,6 @@ from repro.storage import (
     IVFVectorIndex,
     ShardedVectorStore,
     VectorIndex,
-    open_mmap,
-    save_mmap,
 )
 from repro.storage.vector_index import QueryResult, grown
 from repro.utils.stats import pairwise_squared_distances
@@ -122,42 +120,15 @@ def reference_probe_sets(sizes: List[int], probe_order: np.ndarray, k: int, n_pr
     return probe_lists
 
 
-def reference_scan_pq(ivf: IVFVectorIndex, pid: int, sub_queries: np.ndarray, k: int
-                      ) -> Tuple[List[QueryResult], int]:
-    """``IVFVectorIndex._scan_pq`` as it was: per-query result lists."""
-    state = ivf._state
-    pq, part = state.pq, state.partitions[pid]
-    n = len(part.index)
-    codes = part.codes[:n]
-    tables = pq.distance_tables(sub_queries - state.centers[pid])
-    adc = pq.adc(tables, codes)
-    r = min(max(k, ivf.rerank), n)
-    if r < n:
-        top = np.argpartition(adc, r - 1, axis=1)[:, :r]
-    else:
-        top = np.broadcast_to(np.arange(n), adc.shape)
-    vectors, keys = part.index.vectors, part.index.keys
-    out: List[QueryResult] = []
-    reranked = 0
-    for qi in range(sub_queries.shape[0]):
-        rows = top[qi]
-        exact = np.asarray(vectors[rows], dtype=np.float64)
-        d2 = np.sum((exact - sub_queries[qi]) ** 2, axis=1)
-        reranked += rows.shape[0]
-        order = np.argsort(d2, kind="stable")[:k]
-        out.append([(keys[int(rows[j])], float(np.sqrt(d2[j]))) for j in order])
-    return out, reranked
-
-
 def reference_partitioned_query(
     queries: np.ndarray, centers: np.ndarray, partitions: List[VectorIndex],
-    n_probe: int, k: int, ivf_pq: Optional[IVFVectorIndex] = None,
+    n_probe: int, k: int,
 ) -> Tuple[List[QueryResult], Dict[str, int]]:
     """The probe / scatter / merge both partitioned indexes carried: probe
     lists, a dict of query rows per partition, one scan per partition, a
-    dict-of-dicts of hits, and a Python sort of each query's candidates.  An
-    exact partition is scanned by its own ``topk``, so what is compared bit
-    for bit is the probe, scatter and merge; ``topk`` itself is held to
+    dict-of-dicts of hits, and a Python sort of each query's candidates.  A
+    partition is scanned by its own ``topk``, so what is compared bit for bit
+    is the probe, scatter and merge; ``topk`` itself is held to
     ``reference_topk``."""
     center_d2 = pairwise_squared_distances(queries, centers)
     probe_lists = reference_probe_sets(
@@ -167,18 +138,13 @@ def reference_partitioned_query(
     for qi, chosen in enumerate(probe_lists):
         for pid in chosen:
             by_partition.setdefault(pid, []).append(qi)
-    scanned = reranked = 0
+    scanned = 0
     partition_hits: Dict[int, Dict[int, QueryResult]] = {}
     for pid, q_indices in by_partition.items():
         part = partitions[pid]
-        sub_queries = queries[q_indices]
-        if ivf_pq is None:
-            rows, d2 = part.topk(sub_queries, k)
-            results = [[(part.keys[int(j)], float(np.sqrt(d))) for j, d in zip(q_rows, q_d2)]
-                       for q_rows, q_d2 in zip(rows, d2)]
-        else:
-            results, n_reranked = reference_scan_pq(ivf_pq, pid, sub_queries, k)
-            reranked += n_reranked
+        rows, d2 = part.topk(queries[q_indices], k)
+        results = [[(part.keys[int(j)], float(np.sqrt(d))) for j, d in zip(q_rows, q_d2)]
+                   for q_rows, q_d2 in zip(rows, d2)]
         scanned += len(part) * len(q_indices)
         partition_hits[pid] = dict(zip(q_indices, results))
     out: List[QueryResult] = []
@@ -189,7 +155,7 @@ def reference_partitioned_query(
         candidates.sort(key=lambda kv: kv[1])
         out.append(candidates[:k])
     counts = {"partitions_probed": sum(len(chosen) for chosen in probe_lists),
-              "candidates_scanned": scanned, "reranked": reranked}
+              "candidates_scanned": scanned}
     return out, counts
 
 
@@ -223,10 +189,9 @@ def reference_flat_add(index: VectorIndex, keys, vectors) -> None:
     index._writes += 1
 
 
-def reference_routed_upsert(key_partition, partitions, keys, assignments, *columns) -> None:
+def reference_routed_upsert(key_partition, partitions, keys, assignments, vectors) -> None:
     """``routed_upsert`` as it was: stale keys looked up one by one, a gather
-    per partition and column, and each partition's rows through ``add`` (for
-    an IVF inverted list: its PQ codes first, then the inner index's ``add``)."""
+    per partition, and each partition's rows through ``add``."""
     source_rows = {str(key): i for i, key in enumerate(keys)}
     if not source_rows:
         return
@@ -243,14 +208,7 @@ def reference_routed_upsert(key_partition, partitions, keys, assignments, *colum
     for members in np.split(order, np.flatnonzero(np.diff(routes[order])) + 1):
         pid, rows = int(routes[members[0]]), kept[members]
         member_keys = [keys[j] for j in members]
-        part = partitions[pid]
-        vectors, *codes = (column[rows] for column in columns)
-        if codes:
-            needed = part._code_size + len(rows)
-            part.codes = grown(part.codes, part._code_size, needed)
-            part.codes[part._code_size : needed] = codes[0]
-            part._code_size = needed
-        reference_flat_add(getattr(part, "index", part), member_keys, vectors)
+        reference_flat_add(partitions[pid], member_keys, vectors[rows])
         key_partition.update(dict.fromkeys(member_keys, pid))
 
 
@@ -267,8 +225,8 @@ def per_key_writes():
 
 def contents(index) -> list:
     """What an index holds, row by row: per flat store (a partition, a shard's
-    inverted list, ...) its keys and its vectors, then its PQ codes where it
-    has any; then the key -> partition maps met on the way."""
+    inverted list, ...) its keys and its vectors; then the key -> partition
+    maps met on the way."""
     if isinstance(index, VectorIndex):
         return [(index.keys, index.vectors.tolist())]
     if isinstance(index, ClusteredVectorIndex):
@@ -277,9 +235,7 @@ def contents(index) -> list:
         if index._state is None:
             return contents(index._flat)
         return [
-            (part.index.keys, part.index.vectors.tolist())
-            + (() if part.codes is None else (part.codes[: len(part.index)].tolist(),))
-            for part in index._state.partitions
+            (part.keys, part.vectors.tolist()) for part in index._state.partitions
         ] + [dict(index._key_partition), index._state.centers.tolist()]
     assert isinstance(index, ShardedVectorStore)
     return [(tenant, sorted(state.keys), [contents(shard) for shard in state.shards])
@@ -394,7 +350,7 @@ def test_partitioned_scan_equals_list_based_reference_at_every_n_probe(store, k,
     ivf = build_ivf(batches, n_parts)
     assume(ivf.is_trained)
     state = ivf._state
-    partitions = [part.index for part in state.partitions]
+    partitions = state.partitions
     for n_probe in range(1, len(partitions) + 1):
         ivf.set_n_probe(n_probe)
         before = ivf.scan_stats()
@@ -413,29 +369,8 @@ def test_partitioned_scan_equals_list_based_reference_at_every_n_probe(store, k,
 
 
 @SETTINGS
-@given(stores(), st.integers(1, 70), st.integers(1, 8), st.integers(1, 4), st.data())
-def test_pq_scan_equals_its_reference(store, k, rerank, bits, data):
-    batches, _, queries, n_parts, _ = store
-    dim = queries.shape[1]
-    m = data.draw(st.sampled_from([m for m in range(1, dim + 1) if dim % m == 0]))
-    ivf = build_ivf(batches, n_parts, pq={"m": m, "bits": bits}, rerank=rerank)
-    assume(ivf.is_trained)
-    partitions = [part.index for part in ivf._state.partitions]
-    for n_probe in range(1, len(partitions) + 1):
-        ivf.set_n_probe(n_probe)
-        before = ivf.scan_stats()
-        got = ivf.query_batch(queries, k=k)
-        after = ivf.scan_stats()
-        want, counts = reference_partitioned_query(
-            queries, ivf._state.centers, partitions, n_probe, k, ivf_pq=ivf)
-        assert got == want
-        assert {name: after[name] - before[name] for name in counts} == counts
-
-
-@SETTINGS
 @given(stores(), st.integers(1, 70), st.sampled_from([np.float32, np.float64]))
-def test_topk_norms_uncached_mirror_and_mmap_equal_the_in_memory_index(tmp_path_factory, store,
-                                                                       k, dtype):
+def test_topk_norms_and_uncached_mirror_equal_the_in_memory_index(store, k, dtype):
     batches, _, queries, _, _ = store
     flat = build_flat(batches, dtype=dtype)
     rows, d2 = flat.topk(queries, k)
@@ -454,8 +389,6 @@ def test_topk_norms_uncached_mirror_and_mmap_equal_the_in_memory_index(tmp_path_
     want = flat.query_batch(queries, k=k)
     uncached = build_flat(batches, dtype=dtype, cache_query_matrix=False)
     assert uncached.query_batch(queries, k=k) == want and uncached._mirror is None
-    mapped = open_mmap(save_mmap(flat, tmp_path_factory.mktemp("mmap")))
-    assert mapped.query_batch(queries, k=k) == want and mapped._mirror is None
 
 
 def test_a_nearest_row_scan_holds_one_distance_sized_temporary():
@@ -522,16 +455,13 @@ def build_sharded(batches, n_parts, **kwargs) -> ShardedVectorStore:
 
 
 @SETTINGS
-@given(stores(), st.integers(1, 70), st.integers(1, 4))
-def test_appending_proved_rows_leaves_what_the_per_key_path_left(store, k, bits):
+@given(stores(), st.integers(1, 70))
+def test_appending_proved_rows_leaves_what_the_per_key_path_left(store, k):
     batches, final, queries, n_parts, rng = store
-    dim = batches[0][1].shape[1]
     clustered_seed = int(rng.integers(2**32))
     builders = {
         "flat": lambda: build_flat(batches),
         "ivf": lambda: build_ivf(batches, n_parts, n_probe=2),
-        "ivf+pq": lambda: build_ivf(batches, n_parts, n_probe=2, rerank=3,
-                                    pq={"m": dim, "bits": bits, "max_iter": 4}),
         "clustered": lambda: build_clustered(
             batches, n_parts, np.random.default_rng(clustered_seed), n_probe=2),
         "sharded": lambda: build_sharded(batches, n_parts, replication=min(n_parts, 2)),
@@ -608,7 +538,7 @@ def flat_stores(index) -> List[VectorIndex]:
     if isinstance(index, IVFVectorIndex):
         if index._state is None:
             return [index._flat]
-        return [part.index for part in index._state.partitions]
+        return list(index._state.partitions)
     return [store for state in index._tenants.values() for shard in state.shards
             for store in flat_stores(shard)]
 
@@ -637,12 +567,7 @@ def assert_answers_as_if_rebuilt(index, ask, queries, k):
 
 @SETTINGS
 @given(histories(), st.sampled_from([np.float32, np.float64]), st.booleans())
-def test_a_flat_index_answers_as_a_fresh_one_after_any_history(tmp_path_factory, history, dtype,
-                                                              cache):
-    import pytest
-
-    from repro.utils.errors import StorageError
-
+def test_a_flat_index_answers_as_a_fresh_one_after_any_history(history, dtype, cache):
     ops, dim = history
     index = VectorIndex(dim, dtype=dtype, cache_query_matrix=cache)
     final: Dict[str, np.ndarray] = {}
@@ -661,28 +586,20 @@ def test_a_flat_index_answers_as_a_fresh_one_after_any_history(tmp_path_factory,
             key: vector.astype(dtype).tolist() for key, vector in final.items()}
     assert (index._mirror is not None) == cache
 
-    _, queries, k = ops[-1]
-    mapped = open_mmap(save_mmap(index, tmp_path_factory.mktemp("mmap")))
-    assert mapped.query_batch(queries, k=k) == index.query_batch(queries, k=k)
-    with pytest.raises(StorageError, match="read-only"):
-        mapped.add(["late"], np.zeros((1, dim)))
-    assert mapped._mirror is None and not mapped.cache_query_matrix and len(mapped) == len(final)
-
 
 @SETTINGS
 @given(histories(), st.sampled_from([np.float32, np.float64]), st.booleans(),
-       st.sampled_from(["clustered", "ivf", "ivf+pq", "sharded", "sharded ivf"]), st.integers(1, 5))
+       st.sampled_from(["clustered", "ivf", "sharded", "sharded ivf"]), st.integers(1, 5))
 def test_partitioned_indexes_answer_as_fresh_ones_after_any_history(history, dtype, cache,
                                                                     backend, n_parts):
     ops, dim = history
     rng = np.random.default_rng(len(ops))
     ivf_params = {"n_partitions": n_parts, "train_threshold": 4, "cache_query_matrix": cache,
-                  "n_probe": 2, **({"pq": {"m": dim, "bits": 2, "max_iter": 3}, "rerank": 3}
-                                   if backend == "ivf+pq" else {})}
+                  "n_probe": 2}
     if backend == "clustered":
         index = ClusteredVectorIndex(rng.normal(scale=3.0, size=(n_parts, dim)), n_probe=2,
                                      dtype=dtype, cache_query_matrix=cache)
-    elif backend.startswith("ivf"):
+    elif backend == "ivf":
         index = IVFVectorIndex(dim, dtype=dtype, seed=1, **ivf_params)
     else:
         index = ShardedVectorStore(

@@ -512,6 +512,41 @@ def test_a_raising_probe_ejects_like_a_failing_one_and_is_counted_and_logged():
     assert len(raised) == 2 and all(r.exc_info is not None for r in raised)
 
 
+def test_a_raising_connection_close_is_counted_and_logged_and_close_still_joins():
+    registry = MetricsRegistry()
+    rs = _replica_set()
+    server = NetworkServer(rs, registry=registry).start()
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.net.server")
+    logger.addHandler(handler)
+    errors = registry.get("repro_internal_errors_total").labels(site="server.close")
+    sock = socket.create_connection(server.address, timeout=10.0)
+    try:
+        sock.settimeout(10.0)
+        write_frame(sock, {"id": 1, "op": "double", "payload": 2})
+        assert decode(read_frame(sock)["result"]) == 4  # the connection is registered
+        (conn,) = server._connections
+        real_close = conn.writer.close
+
+        def raising_close():
+            real_close()  # the transport still closes; only the call raises
+            raise OSError("close failed")
+
+        conn.writer.close = raising_close
+        server.close()
+        assert not server._thread.is_alive()
+        # Both sites: the shutdown pass and the connection's own teardown.
+        assert errors.value == 2.0
+    finally:
+        logger.removeHandler(handler)
+        sock.close()
+        rs.close()
+    failed = [r for r in records if "closing the connection" in r.getMessage()]
+    assert len(failed) == 2 and all(r.exc_info is not None for r in failed)
+
+
 # ---------------------------------------------------------------------------------
 # Chaos: kill a replica under concurrent wire load — zero lost requests
 # ---------------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_unified_registry_covers_every_component_kind():
     assert {"pca", "autoencoder", "contrastive", "byol"} <= set(available_components("embedder"))
     assert "kmeans" in available_components("clustering")
     assert {"file", "documentdb"} <= set(available_components("storage"))
-    assert {"flat", "clustered", "mmap"} <= set(available_components("index"))
+    assert set(available_components("index")) == {"flat", "clustered", "ivf", "sharded"}
     assert {"braggnn", "cookienetae", "tomogan"} <= set(available_components("model"))
     assert {"threshold", "certainty"} <= set(available_components("trigger"))
     assert {"batching", "update"} <= set(available_components("policy"))

@@ -1125,102 +1125,3 @@ def test_snapshot_one_returns_consistent_copy():
     assert coll.find_one({"tag": "latest"})["model_id"] == "m1"
     # ...and a miss returns None.
     assert coll.snapshot_one({"tag": "ghost"}) is None
-
-
-# ---------------------------------------------------------------------------------
-# mmap vector index
-# ---------------------------------------------------------------------------------
-def _mmap_fixture_index(rng, n=40, dim=6):
-    index = VectorIndex(dim, dtype=np.float32)
-    vectors = rng.normal(size=(n, dim)).astype(np.float32)
-    index.add([f"k{i}" for i in range(n)], vectors)
-    return index, vectors
-
-
-def test_save_mmap_and_open_match_source_index(tmp_path, rng):
-    from repro.storage.vector_index import open_mmap, save_mmap
-
-    index, vectors = _mmap_fixture_index(rng)
-    path = save_mmap(index, tmp_path / "idx")
-    opened = open_mmap(path)
-    assert len(opened) == len(index) and opened.dim == index.dim
-    queries = rng.normal(size=(7, 6))
-    assert opened.query_batch(queries, k=3) == index.query_batch(queries, k=3)
-
-
-def test_mmap_index_is_shared_read_only_across_processes(tmp_path, rng):
-    import multiprocessing
-
-    from repro.storage.vector_index import open_mmap, save_mmap
-
-    index, _vectors = _mmap_fixture_index(rng)
-    path = save_mmap(index, tmp_path / "idx")
-    queries = rng.normal(size=(5, 6))
-    expected = index.query_batch(queries, k=2)
-
-    def reader(q):
-        q.put(open_mmap(path).query_batch(queries, k=2))
-
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
-    queue = ctx.Queue()
-    procs = [ctx.Process(target=reader, args=(queue,)) for _ in range(2)]
-    for p in procs:
-        p.start()
-    results = [queue.get(timeout=30) for _ in procs]
-    for p in procs:
-        p.join(timeout=30)
-    # Both processes see the identical store (pages shared via the OS cache).
-    assert results[0] == expected and results[1] == expected
-
-
-def test_mmap_index_rejects_writes_with_clear_error(tmp_path, rng):
-    from repro.storage.vector_index import open_mmap, save_mmap
-
-    index, _ = _mmap_fixture_index(rng)
-    opened = open_mmap(save_mmap(index, tmp_path / "idx"))
-    with pytest.raises(StorageError, match="read-only"):
-        opened.add(["x"], np.zeros((1, 6), dtype=np.float32))
-
-
-def test_save_mmap_input_validation(tmp_path):
-    from repro.storage.vector_index import save_mmap
-
-    with pytest.raises(StorageError, match="flat VectorIndex"):
-        save_mmap(object(), tmp_path / "idx")
-    with pytest.raises(StorageError, match="empty"):
-        save_mmap(VectorIndex(4), tmp_path / "idx")
-
-
-def test_open_mmap_rejects_missing_or_corrupt_directories(tmp_path, rng):
-    import json as json_module
-
-    from repro.storage.vector_index import open_mmap, save_mmap
-
-    with pytest.raises(StorageError, match="no meta.json"):
-        open_mmap(tmp_path / "nothing")
-
-    index, _ = _mmap_fixture_index(rng)
-    path = save_mmap(index, tmp_path / "idx")
-    meta = json_module.loads((path / "meta.json").read_text())
-    meta["format"] = "someone-elses-format"
-    (path / "meta.json").write_text(json_module.dumps(meta))
-    with pytest.raises(StorageError, match="unrecognised"):
-        open_mmap(path)
-    meta["format"] = "repro-mmap-index"
-    meta["size"] = 999
-    (path / "meta.json").write_text(json_module.dumps(meta))
-    with pytest.raises(StorageError, match="inconsistent"):
-        open_mmap(path)
-
-
-def test_mmap_index_available_through_component_registry(tmp_path, rng):
-    from repro.api.registry import create_component
-    from repro.storage.vector_index import MmapVectorIndex, save_mmap
-
-    index, _ = _mmap_fixture_index(rng)
-    path = save_mmap(index, tmp_path / "idx")
-    opened = create_component("index", "mmap", path=path)
-    assert isinstance(opened, MmapVectorIndex)
-    assert len(opened) == len(index)
