@@ -121,6 +121,87 @@ def test_ivf_partial_probe_has_high_recall_on_clustered_data(rng):
     assert recall_at_k(retrieved, truth, 10) >= 0.95
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ivf_partial_probe_returns_exact_distances(rng, dtype):
+    vectors, centers = _blobs(rng, 1500, n_blobs=12)
+    keys = [f"k{i}" for i in range(1500)]
+    index = IVFVectorIndex(dim=8, n_partitions=12, n_probe=4, train_threshold=2, dtype=dtype)
+    index.add(keys, vectors)
+    assert index.is_trained
+    stored = vectors.astype(dtype).astype(np.float64)
+    queries = centers[rng.integers(0, 12, size=48)] + rng.normal(size=(48, 8))
+    truth = [[keys[i] for i in row] for row in exact_nearest_neighbors(stored, queries, 10)]
+    hits = index.query_batch(queries, k=10)
+    assert recall_at_k([[k for k, _ in row] for row in hits], truth, 10) >= 0.9
+    # Every probed partition is scanned in full precision: a hit's distance
+    # is the true distance to its stored vector, not an approximation.
+    row_of = {key: i for i, key in enumerate(keys)}
+    for query, row in zip(queries, hits):
+        want = np.linalg.norm(stored[[row_of[k] for k, _ in row]] - query, axis=1)
+        np.testing.assert_allclose([d for _, d in row], want, rtol=1e-9, atol=1e-9)
+    hit = index.query(stored[7], k=1)[0]
+    assert hit[0] == "k7"
+    assert hit[1] == pytest.approx(0.0, abs=1e-5)
+
+
+def test_ivf_partitions_are_plain_vector_indexes(rng):
+    vectors, _ = _blobs(rng, 300)
+    index = IVFVectorIndex(dim=8, n_partitions=6, train_threshold=2, dtype=np.float64,
+                           cache_query_matrix=False)
+    index.add([f"k{i}" for i in range(300)], vectors)
+    partitions = index._state.partitions
+    assert len(partitions) == 6
+    assert all(type(part) is VectorIndex for part in partitions)
+    assert all(part.dtype == np.float64 and not part.cache_query_matrix for part in partitions)
+    assert len(index) == sum(len(part) for part in partitions) == 300
+    for key, pid in index._key_partition.items():
+        assert key in partitions[pid]
+    assert sorted(k for part in partitions for k in part.keys) == sorted(index._key_partition)
+
+
+@pytest.mark.parametrize("backend", ["clustered", "ivf"])
+def test_an_upsert_that_reroutes_a_key_leaves_one_row(backend, rng):
+    centers = np.array([[0.0] * 4, [50.0] * 4])
+    vectors = np.vstack([centers[0] + rng.normal(size=(20, 4)),
+                         centers[1] + rng.normal(size=(20, 4))])
+    keys = [f"k{i}" for i in range(40)]
+    if backend == "clustered":
+        index = ClusteredVectorIndex(centers, n_probe=1)
+        index.add(keys, vectors, [0] * 20 + [1] * 20)
+        index.add(["k0"], centers[1][None], [1])
+        partitions = index._partitions
+    else:
+        index = IVFVectorIndex(dim=4, n_partitions=2, n_probe=1, train_threshold=2)
+        index.add(keys, vectors)
+        index.add(["k0"], centers[1][None])
+        partitions = index._state.partitions
+    assert len(index) == sum(len(part) for part in partitions) == 40
+    holding = [pid for pid, part in enumerate(partitions) if "k0" in part]
+    assert len(holding) == 1 and "k20" in partitions[holding[0]]
+    assert index.query(centers[1], k=1)[0] == ("k0", pytest.approx(0.0, abs=1e-6))
+    everything = [k for k, _ in index.query_batch(vectors[:1], k=40)[0]]
+    assert sorted(everything) == sorted(keys)
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_discard_swaps_the_last_row_in_and_answers_as_a_fresh_index(rng, dtype, cache):
+    vectors = rng.normal(size=(6, 3))
+    index = VectorIndex(3, dtype=dtype, cache_query_matrix=cache)
+    index.add([f"k{i}" for i in range(6)], vectors)
+    queries = rng.normal(size=(4, 3))
+    index.query_batch(queries, k=3)  # a kept mirror must not outlive the discard
+    assert index.discard(["k1", "absent", "k1"]) is None
+    assert index.keys == ("k0", "k5", "k2", "k3", "k4")
+    assert index.discard(["k4"]) is None  # the last row: nothing to swap in
+    assert index.keys == ("k0", "k5", "k2", "k3")
+    assert len(index) == 4 and "k1" not in index and "k4" not in index
+    np.testing.assert_array_equal(index.vectors, vectors[[0, 5, 2, 3]].astype(dtype))
+    fresh = VectorIndex(3, dtype=dtype)
+    fresh.add(list(index.keys), index.vectors)
+    assert index.query_batch(queries, k=4) == fresh.query_batch(queries, k=4)
+
+
 def test_ivf_k_larger_than_store(rng):
     index = IVFVectorIndex(dim=3, n_partitions=2, train_threshold=2)
     index.add(["a", "b", "c"], rng.normal(size=(3, 3)))

@@ -81,6 +81,12 @@ def test_unknown_backend_and_kind_raise():
         available_components("bogus-kind")
 
 
+def test_an_unknown_index_name_is_refused_with_the_builtins_listed():
+    with pytest.raises(ConfigurationError, match="available") as err:
+        create_component("index", "mmap", path="idx")
+    assert all(repr(name) in str(err.value) for name in ("flat", "clustered", "ivf", "sharded"))
+
+
 def test_register_custom_backend_decorator_and_duplicates():
     try:
 

@@ -194,6 +194,7 @@ def _observed(fairds, answers):
 @pytest.mark.parametrize("cache_size", [4096, 16, 0])
 @pytest.mark.parametrize("backend, params", [
     ("ivf", {"n_partitions": 5, "train_threshold": 40}),
+    ("ivf", {"n_partitions": 5, "train_threshold": 40, "n_probe": 1}),
     ("clustered", {}),
     ("flat", {}),
 ])  # ("sharded" places a row by its key's hash, and ids differ between two instances)

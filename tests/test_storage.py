@@ -1125,3 +1125,10 @@ def test_snapshot_one_returns_consistent_copy():
     assert coll.find_one({"tag": "latest"})["model_id"] == "m1"
     # ...and a miss returns None.
     assert coll.snapshot_one({"tag": "ghost"}) is None
+
+
+def test_every_exported_storage_name_resolves():
+    import repro.storage as storage
+
+    assert [name for name in storage.__all__ if not hasattr(storage, name)] == []
+    assert len(set(storage.__all__)) == len(storage.__all__)
