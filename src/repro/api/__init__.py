@@ -48,7 +48,6 @@ _EXPORTS = {
     "NetworkSpec": "repro.api.spec",
     "ObservabilitySpec": "repro.api.spec",
     "ServingSpec": "repro.api.spec",
-    "ShardingSpec": "repro.api.spec",
     "StorageSpec": "repro.api.spec",
     "SystemSpec": "repro.api.spec",
     "preset": "repro.api.spec",

@@ -81,10 +81,6 @@ class Deployment:
         index_params = dict(spec.index.params)
         if spec.index.n_probe is not None:
             index_params["n_probe"] = spec.index.n_probe
-        if spec.sharding is not None:
-            # The declarative shard topology becomes ShardedVectorStore
-            # constructor kwargs; the spec already rejected overlapping keys.
-            index_params.update(spec.sharding.store_params())
         self.fairds = FairDS(
             embedder,
             n_clusters=spec.clustering.n_clusters,
@@ -521,13 +517,6 @@ class Deployment:
                 "promoted_model": promoted[0] if promoted else None,
                 "promoted_version": promoted[1] if promoted else None,
                 "promotions": zoo.promotion_count(self.tag) if promoted else 0,
-            }
-        if self.spec.sharding is not None:
-            # Declared topology next to the live store's counters (empty
-            # before fit): drift between them is what an operator greps for.
-            snap["sharding"] = {
-                "spec": self.spec.sharding.to_dict(),
-                "stats": self.fairds.index_stats() or None,
             }
         if self._runtime is not None:
             snap["serving"] = self._runtime.telemetry_snapshot()

@@ -12,7 +12,7 @@ embedder   ``pca``, ``autoencoder``, ``contrastive``,     :mod:`repro.embedding`
            ``byol``
 clustering ``kmeans``                                     :mod:`repro.clustering`
 storage    ``documentdb``, ``file``                       :mod:`repro.storage`
-index      ``flat``, ``clustered``, ``ivf``, ``sharded``  :mod:`repro.storage`
+index      ``flat``, ``clustered``, ``ivf``                :mod:`repro.storage`
 model      ``braggnn``, ``cookienetae``, ``tomogan``      :mod:`repro.models`
 trigger    ``threshold``, ``certainty``                   :mod:`repro.monitoring`
 policy     ``batching``, ``update``                       serving / core
@@ -145,7 +145,6 @@ def _load_builtins() -> None:
     from repro.storage.documentdb import DocumentDB, NetworkModel
     from repro.storage.file_store import FileStore
     from repro.storage.ivf_index import IVFVectorIndex
-    from repro.storage.sharded import ShardedVectorStore
     from repro.storage.vector_index import ClusteredVectorIndex, VectorIndex
 
     def _make_documentdb(codec=None, network=None, **kwargs: Any) -> DocumentDB:
@@ -161,7 +160,6 @@ def _load_builtins() -> None:
     _builtin("index", "flat", VectorIndex)
     _builtin("index", "clustered", ClusteredVectorIndex)
     _builtin("index", "ivf", IVFVectorIndex)
-    _builtin("index", "sharded", ShardedVectorStore)
 
     from repro.models import build_braggnn, build_cookienetae, build_tomogan_denoiser
 

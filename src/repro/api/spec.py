@@ -34,9 +34,8 @@ Named presets (:func:`preset`) describe the canonical configurations —
 micro-batching runtime), ``"continual"`` (adds the drift-triggered retraining
 loop), ``"ann"`` (the data plane with the IVF approximate index and a live
 ``n_probe`` serving knob), ``"parallel"`` (the continual loop on the
-process compute plane), ``"sharded"`` (the data plane over the multi-tenant
-sharded store with fair round-robin serving), ``"networked"`` (the serving
-system behind the TCP network plane with replicas and autoscaling) —
+process compute plane), ``"networked"`` (the serving system behind the TCP
+network plane with replicas and autoscaling) —
 defined only by the JSON files shipped as ``repro/api/presets/*.json``.
 """
 
@@ -47,7 +46,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -66,7 +64,6 @@ __all__ = [
     "ClusteringSpec",
     "StorageSpec",
     "IndexSpec",
-    "ShardingSpec",
     "ModelSpec",
     "ServingSpec",
     "ContinualSpec",
@@ -229,6 +226,16 @@ def _section(cls: type) -> Check:
     return check
 
 
+def _retired(reason: str) -> Check:
+    """A removed field kept as a slot that accepts only ``None`` (which is
+    never checked), so spec files still carrying its ``null`` keep loading."""
+
+    def check(owner: str, name: str, value: Any) -> Any:
+        raise ConfigurationError(f"{owner}.{name}: {reason}; the field may only be null")
+
+    return check
+
+
 def _trial_construct(owner: str, build, *args, **kwargs) -> Any:
     """Eagerly construct a component to surface bad parameters at spec time."""
     try:
@@ -363,53 +370,6 @@ class IndexSpec(_Spec):
                 "n_probe; use a probing backend ('clustered', 'ivf') or "
                 "drop the field"
             )
-
-
-@dataclass(frozen=True)
-class ShardingSpec(_Spec):
-    """Topology and tenancy of the ``"sharded"`` index backend.
-
-    Declares *how many* shard backends each tenant gets, how writes are
-    replicated across them, which registered index backend every shard runs,
-    and the per-tenant unique-key quotas — the Pulumi-style "cluster as
-    validated config" shape, so scaling out is a spec edit, not a wiring
-    script.  Only meaningful together with ``IndexSpec(backend="sharded")``;
-    :class:`SystemSpec` enforces that pairing.
-    """
-
-    shards: int = _field(4, _integer(1))
-    replication: int = _field(1, _integer(1))
-    shard_backend: str = _field("flat", _registered("index"))
-    shard_params: Mapping[str, Any] = _field(dict, _mapping)
-    #: Default cap on unique keys per tenant (``None`` = unlimited).
-    default_quota: Optional[int] = _field(None, _integer(1))
-    #: Per-tenant overrides of ``default_quota``.
-    tenant_quotas: Mapping[str, int] = _field(dict, partial(_mapping, values=_integer(1)))
-
-    def _validate(self) -> None:
-        if self.replication > self.shards:
-            raise ConfigurationError(
-                f"ShardingSpec.replication must be an integer in [1, shards={self.shards}]"
-            )
-        if self.shard_backend == "sharded":
-            raise ConfigurationError("ShardingSpec.shard_backend cannot itself be 'sharded'")
-        from repro.storage.sharded import ShardedVectorStore
-
-        # Eager trial construction builds the shard-backend template, so bad
-        # shard_params fail at spec time like every other section.
-        _trial_construct("ShardingSpec", ShardedVectorStore, dim=4, **self.store_params())
-
-    def store_params(self) -> Dict[str, Any]:
-        """The :class:`ShardedVectorStore` constructor kwargs this spec names
-        (merged under ``IndexSpec.params`` by the deployment wiring)."""
-        return {
-            "n_shards": self.shards,
-            "replication": self.replication,
-            "shard_backend": self.shard_backend,
-            "shard_params": dict(self.shard_params),
-            "tenant_quota": self.default_quota,
-            "tenant_quotas": dict(self.tenant_quotas),
-        }
 
 
 @dataclass(frozen=True)
@@ -581,8 +541,8 @@ class SystemSpec(_Spec):
     clustering: ClusteringSpec = _field(ClusteringSpec, _section(ClusteringSpec))
     storage: StorageSpec = _field(StorageSpec, _section(StorageSpec))
     index: IndexSpec = _field(IndexSpec, _section(IndexSpec))
-    #: Shard topology and tenancy; requires ``index.backend == "sharded"``.
-    sharding: Optional[ShardingSpec] = _field(None, _section(ShardingSpec))
+    #: Retired: spec files that still carry ``"sharding": null`` keep loading.
+    sharding: None = _field(None, _retired("the sharded store was removed"))
     model: Optional[ModelSpec] = _field(None, _section(ModelSpec))
     serving: Optional[ServingSpec] = _field(None, _section(ServingSpec))
     continual: Optional[ContinualSpec] = _field(None, _section(ContinualSpec))
@@ -603,19 +563,6 @@ class SystemSpec(_Spec):
                 "SystemSpec: a 'continual' section requires a 'model' section "
                 "(the loop retrains the application model)"
             )
-        if self.sharding is not None:
-            if self.index.backend != "sharded":
-                raise ConfigurationError(
-                    "SystemSpec: a 'sharding' section requires "
-                    "IndexSpec(backend='sharded'); got "
-                    f"index.backend={self.index.backend!r}"
-                )
-            overlap = sorted(set(self.index.params) & set(self.sharding.store_params()))
-            if overlap:
-                raise ConfigurationError(
-                    f"SystemSpec: index.params must not duplicate sharding fields {overlap}; "
-                    "declare the topology once, in the 'sharding' section"
-                )
         if self.storage.backend == "file":
             raise ConfigurationError(
                 "SystemSpec.storage: the system store must be a document database "
@@ -735,9 +682,6 @@ def preset(name: str) -> SystemSpec:
     * ``"parallel"`` — the ``"continual"`` system with the process compute
       plane (two workers, shared-memory handoff) under training, MC probes,
       and peak fitting.
-    * ``"sharded"`` — the data plane over the multi-tenant sharded store
-      (four flat shards per tenant, per-tenant quotas wide enough for smoke
-      ingests) with fair round-robin tenancy in the serving runtime.
     * ``"networked"`` — the ``"serving"`` system behind the TCP network
       plane: two replicas, client-visible typed errors, and a
       telemetry-driven autoscaler that CLI/CI bursts can actually trip (fast

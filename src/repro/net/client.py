@@ -147,8 +147,7 @@ class NetworkClient:
             pass
 
     # -- calls -------------------------------------------------------------------
-    def call(self, op: str, payload: Any = None, tenant: Optional[str] = None,
-             timeout: Optional[float] = None) -> Any:
+    def call(self, op: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
         """One request/response; retries transient faults inside the deadline.
 
         Raises :class:`DeadlineExceededError` when the end-to-end budget is
@@ -160,7 +159,6 @@ class NetworkClient:
             "id": None,  # stamped per attempt
             "op": op,
             "payload": encode(payload),
-            "tenant": tenant,
             "deadline_ms": None,
         }
         last_exc: Optional[BaseException] = None
@@ -329,7 +327,7 @@ class AsyncNetworkClient:
             if not future.done():
                 future.set_exception(exc)
 
-    async def call(self, op: str, payload: Any = None, tenant: Optional[str] = None,
+    async def call(self, op: str, payload: Any = None,
                    timeout: Optional[float] = None) -> Any:
         deadline = time.monotonic() + (timeout if timeout is not None else self.timeout_s)
         encoded = encode(payload)
@@ -342,7 +340,7 @@ class AsyncNetworkClient:
                 ) from last_exc
             try:
                 response = await asyncio.wait_for(
-                    self._attempt(op, encoded, tenant, remaining), timeout=remaining
+                    self._attempt(op, encoded, remaining), timeout=remaining
                 )
             except asyncio.TimeoutError as exc:
                 raise DeadlineExceededError(
@@ -378,7 +376,7 @@ class AsyncNetworkClient:
         ) from last_exc
 
     async def _attempt(self, op: str, encoded_payload: Any,
-                       tenant: Optional[str], remaining_s: float) -> Dict[str, Any]:
+                       remaining_s: float) -> Dict[str, Any]:
         await self._ensure_connected()
         assert self._writer is not None
         request_id = next(self._ids)
@@ -386,7 +384,7 @@ class AsyncNetworkClient:
         self._pending[request_id] = future
         frame = encode_frame(
             {"id": request_id, "op": op, "payload": encoded_payload,
-             "tenant": tenant, "deadline_ms": remaining_s * 1000.0},
+             "deadline_ms": remaining_s * 1000.0},
             self.max_frame_bytes,
         )
         try:

@@ -15,8 +15,8 @@ instead of a hang or a desynchronised stream.
 
 Requests and responses are plain dicts:
 
-* request — ``{"id": n, "op": str, "payload": ..., "tenant": str|None,
-  "deadline_ms": float|None}``
+* request — ``{"id": n, "op": str, "payload": ..., "deadline_ms": float|None}``
+  (a server ignores keys it does not read)
 * success — ``{"id": n, "ok": True, "result": ...}``
 * error — ``{"id": n|None, "ok": False, "error": {"type": str,
   "message": str}}`` (``id`` is ``None`` when the offending frame could not
@@ -86,12 +86,15 @@ def encode(value: Any) -> Any:
     if isinstance(value, float):
         return value
     if isinstance(value, np.ndarray):
-        arr = np.ascontiguousarray(value)
+        if value.dtype.hasobject:  # its buffer holds heap pointers, not values
+            raise NetworkError(f"cannot encode an array of dtype {value.dtype} for the wire")
+        # tobytes() is C order whatever the layout, so no contiguous copy
+        # (np.ascontiguousarray would turn a 0-d array into shape (1,)).
         return {
             _KIND: "ndarray",
-            "dtype": str(arr.dtype),
-            "shape": list(arr.shape),
-            "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+            "dtype": str(value.dtype),
+            "shape": list(value.shape),
+            "data": base64.b64encode(value.tobytes()).decode("ascii"),
         }
     if isinstance(value, np.generic):  # numpy scalar -> native
         return encode(value.item())

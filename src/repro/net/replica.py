@@ -277,8 +277,7 @@ class ReplicaSet:
             self._m_depth.labels(replica=str(replica.id)).set(replica.load())
         return ordered
 
-    def submit(self, op: str, payload: Any, tenant: Optional[str] = None,
-               trace: Optional[Any] = None,
+    def submit(self, op: str, payload: Any, trace: Optional[Any] = None,
                deadline: Optional[float] = None) -> Future:
         """Route one request to the best replica; fails over on lifecycle
         errors (closed/crashed replicas count against their health).
@@ -293,9 +292,7 @@ class ReplicaSet:
         overloaded = False
         for replica in self._pick():
             try:
-                future = replica.runtime.submit(
-                    op, payload, tenant=tenant, trace=trace, deadline=deadline
-                )
+                future = replica.runtime.submit(op, payload, trace=trace, deadline=deadline)
             except ConfigurationError:
                 raise  # unknown op: identical on every replica, not a health event
             except ServiceOverloadedError as exc:
@@ -317,9 +314,8 @@ class ReplicaSet:
             f"no healthy replica could accept operation {op!r}"
         ) from last_exc
 
-    def call(self, op: str, payload: Any, timeout: Optional[float] = None,
-             tenant: Optional[str] = None) -> Any:
-        return self.submit(op, payload, tenant=tenant).result(timeout=timeout)
+    def call(self, op: str, payload: Any, timeout: Optional[float] = None) -> Any:
+        return self.submit(op, payload).result(timeout=timeout)
 
     # -- health ------------------------------------------------------------------
     def _note_probe(self, replica: Replica, ok: bool) -> None:

@@ -93,9 +93,8 @@ class NetworkServer:
     Parameters
     ----------
     target:
-        Anything with ``submit(op, payload, tenant=..., trace=...,
-        deadline=...) -> Future`` — a :class:`ReplicaSet` or a single started
-        runtime.
+        Anything with ``submit(op, payload, trace=..., deadline=...) ->
+        Future`` — a :class:`ReplicaSet` or a single started runtime.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
@@ -318,7 +317,7 @@ class NetworkServer:
             )
         try:
             future = self._target.submit(
-                op, payload, tenant=body.get("tenant"), trace=root,
+                op, payload, trace=root,
                 deadline=None if deadline_ms is None else t_recv + deadline_ms / 1e3,
             )
         except ServiceOverloadedError as exc:
@@ -363,9 +362,7 @@ class NetworkServer:
         t_start = time.monotonic()
         status = "ok"
         try:
-            result = future.result()
-            body: Dict[str, Any] = {"id": request_id, "ok": True,
-                                    "result": encode(result)}
+            body: Dict[str, Any] = {"id": request_id, "ok": True, "result": future.result()}
         except ServiceOverloadedError as exc:
             status, body = "overloaded", error_body("overloaded", str(exc), request_id)
         except ServiceClosedError as exc:
@@ -381,6 +378,8 @@ class NetworkServer:
             status, body = "internal", error_body("internal", f"{type(exc).__name__}: {exc}",
                                                   request_id)
         try:
+            if status == "ok":
+                body["result"] = encode(body["result"])
             frame = encode_frame(body, self.max_frame_bytes)
         except FrameTooLargeError as exc:
             status = "frame_too_large"

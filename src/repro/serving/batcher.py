@@ -12,15 +12,6 @@ Batches therefore form exactly when they can pay off: while every worker is
 busy, requests accumulate, and the batch is cut at the last possible moment —
 when a worker asks for it.  A lone request under light traffic is taken by an
 idle worker at once; nothing ever waits for a batch that is not forming.
-
-With ``fair_tenancy=True`` the single FIFO becomes per-tenant FIFOs drained
-round-robin: each batch interleaves one request per queued tenant in
-rotation, and admission caps any one tenant at its fair share of
-``max_queue_depth`` (``max_queue_depth // active tenants``) while others
-have requests queued — one hot tenant can neither fill a batch nor the
-queue when competing traffic is present.  A lone tenant still gets the
-whole queue (work-conserving), and untenanted requests form their own
-rotation class.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, List, Optional
 
 from repro.utils.errors import (
     ConfigurationError,
@@ -58,18 +49,11 @@ class BatchingPolicy:
         fast with :class:`ServiceOverloadedError` instead of growing the
         queue, so overload surfaces as rejections rather than latency
         collapse or deadlock.
-    fair_tenancy:
-        Drain per-tenant queues round-robin instead of one global FIFO, and
-        cap each tenant's queued requests at its fair share of
-        ``max_queue_depth`` while other tenants are queued (see the module
-        docstring).  Off by default: untenanted workloads keep the exact
-        single-FIFO behaviour.
     """
 
     max_batch_size: int = 32
     max_wait_ms: float = 2.0
     max_queue_depth: int = 1024
-    fair_tenancy: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -78,8 +62,6 @@ class BatchingPolicy:
             raise ConfigurationError("max_wait_ms must be non-negative")
         if self.max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be >= 1")
-        if not isinstance(self.fair_tenancy, bool):
-            raise ConfigurationError("fair_tenancy must be a boolean")
 
 
 @dataclass
@@ -88,8 +70,6 @@ class Request:
 
     op: str
     payload: Any
-    #: Tenant the request belongs to; only consulted under ``fair_tenancy``.
-    tenant: Optional[str] = None
     #: ``time.monotonic()`` instant after which the result is useless to the
     #: caller; a worker that picks the request up later fails it with
     #: :class:`~repro.utils.errors.DeadlineExceededError` instead of running it.
@@ -124,11 +104,6 @@ class MicroBatcher:
         self._cond = cond if cond is not None else threading.Condition()
         self._closed = False
         self._admitted = 0
-        # Fair-tenancy state (unused on the default single-FIFO path).
-        self._fair = self.policy.fair_tenancy
-        self._queues: Dict[str, Deque[Request]] = {}
-        self._ring: Deque[str] = deque()  # tenants with queued requests, rotation order
-        self._n_queued = 0
 
     # -- producer side ---------------------------------------------------------
     def submit(self, request: Request) -> int:
@@ -138,8 +113,6 @@ class MicroBatcher:
         atomically with the capacity check, so sequence numbers are dense
         over *accepted* requests (rejections consume none).
         """
-        if self._fair:
-            return self._submit_fair(request)
         with self._cond:
             if self._closed:
                 raise ServiceClosedError(f"operation {request.op!r} is no longer accepting requests")
@@ -157,64 +130,16 @@ class MicroBatcher:
             self._cond.notify()
             return len(self._items)
 
-    def _submit_fair(self, request: Request) -> int:
-        tenant = request.tenant or ""
-        with self._cond:
-            if self._closed:
-                raise ServiceClosedError(f"operation {request.op!r} is no longer accepting requests")
-            queue = self._queues.setdefault(tenant, deque())
-            # Tenants with requests queued right now, counting this one: a
-            # lone tenant gets the whole queue (work-conserving); competing
-            # tenants are each capped at an equal share.
-            active = len(self._ring) + (0 if queue else 1)
-            share = max(1, self.policy.max_queue_depth // max(1, active))
-            if self._n_queued >= self.policy.max_queue_depth or len(queue) >= share:
-                raise ServiceOverloadedError(
-                    f"operation {request.op!r} queue is full for tenant {tenant!r} "
-                    f"(fair share {share} of max_queue_depth="
-                    f"{self.policy.max_queue_depth} across {active} active tenants)"
-                )
-            request.seq = self._admitted
-            self._admitted += 1
-            request.admitted_at = time.monotonic()
-            if not queue:
-                self._ring.append(tenant)
-            queue.append(request)
-            self._n_queued += 1
-            self._cond.notify()
-            return self._n_queued
-
     # -- consumer side ---------------------------------------------------------
     def take(self) -> List[Request]:
         """Everything queued right now, up to ``max_batch_size``; never blocks.
 
-        Empty when nothing is queued.  FIFO on the default path; under
-        ``fair_tenancy`` the batch is composed round-robin over the queued
-        tenants.
+        Empty when nothing is queued; FIFO.
         """
         with self._cond:
-            if self._fair:
-                return self._take_fair()
             items = self._items
             n = min(len(items), self.policy.max_batch_size)
             return [items.popleft() for _ in range(n)]
-
-    def _take_fair(self) -> List[Request]:
-        # One request per queued tenant in rotation, repeating until the batch
-        # fills or the queues drain.  The rotation pointer persists across
-        # batches, so tenant A does not lead every batch just because it
-        # leads the ring.
-        batch: List[Request] = []
-        n = min(self._n_queued, self.policy.max_batch_size)
-        while len(batch) < n:
-            tenant = self._ring[0]
-            self._ring.rotate(-1)
-            queue = self._queues[tenant]
-            batch.append(queue.popleft())
-            if not queue:
-                self._ring.remove(tenant)
-        self._n_queued -= n
-        return batch
 
     def close(self) -> None:
         """Stop accepting requests; those already queued stay takeable."""
@@ -229,7 +154,7 @@ class MicroBatcher:
 
     def depth(self) -> int:
         with self._cond:
-            return self._n_queued if self._fair else len(self._items)
+            return len(self._items)
 
     @property
     def admitted(self) -> int:

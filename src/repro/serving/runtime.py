@@ -221,30 +221,27 @@ class ServingRuntime:
 
     # -- client API --------------------------------------------------------------
     def submit(
-        self, op: str, payload: Any, tenant: Optional[str] = None,
-        trace: Optional[Span] = None, deadline: Optional[float] = None,
+        self, op: str, payload: Any, trace: Optional[Span] = None,
+        deadline: Optional[float] = None,
     ) -> Future:
         """Enqueue one request; returns the future of its result.
 
         Raises :class:`ServiceOverloadedError` when the operation's queue is
         at ``max_queue_depth`` and :class:`ServiceClosedError` when the
-        runtime is not accepting traffic.  ``tenant`` tags the request for
-        the fair round-robin scheduler when the policy has
-        ``fair_tenancy=True`` (it is carried but ignored otherwise).
-        ``trace`` lets a caller that already opened this request's root span
-        (e.g. the network server, which times the transport phases too) hand
-        it in instead of sampling a fresh root; the runtime's lifecycle spans
-        are then recorded under the caller's root.  Ignored when the runtime
-        has no tracer.  ``deadline`` is a ``time.monotonic()`` instant: if it
-        has passed by the time a worker picks the request up, the future
-        fails with :class:`DeadlineExceededError` and the handler is not run
-        for it.
+        runtime is not accepting traffic.  ``trace`` lets a caller that
+        already opened this request's root span (e.g. the network server,
+        which times the transport phases too) hand it in instead of sampling
+        a fresh root; the runtime's lifecycle spans are then recorded under
+        the caller's root.  Ignored when the runtime has no tracer.
+        ``deadline`` is a ``time.monotonic()`` instant: if it has passed by
+        the time a worker picks the request up, the future fails with
+        :class:`DeadlineExceededError` and the handler is not run for it.
         """
         if op not in self._handlers:
             raise ConfigurationError(f"unknown operation {op!r}; have {self._ops}")
         if not self._started or self._closed:
             raise ServiceClosedError("serving runtime is not accepting requests")
-        request = Request(op=op, payload=payload, tenant=tenant, deadline=deadline)
+        request = Request(op=op, payload=payload, deadline=deadline)
         if self.tracer is not None:
             # None when this root lost the sampling draw — the request then
             # travels with no tracing state at all.
@@ -264,12 +261,9 @@ class ServingRuntime:
             request.trace.set_attribute("queue_depth", depth)
         return request.future
 
-    def call(
-        self, op: str, payload: Any, timeout: Optional[float] = None,
-        tenant: Optional[str] = None,
-    ) -> Any:
+    def call(self, op: str, payload: Any, timeout: Optional[float] = None) -> Any:
         """Submit and block for the result (the closed-loop client pattern)."""
-        return self.submit(op, payload, tenant=tenant).result(timeout=timeout)
+        return self.submit(op, payload).result(timeout=timeout)
 
     # -- live reconfiguration ----------------------------------------------------
     def swap_handler(self, op: str, handler: Handler) -> None:

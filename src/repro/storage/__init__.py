@@ -20,9 +20,6 @@ Blosc) and compares training-time I/O against reading files directly from NFS
   queried a whole batch at a time.
 * :mod:`repro.storage.ivf_index` — the self-training IVF approximate index:
   coarse-quantized inverted lists with a live ``n_probe`` knob.
-* :mod:`repro.storage.sharded` — hash-routed multi-tenant sharding over any
-  registered index backend: scatter-gather lookup with an exact vectorised
-  merge, structural tenant isolation, per-tenant quotas, and replication.
 * :mod:`repro.storage.capabilities` — the ``StorageBackend``/``IndexBackend``
   protocols and one-shot capability probing
   (:func:`~repro.storage.capabilities.probe_index_capabilities`).
@@ -52,7 +49,6 @@ from repro.storage.capabilities import (
     probe_index_capabilities,
 )
 from repro.storage.ivf_index import IVFVectorIndex
-from repro.storage.sharded import DEFAULT_TENANT, ShardedVectorStore, shard_of
 from repro.storage.vector_index import VectorIndex, ClusteredVectorIndex
 
 __all__ = [
@@ -75,7 +71,4 @@ __all__ = [
     "VectorIndex",
     "ClusteredVectorIndex",
     "IVFVectorIndex",
-    "DEFAULT_TENANT",
-    "ShardedVectorStore",
-    "shard_of",
 ]

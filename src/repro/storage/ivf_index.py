@@ -351,15 +351,10 @@ class IVFVectorIndex:
                       self._assign(state.centers, vectors), vectors)
 
     # -- reads -------------------------------------------------------------------
-    def query_batch(
-        self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
-    ) -> List[QueryResult]:
+    def query_batch(self, vectors: np.ndarray, k: int = 1) -> List[QueryResult]:
         """Top-``k`` ``(key, distance)`` pairs per query row, scanning only
-        each query's ``n_probe`` nearest inverted lists once trained.
-
-        ``allow_empty`` mirrors :meth:`VectorIndex.query_batch`: an empty
-        index yields ``[]`` per query instead of raising, so a cold shard
-        composes into a scatter-gather merge.
+        each query's ``n_probe`` nearest inverted lists once trained.  An
+        empty index raises :class:`StorageError`.
         """
         queries = as_queries(vectors, self.dim, k)
         state = self._state
@@ -369,8 +364,6 @@ class IVFVectorIndex:
                 state = self._state
                 assert state is not None
             else:
-                if len(flat) == 0 and allow_empty:
-                    return [[] for _ in range(queries.shape[0])]
                 results = flat.query_batch(queries, k=k)
                 b = queries.shape[0]
                 self._record_scan(b, partitions=b, candidates=b * len(flat), flat=b)

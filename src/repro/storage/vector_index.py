@@ -268,21 +268,15 @@ class VectorIndex:
         np.maximum(d2, 0.0, out=d2)
         return rows, d2
 
-    def query_batch(
-        self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
-    ) -> List[QueryResult]:
+    def query_batch(self, vectors: np.ndarray, k: int = 1) -> List[QueryResult]:
         """Top-``k`` ``(key, distance)`` pairs for every row of ``vectors``,
         the whole batch in one :meth:`topk`.
 
-        An empty index raises :class:`StorageError` (on the direct path an
-        empty store is almost always a wiring bug) unless ``allow_empty``:
-        then each query gets ``[]``, so a cold shard adds zero candidates to
-        a scatter-gather merge instead of aborting it.
+        An empty index raises :class:`StorageError`: querying an empty store
+        is almost always a wiring bug.
         """
         queries = as_queries(vectors, self.dim, k)
         if self._size == 0:
-            if allow_empty:
-                return [[] for _ in range(queries.shape[0])]
             raise StorageError("vector index is empty")
         rows, d2 = self.topk(queries, k)
         keys = self._keys
@@ -461,14 +455,10 @@ class ClusteredVectorIndex:
     def __contains__(self, key: object) -> bool:
         return key in self._key_partition
 
-    def query_batch(
-        self, vectors: np.ndarray, k: int = 1, allow_empty: bool = False
-    ) -> List[QueryResult]:
+    def query_batch(self, vectors: np.ndarray, k: int = 1) -> List[QueryResult]:
         """Top-``k`` pairs for every row of ``vectors``, one search per partition."""
         queries = as_queries(vectors, self.dim, k)
         if len(self) == 0:
-            if allow_empty:
-                return [[] for _ in range(queries.shape[0])]
             raise StorageError("clustered vector index is empty")
         probe_order = np.argsort(pairwise_squared_distances(queries, self.centers), kind="stable")
         return partitioned_topk(queries, probe_order, self._partitions, self.n_probe, k)[0]

@@ -20,12 +20,6 @@ class StorageError(ReproError):
     """Raised by the storage substrate (document DB, file store, codecs)."""
 
 
-class QuotaExceededError(StorageError):
-    """A tenant write would exceed its configured key quota in a multi-tenant
-    store (:class:`repro.storage.sharded.ShardedVectorStore`).  The write is
-    rejected atomically — no partial rows land in any shard."""
-
-
 class NotFittedError(ReproError):
     """Raised when a model/service is used before it has been fitted or trained."""
 

@@ -183,6 +183,37 @@ def test_an_upsert_that_reroutes_a_key_leaves_one_row(backend, rng):
     assert sorted(everything) == sorted(keys)
 
 
+def test_ivf_add_duplicate_keys_last_write_wins_across_partitions(rng):
+    index = IVFVectorIndex(dim=4, n_partitions=4, train_threshold=32, n_probe=4)
+    keys = [f"k{i}" for i in range(64)]
+    index.add(keys, rng.normal(size=(64, 4)))
+    assert len(index) == 64
+    # Move k0 far away: it must re-route to another partition, and the old
+    # copy must be gone.
+    index.add(["k0"], [[50.0] * 4])
+    assert len(index) == 64
+    assert index.query_batch(np.asarray([[50.0] * 4]), k=1)[0][0][0] == "k0"
+    all_keys = [k for k, _ in index.query_batch(np.zeros((1, 4)), k=64)[0]]
+    assert sorted(all_keys) == sorted(keys)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("backend", ["flat", "clustered", "ivf"])
+def test_empty_index_raises_on_direct_path(backend, dtype):
+    """Querying an empty store is a wiring bug: every backend says so with a
+    StorageError, never with an empty answer (an untrained IVF index answers
+    from its flat buffer)."""
+    index = {
+        "flat": lambda: VectorIndex(3, dtype=dtype),
+        "clustered": lambda: ClusteredVectorIndex(np.eye(3)[:2], dtype=dtype),
+        "ivf": lambda: IVFVectorIndex(dim=3, dtype=dtype),
+    }[backend]()
+    with pytest.raises(StorageError, match="empty"):
+        index.query_batch(np.zeros((2, 3)), k=2)
+    with pytest.raises(StorageError, match="empty"):
+        index.query(np.zeros(3))
+
+
 @pytest.mark.parametrize("cache", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_discard_swaps_the_last_row_in_and_answers_as_a_fresh_index(rng, dtype, cache):

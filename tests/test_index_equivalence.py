@@ -40,7 +40,6 @@ from hypothesis import strategies as st
 from repro.storage import (
     ClusteredVectorIndex,
     IVFVectorIndex,
-    ShardedVectorStore,
     VectorIndex,
 )
 from repro.storage.vector_index import QueryResult, grown
@@ -224,22 +223,19 @@ def per_key_writes():
 
 
 def contents(index) -> list:
-    """What an index holds, row by row: per flat store (a partition, a shard's
+    """What an index holds, row by row: per flat store (a partition, an
     inverted list, ...) its keys and its vectors; then the key -> partition
     maps met on the way."""
     if isinstance(index, VectorIndex):
         return [(index.keys, index.vectors.tolist())]
     if isinstance(index, ClusteredVectorIndex):
         return [contents(part) for part in index._partitions] + [dict(index._key_partition)]
-    if isinstance(index, IVFVectorIndex):
-        if index._state is None:
-            return contents(index._flat)
-        return [
-            (part.keys, part.vectors.tolist()) for part in index._state.partitions
-        ] + [dict(index._key_partition), index._state.centers.tolist()]
-    assert isinstance(index, ShardedVectorStore)
-    return [(tenant, sorted(state.keys), [contents(shard) for shard in state.shards])
-            for tenant, state in sorted(index._tenants.items())]
+    assert isinstance(index, IVFVectorIndex)
+    if index._state is None:
+        return contents(index._flat)
+    return [
+        (part.keys, part.vectors.tolist()) for part in index._state.partitions
+    ] + [dict(index._key_partition), index._state.centers.tolist()]
 
 
 # -- generated stores ------------------------------------------------------------------
@@ -432,29 +428,6 @@ def test_identical_rows_equal_to_the_query_tie_by_row_number():
 
 
 @SETTINGS
-@given(stores())
-def test_sharded_returns_the_flat_keys_on_continuous_data(store):
-    batches, _, queries, n_parts, _ = store
-    assume(not on_grid(batches, queries))
-    flat = build_flat(batches)
-    sharded = ShardedVectorStore(queries.shape[1], n_shards=min(n_parts, 3), seed=1)
-    for keys, vectors in batches:
-        sharded.add(keys, vectors)
-    for k in range(1, 6):
-        assert_same_answers(sharded.query_batch(queries, k=k), flat.query_batch(queries, k=k),
-                            exact=False)
-
-
-def build_sharded(batches, n_parts, **kwargs) -> ShardedVectorStore:
-    """Two tenants taking turns, so a re-sent key may be the other tenant's."""
-    sharded = ShardedVectorStore(batches[0][1].shape[1], n_shards=min(n_parts, 3), seed=1, **kwargs)
-    for turn, (keys, vectors) in enumerate(batches):
-        sharded.add(keys, vectors, tenant="ab"[turn % 2])
-        sharded.query_batch(vectors[:1], k=2, tenant="ab"[turn % 2])
-    return sharded
-
-
-@SETTINGS
 @given(stores(), st.integers(1, 70))
 def test_appending_proved_rows_leaves_what_the_per_key_path_left(store, k):
     batches, final, queries, n_parts, rng = store
@@ -464,23 +437,14 @@ def test_appending_proved_rows_leaves_what_the_per_key_path_left(store, k):
         "ivf": lambda: build_ivf(batches, n_parts, n_probe=2),
         "clustered": lambda: build_clustered(
             batches, n_parts, np.random.default_rng(clustered_seed), n_probe=2),
-        "sharded": lambda: build_sharded(batches, n_parts, replication=min(n_parts, 2)),
-        "sharded ivf": lambda: build_sharded(
-            batches, n_parts, shard_backend="ivf",
-            shard_params={"n_partitions": n_parts, "train_threshold": 4}),
     }
     for name, build in builders.items():
         got = build()
         with per_key_writes():
             want = build()
         assert contents(got) == contents(want), name
-        if name.startswith("sharded"):
-            for tenant in got._tenants:
-                assert (got.query_batch(queries, k=k, tenant=tenant)
-                        == want.query_batch(queries, k=k, tenant=tenant)), name
-        else:
-            assert len(got) == len(final) and all(key in got for key in final)
-            assert got.query_batch(queries, k=k) == want.query_batch(queries, k=k), name
+        assert len(got) == len(final) and all(key in got for key in final)
+        assert got.query_batch(queries, k=k) == want.query_batch(queries, k=k), name
 
 
 # -- a mirror that grows: any interleaving of writes and reads ----------------------------
@@ -535,12 +499,10 @@ def flat_stores(index) -> List[VectorIndex]:
         return [index]
     if isinstance(index, ClusteredVectorIndex):
         return list(index._partitions)
-    if isinstance(index, IVFVectorIndex):
-        if index._state is None:
-            return [index._flat]
-        return list(index._state.partitions)
-    return [store for state in index._tenants.values() for shard in state.shards
-            for store in flat_stores(shard)]
+    assert isinstance(index, IVFVectorIndex)
+    if index._state is None:
+        return [index._flat]
+    return list(index._state.partitions)
 
 
 def assert_answers_as_if_rebuilt(index, ask, queries, k):
@@ -589,7 +551,7 @@ def test_a_flat_index_answers_as_a_fresh_one_after_any_history(history, dtype, c
 
 @SETTINGS
 @given(histories(), st.sampled_from([np.float32, np.float64]), st.booleans(),
-       st.sampled_from(["clustered", "ivf", "sharded", "sharded ivf"]), st.integers(1, 5))
+       st.sampled_from(["clustered", "ivf"]), st.integers(1, 5))
 def test_partitioned_indexes_answer_as_fresh_ones_after_any_history(history, dtype, cache,
                                                                     backend, n_parts):
     ops, dim = history
@@ -599,13 +561,8 @@ def test_partitioned_indexes_answer_as_fresh_ones_after_any_history(history, dty
     if backend == "clustered":
         index = ClusteredVectorIndex(rng.normal(scale=3.0, size=(n_parts, dim)), n_probe=2,
                                      dtype=dtype, cache_query_matrix=cache)
-    elif backend == "ivf":
-        index = IVFVectorIndex(dim, dtype=dtype, seed=1, **ivf_params)
     else:
-        index = ShardedVectorStore(
-            dim, n_shards=min(n_parts, 3), dtype=dtype, seed=1,
-            shard_backend="ivf" if backend == "sharded ivf" else "flat",
-            shard_params=ivf_params if backend == "sharded ivf" else {"cache_query_matrix": cache})
+        index = IVFVectorIndex(dim, dtype=dtype, seed=1, **ivf_params)
     final: Dict[str, np.ndarray] = {}
     for kind, *args in ops:
         if kind == "add":

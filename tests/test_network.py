@@ -10,6 +10,7 @@ hysteresis/cooldown control law under a fake clock.
 """
 
 import asyncio
+import json
 import logging
 import socket
 import threading
@@ -80,45 +81,85 @@ def _replica_set(**kwargs):
 # ---------------------------------------------------------------------------------
 # Wire codec and framing
 # ---------------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "value",
-    [
-        None,
-        True,
-        42,
-        3.5,
-        "text",
-        [1, 2, 3],
-        {"a": 1, "b": [2.5, "x"]},
-        (1, "two", 3.0),
-        b"\x00\x01binary",
-        np.arange(12, dtype=np.float32).reshape(3, 4),
-        np.array([1, 2, 3], dtype=np.int64),
-        {"nested": (np.float64(1.5), [b"raw", {"deep": (1,)}])},
-        VersionedResult("v7", {"probs": np.ones(3, dtype=np.float32)}),
-    ],
-)
-def test_codec_round_trips(value):
-    def assert_same(a, b):
-        if isinstance(a, np.ndarray):
-            assert isinstance(b, np.ndarray)
-            assert a.dtype == b.dtype and a.shape == b.shape
-            np.testing.assert_array_equal(a, b)
-        elif isinstance(a, VersionedResult):
-            assert isinstance(b, VersionedResult) and a.version == b.version
-            assert_same(a.value, b.value)
-        elif isinstance(a, (tuple, list)):
-            assert type(a) is type(b) and len(a) == len(b)
-            for x, y in zip(a, b):
-                assert_same(x, y)
-        elif isinstance(a, dict):
-            assert set(a) == set(b)
-            for key in a:
-                assert_same(a[key], b[key])
-        else:
-            assert a == b and type(a) is type(b)
+#: Values the wire carries, each a case the codec must hand back unchanged:
+#: its type, and for arrays the dtype (byte order included), shape and elements.
+CODEC_VALUES = [
+    None,
+    True,
+    42,
+    3.5,
+    "text",
+    [1, 2, 3],
+    {"a": 1, "b": [2.5, "x"]},
+    (1, "two", 3.0),
+    b"\x00\x01binary",
+    np.arange(12, dtype=np.float32).reshape(3, 4),
+    np.array([1, 2, 3], dtype=np.int64),
+    {"nested": (np.float64(1.5), [b"raw", {"deep": (1,)}])},
+    VersionedResult("v7", {"probs": np.ones(3, dtype=np.float32)}),
+    np.array(3.5),
+    np.empty((0, 4)),
+    np.arange(24.0).reshape(4, 6)[1:, ::2],
+    np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4)),
+    np.arange(5, dtype=">f8"),
+    np.array([np.nan, np.inf, -np.inf, 0.0]),
+    np.array([True, False, True]),
+    np.arange(250, 256, dtype=np.uint8),
+    np.array([-128, -1, 127], dtype=np.int8),
+    np.array([0.5, 65504.0], dtype=np.float16),
+    np.array([1 + 2j, -3.5j]),
+    np.array(["a", "βγ"]),
+]
 
-    assert_same(value, decode(encode(value)))
+
+def assert_same(a, b):
+    if isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    elif isinstance(a, np.generic):  # a numpy scalar crosses as its Python value
+        assert type(b) is type(a.item()) and b == a.item()
+    elif isinstance(a, VersionedResult):
+        assert isinstance(b, VersionedResult) and a.version == b.version
+        assert_same(a.value, b.value)
+    elif isinstance(a, (tuple, list)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, dict):
+        assert set(a) == set(b)
+        for key in a:
+            assert_same(a[key], b[key])
+    else:
+        assert a == b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("value", CODEC_VALUES)
+def test_codec_round_trips(value):
+    assert_same(value, decode(json.loads(json.dumps(encode(value)))))
+
+
+@pytest.fixture(scope="module")
+def echo_service():
+    """One replica echoing each request, behind a server and a client."""
+
+    def factory(replica_id):
+        runtime = ServingRuntime({"echo": lambda batch: batch})
+        runtime.start()
+        return runtime, None
+
+    rs = ReplicaSet(factory, replicas=1, health_interval_s=None)
+    try:
+        with NetworkServer(rs) as server, NetworkClient(*server.address) as client:
+            yield rs, client
+    finally:
+        rs.close()
+
+
+@pytest.mark.parametrize("value", CODEC_VALUES)
+def test_the_wire_answers_what_the_replica_set_answers_in_process(echo_service, value):
+    rs, client = echo_service
+    assert_same(rs.call("echo", value, timeout=10.0), client.call("echo", value))
 
 
 def test_codec_rejects_unencodable_values_and_non_string_keys():
@@ -126,6 +167,8 @@ def test_codec_rejects_unencodable_values_and_non_string_keys():
         encode(object())
     with pytest.raises(NetworkError, match="keys must be strings"):
         encode({1: "x"})
+    with pytest.raises(NetworkError, match="cannot encode an array of dtype object"):
+        encode({"rows": np.array([{"n": 1}, None], dtype=object)})
     with pytest.raises(NetworkError, match="unknown encoded kind"):
         decode({"__repro__": "martian"})
 
@@ -228,6 +271,45 @@ def test_malformed_frame_draws_bad_request_and_connection_survives():
         finally:
             sock.close()
     rs.close()
+
+
+def test_a_frame_from_an_older_client_carrying_a_tenant_is_served():
+    rs = _replica_set()
+    with NetworkServer(rs) as server:
+        sock = socket.create_connection(server.address, timeout=10.0)
+        try:
+            sock.settimeout(10.0)
+            write_frame(sock, {"id": 1, "op": "double", "payload": 4, "tenant": "a",
+                               "deadline_ms": None})
+            response = read_frame(sock)
+            assert response["ok"] is True and response["id"] == 1
+            assert decode(response["result"]) == 8
+        finally:
+            sock.close()
+    rs.close()
+
+
+@pytest.mark.parametrize("result", [{1, 2}, np.array([{"n": 1}], dtype=object)],
+                         ids=["set", "object-array"])
+def test_an_unencodable_result_is_internal_and_the_handler_runs_once(result):
+    """The codec refusing a handler's result is a server bug, not a transient
+    fault: the client gets ``internal`` at once instead of re-running the handler."""
+    runs = []
+
+    def handler(batch):
+        runs.append(len(batch))
+        return [result for _ in batch]
+
+    rs = ReplicaSet(_runtime_factory(handler), replicas=1, health_interval_s=None)
+    try:
+        with NetworkServer(rs) as server:
+            with NetworkClient(*server.address, retries=3, backoff_base_s=0.01) as client:
+                with pytest.raises(RemoteError, match="cannot encode") as refused:
+                    client.call("double", 1)
+        assert refused.value.error_type == "internal"
+        assert runs == [1]
+    finally:
+        rs.close()
 
 
 def test_client_retries_then_succeeds_after_dropped_connection():

@@ -197,7 +197,7 @@ def _observed(fairds, answers):
     ("ivf", {"n_partitions": 5, "train_threshold": 40, "n_probe": 1}),
     ("clustered", {}),
     ("flat", {}),
-])  # ("sharded" places a row by its key's hash, and ids differ between two instances)
+])
 def test_a_history_written_by_batch_is_the_history_written_by_row(backend, params, cache_size):
     def build():
         return FairDS(MemoisedPCA(embedding_dim=4), n_clusters=4, seed=3, index_backend=backend,

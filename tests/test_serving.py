@@ -100,6 +100,14 @@ def test_take_returns_what_is_queued_without_blocking():
     assert batcher.depth() == 0
 
 
+def test_take_is_fifo_and_depth_counts_the_rest():
+    batcher = MicroBatcher(BatchingPolicy(max_batch_size=3, max_wait_ms=0.0))
+    for i in range(5):
+        batcher.submit(Request(op="op", payload=i))
+    assert [r.payload for r in batcher.take()] == [0, 1, 2]
+    assert batcher.depth() == 2
+
+
 def test_take_on_an_empty_queue_returns_an_empty_batch():
     batcher = MicroBatcher(BatchingPolicy(max_batch_size=4))
     assert batcher.take() == []

@@ -25,7 +25,6 @@ from repro.api.spec import (
     NetworkSpec,
     ObservabilitySpec,
     ServingSpec,
-    ShardingSpec,
     StorageSpec,
     SystemSpec,
     preset,
@@ -41,7 +40,7 @@ PRESET_DIR = REPO_ROOT / "src" / "repro" / "api" / "presets"
 PRESET_DIGESTS = {
     "ann": "1e525fc03c55", "continual": "58525902abd7", "minimal": "0772d4d87ee7",
     "networked": "f632033f20f7", "observed": "7a9fed8337c9", "parallel": "b654282e6117",
-    "serving": "6f5a42de1949", "sharded": "f5cbb4364f73",
+    "serving": "6f5a42de1949",
 }
 
 
@@ -113,6 +112,20 @@ def test_negative_batch_size_fails_at_spec_time():
 def test_out_of_range_params_fail_eagerly(build, match):
     with pytest.raises(ConfigurationError, match=match):
         build()
+
+
+def test_a_sharding_section_is_refused_naming_the_removal():
+    """The sharded store is gone; its slot survives only so that spec files
+    still carrying ``"sharding": null`` keep loading."""
+    assert SystemSpec.from_dict({"sharding": None}) == SystemSpec()
+    for section in ({"shards": 4, "shard_backend": "flat"}, {}):
+        with pytest.raises(ConfigurationError, match="sharded store was removed"):
+            SystemSpec.from_dict({"sharding": section})
+
+
+def test_fair_tenancy_batching_is_refused():
+    with pytest.raises(ConfigurationError, match="fair_tenancy"):
+        ServingSpec(batching={"max_batch_size": 8, "fair_tenancy": True})
 
 
 def test_params_must_be_json_serialisable():
@@ -251,8 +264,7 @@ def test_persist_and_load_by_digest_survive_save_load(tmp_path):
 # ---------------------------------------------------------------------------------
 def test_preset_names_and_unknown_preset():
     assert preset_names() == [
-        "ann", "continual", "minimal", "networked", "observed", "parallel",
-        "serving", "sharded",
+        "ann", "continual", "minimal", "networked", "observed", "parallel", "serving",
     ]
     with pytest.raises(ConfigurationError, match="unknown preset"):
         preset("turbo")
@@ -270,8 +282,7 @@ def test_presets_compose_incrementally():
 
 @pytest.mark.parametrize(
     "name",
-    ["minimal", "serving", "continual", "ann", "observed", "parallel", "sharded",
-     "networked"],
+    ["minimal", "serving", "continual", "ann", "observed", "parallel", "networked"],
 )
 def test_shipped_spec_files_match_presets(name):
     """src/repro/api/presets/*.json *are* the presets: each file is in the
@@ -377,7 +388,7 @@ def test_presets_are_found_as_package_data_from_any_directory(tmp_path):
 # without editing this file
 # ---------------------------------------------------------------------------------
 SPEC_CLASSES = [
-    EmbedderSpec, ClusteringSpec, StorageSpec, IndexSpec, ShardingSpec, ModelSpec,
+    EmbedderSpec, ClusteringSpec, StorageSpec, IndexSpec, ModelSpec,
     ServingSpec, ContinualSpec, ObservabilitySpec, ExecutorSpec, NetworkSpec, SystemSpec,
 ]
 ALL_FIELDS = [(cls, f.name) for cls in SPEC_CLASSES for f in dataclasses.fields(cls)]

@@ -855,6 +855,29 @@ def test_query_batch_k_larger_than_store(rng):
         assert row[0][1] <= row[1][1]
 
 
+def test_flat_add_duplicate_keys_last_write_wins():
+    index = VectorIndex(dim=2)
+    index.add(["k", "k"], [[1.0, 1.0], [4.0, 4.0]])
+    assert len(index) == 1
+    assert index.query([4.0, 4.0], k=1) == [("k", 0.0)]
+    index.add(["k"], [[8.0, 8.0]])
+    assert len(index) == 1
+    assert index.query([8.0, 8.0], k=1) == [("k", 0.0)]
+    # keys never repeat in results regardless of k.
+    assert [key for key, _ in index.query([0.0, 0.0], k=5)] == ["k"]
+
+
+def test_keys_tuple_is_cached_not_rebuilt():
+    index = VectorIndex(dim=2)
+    index.add(["a", "b"], [[0.0, 0.0], [1.0, 1.0]])
+    first = index.keys
+    assert index.keys is first  # no per-access copy
+    index.add(["c"], [[2.0, 2.0]])
+    second = index.keys
+    assert second is not first and second == ("a", "b", "c")
+    assert index.keys is second
+
+
 def test_clustered_index_validation(rng):
     centers = np.zeros((2, 3))
     cindex = ClusteredVectorIndex(centers)
