@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.compute import ThreadExecutor
-from repro.labeling import LabelingEngine, VOIGT_80
+from repro.labeling.parallel import LabelingEngine, VOIGT_80
 from repro.models import build_braggnn
 from repro.nn.metrics import euclidean_pixel_error
 from repro.nn.trainer import Trainer, TrainingConfig
@@ -53,7 +53,7 @@ def test_fig09_fairds_labels_match_conventional_labels(benchmark, report_sink):
         for i, (label, _dist) in enumerate(matches):
             if label is None:
                 n_fallback += 1
-                from repro.labeling import fit_peak_center
+                from repro.labeling.peak_fitting import fit_peak_center
 
                 labels[i] = np.array(fit_peak_center(new_images[i, 0]).center) / experiment.patch_size
             else:

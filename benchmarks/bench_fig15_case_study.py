@@ -29,7 +29,7 @@ import pytest
 from repro.compute import ThreadExecutor
 from repro.core import FairDMS, FairDS, UpdatePolicy
 from repro.embedding import PCAEmbedder
-from repro.labeling import VOIGT_80, VOIGT_1440, LabelingEngine
+from repro.labeling.parallel import VOIGT_80, VOIGT_1440, LabelingEngine
 from repro.models import build_braggnn
 from repro.nn.trainer import Trainer, TrainingConfig
 from repro.utils.timing import Timer

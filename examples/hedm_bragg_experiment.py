@@ -25,7 +25,7 @@ from repro import FairDMS, FairDS, UpdatePolicy
 from repro.compute import ThreadExecutor
 from repro.datasets import BraggPeakDataset, make_two_phase_schedule
 from repro.embedding import PCAEmbedder
-from repro.labeling import VOIGT_80, LabelingEngine
+from repro.labeling.parallel import VOIGT_80, LabelingEngine
 from repro.models import build_braggnn
 from repro.monitoring import DegradationDetector
 from repro.nn.metrics import euclidean_pixel_error

@@ -14,34 +14,12 @@ implements that substrate from scratch:
   worker threads and scales measured wall-clock by a simulated core count so
   the Fig. 15 comparison (fairDMS vs Voigt-80 vs Voigt-1440) can be
   reproduced on a laptop.
+
+Only the profiles are re-exported here: the fitter and the engine import
+scipy, so callers import them from their own modules and a process that only
+generates peaks never loads it.
 """
 
 from repro.labeling.pseudo_voigt import pseudo_voigt_1d, pseudo_voigt_2d, PeakParameters
-from repro.labeling.peak_fitting import (
-    fit_peak_center,
-    intensity_centroid,
-    FitResult,
-    label_patches,
-)
-from repro.labeling.parallel import (
-    LabelingEngine,
-    LabelingReport,
-    CostModel,
-    VOIGT_80,
-    VOIGT_1440,
-)
 
-__all__ = [
-    "VOIGT_80",
-    "VOIGT_1440",
-    "pseudo_voigt_1d",
-    "pseudo_voigt_2d",
-    "PeakParameters",
-    "fit_peak_center",
-    "intensity_centroid",
-    "FitResult",
-    "label_patches",
-    "LabelingEngine",
-    "LabelingReport",
-    "CostModel",
-]
+__all__ = ["pseudo_voigt_1d", "pseudo_voigt_2d", "PeakParameters"]

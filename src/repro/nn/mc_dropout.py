@@ -26,7 +26,8 @@ change the batch statistics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from statistics import NormalDist
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +37,6 @@ from repro.utils.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.executor import Executor
-
-try:  # scipy is optional; a rational approximation covers its absence
-    from scipy.stats import norm as _scipy_norm
-except ImportError:  # pragma: no cover - exercised only on scipy-free installs
-    _scipy_norm = None
 
 #: Default cap on rows per folded forward pass; bounds workspace memory and
 #: keeps the folded intermediates cache-resident.
@@ -130,47 +126,9 @@ def mc_dropout_predict(
 
 
 # -- confidence intervals ---------------------------------------------------
-def _norm_ppf(q: float) -> float:
-    """Standard-normal quantile; Acklam's rational approximation when scipy
-    is unavailable (max relative error ~1.15e-9, far below any use here)."""
-    if _scipy_norm is not None:
-        return float(_scipy_norm.ppf(q))
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if q < p_low:
-        r = np.sqrt(-2.0 * np.log(q))
-        return (((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / (
-            (((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0
-        )
-    if q <= p_high:
-        r = q - 0.5
-        s = r * r
-        return (
-            (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * r
-        ) / (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0)
-    r = np.sqrt(-2.0 * np.log(1.0 - q))
-    return -(((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / (
-        (((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0
-    )
-
-
-_Z_CACHE: Dict[float, float] = {}
-
-
 def _z_value(confidence: float) -> float:
-    """Cached two-sided z value for a confidence level (e.g. 0.95 -> 1.96)."""
-    z = _Z_CACHE.get(confidence)
-    if z is None:
-        z = float(_norm_ppf(0.5 + confidence / 2.0))
-        _Z_CACHE[confidence] = z
-    return z
+    """Two-sided standard-normal z value for a confidence level (0.95 -> 1.96)."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def prediction_interval_width(

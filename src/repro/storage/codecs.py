@@ -93,10 +93,7 @@ class PickleCodec(Codec):
                 start >= 0 and blob.find(raw, start + 1) < 0
                 and self.encode(objs[1]) == head + objs[1].tobytes() + tail
             ):
-                if not stacked:
-                    return [head + row.tobytes() + tail for row in objs]
-                data = objs.tobytes()
-                return [head + data[at : at + width] + tail for at in range(0, len(data), width)]
+                return [head + row.tobytes() + tail for row in objs]
         return super().encode_many(objs)
 
     def decode_many(self, payloads: Sequence[bytes]) -> Union[List[Any], np.ndarray]:

@@ -14,7 +14,7 @@ from repro.core import FairDMS, FairDS, FairMS, ModelZoo, UpdatePolicy
 from repro.dataio import DataLoader, DocumentDBDataset
 from repro.datasets import BraggPeakDataset, CookieBoxDataset, DriftSchedule, make_two_phase_schedule
 from repro.embedding import PCAEmbedder
-from repro.labeling import LabelingEngine
+from repro.labeling.parallel import LabelingEngine
 from repro.models import build_braggnn, build_cookienetae
 from repro.monitoring import DegradationDetector
 from repro.nn.metrics import euclidean_pixel_error

@@ -1,11 +1,16 @@
 """Tests for the pseudo-Voigt labeling substrate."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compute import ThreadExecutor
+from repro.compute import ProcessExecutor, ThreadExecutor
 from repro.labeling.parallel import VOIGT_80, VOIGT_1440, CostModel, LabelingEngine
 from repro.labeling.peak_fitting import (
     FitResult,
@@ -15,6 +20,23 @@ from repro.labeling.peak_fitting import (
 )
 from repro.labeling.pseudo_voigt import PeakParameters, pseudo_voigt_1d, pseudo_voigt_2d
 from repro.utils.errors import ConfigurationError, ValidationError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_only_the_fitter_imports_scipy():
+    """A process that serves, trains or generates peaks never loads scipy;
+    the pseudo-Voigt fitter is the one module that does."""
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(SRC)!r})
+        import repro, repro.api, repro.net, repro.nn, repro.datasets, repro.labeling
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        import repro.labeling.peak_fitting
+        assert "scipy" in sys.modules
+    """)
+    subprocess.run([sys.executable, "-c", script], check=True)
 
 
 # -- profiles ------------------------------------------------------------------
@@ -161,13 +183,18 @@ def test_label_patches_parallel_matches_serial():
     np.testing.assert_allclose(serial, parallel, atol=1e-8)
 
 
-@pytest.mark.parametrize("workers", [2, 4, 8])
-def test_label_patches_executor_labels_are_bit_identical_to_serial(workers):
+@pytest.mark.parametrize(
+    "executor_cls, workers",
+    [(ThreadExecutor, 2), (ThreadExecutor, 4), (ThreadExecutor, 8), (ProcessExecutor, 2)],
+    ids=["2", "4", "8", "process-2"],
+)
+def test_label_patches_executor_labels_are_bit_identical_to_serial(executor_cls, workers):
     """Uneven ranges and more workers than patches partition the stack
-    differently; every path yields the very same labels."""
+    differently, and process workers fit in forked interpreters; every path
+    yields the very same labels."""
     patches, _ = _patch_stack(6)
     serial = label_patches(patches)
-    with ThreadExecutor(max_workers=workers) as executor:
+    with executor_cls(max_workers=workers) as executor:
         fanned = label_patches(patches, executor=executor)
         assert executor.stats["tasks_completed"] == min(workers, 6)
     np.testing.assert_array_equal(serial, fanned)

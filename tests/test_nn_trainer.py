@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Dense, Dropout, ReLU
-from repro.nn.mc_dropout import mc_dropout_predict, prediction_interval_width
+from repro.nn.mc_dropout import _z_value, mc_dropout_predict, prediction_interval_width
 from repro.nn.metrics import (
     euclidean_pixel_error,
     mean_absolute_error,
@@ -201,6 +201,18 @@ def test_prediction_interval_width_positive_and_monotone_in_confidence():
     w50 = prediction_interval_width(model, x, n_samples=10, confidence=0.50)
     assert w95 > 0
     assert w95 > w50 * 0.5  # same order of magnitude; wider for higher confidence on average
+    # The width scales std by the two-sided standard-normal quantile; a fresh
+    # model replays the same dropout masks, so the width is reproduced exactly.
+    _, std = mc_dropout_predict(_model(dropout=0.3), x, n_samples=10)
+    for confidence, z in [
+        (0.5, 0.6744897501960817),
+        (0.9, 1.6448536269514722),
+        (0.95, 1.959963984540054),
+        (0.99, 2.5758293035489004),
+    ]:
+        assert _z_value(confidence) == pytest.approx(z, abs=1e-12)
+        width = prediction_interval_width(_model(dropout=0.3), x, n_samples=10, confidence=confidence)
+        assert width == float(np.mean(2.0 * z * std))
 
 
 def test_prediction_interval_invalid_confidence():
