@@ -74,9 +74,10 @@ class Deployment:
                 "(no .collection()); the system store must provide collections"
             )
         embedder = create_component("embedder", spec.embedder.name, **spec.embedder.params)
-        # The compute plane: one executor instance shared by training, MC
-        # probes, and batched embedding.  Lazy (workers spawn on first use),
-        # so a spec without parallel work costs nothing.
+        # The compute plane: fairDS's multi-batch embedding and certainty run
+        # on it, and labeling callers may pass it to label_patches.  Lazy
+        # (workers spawn on first use), so a spec without parallel work costs
+        # nothing.
         self.executor = spec.executor.build() if spec.executor is not None else None
         index_params = dict(spec.index.params)
         if spec.index.n_probe is not None:
@@ -103,7 +104,6 @@ class Deployment:
                 training_config=TrainingConfig(**{"seed": spec.seed, **spec.model.training}),
                 policy=UpdatePolicy(**spec.policy),
                 seed=spec.seed,
-                executor=self.executor,
             )
         self._service: Optional[FairDMSService] = None
         self._runtime: Optional[ServingRuntime] = None

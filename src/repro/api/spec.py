@@ -447,8 +447,8 @@ class ObservabilitySpec(_Spec):
 
 @dataclass(frozen=True)
 class ExecutorSpec(_Spec):
-    """Compute-plane backend for data-parallel training, MC-dropout probes,
-    and peak fitting (see :mod:`repro.compute`).
+    """Compute-plane backend for fairDS's multi-batch embedding and
+    certainty, also usable for peak fitting (see :mod:`repro.compute`).
 
     ``kind`` is a registry name — ``"inline"`` (serial, the behaviour of a
     spec without an executor section), ``"thread"``, or ``"process"`` (the
@@ -680,8 +680,8 @@ def preset(name: str) -> SystemSpec:
       ``repro_index_*`` series) with the observability plane on: metrics
       registry + request tracing at 25%, so smoke bursts always record traces.
     * ``"parallel"`` — the ``"continual"`` system with the process compute
-      plane (two workers, shared-memory handoff) under training, MC probes,
-      and peak fitting.
+      plane (two workers, shared-memory handoff) under fairDS's multi-batch
+      embedding and certainty.
     * ``"networked"`` — the ``"serving"`` system behind the TCP network
       plane: two replicas, client-visible typed errors, and a
       telemetry-driven autoscaler that CLI/CI bursts can actually trip (fast

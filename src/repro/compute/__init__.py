@@ -1,17 +1,13 @@
-"""The parallel compute plane: executors, shared-memory handoff, DP drivers.
+"""The parallel compute plane: executors and shared-memory handoff.
 
 Pick a backend by registry name (``create_component("executor", "process",
-max_workers=4)``) or declaratively via ``ExecutorSpec`` on ``SystemSpec``;
-every hot plane (``Trainer.fit``, ``mc_dropout_predict``, ``label_patches``,
-fairDS batched embedding) accepts an ``Executor`` and falls back to its
-serial path when given none.
+max_workers=4)``) or declaratively via ``ExecutorSpec`` on ``SystemSpec``.
+Two planes accept an ``Executor`` and fall back to their serial path when
+given none: pseudo-Voigt labeling (``label_patches``, ``LabelingEngine``) and
+fairDS's multi-batch embedding and certainty.  Training and MC-dropout
+probes always run in-process.
 """
 
-from repro.compute.dp import (
-    fit_data_parallel,
-    mc_dropout_predict_parallel,
-    supports_data_parallel,
-)
 from repro.compute.executor import (
     Executor,
     InlineExecutor,
@@ -35,7 +31,4 @@ __all__ = [
     "arena_from_arrays",
     "attach_array",
     "chunk_items",
-    "fit_data_parallel",
-    "mc_dropout_predict_parallel",
-    "supports_data_parallel",
 ]

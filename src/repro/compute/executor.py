@@ -1,9 +1,9 @@
 """The ``Executor`` seam: one interface over inline / thread / process compute.
 
-Every CPU-bound plane (data-parallel training, MC-dropout probes, pseudo-Voigt
-peak fitting, batched embedding) calls this seam instead of hand-rolling
-thread pools, so the backend is a deployment decision — ``ExecutorSpec`` on
-``SystemSpec`` picks it by registry name, and call sites never change.
+Every CPU-bound plane that fans out (pseudo-Voigt peak fitting, batched
+embedding) calls this seam instead of hand-rolling thread pools, so the
+backend is a deployment decision — ``ExecutorSpec`` on ``SystemSpec`` picks
+it by registry name, and call sites never change.
 
 Two calling shapes:
 

@@ -41,7 +41,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.compute.executor import Executor, Session, WorkerContext, trace_span
 from repro.compute.shm import ShmArena, arena_from_arrays, attach_array
+from repro.observability.metrics import default_registry, internal_errors
 from repro.utils.errors import ComputeError, WorkerCrashError
+from repro.utils.logging import get_logger
+
+logger = get_logger("repro.compute.process")
 
 _POLL_SECONDS = 0.05
 
@@ -72,8 +76,12 @@ def _rebuild_exception(payload: Tuple[Optional[bytes], str, str]) -> BaseExcepti
             exc = pickle.loads(blob)
             exc.__cause__ = ComputeError(f"worker traceback:\n{tb}")
             return exc
-        except Exception:  # pragma: no cover - corrupt payload
-            pass
+        except Exception:
+            # Pickles in the worker but not back here, e.g. an exception
+            # whose __init__ takes more than its args: the type is lost.
+            logger.warning("worker exception %s could not be unpickled; "
+                           "raising it as ComputeError", rep, exc_info=True)
+            internal_errors(default_registry(), "executor.rebuild").inc()
     return ComputeError(f"worker task failed: {rep}\n{tb}")
 
 
@@ -333,8 +341,10 @@ class ProcessExecutor(Executor):
             for worker_id in range(self.max_workers):
                 try:
                     self._send(worker_id, ("shutdown",), "shutdown")
-                except Exception:  # pragma: no cover
-                    pass
+                except Exception:
+                    logger.warning("sending shutdown to worker %d failed", worker_id,
+                                   exc_info=True)
+                    internal_errors(default_registry(), "executor.shutdown").inc()
         for proc in self._procs:
             proc.join(timeout=2.0)
         for proc in self._procs:

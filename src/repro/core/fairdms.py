@@ -23,7 +23,7 @@ reported directly from the returned :class:`ModelUpdateReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from repro.utils.errors import ConfigurationError, ValidationError
 from repro.utils.rng import SeedLike
 from repro.utils.timing import StopWatch
 from repro.workflow.transfer import TransferService
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compute.executor import Executor
 
 
 @dataclass
@@ -129,12 +126,6 @@ class FairDMS:
         Optional :class:`TransferService` to account data/model movement.
     policy:
         :class:`UpdatePolicy` thresholds.
-    executor:
-        Optional :class:`repro.compute.Executor` handed to every
-        :class:`Trainer` this service builds (bootstrap, from-scratch
-        retraining, fine-tuning), enabling data-parallel training without
-        any call-site change.  Defaults to the fairDS executor when that is
-        set, so a deployment wires the compute plane once.
     """
 
     def __init__(
@@ -146,7 +137,6 @@ class FairDMS:
         transfer: Optional[TransferService] = None,
         policy: Optional[UpdatePolicy] = None,
         seed: SeedLike = 0,
-        executor: Optional["Executor"] = None,
     ):
         self.fairds = fairds
         self.policy = policy or UpdatePolicy()
@@ -157,11 +147,7 @@ class FairDMS:
         self.training_config = training_config
         self.transfer = transfer
         self.seed = seed
-        self.executor = executor if executor is not None else fairds.executor
         self.certainty_trigger = CertaintyTrigger(self.policy.certainty_threshold)
-
-    def _trainer(self, model: Sequential) -> Trainer:
-        return Trainer(model, executor=self.executor)
 
     # -- bootstrap -----------------------------------------------------------------------
     def bootstrap(
@@ -178,7 +164,7 @@ class FairDMS:
             return None
         model = self.model_builder()
         x_train, y_train, x_val, y_val = self._split(images, labels)
-        self._trainer(model).fit((x_train, y_train), val=(x_val, y_val), config=self.training_config)
+        Trainer(model).fit((x_train, y_train), val=(x_val, y_val), config=self.training_config)
         distribution = self.fairds.dataset_distribution(images, label="bootstrap")
         return self.fairms.register(model, distribution, origin="bootstrap")
 
@@ -223,7 +209,7 @@ class FairDMS:
             strategy = "scratch"
             model = self.model_builder()
             with watch.measure("train"):
-                history = self._trainer(model).fit(
+                history = Trainer(model).fit(
                     (x_train, y_train), val=(x_val, y_val), config=self.training_config
                 )
         else:
@@ -232,7 +218,7 @@ class FairDMS:
                 recommendation = self.fairms.recommend(input_distribution)
                 model = self.fairms.load(recommendation)
             with watch.measure("train"):
-                history = self._trainer(model).fine_tune(
+                history = Trainer(model).fine_tune(
                     (x_train, y_train),
                     val=(x_val, y_val),
                     config=self.training_config,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -11,9 +11,6 @@ from repro.nn.mc_dropout import mc_dropout_predict
 from repro.nn.metrics import euclidean_pixel_error, mean_squared_error
 from repro.nn.network import Sequential
 from repro.utils.errors import ConfigurationError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compute.executor import Executor
 
 
 @dataclass
@@ -43,7 +40,6 @@ class DegradationDetector:
         error_factor: float = 1.5,
         mc_samples: int = 10,
         error_metric: str = "pixel",
-        executor: Optional["Executor"] = None,
     ):
         if baseline_scans < 1:
             raise ConfigurationError("baseline_scans must be >= 1")
@@ -58,9 +54,6 @@ class DegradationDetector:
         self.error_factor = float(error_factor)
         self.mc_samples = int(mc_samples)
         self.error_metric = error_metric
-        #: Optional compute plane for the MC-dropout probe; the serial
-        #: in-process path is used when unset.
-        self.executor = executor
         self.records: List[DegradationRecord] = []
 
     def _error(self, pred: np.ndarray, target: np.ndarray) -> float:
@@ -84,9 +77,7 @@ class DegradationDetector:
         y = np.asarray(y)
         if x.shape[0] != y.shape[0] or x.shape[0] == 0:
             raise ValidationError("x and y must be non-empty and the same length")
-        mean_pred, std = mc_dropout_predict(
-            self.model, x, n_samples=self.mc_samples, executor=self.executor
-        )
+        mean_pred, std = mc_dropout_predict(self.model, x, n_samples=self.mc_samples)
         error = self._error(mean_pred, y)
         uncertainty = float(std.mean())
         baseline = self.baseline_error

@@ -650,11 +650,6 @@ class Dropout(Layer):
         self._rng = default_rng(seed)
         self._mask: Optional[np.ndarray] = None
 
-    def reseed(self, seed: SeedLike) -> None:
-        """Replace the mask RNG.  Parallel MC-dropout / data-parallel replicas
-        call this so each worker draws an independent, reproducible stream."""
-        self._rng = default_rng(seed)
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = self._cast(x)
         if not training or self.rate == 0.0:

@@ -27,16 +27,13 @@ change the batch statistics.
 from __future__ import annotations
 
 from statistics import NormalDist
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.nn.layers import Dropout, Layer
 from repro.nn.network import Sequential
 from repro.utils.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compute.executor import Executor
 
 #: Default cap on rows per folded forward pass; bounds workspace memory and
 #: keeps the folded intermediates cache-resident.
@@ -83,8 +80,6 @@ def mc_dropout_predict(
     x: np.ndarray,
     n_samples: int = 20,
     max_rows: int = DEFAULT_MAX_ROWS,
-    executor: Optional["Executor"] = None,
-    seed: Any = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return ``(mean, std)`` of ``n_samples`` stochastic forward passes.
 
@@ -93,14 +88,6 @@ def mc_dropout_predict(
     uncertainty meaningless.  ``max_rows`` caps the rows per folded forward
     pass (memory/throughput trade-off); set it to ``0`` to force the looped
     path.
-
-    With a parallel ``executor`` (``max_workers > 1``) and a BatchNorm-free
-    model, the draws fan out across worker replicas whose Dropout layers are
-    reseeded from ``seed`` + worker id (see
-    :func:`repro.compute.dp.mc_dropout_predict_parallel`): results are
-    reproducible for a fixed seed and worker count, statistically equivalent
-    to — but not bitwise equal with — the in-process path, and the live
-    model's own Dropout RNG state is left untouched.
     """
     if n_samples < 2:
         raise ConfigurationError("n_samples must be >= 2 for an uncertainty estimate")
@@ -109,15 +96,6 @@ def mc_dropout_predict(
             "MC dropout requires a model with at least one Dropout layer"
         )
     x = np.asarray(x)
-    if (
-        executor is not None
-        and not executor.closed
-        and executor.max_workers > 1
-        and not model.has_batchnorm()
-    ):
-        from repro.compute.dp import mc_dropout_predict_parallel
-
-        return mc_dropout_predict_parallel(model, x, n_samples, max_rows, executor, seed=seed)
     if max_rows and not model.has_batchnorm():
         draws = _folded_draws(model, x, n_samples, max_rows)
     else:

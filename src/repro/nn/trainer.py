@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from repro.observability.metrics import default_registry
 from repro.utils.errors import ConfigurationError, ValidationError
 from repro.utils.logging import get_logger
 from repro.utils.rng import SeedLike, default_rng
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compute.executor import Executor
 
 logger = get_logger("repro.nn.trainer")
 
@@ -131,15 +128,6 @@ class Trainer:
         applications all optimise MSE-style objectives).
     optimizer_factory:
         Callable ``(params, lr) -> Optimizer``; defaults to Adam.
-    executor:
-        Optional :class:`repro.compute.Executor`.  When it offers real
-        parallelism (``max_workers > 1``) and the model qualifies (array
-        training data, single-dtype parameter pack, no BatchNorm),
-        :meth:`fit` runs data-parallel: workers compute per-shard gradients
-        into a shared flat slab and the parent performs one fused
-        weighted-average + ``optimizer.step()`` per macro-batch — the same
-        update sequence as serial training.  Otherwise training falls back
-        to the serial loop unchanged.
     """
 
     def __init__(
@@ -147,12 +135,10 @@ class Trainer:
         model: Sequential,
         loss: Optional[Loss] = None,
         optimizer_factory: Optional[Callable[[Sequence, float], Optimizer]] = None,
-        executor: Optional["Executor"] = None,
     ):
         self.model = model
         self.loss = loss or MSELoss()
         self._optimizer_factory = optimizer_factory or (lambda params, lr: Adam(params, lr=lr))
-        self.executor = executor
         self._best_val = float("inf")
         self._epochs_since_improvement = 0
 
@@ -215,26 +201,6 @@ class Trainer:
         self._best_val = float("inf")
         self._epochs_since_improvement = 0
 
-        if x_train is not None and self._use_data_parallel(optimizer):
-            from repro.compute.dp import fit_data_parallel
-
-            fit_data_parallel(self, x_train, y_train, val, config, optimizer, history)
-        else:
-            self._fit_serial(train, x_train, y_train, val, config, optimizer, rng, history)
-
-        if history.converged_epoch is None and config.target_loss is not None:
-            history.converged_epoch = history.epochs_to_converge(config.target_loss)
-        return history
-
-    def _use_data_parallel(self, optimizer: Optimizer) -> bool:
-        if self.executor is None:
-            return False
-        from repro.compute.dp import supports_data_parallel
-
-        return supports_data_parallel(self.model, optimizer, self.executor)
-
-    def _fit_serial(self, train, x_train, y_train, val, config, optimizer, rng, history) -> None:
-        dtype = self.model.dtype
         for epoch in range(config.epochs):
             epoch_start = time.perf_counter()
             io_time = 0.0
@@ -271,6 +237,10 @@ class Trainer:
             ):
                 break
 
+        if history.converged_epoch is None and config.target_loss is not None:
+            history.converged_epoch = history.epochs_to_converge(config.target_loss)
+        return history
+
     def _finish_epoch(
         self,
         history: TrainingHistory,
@@ -281,9 +251,8 @@ class Trainer:
         epoch_start: float,
         val: Optional[ArrayPair],
     ) -> bool:
-        """Per-epoch bookkeeping shared by the serial and data-parallel
-        loops: history, validation, metrics/logging, early stopping.
-        Returns True when training should stop."""
+        """Per-epoch bookkeeping: history, validation, metrics/logging,
+        early stopping.  Returns True when training should stop."""
         history.train_loss.append(train_loss)
         history.io_time.append(io_time)
         if val is not None:

@@ -25,10 +25,9 @@ certainty with a :class:`~repro.monitoring.triggers.CertaintyTrigger`
 :class:`~repro.monitoring.triggers.ThresholdTrigger` to trigger on a
 drift-detector's prediction-error feed instead.
 
-The pipeline is compute-plane agnostic: when the deployment spec configures
-an :class:`~repro.compute.Executor`, the fairDMS service it wraps trains
-data-parallel (and its MC-dropout probes fan out) with no change to any
-step here — cycle reports, checkpoints, and hot-swaps are identical.
+The pipeline is compute-plane agnostic: an :class:`~repro.compute.Executor`
+in the deployment spec may change where fairDS embeds, never what any step
+here computes — cycle reports, checkpoints, and hot-swaps are identical.
 """
 
 from __future__ import annotations
@@ -330,11 +329,6 @@ class ContinualLearningPipeline:
         lookup = ctx.get("lookup")
         if lookup is None:
             return None
-        # The compute plane is fairDMS's concern: when the deployment spec
-        # configures an executor, train_on_lookup fans training out across it
-        # with no change to this step or its checkpointing.
-        if self.dms.executor is not None:
-            logger.debug("train step using %s compute plane", self.dms.executor.kind)
         return self.dms.train_on_lookup(lookup)
 
     def _validate_step(self, ctx: Dict[str, Any]) -> Optional[Dict[str, Any]]:

@@ -9,6 +9,7 @@ exception unwinding, and SIGKILLed workers.
 
 from __future__ import annotations
 
+import logging
 import os
 import signal
 import threading
@@ -29,7 +30,7 @@ from repro.compute import (
     attach_array,
     chunk_items,
 )
-from repro.observability.metrics import default_registry
+from repro.observability.metrics import default_registry, internal_errors
 from repro.utils.errors import ComputeError, ConfigurationError, WorkerCrashError
 
 ALL_KINDS = ["inline", "thread", "process"]
@@ -85,6 +86,19 @@ def _write_slot(ctx, slot):
 
 def _session_exit_hard(ctx, item):
     os._exit(13)
+
+
+class _TwoArgError(Exception):
+    """Pickles in the worker, but ``pickle.loads`` calls ``__init__(*args)``
+    with one argument, so it cannot be rebuilt in the parent."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+        self.b = b
+
+
+def _raise_two_arg(x):
+    raise _TwoArgError("x", x)
 
 
 # ---------------------------------------------------------------------------------
@@ -318,6 +332,57 @@ def test_unpicklable_task_function_is_a_typed_error():
             ex.map(lambda x: x, [1, 2])
         # decode-side failure does not kill the pool either
         assert ex.map(_double, [3]) == [6]
+
+
+# ---------------------------------------------------------------------------------
+# swallowed failures are logged and counted
+# ---------------------------------------------------------------------------------
+def _capture(name):
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logging.getLogger(name).addHandler(handler)
+    return records, handler
+
+
+def test_a_worker_exception_that_cannot_be_unpickled_is_counted_and_logged():
+    errors = internal_errors(default_registry(), "executor.rebuild")
+    before = errors.value
+    records, handler = _capture("repro.compute.process")
+    try:
+        with ProcessExecutor(max_workers=2) as ex:
+            with pytest.raises(ComputeError, match=r"worker task failed: _TwoArgError\('x'"):
+                ex.map(_raise_two_arg, [1])
+            assert ex.map(_double, [3]) == [6]
+    finally:
+        logging.getLogger("repro.compute.process").removeHandler(handler)
+    assert errors.value == before + 1
+    (record,) = [r for r in records if "could not be unpickled" in r.getMessage()]
+    assert record.exc_info is not None
+
+
+def test_a_failed_shutdown_send_is_counted_and_logged_and_close_still_reaps_workers():
+    errors = internal_errors(default_registry(), "executor.shutdown")
+    before = errors.value
+    records, handler = _capture("repro.compute.process")
+    ex = ProcessExecutor(max_workers=2)
+    try:
+        ex.map(_double, [1, 2])  # forces pool start
+        procs = list(ex._procs)
+        real_send = ex._send
+
+        def raising_send(worker_id, message, what):
+            real_send(worker_id, message, what)  # the worker still exits; only the call raises
+            raise ComputeError("queue closed")
+
+        ex._send = raising_send
+        ex.close()
+    finally:
+        logging.getLogger("repro.compute.process").removeHandler(handler)
+    assert not any(proc.is_alive() for proc in procs)
+    assert errors.value == before + 2
+    failed = [r for r in records if "sending shutdown" in r.getMessage()]
+    assert len(failed) == 2 and all(r.exc_info is not None for r in failed)
 
 
 # ---------------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""End-to-end parity tests for the data-parallel compute plane.
+"""End-to-end parity tests for the process compute plane.
 
 The contract under test: selecting an executor changes *where* the compute
-runs, never *what* it computes — serial vs data-parallel training agrees at
-dropout=0 (the shard-mean reduce is the only float reassociation), the
-thread and process backends agree bitwise with each other, the parallel MC
-probe is reproducible, and the certainty / labeling planes return the same
-answers through the seam.  The final test drives the full drift → retrain →
-hot-swap cycle from the "parallel" preset, i.e. with a process executor
-chosen purely by spec.
+runs, never *what* it computes.  The certainty and labeling planes return the
+same answers through the seam as without it, and the "parallel" preset —
+a process executor chosen purely by spec — trains, validates and promotes
+bit-identically to the same spec with ``"executor": null`` across a full
+fit → benign scan → drift → retrain → hot-swap cycle.  Training and MC
+dropout always run in-process; the executor serves fairDS's multi-batch
+embedding and certainty.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.api.deployment import Deployment
-from repro.compute import ProcessExecutor, ThreadExecutor
+from repro.api.spec import SystemSpec, preset
+from repro.compute import ProcessExecutor
 from repro.core import FairDS
 from repro.datasets import BraggPeakDataset, make_two_phase_schedule
 from repro.embedding import PCAEmbedder
 from repro.labeling.peak_fitting import label_patches
-from repro.models import build_braggnn
-from repro.nn import Trainer, TrainingConfig, mc_dropout_predict
 from repro.utils.rng import default_rng
 
 _has_dev_shm = Path("/dev/shm").is_dir()
@@ -44,76 +42,6 @@ def _blob_data(n: int, seed: int = 0):
     )
     x = (blobs + 0.05 * rng.normal(size=(n, 15, 15)))[:, None, :, :]
     return x.astype(np.float64), centers / 15.0
-
-
-def _fit(data, executor=None, dropout=0.0):
-    model = build_braggnn(width=2, dropout=dropout, seed=11)
-    config = TrainingConfig(epochs=2, batch_size=32, lr=2e-3, seed=0)
-    history = Trainer(model, executor=executor).fit(data, config=config)
-    return model, history
-
-
-# ---------------------------------------------------------------------------------
-# data-parallel training parity
-# ---------------------------------------------------------------------------------
-def test_data_parallel_fit_matches_serial_at_zero_dropout():
-    data = _blob_data(96, seed=4)
-    serial_model, serial_hist = _fit(data)
-    with ProcessExecutor(max_workers=2) as ex:
-        dp_model, dp_hist = _fit(data, executor=ex)
-        assert ex.stats["tasks_completed"] > 0  # the DP path actually engaged
-    np.testing.assert_allclose(
-        dp_hist.train_loss, serial_hist.train_loss, rtol=1e-5
-    )
-    np.testing.assert_allclose(
-        dp_model.predict(data[0][:16]), serial_model.predict(data[0][:16]),
-        rtol=1e-4, atol=1e-6,
-    )
-
-
-def test_thread_and_process_backends_agree_bitwise():
-    # Same shard split, same reduce order, no dropout draws: the two parallel
-    # backends run identical float programs and must agree exactly.
-    data = _blob_data(96, seed=4)
-    with ThreadExecutor(max_workers=2) as tex:
-        t_model, t_hist = _fit(data, executor=tex)
-    with ProcessExecutor(max_workers=2) as pex:
-        p_model, p_hist = _fit(data, executor=pex)
-    assert t_hist.train_loss == p_hist.train_loss
-    np.testing.assert_array_equal(
-        t_model.predict(data[0][:16]), p_model.predict(data[0][:16])
-    )
-
-
-def test_single_worker_executor_falls_back_to_serial_path():
-    data = _blob_data(64, seed=2)
-    serial_model, serial_hist = _fit(data)
-    with ProcessExecutor(max_workers=1) as ex:
-        one_model, one_hist = _fit(data, executor=ex)
-        assert ex.stats["tasks_completed"] == 0  # never dispatched
-    assert one_hist.train_loss == serial_hist.train_loss
-    np.testing.assert_array_equal(
-        one_model.predict(data[0][:8]), serial_model.predict(data[0][:8])
-    )
-
-
-# ---------------------------------------------------------------------------------
-# parallel MC-dropout probe
-# ---------------------------------------------------------------------------------
-def test_parallel_mc_probe_is_reproducible_and_statistically_consistent():
-    model = build_braggnn(width=2, seed=3)
-    x = _blob_data(32, seed=6)[0]
-    mean_serial, std_serial = mc_dropout_predict(model, x, n_samples=96)
-    with ProcessExecutor(max_workers=2) as ex:
-        mean_a, std_a = mc_dropout_predict(model, x, n_samples=96, executor=ex, seed=5)
-        mean_b, std_b = mc_dropout_predict(model, x, n_samples=96, executor=ex, seed=5)
-    # Fixed seed + worker count -> identical draws run-to-run (and the second
-    # call proves the probe left the live model's RNG out of it).
-    np.testing.assert_array_equal(mean_a, mean_b)
-    np.testing.assert_array_equal(std_a, std_b)
-    # Different dropout streams than the serial path: statistically equal.
-    assert float(np.max(np.abs(mean_a - mean_serial))) < 0.1
-    assert float(np.mean(std_a)) == pytest.approx(float(np.mean(std_serial)), rel=0.5)
 
 
 # ---------------------------------------------------------------------------------
@@ -146,22 +74,23 @@ def test_label_patches_parity_with_process_executor():
 # ---------------------------------------------------------------------------------
 # the whole loop from the "parallel" preset: executor chosen purely by spec
 # ---------------------------------------------------------------------------------
-def test_parallel_preset_runs_drift_retrain_hot_swap_cycle():
+def _drift_experiment():
     experiment = BraggPeakDataset(
         make_two_phase_schedule(n_scans=14, change_at=8, seed=0),
         peaks_per_scan=60, seed=0,
     )
     hist_x, hist_y = experiment.stacked(range(3))
-    benign = experiment.scan(5).images
-    drifted = experiment.scan(9).images
+    return hist_x, hist_y, experiment.scan(5).images, experiment.scan(9).images
+
+
+def test_parallel_preset_runs_drift_retrain_hot_swap_cycle():
+    hist_x, hist_y, benign, drifted = _drift_experiment()
 
     shm_before = _shm_count() if _has_dev_shm else None
     with Deployment.from_preset("parallel") as dep:
         assert dep.executor is not None and dep.executor.kind == "process"
         dep.fit(hist_x, hist_y)
         assert dep.zoo.promoted_version() == "v0"
-        # Bootstrap training already rode the compute plane.
-        assert dep.executor.stats["tasks_completed"] > 0
 
         report = dep.process_scan(benign, run_id="benign")
         assert not report.triggered
@@ -170,9 +99,31 @@ def test_parallel_preset_runs_drift_retrain_hot_swap_cycle():
         assert report.triggered and report.swapped
         assert report.promoted_version == "v1"
 
+        # Multi-batch certainty rides the compute plane.
+        dep.fairds.certainty_batch([benign, drifted])
+        assert dep.executor.stats["tasks_completed"] > 0
         snap = dep.snapshot()
         assert snap["executor"]["kind"] == "process"
         assert snap["executor"]["tasks_completed"] > 0
     assert dep.executor.closed
     if shm_before is not None:
         assert _shm_count() == shm_before
+
+
+def test_the_parallel_preset_trains_what_the_serial_spec_trains():
+    hist_x, hist_y, benign, drifted = _drift_experiment()
+    parallel = preset("parallel")
+    serial = SystemSpec.from_dict({**parallel.to_dict(), "executor": None})
+
+    def cycle(spec):
+        with Deployment(spec) as dep:
+            dep.fit(hist_x, hist_y)
+            dep.process_scan(benign, run_id="benign")
+            report = dep.process_scan(drifted, run_id="drifted")
+            assert report.swapped
+            return report, dep.handle().model.predict(drifted)
+
+    parallel_report, parallel_pred = cycle(parallel)
+    serial_report, serial_pred = cycle(serial)
+    assert parallel_report.val_loss == serial_report.val_loss
+    np.testing.assert_array_equal(parallel_pred, serial_pred)
