@@ -1,8 +1,12 @@
 """Tests for the training / fine-tuning loops and MC dropout."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.core.fairdms import FairDMS
+from repro.monitoring.drift_detector import DegradationDetector
 from repro.nn.layers import Dense, Dropout, ReLU
 from repro.nn.mc_dropout import _z_value, mc_dropout_predict, prediction_interval_width
 from repro.nn.metrics import (
@@ -96,6 +100,21 @@ def test_fit_with_callable_batch_source():
     assert history.epochs_run == 3
 
 
+def test_fit_is_reproducible_from_the_seeds():
+    x, y = _regression_data(120)
+    config = TrainingConfig(epochs=6, batch_size=16, lr=0.01, seed=3)
+
+    def fit():
+        model = _model(seed=2, dropout=0.2)
+        history = Trainer(model).fit((x[:90], y[:90]), val=(x[90:], y[90:]), config=config)
+        return history, model.forward(x, training=False)
+
+    (h1, p1), (h2, p2) = fit(), fit()
+    assert h1.train_loss == h2.train_loss
+    assert h1.val_loss == h2.val_loss
+    np.testing.assert_array_equal(p1, p2)
+
+
 def test_fit_rejects_mismatched_shapes():
     x, y = _regression_data(20)
     with pytest.raises(ValidationError):
@@ -180,6 +199,35 @@ def test_mc_dropout_predict_shapes_and_spread():
     assert std.shape == (50, 2)
     assert np.all(std >= 0)
     assert std.mean() > 0  # dropout induces spread
+
+
+def test_mc_dropout_probe_is_reproducible_and_redraws_its_masks():
+    x, _ = _regression_data(40)
+    mean_a, std_a = mc_dropout_predict(_model(dropout=0.3), x, n_samples=16)
+    mean_b, std_b = mc_dropout_predict(_model(dropout=0.3), x, n_samples=16)
+    np.testing.assert_array_equal(mean_a, mean_b)
+    np.testing.assert_array_equal(std_a, std_b)
+    # A second probe on the same model draws fresh masks: different samples,
+    # same distribution.
+    model = _model(dropout=0.3)
+    first = mc_dropout_predict(model, x, n_samples=64)
+    second = mc_dropout_predict(model, x, n_samples=64)
+    assert not np.array_equal(first[1], second[1])
+    deterministic = model.forward(x, training=False)
+    assert np.abs(first[0] - second[0]).mean() < 0.25 * np.abs(deterministic).mean()
+    assert second[1].mean() == pytest.approx(first[1].mean(), rel=0.25)
+
+
+@pytest.mark.parametrize(
+    "entry", [Trainer, mc_dropout_predict, FairDMS, DegradationDetector],
+    ids=lambda entry: entry.__name__,
+)
+def test_training_and_probe_entry_points_take_no_executor(entry):
+    # Training and MC dropout run in-process only; no knob selects a path.
+    params = inspect.signature(entry).parameters
+    assert "executor" not in params
+    if entry is mc_dropout_predict:
+        assert "seed" not in params
 
 
 def test_mc_dropout_requires_dropout_layer():
