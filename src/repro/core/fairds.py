@@ -18,7 +18,7 @@ Responsibilities (paper Section II-A):
    (:meth:`FairDS.refresh`).
 
 **What a reader may rely on.**  Everything a read needs — fitted embedder, its
-embedding cache, clustering, collection, index — is one :class:`_Generation`,
+embedding cache, clustering, sample table, index — is one :class:`_Generation`,
 published by one reference assignment.  A (re)fit builds generation N+1
 *aside* and publishes it last, so a read running beside a refresh answers
 wholly from N or wholly from N+1 (lookups say which:
@@ -27,12 +27,13 @@ raises leaves N published and untouched.  Readers take no lock.  The writers
 (:meth:`FairDS.fit`, :meth:`FairDS.refresh`, :meth:`FairDS.ingest`, the
 ``n_probe`` retune) are serialised by one lock: an ingest that arrives during
 a refresh waits for it and lands in generation N+1.  Those writers are the
-store's only ones: :attr:`FairDS.collection` is read-only to everyone else.
+store's only ones: :attr:`FairDS.collection`, its document view, is read-only.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import pickle
 import threading
 from dataclasses import dataclass
@@ -105,63 +106,88 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 class _SampleCatalog(NamedTuple):
-    """The generation's sample table: every sample fairDS stored, column by
-    column, in write order.
+    """The generation's sample table: the one store of fairDS's samples,
+    column by column, in write order.
 
-    fairDS is the only writer of its collection, always through
-    :meth:`FairDS._write_samples`, which extends this table by the rows it
-    inserted: row ``i`` *is* the ``i``-th document (its id, label and cluster
-    id), so lookups and refreshes read the table, not the documents.
-    ``cluster_ids`` and ``members`` (row numbers per cluster id present) are
-    NumPy views of exactly this snapshot's length, the heads of buffers later
+    Row ``i`` is one sample: its id, its payload (``images``, float64: the
+    only copy in the process), label (``labels``, float64), metadata (a
+    mapping, or ``None``) and cluster id; ``row_of`` maps an id to its row
+    and ``members`` lists the rows of each cluster id present.  Only
+    :meth:`FairDS._write_samples` extends a table.  The array columns are
+    NumPy views of exactly this snapshot's rows, the heads of buffers later
     snapshots grow (:func:`~repro.storage.vector_index.appended`: a view
     handed out stays as it was, so a published snapshot is read without a
-    lock while the next is prepared); ``doc_ids`` and ``labels`` are
-    append-only lists shared with later snapshots, of which only the rows
-    below ``len(cluster_ids)`` belong to this one.
+    lock while the next is prepared); ``doc_ids``, ``row_of`` and
+    ``metadata`` are append-only and shared with later snapshots, of which
+    only the first :attr:`size` rows belong to this one.  A refresh's table
+    shares generation N's ``images``, ``labels`` and ``metadata`` and gives
+    the rows new ids, cluster ids and members.
     """
 
     doc_ids: List[str]
-    labels: List[Any]
+    row_of: Dict[str, int]
+    images: np.ndarray
+    labels: np.ndarray
+    metadata: List[Optional[Mapping[str, Any]]]
     cluster_ids: np.ndarray
     members: Dict[int, np.ndarray]
 
     @classmethod
-    def empty(cls) -> "_SampleCatalog":
-        """The table of a collection that holds no sample yet."""
-        return cls([], [], _NO_ROWS, {})
+    def empty(cls, images: np.ndarray, labels: np.ndarray) -> "_SampleCatalog":
+        """A table with no row yet, for rows shaped like these (the first rows
+        appended to its empty views are copied to buffers of their own)."""
+        return cls([], {}, images[:0], labels[:0], [], _NO_ROWS, {})
+
+    @property
+    def size(self) -> int:
+        return self.cluster_ids.size
 
     def extended(
-        self, doc_ids: Sequence[str], labels: Sequence[Any], cluster_ids: np.ndarray
+        self,
+        doc_ids: Sequence[str],
+        cluster_ids: np.ndarray,
+        images: Optional[np.ndarray] = None,
+        labels: Optional[np.ndarray] = None,
+        metadata: Optional[Sequence[Mapping[str, Any]]] = None,
     ) -> "_SampleCatalog":
-        """The snapshot after documents ``doc_ids`` with these labels and
-        cluster ids were appended to the collection, in O(batch + clusters).
+        """The snapshot after rows ``size ..`` were named ``doc_ids`` with
+        these cluster ids, in O(batch + clusters).  With ``images``, those
+        rows are appended first, with ``labels`` and a copy of ``metadata``;
+        without, the ids name rows the columns already hold.
 
         Consumes ``self``: the shared lists and buffers grow in place (beyond
         what ``self`` and older snapshots read), so only the newest snapshot
-        may be extended, by one thread at a time.
+        may be extended, by one thread at a time.  The arrays are appended
+        before any list grows, so a raise leaves the shared lists untouched.
         """
         added = np.asarray(cluster_ids, dtype=np.intp)
-        first_row = self.cluster_ids.size
-        members = dict(self.members)
+        extras = [None] * added.size if metadata is None else [dict(extra) for extra in metadata]
+        first_row = self.size
+        table = self._replace(cluster_ids=appended(self.cluster_ids, added),
+                              members=dict(self.members))
         for c, rows in cluster_members(added).items():
-            members[c] = appended(members.get(c, _NO_ROWS), rows + first_row)
+            table.members[c] = appended(self.members.get(c, _NO_ROWS), rows + first_row)
+        if images is not None:
+            table = table._replace(images=appended(self.images, images),
+                                   labels=appended(self.labels, labels))
+            self.metadata.extend(extras)
         self.doc_ids.extend(doc_ids)
-        self.labels.extend(labels)
-        return self._replace(cluster_ids=appended(self.cluster_ids, added), members=members)
+        self.row_of.update(zip(doc_ids, range(first_row, table.size)))
+        return table
 
 
 @dataclass(eq=False)
 class _Generation:
     """One published state of the system plane: what one (re)fit produced.
 
-    The first seven fields never change after publication (the collection and
-    the index grow under :meth:`FairDS.ingest`, each safe beside readers).
-    The last two are the slots that legitimately move afterwards, and belong
-    to the generation because they describe nothing else: ``catalog`` (the
-    sample table of ``collection``, replaced whole by every ingest) and
-    ``session`` (the process-executor session holding ``embedder``, opened
-    on first use and closed once the generation is superseded).
+    The first seven fields never change after publication (the index grows
+    under :meth:`FairDS.ingest`, and ``collection``, the document view of
+    ``catalog``, when read; each safe beside readers).  The last two are the
+    slots that legitimately move afterwards, and belong to the generation
+    because they describe nothing else: ``catalog`` (the sample table,
+    replaced whole by every ingest) and ``session`` (the process-executor
+    session holding ``embedder``, opened on first use and closed once the
+    generation is superseded).
     """
 
     number: int
@@ -303,10 +329,16 @@ class FairDS:
 
     @property
     def collection(self) -> Collection:
-        """The published generation's sample documents (``_id``, ``label``,
-        metadata, ``cluster_id``, encoded ``payload``).  Read-only to callers:
-        fairDS writes it only through :meth:`fit` / :meth:`ingest` /
-        :meth:`refresh`, and answers from the sample table those writes keep."""
+        """The published generation's samples as documents (``label``,
+        metadata, ``_id``, ``cluster_id``, ``payload`` encoded with the db's
+        codec, ``payload_bytes``) in write order, for readers that want them.
+
+        A view of the sample table, which no fairDS operation reads through:
+        its first read after a (re)fit builds the documents, and each later
+        read appends the rows ingests added since (:meth:`_documents`), with
+        no network charge.  ``db.collection(name)`` serves this same object
+        until the next refresh.  Read-only to callers.
+        """
         gen = self._generation
         return gen.collection if gen is not None else self.db.collection(self.collection_name)
 
@@ -319,7 +351,8 @@ class FairDS:
         return self._live("n_clusters").clusterer.n_clusters
 
     def store_size(self) -> int:
-        return self.collection.count()
+        gen = self._generation
+        return gen.catalog.size if gen is not None else self.collection.count()
 
     @staticmethod
     def _validate_labelled(
@@ -332,6 +365,12 @@ class FairDS:
         if metadata is not None and len(metadata) != images.shape[0]:
             raise ValidationError("metadata must match the number of images")
         return images, labels
+
+    def _charge(self, *arrays: np.ndarray) -> None:
+        """Bill the network model for the array bytes one read or write moves."""
+        network = self.db.network
+        if not network.is_free:
+            network.charge(sum(array.nbytes for array in arrays))
 
     @staticmethod
     def _embed(gen: _Generation, images: np.ndarray) -> np.ndarray:
@@ -404,28 +443,29 @@ class FairDS:
     ) -> "FairDS":
         """Train the embedding + clustering models and populate the data store."""
         images, labels = self._validate_labelled(images, labels, metadata)
-        carried = self._labelled(labels, metadata)
         with self._write_lock, trace_span("fairds.fit"):
-            return self._rebuild(images, carried, images, embedder_kwargs)
+            self._charge(images, labels)
+            return self._rebuild(images, _SampleCatalog.empty(images, labels),
+                                 (images, labels, metadata), embedder_kwargs)
 
     def _rebuild(
         self,
         images: np.ndarray,
-        carried: Sequence[Mapping[str, Any]],
-        payloads: Optional[np.ndarray],
+        table: _SampleCatalog,
+        rows: tuple,
         embedder_kwargs: Optional[Dict],
         carried_clusters: Optional[np.ndarray] = None,
     ) -> "FairDS":
         """Build the next generation from ``images`` and publish it.
 
         Everything is built aside — a copy of the embedder, a fresh
-        clusterer, a detached collection, a new index — and nothing of the
+        clusterer, an empty collection view, a new index — and nothing of the
         published generation is touched, so readers keep answering from it
         and a raise anywhere before the last statements costs nothing.  Caller
-        holds the writer lock.  ``carried[i]`` holds the fields sample ``i``
-        keeps (:meth:`_write_samples`); ``payloads`` are what the collection
-        encodes as the samples' payloads, ``None`` at a refresh, whose carried
-        documents hold theirs encoded.
+        holds the writer lock.  The new generation's sample table is
+        ``table`` extended by ``rows`` (:meth:`_write_samples`): at a fit
+        ``images`` with their labels and metadata; at a refresh none, the
+        table holding ``images`` and naming none of its rows.
 
         ``carried_clusters`` — the cluster ids generation N gave these
         samples; a refresh passes them, a :meth:`fit` is always cold — warm-
@@ -474,8 +514,7 @@ class FairDS:
 
         with trace_span("store.write"):
             coll = self.db.detached_collection(self.collection_name)
-            ids, catalog = self._write_samples(
-                coll, _SampleCatalog.empty(), carried, cluster_ids, payloads)
+            ids, catalog = self._write_samples(table, cluster_ids, *rows)
         with trace_span("index.build"):
             index, caps = self._make_index(clusterer)
             n_probe = getattr(prev.index, "n_probe", None) if prev is not None else None
@@ -487,8 +526,10 @@ class FairDS:
             LRUCache(self.embedding_cache_size if embedder.memoize else 0),
             clusterer, coll, index, caps, catalog,
         )
-        # Publication: the collection takes over its name, then one reference
-        # assignment.  Generation N is simply no longer referenced from here.
+        coll.source = functools.partial(self._documents, gen)
+        # Publication: the (empty) collection view takes over its name, then
+        # one reference assignment.  Generation N is simply no longer
+        # referenced from here.
         self.db.install(coll)
         self._generation = gen
         if prev is not None and prev.session is not None:
@@ -499,40 +540,39 @@ class FairDS:
         return self
 
     @staticmethod
-    def _labelled(
-        labels: np.ndarray, metadata: Optional[Sequence[Mapping[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        """What a newly labelled sample brings to its document: label and metadata."""
-        if metadata is None:
-            return [{"label": label} for label in labels.tolist()]
-        return [{"label": label, **extra} for label, extra in zip(labels.tolist(), metadata)]
+    def _documents(gen: _Generation, start: int) -> List[Document]:
+        """Rows ``start ..`` of ``gen``'s sample table as documents: the
+        source of its collection view (:attr:`collection`)."""
+        catalog = gen.catalog
+        stop = catalog.size
+        blobs = gen.collection.codec.encode_many(catalog.images[start:stop])
+        return [
+            Document({"label": label, **(extra or {})}, _id=doc_id, cluster_id=cluster_id,
+                     payload=blob, payload_bytes=len(blob))
+            for label, extra, doc_id, cluster_id, blob in zip(
+                catalog.labels[start:stop].tolist(), catalog.metadata[start:stop],
+                catalog.doc_ids[start:stop], catalog.cluster_ids[start:stop].tolist(), blobs)
+        ]
 
     @staticmethod
     def _write_samples(
-        coll: Collection,
         catalog: _SampleCatalog,
-        carried: Sequence[Mapping[str, Any]],
         cluster_ids: np.ndarray,
-        payloads: Optional[np.ndarray],
+        images: Optional[np.ndarray] = None,
+        labels: Optional[np.ndarray] = None,
+        metadata: Optional[Sequence[Mapping[str, Any]]] = None,
     ) -> Tuple[List[str], _SampleCatalog]:
-        """Append one document per sample to ``coll``: the only writer of samples.
+        """The only writer of samples: ``catalog`` extended by one row per
+        cluster id, each under a fresh id (:meth:`_SampleCatalog.extended`).
 
-        A document is its sample's ``carried`` fields by reference — label and
-        metadata, or at a refresh all of generation N's document, encoded
-        payload included — under a fresh ``_id`` with this generation's
-        ``cluster_id``.  Returns the new ids and ``catalog``, the sample table
-        of ``coll`` before the insert, extended by the rows inserted.
+        A fit or an ingest passes its ``images``, ``labels`` and ``metadata``
+        rows; a refresh passes none, and the ids name the rows its table
+        shares with generation N.  No document is built and no codec called:
+        :attr:`collection` builds documents when read.  Returns the new ids
+        and the extended table.
         """
-        ids = coll.insert_many(
-            [
-                Document(fields, _id=doc_id, cluster_id=cluster_id)
-                for fields, doc_id, cluster_id in zip(
-                    carried, new_object_ids(len(carried)), cluster_ids.tolist()
-                )
-            ],
-            payloads,
-        )
-        return ids, catalog.extended(ids, [fields["label"] for fields in carried], cluster_ids)
+        ids = new_object_ids(len(cluster_ids))
+        return ids, catalog.extended(ids, cluster_ids, images, labels, metadata)
 
     def _make_clusterer(self, k: int):
         """The clustering model named by ``clustering_algorithm``, through the
@@ -654,11 +694,16 @@ class FairDS:
         with self._write_lock:
             gen = self._live("ingest")
             images, labels = self._validate_labelled(images, labels, metadata)
+            catalog = gen.catalog
+            if (images.shape[1:], labels.shape[1:]) != (catalog.images.shape[1:],
+                                                        catalog.labels.shape[1:]):
+                raise ValidationError("images and labels must be shaped like the stored ones")
             embeddings = self._embed(gen, images)
             cluster_ids = np.asarray(gen.clusterer.predict(embeddings), dtype=np.intp)
-            ids, gen.catalog = self._write_samples(
-                gen.collection, gen.catalog, self._labelled(labels, metadata), cluster_ids, images
-            )
+            self._charge(images, labels)
+            # The table is published before the index learns the ids, so
+            # every key a scan returns has a row (:meth:`nearest_labeled`).
+            ids, gen.catalog = self._write_samples(catalog, cluster_ids, images, labels, metadata)
             self._index_add(gen.index, gen.caps, ids, embeddings, cluster_ids)
         return ids
 
@@ -723,11 +768,11 @@ class FairDS:
         """Pseudo-label several datasets in one round trip.
 
         Results are *identical* to calling :meth:`lookup` once per dataset, in
-        order, but all retrieved payloads are fetched in a single call.  The
-        store itself is not walked: the draw reads the generation's sample
-        table (:class:`_SampleCatalog`), so a lookup costs O(request +
-        clusters) in Python plus one ``rng.choice`` per wanted cluster,
-        whatever the store size.
+        order.  The draw and the retrieval read the generation's sample table
+        (:class:`_SampleCatalog`) — the chosen rows of its cluster-id, image
+        and label columns — so a lookup costs O(request + clusters) in Python
+        plus one ``rng.choice`` per wanted cluster, whatever the store size,
+        and its results are charged to the network model as one read.
 
         ``n_samples`` may be a single override applied to every dataset, or a
         per-dataset sequence (``None`` entries fall back to the dataset size).
@@ -765,8 +810,7 @@ class FairDS:
             first_counter = self._lookup_counter
             self._lookup_counter += len(batches)
 
-        plans = []
-        all_chosen_ids: List[str] = []
+        results: List[LookupResult] = []
         for offset, (distribution, n_out, label) in enumerate(zip(distributions, n_outs, labels)):
             sampler = WeightedClusterSampler(
                 catalog.cluster_ids,
@@ -776,31 +820,20 @@ class FairDS:
                 members_by_cluster=catalog.members,
             )
             chosen = list(sampler)
-            chosen_ids = [catalog.doc_ids[i] for i in chosen]
-            plans.append((distribution, chosen, chosen_ids, label))
-            all_chosen_ids.extend(chosen_ids)
-
-        payloads = gen.collection.fetch_payload_stack(all_chosen_ids)
-        results: List[LookupResult] = []
-        cursor = 0
-        for distribution, chosen, chosen_ids, label in plans:
-            # A copy: each result owns its images, not a share of the batch's.
-            retrieved_images = payloads[cursor : cursor + len(chosen_ids)].copy()
-            cursor += len(chosen_ids)
-            retrieved_labels = np.array([catalog.labels[i] for i in chosen], dtype=np.float64)
-            retrieved_dist = DatasetDistribution.from_cluster_ids(
-                catalog.cluster_ids[chosen], n_clusters, label=f"{label}:retrieved"
-            )
             results.append(
                 LookupResult(
-                    images=retrieved_images,
-                    labels=retrieved_labels,
-                    doc_ids=chosen_ids,
+                    # Fancy indexing copies: each result owns its rows.
+                    images=catalog.images[chosen],
+                    labels=catalog.labels[chosen],
+                    doc_ids=[catalog.doc_ids[i] for i in chosen],
                     input_distribution=distribution,
-                    retrieved_distribution=retrieved_dist,
+                    retrieved_distribution=DatasetDistribution.from_cluster_ids(
+                        catalog.cluster_ids[chosen], n_clusters, label=f"{label}:retrieved"
+                    ),
                     generation=gen.number,
                 )
             )
+        self._charge(*(r.images for r in results), *(r.labels for r in results))
         return results
 
     def nearest_labeled(
@@ -814,8 +847,8 @@ class FairDS:
         ``|b - p| >= T`` branch).  ``threshold=None`` disables the gate — the
         nearest label is always returned (the serving path applies per-request
         thresholds client-side).  All samples are resolved against the index
-        in one batched query, and the labels within the threshold fetched in
-        one store operation.
+        in one batched query, and the labels within the threshold read from
+        the label column as one store operation.
         """
         gen = self._live("nearest_labeled")
         if threshold is None:
@@ -824,13 +857,13 @@ class FairDS:
             raise ValidationError("threshold must be positive")
         embeddings = self._embed(gen, _nonempty64(images))
         hits = [hit for (hit,) in self._index_query_batch(gen, embeddings, k=1)]
-        docs = iter(gen.collection.get_many(
-            [doc_id for doc_id, dist in hits if dist < threshold]))
-        return [
-            (np.asarray(next(docs)["label"], dtype=np.float64), dist)
-            if dist < threshold else (None, dist)
-            for _, dist in hits
-        ]
+        # Read after the scan: an ingest publishes its rows before the index
+        # learns their ids, so every key the scan returned has a row here.
+        catalog = gen.catalog
+        picked = catalog.labels[[catalog.row_of[key] for key, dist in hits if dist < threshold]]
+        self._charge(picked)
+        found = (picked[i, ...] for i in range(len(picked)))  # arrays, 0-d for scalar labels
+        return [(next(found), dist) if dist < threshold else (None, dist) for _, dist in hits]
 
     # -- system plane ---------------------------------------------------------------------------
     def certainty(self, images: np.ndarray, confidence: float = 0.5, fuzzifier: float = 2.0) -> float:
@@ -864,27 +897,28 @@ class FairDS:
         """Retrain the embedding and clustering models from the accumulated store.
 
         This is the system-plane action fired by the uncertainty trigger: all
-        stored samples are re-embedded, the clustering is re-fit, every
-        document's embedding/cluster fields are rewritten (under new ids, in a
-        new collection), and the lookup index rebuilt — all of it aside, as
+        stored samples are re-embedded, the clustering is re-fit, every sample
+        gets a new id and cluster id (in a new table, with a new collection
+        view), and the lookup index is rebuilt — all of it aside, as
         the next generation, while reads keep answering from this one; a
         refresh that raises leaves this one published, and may be retried.
 
-        Generation N+1 is derived from N, read through N's sample table (the
-        documents it names, in write order; no ``find()``).  *Carried over:*
-        every document field but ``_id`` / ``cluster_id`` — label, metadata
-        and the encoded payload, by reference (payloads are decoded once,
-        stacked, for the embedder; never encoded again) — and N's partition,
+        Generation N+1 is derived from N's sample table.  *Shared:* N's
+        ``images``, ``labels`` and ``metadata`` columns — nothing is decoded,
+        encoded or copied; the embedder is refitted on the image column as it
+        stands, charged to the network model as one read — and N's partition,
         which warm-starts the clustering when :meth:`_rebuild`'s conditions
         hold, so cluster ids keep their meaning.  *New:* everything fitted or
-        derived — embedder, embeddings, centres, ids, collection, index.
+        derived — embedder, embeddings, centres, ids, cluster ids, members,
+        the collection view, index.
         """
         with self._write_lock:
             gen = self._live("refresh")
             with trace_span("fairds.refresh"):
                 with trace_span("refresh.read"):
                     catalog = gen.catalog
-                    ids = catalog.doc_ids[: catalog.cluster_ids.size]
-                    docs = gen.collection.get_many(ids)
-                    images = np.asarray(gen.collection.fetch_payload_stack(ids), dtype=np.float64)
-                return self._rebuild(images, docs, None, embedder_kwargs, catalog.cluster_ids)
+                    self._charge(catalog.images)
+                    table = catalog._replace(
+                        doc_ids=[], row_of={}, cluster_ids=_NO_ROWS, members={})
+                return self._rebuild(
+                    catalog.images, table, (), embedder_kwargs, catalog.cluster_ids)

@@ -111,7 +111,9 @@ class LabelingEngine:
         Optional :class:`repro.compute.Executor` that the real fits fan out
         across (the patch stack is shipped once through session shared
         memory).  A process executor sidesteps the GIL that limits a thread
-        executor; when unset, or with one worker, the fits run serially.
+        executor; when unset, or with one worker, the fits run serially.  The
+        one-core cost the simulation starts from is the busy seconds the
+        executor measured for the fits, whatever speedup it achieved.
     """
 
     def __init__(
@@ -136,9 +138,17 @@ class LabelingEngine:
         n = patches.shape[0]
         n_fit = max(1, int(round(n * self.sample_fraction)))
 
+        before = self.executor.stats if self.executor is not None else None
         with Timer() as t:
             fitted = label_patches(patches[:n_fit], executor=self.executor)
         per_patch = t.elapsed / n_fit
+        # The fits' one-core cost: the busy seconds the executor measured
+        # over this call when its workers ran them, else this thread's time.
+        one_core = t.elapsed
+        if before is not None:
+            after = self.executor.stats
+            if after["tasks_completed"] > before["tasks_completed"]:
+                one_core = after["busy_seconds"] - before["busy_seconds"]
 
         if n_fit < n:
             # Complete the label array cheaply for the un-fitted remainder.
@@ -149,13 +159,7 @@ class LabelingEngine:
         else:
             labels = fitted
 
-        # per_patch already amortises whatever local parallelism did the fits,
-        # so scale it back up to a one-core figure before extrapolating.
-        workers = 1
-        if self.executor is not None and not self.executor.closed:
-            workers = self.executor.max_workers
-        serial_total = per_patch * n * workers
-        simulated = self.cost_model.wall_clock(serial_total)
+        simulated = self.cost_model.wall_clock(one_core / n_fit * n)
         return LabelingReport(
             labels=labels,
             n_patches=n,

@@ -41,6 +41,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.monitoring.triggers import ArrivalOrderFeed
+from repro.observability.metrics import default_registry, internal_errors
 from repro.observability.tracing import Span, Tracer
 from repro.serving.batcher import BatchingPolicy, MicroBatcher, Request
 from repro.serving.telemetry import ServingTelemetry
@@ -367,6 +368,7 @@ class ServingRuntime:
                 self.telemetry.record_knob(name, getter())
             except Exception:  # a broken getter must not break registration
                 logger.exception("knob %r getter failed at registration", name)
+                internal_errors(default_registry(), "runtime.knob_getter").inc()
 
     def set_knob(self, name: str, value: Any) -> Any:
         """Apply a live knob without stopping traffic; returns the value now
@@ -418,6 +420,7 @@ class ServingRuntime:
                 snap[name] = provider()
             except Exception:  # a broken provider must not hide the snapshot
                 logger.exception("stats provider %r failed", name)
+                internal_errors(default_registry(), "runtime.stats_provider").inc()
                 snap[name] = None
         return snap
 
@@ -466,6 +469,7 @@ class ServingRuntime:
                 # raise to, and dying would strand everything still queued:
                 # say so, fail what this batch left unresolved, keep serving.
                 logger.exception("serving worker hit an internal error; continuing")
+                internal_errors(default_registry(), "runtime.worker").inc()
                 for request in batch:
                     if not request.future.done() \
                             and request.future.set_running_or_notify_cancel():
@@ -504,6 +508,7 @@ class ServingRuntime:
                 feed.discard([request.seq for request in requests])
             except Exception:  # the sink may fire on newly consecutive results
                 logger.exception("observer for operation %r failed on discard", op)
+                internal_errors(default_registry(), "runtime.observer_discard").inc()
         for request in requests:
             if request.future.set_running_or_notify_cancel():
                 request.future.set_exception(exc)
@@ -547,6 +552,7 @@ class ServingRuntime:
                 )
             except Exception:  # an observer failure must not lose the batch's futures
                 logger.exception("observer for operation %r failed", op)
+                internal_errors(default_registry(), "runtime.observer").inc()
         # Resolve every future first — client wakeups start immediately —
         # then record the whole batch's telemetry under one lock acquisition.
         for request, result in zip(batch, results):

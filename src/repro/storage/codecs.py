@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from typing import Any, Dict, List, Sequence, Type, Union
+from typing import Any, Dict, List, Sequence, Type
 
 import numpy as np
 
 from repro.utils.errors import ConfigurationError, StorageError
-
-
-#: Most array bytes :meth:`PickleCodec.decode_many` holds twice at a time: it
-#: joins ``bytes`` slices — copies, but unlike ``memoryview``s not objects
-#: whose allocation sets the garbage collector off — a bounded batch at a time.
-_JOIN_BYTES = 1 << 20
 
 
 class Codec:
@@ -40,12 +34,6 @@ class Codec:
     def encode_many(self, objs: Sequence[Any]) -> List[bytes]:
         """``[encode(obj) for obj in objs]``, byte for byte, however made."""
         return [self.encode(obj) for obj in objs]
-
-    def decode_many(self, payloads: Sequence[bytes]) -> Union[List[Any], np.ndarray]:
-        """``[decode(p) for p in payloads]`` — or, from a codec that can lift
-        a batch of equal-shaped arrays at once, the same arrays as the rows of
-        one stacked ndarray."""
-        return [self.decode(payload) for payload in payloads]
 
 
 class PickleCodec(Codec):
@@ -65,7 +53,7 @@ class PickleCodec(Codec):
         """Pickle the first two rows only, when the others can be shown to
         pickle to the same bytes around their own buffer.
 
-        The mirror of :meth:`decode_many`: a plain ndarray pickles to opcodes
+        A plain ndarray pickles to opcodes
         fixed by its type, dtype, shape and flags, with its buffer spliced in
         verbatim.  For the rows of one stack, or a sequence of C-contiguous
         non-object non-empty ndarrays sharing dtype object, shape and
@@ -95,45 +83,6 @@ class PickleCodec(Codec):
             ):
                 return [head + row.tobytes() + tail for row in objs]
         return super().encode_many(objs)
-
-    def decode_many(self, payloads: Sequence[bytes]) -> Union[List[Any], np.ndarray]:
-        """Unpickle the first blob only, when the others can be shown to
-        differ from it in nothing but their array's bytes.
-
-        A pickled ndarray carries its buffer verbatim, once: that window is
-        located in the first blob, and a blob of the same length that is
-        byte-identical outside it runs the same opcodes on the same dtype,
-        shape and order — its array is its window.  The windows are copied
-        into one new array (rows are writable and share nothing with the
-        blobs).  When that cannot be shown — not an array, an object / 0-d /
-        empty / Fortran-ordered first array, a window that occurs twice, any
-        blob that differs — every blob is decoded on its own.
-        """
-        if len(payloads) > 1 and isinstance(payloads[0], (bytes, bytearray)):
-            blob = payloads[0]
-            first = pickle.loads(blob)
-            if (
-                type(first) is np.ndarray and not first.dtype.hasobject
-                and first.ndim and first.size and first.flags.c_contiguous
-            ):
-                raw = first.tobytes()
-                start = blob.find(raw)
-                stop = start + len(raw)
-                head, tail = bytes(blob[:start]), bytes(blob[stop:])
-                if start >= 0 and blob.find(raw, start + 1) < 0 and all(
-                    isinstance(p, (bytes, bytearray)) and len(p) == len(blob)
-                    and p.startswith(head) and p.endswith(tail)
-                    for p in payloads
-                ):
-                    out = np.empty((len(payloads),) + first.shape, dtype=first.dtype)
-                    step = max(1, _JOIN_BYTES // len(raw))
-                    for at in range(0, len(payloads), step):
-                        joined = b"".join([p[start:stop] for p in payloads[at : at + step]])
-                        out[at : at + step] = np.frombuffer(joined, dtype=first.dtype).reshape(
-                            (-1,) + first.shape
-                        )
-                    return out
-        return super().decode_many(payloads)
 
 
 class CompressedCodec(Codec):

@@ -22,13 +22,13 @@ from __future__ import annotations
 import pickle
 import time
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.observability.tracing import current_span
 from repro.storage.codecs import Codec, PickleCodec
 from repro.storage.concurrency import ReadWriteLock
 from repro.storage.document import Document
@@ -80,6 +80,21 @@ class Collection:
         self._lock = lock
         self._docs: Dict[str, Document] = {}
         self._indexes: Dict[str, Dict[Any, set]] = {}
+        #: Where a view's documents come from (``None`` for a plain store):
+        #: called before every read with the number of documents held, it
+        #: returns the ones to append, without calling back into the collection.
+        self.source: Optional[Callable[[int], List[Document]]] = None
+
+    @contextmanager
+    def _reading(self) -> Iterator[None]:
+        """The read lock, taken once what :attr:`source` has pending is in."""
+        if self.source is not None:
+            with self._lock.write():
+                docs = self.source(len(self._docs))
+                self._docs.update((doc["_id"], doc) for doc in docs)
+                self._index_add(docs)
+        with self._lock.read():
+            yield
 
     # -- indexes -----------------------------------------------------------------
     def create_index(self, field: str) -> None:
@@ -256,7 +271,7 @@ class Collection:
         decode_payload: bool = False,
     ) -> List[Document]:
         """Return documents matching ``query`` (all documents if ``None``)."""
-        with self._lock.read():
+        with self._reading():
             if query:
                 matches = [doc for doc in self._candidates(query) if doc.matches(query)]
             else:
@@ -289,7 +304,7 @@ class Collection:
         model.
         """
         self.network.charge(0)
-        with self._lock.read():
+        with self._reading():
             for doc in self._candidates(query):
                 if doc.matches(query):
                     return {k: v for k, v in doc.items() if k != "payload"}
@@ -300,7 +315,7 @@ class Collection:
         return results[0] if results else None
 
     def get(self, doc_id: str, decode_payload: bool = False) -> Document:
-        with self._lock.read():
+        with self._reading():
             doc = self._docs.get(doc_id)
         if doc is None:
             raise StorageError(f"document {doc_id!r} not found in {self.name!r}")
@@ -315,7 +330,7 @@ class Collection:
         """The documents of ``doc_ids``, in order, as one store operation: one
         read-lock pass and one network charge of their summed payload bytes
         (against one of each per document through :meth:`get`)."""
-        with self._lock.read():
+        with self._reading():
             docs = []
             for doc_id in doc_ids:
                 doc = self._docs.get(doc_id)
@@ -330,34 +345,22 @@ class Collection:
         docs = self.get_many(doc_ids)
         return [self.codec.decode(d["payload"]) if "payload" in d else None for d in docs]
 
-    def fetch_payload_stack(self, doc_ids: Sequence[str]) -> np.ndarray:
-        """:meth:`fetch_payloads` as one array (row ``i`` is document ``i``'s
-        payload; all must be equal-shaped arrays): the same store operation,
-        decoded through :meth:`Codec.decode_many`.  The active trace span is
-        told how (``payload_decode``: ``stacked``, or ``each`` on its own)."""
-        decoded = self.codec.decode_many([d["payload"] for d in self.get_many(doc_ids)])
-        stacked = isinstance(decoded, np.ndarray)
-        span = current_span()
-        if span is not None:
-            span.set_attribute("payload_decode", "stacked" if stacked else "each")
-        return decoded if stacked else np.stack(decoded)
-
     def ids(self) -> List[str]:
-        with self._lock.read():
+        with self._reading():
             return list(self._docs.keys())
 
     def count(self, query: Optional[Mapping[str, Any]] = None) -> int:
         """Number of matching documents.  A metadata operation: unlike
         :meth:`find`, no payload transfer is charged to the network model."""
         if not query:
-            with self._lock.read():
+            with self._reading():
                 return len(self._docs)
         self.network.charge(0)
-        with self._lock.read():
+        with self._reading():
             return sum(1 for doc in self._candidates(query) if doc.matches(query))
 
     def storage_bytes(self) -> int:
-        with self._lock.read():
+        with self._reading():
             return sum(doc.get("payload_bytes", 0) for doc in self._docs.values())
 
 
@@ -416,7 +419,7 @@ class DocumentDB:
         snapshot: Dict[str, Dict[str, Any]] = {}
         total = 0
         for name, coll in self._collections.items():
-            with coll._lock.read():
+            with coll._reading():
                 docs = [dict(doc) for doc in coll._docs.values()]
             snapshot[name] = {"documents": docs, "indexes": coll.indexed_fields()}
             total += len(docs)

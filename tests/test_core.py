@@ -15,7 +15,7 @@ from repro.models.braggnn import build_braggnn
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.nn.trainer import Trainer, TrainingConfig
-from repro.storage.documentdb import DocumentDB
+from repro.storage.documentdb import DocumentDB, NetworkModel
 from repro.utils.errors import ConfigurationError, NotFittedError, StorageError, ValidationError
 from repro.workflow.transfer import TransferService
 
@@ -147,26 +147,37 @@ def test_fairds_nearest_labeled_threshold_behaviour():
     assert all(d >= 0 for d in distances)
 
 
-def test_fairds_nearest_labeled_fetches_labels_in_one_store_operation(monkeypatch):
+def test_fairds_nearest_labeled_reads_labels_from_the_label_column():
     fairds, _, _ = _fitted_fairds()
+    charged = []
+
+    class Metered(NetworkModel):
+        def charge(self, n_bytes):
+            charged.append(n_bytes)
+
+    fairds.db.network = Metered(latency_s=1e-9)
     new = _scan(0, n=20, seed=30).images
     everything = fairds.nearest_labeled(new)
     # A threshold at the median distance gates about half of the hits out.
     threshold = float(np.median([d for _, d in everything]))
-    gets = []
-    get_many = fairds.collection.get_many
-    monkeypatch.setattr(fairds.collection, "get_many",
-                        lambda doc_ids: gets.append(list(doc_ids)) or get_many(doc_ids))
+    del charged[:]
     gated = fairds.nearest_labeled(new, threshold=threshold)
-    assert len(gets) == 1 and 0 < len(gets[0]) < len(new)
-    within = iter(gets[0])
+    within = sum(dist < threshold for _, dist in gated)
+    assert 0 < within < len(new)
+    assert charged == [within * 2 * 8]  # one store operation: the float64 label pairs it read
+    stored = [doc["label"] for doc in fairds.collection.find()]
     for (label, dist), (full_label, full_dist) in zip(gated, everything):
         assert dist == full_dist
         if dist < threshold:
+            assert label.dtype == np.float64 and label.tolist() in stored
             np.testing.assert_array_equal(label, full_label)
-            np.testing.assert_array_equal(label, fairds.collection.get(next(within))["label"])
+            label[:] = np.nan  # the caller's copy, not the column
         else:
             assert label is None
+    again = fairds.nearest_labeled(new, threshold=threshold)
+    for (label, _), (full_label, _) in zip(again, everything):
+        if label is not None:
+            np.testing.assert_array_equal(label, full_label)
 
 
 def test_fairds_ingest_grows_store():

@@ -1,22 +1,24 @@
-"""fairDS's columnar sample table: lookups and refreshes without the store walk.
+"""fairDS's columnar sample table: the store, and the documents built from it.
 
-``FairDS.lookup_batch`` and ``FairDS.refresh`` answer from the generation's
-append-only sample table (document ids, cluster ids, labels, per-cluster row
-numbers) instead of walking every stored document.  fairDS is the only writer
-of its collection — through ``fit`` / ``ingest`` / ``refresh`` — so the table
-is the store, not a mirror that has to prove itself current.  The contract
-tested here:
+Every fairDS operation reads and writes the generation's append-only sample
+table (ids, images, labels, metadata, cluster ids, per-cluster row numbers);
+``FairDS.collection`` is a document view built from it for the readers that
+want documents.  The contract tested here:
 
-* **the table is the store** — after any history of those writes, the
-  table's columns are the collection's documents in write order, and no
-  document holds an embedding (the index does);
+* **the view is the table** — after any history of fit / ingest / refresh,
+  the view's documents are the table's rows in write order, encoded by the
+  codec as a reference encodes the same rows, and no document holds an
+  embedding (the index does); the view is built once and extended by
+  exactly the rows ingests add;
 * **equivalence** — what a lookup returns is bit-identical to a reference that
   walks ``collection.find()`` on every call, which is what lookups did before
   the table existed, across ingests and refreshes;
-* **no per-document work** — lookups and refreshes never call
-  ``Collection.find``, and steady-state lookups never ``Document.matches``;
+* **no per-document work** — no fairDS operation builds a ``Document``, calls
+  the codec or walks the collection;
 * **concurrency** — lookups beside an ingest see the store before or after
-  it, never half of it, and concurrent lookups never share a sampler seed.
+  it, never half of it, ``nearest_labeled`` beside an ingest finds a row for
+  every key the index returns, and concurrent lookups never share a sampler
+  seed.
 """
 
 import sys
@@ -34,6 +36,7 @@ from repro.clustering.kmeans import KMeans
 from repro.core.distribution import DatasetDistribution
 from repro.dataio.sampler import WeightedClusterSampler
 from repro.embedding import PCAEmbedder
+from repro.storage.codecs import Codec, PickleCodec
 from repro.storage.document import Document
 from repro.storage.documentdb import Collection
 from repro.utils.errors import ValidationError
@@ -194,29 +197,38 @@ def test_lookup_on_a_foreign_cluster_id_is_rejected_untouched(foreign_ids):
 
 # -- (b) no per-document work ------------------------------------------------------
 def test_steady_state_lookups_do_no_per_document_work(monkeypatch):
+    """No fairDS operation builds a document, calls the codec or walks the
+    store, until someone reads the collection view."""
+    calls = {"find": 0, "matches": 0, "Document": 0, "codec": 0}
+    here = threading.get_ident()  # what threads left over from other tests do is not counted
+
+    def counting(what, real):
+        def spy(*args, **kwargs):
+            calls[what] += threading.get_ident() == here
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(Collection, "find", counting("find", Collection.find))
+    monkeypatch.setattr(Document, "matches", counting("matches", Document.matches))
+    monkeypatch.setattr(Document, "__init__", counting("Document", Document.__init__))
+    for codec in (Codec, PickleCodec):
+        for name in ("encode", "encode_many", "decode"):
+            monkeypatch.setattr(codec, name, counting("codec", vars(codec)[name]), raising=False)
     fairds, rng = _fitted(n=200)
-    fairds.ingest(*_scan(rng, 30))
+    fairds.ingest(*_scan(rng, 30), metadata=[{"tag": i} for i in range(30)])
     fairds.lookup(_scan(rng, 8)[0])
-
-    calls = {"find": 0, "matches": 0}
-    real_find, real_matches = Collection.find, Document.matches
-
-    def spy_find(self, *args, **kwargs):
-        calls["find"] += 1
-        return real_find(self, *args, **kwargs)
-
-    def spy_matches(self, query):
-        calls["matches"] += 1
-        return real_matches(self, query)
-
-    monkeypatch.setattr(Collection, "find", spy_find)
-    monkeypatch.setattr(Document, "matches", spy_matches)
+    fairds.refresh()
     for i in range(20):
         result = fairds.lookup(_scan(rng, 16)[0])
         assert len(result) == 16
+        assert len(fairds.nearest_labeled(_scan(rng, 4)[0])) == 4
+        fairds.certainty(_scan(rng, 6)[0])
         if i % 5 == 0:  # an ingest extends the catalog; it does not invalidate it
             fairds.ingest(*_scan(rng, 10))
-    assert calls == {"find": 0, "matches": 0}
+    assert fairds.store_size() == 200 + 30 + 40
+    assert calls == {"find": 0, "matches": 0, "Document": 0, "codec": 0}
+    fairds.collection.count()  # the view's first read builds it
+    assert calls["Document"] == 270 and calls["codec"] > 0
 
 
 def test_refresh_and_lookups_never_walk_the_store(monkeypatch):
@@ -270,12 +282,21 @@ def test_fit_feeds_the_index_from_the_arrays_it_holds(monkeypatch):
     assert {"cluster_id", "label"} <= set(fairds.collection.find_one())
 
 
-# -- (c) the table is the store ----------------------------------------------------
+# -- (c) the view is the table -----------------------------------------------------
 def _assert_table_is_the_store(fairds):
     gen = fairds._generation
-    catalog, docs = gen.catalog, gen.collection.find()
+    catalog, docs = gen.catalog, fairds.collection.find()
+    codec = fairds.db.codec
+    assert catalog.size == len(docs) == fairds.store_size()
     assert catalog.doc_ids == [d["_id"] for d in docs]
-    assert catalog.labels == [d["label"] for d in docs]
+    assert catalog.row_of == {d["_id"]: i for i, d in enumerate(docs)}
+    assert catalog.labels.tolist() == [d["label"] for d in docs]
+    assert catalog.labels.dtype == catalog.images.dtype == np.float64
+    np.testing.assert_array_equal(catalog.images, [codec.decode(d["payload"]) for d in docs])
+    assert catalog.metadata == [
+        {k: v for k, v in d.items() if k not in ("label", "_id", "cluster_id", "payload",
+                                                "payload_bytes")} or None
+        for d in docs]
     np.testing.assert_array_equal(catalog.cluster_ids, [d["cluster_id"] for d in docs])
     assert catalog.members.keys() == set(catalog.cluster_ids.tolist())
     for c, rows in catalog.members.items():
@@ -308,6 +329,61 @@ def test_the_sample_table_is_the_store_in_write_order(data_seed, steps):
             metadata = [{"tag": i} for i in range(n)] if tagged else None
             getattr(fairds, kind)(*_scan(rng, n), metadata=metadata)
         _assert_table_is_the_store(fairds)
+
+
+def test_the_view_is_what_the_codec_makes_of_the_rows_built_once_and_extended(monkeypatch):
+    rng = np.random.default_rng(7)
+    rows = []  # (image, label, metadata) of every sample, in write order
+
+    def scan(n, tagged):
+        images, labels = _scan(rng, n)
+        metadata = [{"tag": i, "scan": len(rows)} for i in range(n)] if tagged else None
+        rows.extend(zip(images, labels, metadata or [None] * n))
+        return images, labels, metadata
+
+    fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=N_CLUSTERS, seed=1)
+    images, labels, metadata = scan(60, True)
+    fairds.fit(images, labels, metadata=metadata)
+    for tagged in (False, True):
+        images, labels, metadata = scan(15, tagged)
+        fairds.ingest(images, labels, metadata=metadata)
+    fairds.refresh()
+    fairds.ingest(*scan(5, False)[:2])
+
+    built, here = [], threading.get_ident()
+    real_init = Document.__init__
+    monkeypatch.setattr(Document, "__init__", lambda self, *a, **kw: (
+        threading.get_ident() == here and built.append(1)) or real_init(self, *a, **kw))
+    codec, gen = fairds.db.codec, fairds._generation
+    view = fairds.collection
+    docs = view.find()
+    assert len(built) == len(rows) == 95
+
+    def reference(rows, first_row):
+        table = gen.catalog
+        out = []
+        for row, (image, label, extra) in enumerate(rows, start=first_row):
+            blob = codec.encode(image)
+            out.append({"label": label.tolist(), **(extra or {}), "_id": table.doc_ids[row],
+                        "cluster_id": int(table.cluster_ids[row]), "payload": blob,
+                        "payload_bytes": len(blob)})
+        return out
+
+    want = reference(rows, 0)
+    assert [list(d.items()) for d in docs] == [list(d.items()) for d in want]  # fields and order
+    assert view.storage_bytes() == sum(d["payload_bytes"] for d in want)
+    # Built once: reads after the first build nothing, and stay this object.
+    assert view.find() == docs and view.count() == 95 and len(built) == 95
+    assert fairds.collection is view is fairds.db.collection(fairds.collection_name)
+    # One ingest extends it by exactly the new rows.
+    images, labels, metadata = scan(7, True)
+    fairds.ingest(images, labels, metadata=metadata)
+    assert len(built) == 95  # not by the ingest ...
+    grown = fairds.collection.find()
+    assert len(built) == 95 + 7  # ... by the next read
+    assert grown[:95] == docs and all(a is b for a, b in zip(grown, docs))
+    assert [list(d.items()) for d in grown[95:]] == [
+        list(d.items()) for d in reference(rows[95:], 95)]
 
 
 def test_a_refresh_is_never_served_stale():
@@ -374,6 +450,81 @@ def test_lookups_beside_an_ingest_never_see_a_torn_store():
     for _ in range(30):
         late.update(fairds.lookup(_scan(rng, 10)[0], n_samples=200).doc_ids)
     assert late & set(ingested)
+
+
+def test_nearest_labeled_beside_an_ingest_finds_the_row_of_every_key(monkeypatch):
+    """An ingest publishes its rows before the index learns their ids, so a
+    scan that returns a key ingested a moment ago finds its row: no read
+    raises, and every label is the stored label of the key the index gave."""
+    fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=N_CLUSTERS, seed=0,
+                    index_dtype=np.float64)
+    rng = np.random.default_rng(3)
+    fairds.fit(*_scan(rng, 40))
+    scans = [_scan(rng, 6) for _ in range(150)]
+    keys_of = threading.local()
+    real_query = FairDS._index_query_batch
+
+    def recording(self, gen, vectors, k=1):
+        keys_of.hits = real_query(self, gen, vectors, k)
+        return keys_of.hits
+
+    writing = []
+    real_add = FairDS._index_add
+
+    def add_then_read(index, caps, keys, vectors, cluster_ids):
+        real_add(index, caps, keys, vectors, cluster_ids)
+        # The read that races the ingest at its narrowest: the index knows
+        # the ids, the ingest has not returned.
+        answers.append(([hit[0][0] for hit in real_query(fairds, fairds._generation, vectors)],
+                        fairds.nearest_labeled(writing[-1])))
+
+    monkeypatch.setattr(FairDS, "_index_query_batch", recording)
+    monkeypatch.setattr(FairDS, "_index_add", staticmethod(add_then_read))
+    errors, answers, done = [], [], threading.Event()
+
+    def ingest():
+        try:
+            for images, labels in scans:
+                writing.append(images)
+                fairds.ingest(images, labels)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def nearest(seed):
+        local = np.random.default_rng(seed)
+        deadline = time.monotonic() + 20.0
+        try:
+            while not done.is_set() and time.monotonic() < deadline:
+                # Queries among the scans being written: many hit a fresh row.
+                images = scans[int(local.integers(len(scans)))][0]
+                got = fairds.nearest_labeled(images)
+                answers.append(([hit[0][0] for hit in keys_of.hits], got))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=ingest)] + [
+        threading.Thread(target=nearest, args=(seed,)) for seed in range(3)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert answers and fairds.store_size() == 40 + 6 * 150
+    table = fairds._generation.catalog
+    exact = 0
+    for keys, got in answers:
+        for key, (label, distance) in zip(keys, got):
+            np.testing.assert_array_equal(label, table.labels[table.row_of[key]])
+            exact += distance < 1e-9
+    assert exact  # some queries found the very rows an ingest was writing
 
 
 def test_concurrent_single_lookups_consume_distinct_sampler_seeds(monkeypatch):

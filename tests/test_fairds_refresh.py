@@ -3,15 +3,15 @@
 ``FairDS.refresh`` re-fits the embedder and the clustering on the stored
 samples and replaces the collection.  The contract tested here:
 
-* **payloads are carried over** — the new documents hold the *same* encoded
-  blobs, so a refresh never re-encodes a sample and a remote store is never
-  sent the payloads it already has;
+* **the sample columns are shared** — generation N+1's table holds N's
+  image, label and metadata columns themselves, so a refresh decodes,
+  encodes and copies no sample, and a remote store is billed for reading
+  the images once and sent nothing back;
 * **everything derived is new** — embeddings, cluster ids, document ids, the
-  collection, the index, and an empty embedding cache;
+  collection view, the index, and an empty embedding cache;
 * **the store bypasses the embedding cache** — a fit embeds the store once
   and leaves the LRU to the queries;
-* **a refresh's trace names its stages**, and says how the payloads were
-  decoded and how Lloyd was started;
+* **a refresh's trace names its stages**, and says how Lloyd was started;
 * **generation N+1 is derived from N** — the clustering starts from N's
   partition, so an unchanged store refreshes to what a cold refit finds, and
   a store that grew keeps its cluster ids (the ids every Zoo record's cluster
@@ -34,7 +34,7 @@ from repro.embedding import PCAEmbedder
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
 from repro.observability.tracing import Tracer
-from repro.storage.codecs import CompressedCodec
+from repro.storage.codecs import CompressedCodec, PickleCodec
 from repro.storage.documentdb import DocumentDB, NetworkModel
 from test_fairds_embed import MemoisedPCA  # PCA holds no cache: what one holds is asserted on this
 
@@ -65,7 +65,7 @@ def _stored(fairds):
     coll = fairds.collection
     ids = coll.ids()
     return (np.array([d["cluster_id"] for d in coll.get_many(ids)]),
-            fairds.embedder.transform(coll.fetch_payload_stack(ids)))
+            fairds.embedder.transform(np.stack(coll.fetch_payloads(ids))))
 
 
 def _stored_centers(fairds):
@@ -74,17 +74,29 @@ def _stored_centers(fairds):
     return np.stack([embeddings[cluster_ids == c].mean(axis=0) for c in sorted(set(cluster_ids))])
 
 
-def test_refresh_carries_payload_blobs_over_and_rewrites_the_rest():
+def test_refresh_shares_the_sample_columns_and_rewrites_the_rest(monkeypatch):
     fairds, rng = _store(embedder=MemoisedPCA)
     old_coll = fairds.collection
     old_docs = old_coll.find()
     old_ids = [d.id for d in old_docs]
     old_images = old_coll.fetch_payloads(old_ids)
     old_centers = _stored_centers(fairds)
+    old_table = fairds._generation.catalog
     fairds.lookup(_scan(rng, 20)[0])
     assert fairds.embedding_cache_info()["size"] > 0
 
+    codec_calls = []
+    for name in ("encode", "encode_many", "decode"):
+        real = getattr(PickleCodec, name)
+        monkeypatch.setattr(PickleCodec, name,
+                            lambda self, arg, real=real: codec_calls.append(1) or real(self, arg))
     fairds.refresh()
+    table = fairds._generation.catalog
+    assert codec_calls == []  # nothing decoded or encoded
+    # The very same columns: nothing was copied.
+    assert table.images is old_table.images and table.labels is old_table.labels
+    assert table.metadata is old_table.metadata
+    assert not set(table.doc_ids) & set(old_table.doc_ids)
 
     coll = fairds.collection
     docs = coll.find()
@@ -92,8 +104,8 @@ def test_refresh_carries_payload_blobs_over_and_rewrites_the_rest():
     assert coll is not old_coll and not set(ids) & set(old_ids)
     assert fairds.store_size() == len(old_docs) == 120
     assert fairds.embedding_cache_info()["size"] == 0
-    # The very same bytes objects: nothing was decoded and encoded again.
-    assert all(new["payload"] is old["payload"] for new, old in zip(docs, old_docs))
+    # The view encodes the same rows to the same bytes.
+    assert [new["payload"] for new in docs] == [old["payload"] for old in old_docs]
     for got, want in zip(coll.fetch_payloads(ids), old_images):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
@@ -121,7 +133,7 @@ def test_refresh_carries_payload_blobs_over_and_rewrites_the_rest():
     assert {coll.get(doc_id)["cluster_id"] for doc_id in result.doc_ids} <= drifted
 
 
-def test_refresh_is_charged_for_reading_payloads_not_for_writing_them_back():
+def test_refresh_is_charged_for_reading_the_images_not_for_writing_anything_back():
     charged = []
 
     class Metered(NetworkModel):
@@ -132,18 +144,10 @@ def test_refresh_is_charged_for_reading_payloads_not_for_writing_them_back():
     stored = fairds.collection.storage_bytes()
     charged.clear()
     fairds.refresh()
-    assert stored in charged                    # the payloads were read ...
-    assert charged.count(0) == 1                # ... the write sent fields only
-    assert set(charged) == {0, stored}
-    assert fairds.collection.storage_bytes() == stored
-    # The stacked read a refresh (and a lookup) makes is billed like the
-    # per-document one the training fetch path makes.
-    coll = fairds.collection
-    some = coll.ids()[::7]
+    assert charged == [120 * SIDE * SIDE * 8]  # one read of the float64 image column, no write
     del charged[:]
-    coll.fetch_payload_stack(some)
-    coll.fetch_payloads(some)
-    assert len(charged) == 2 and charged[0] == charged[1] == 18 * len(coll.get(some[0])["payload"])
+    assert fairds.collection.storage_bytes() == stored
+    assert charged == []  # building the view moves nothing
 
 
 def test_fit_embeds_the_store_without_the_embedding_cache():
@@ -240,7 +244,7 @@ def one_unused():
     assert unregister_component("clustering", "first-fit-leaves-one-unused")
 
 
-def test_refresh_spans_say_how_payloads_were_decoded_and_how_lloyd_started():
+def test_refresh_spans_say_how_lloyd_started():
     rng = np.random.default_rng(2)
     images, labels = _scan(rng, 120)
     fairds = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3)
@@ -252,13 +256,12 @@ def test_refresh_spans_say_how_payloads_were_decoded_and_how_lloyd_started():
     assert _traced(lambda: fairds.fit(images, labels))["clustering.fit"]["warm_start"] is False
 
     spans = _traced(fairds.refresh)
-    assert spans["refresh.read"]["payload_decode"] == "stacked"
     assert spans["clustering.fit"] == {"warm_start": True, "lloyd_iterations": 2}
     assert spans["fairds.refresh"]["generation"] == 3
 
     zipped = FairDS(PCAEmbedder(embedding_dim=3), n_clusters=3,
                     db=DocumentDB(codec=CompressedCodec())).fit(images, labels)
-    assert _traced(zipped.refresh)["refresh.read"]["payload_decode"] == "each"
+    zipped.refresh()
     np.testing.assert_array_equal(_stored(zipped)[0], _stored(fairds)[0])
 
 

@@ -279,6 +279,41 @@ def test_labeling_engine_fans_out_through_its_executor():
     assert fanned.n_patches == serial.n_patches == 6
 
 
+class _BusyExecutor:
+    """Stands in for an executor whose workers ran the fits: ``label_patches``
+    (patched below) bills it ``busy`` seconds over ``tasks`` tasks."""
+
+    closed, max_workers = False, 4
+
+    def __init__(self):
+        self.stats = {"tasks_completed": 3, "busy_seconds": 10.0}
+
+    def bill(self, tasks, busy):
+        self.stats = {"tasks_completed": self.stats["tasks_completed"] + tasks,
+                      "busy_seconds": self.stats["busy_seconds"] + busy}
+
+
+@pytest.mark.parametrize("tasks, busy", [(2, 0.5), (0, 0.0)])
+def test_labeling_engine_projects_the_one_core_cost_from_the_executors_busy_time(
+        monkeypatch, tasks, busy):
+    """The serial cost is the busy seconds the executor measured over the
+    call, not the wall clock times its worker count (which assumed a linear
+    speedup); an executor that ran nothing leaves the wall clock."""
+    patches, _ = _patch_stack(8)
+    executor = _BusyExecutor()
+
+    def label_patches(stack, executor=None):
+        executor.bill(tasks, busy)
+        return np.zeros((stack.shape[0], 2))
+
+    monkeypatch.setattr("repro.labeling.parallel.label_patches", label_patches)
+    engine = LabelingEngine(cost_model=VOIGT_80, sample_fraction=0.5, executor=executor)
+    report = engine.label(patches)
+    # Four patches fitted, eight labelled: the fitted cost scales by two.
+    one_core = busy if tasks else report.measured_seconds
+    assert report.simulated_wall_clock == pytest.approx(VOIGT_80.wall_clock(one_core / 4 * 8))
+
+
 def test_labeling_engine_sampled_fraction_completes_labels():
     patches, _ = _patch_stack(10)
     engine = LabelingEngine(sample_fraction=0.3)

@@ -1,14 +1,14 @@
 """The sample write path, batch against row.
 
-``FairDS.fit`` / ``ingest`` / ``refresh`` write a scan as one batch: payloads
-encoded by ``Codec.encode_many``, documents built once and adopted by
-``Collection.insert_many``, sample digests and the embedding cache consulted
-once per batch, index rows appended by ``routed_upsert``.  The path it
-replaced — a ``pickle.dumps``, a ``Document`` copy, a duplicate check, a
-locked cache ``get`` and ``put`` and an index key lookup *per sample* — lives
-on here (and in ``test_index_equivalence``) as the **reference**: the same
-calls through either must leave byte-identical payload blobs, equal document
-fields, embeddings, cluster ids, cache counters, index rows per partition and
+``FairDS.fit`` / ``ingest`` / ``refresh`` write a scan as one batch: the
+sample table extended once, sample digests and the embedding cache consulted
+once per batch, index rows appended by ``routed_upsert``; the collection view
+encodes the rows it adds with one ``Codec.encode_many``.  The per-sample path
+— the table extended, a ``pickle.dumps``, a locked cache ``get`` and ``put``
+and an index key lookup *per sample* — lives on here (and in
+``test_index_equivalence``) as the **reference**: the same calls through
+either must leave byte-identical payload blobs, equal document fields,
+tables, embeddings, cluster ids, cache counters, index rows per partition and
 the same seeded lookup draws.
 """
 
@@ -25,8 +25,7 @@ from repro import FairDS
 from repro.core.fairds import _transform64
 from repro.embedding import PCAEmbedder
 from repro.storage.document import Document, new_object_ids
-from repro.storage.documentdb import Collection
-from repro.utils.errors import StorageError, ValidationError
+from repro.utils.errors import ValidationError
 
 SIDE = 5
 
@@ -62,50 +61,28 @@ def reference_embed(gen, images):
     return np.stack([np.asarray(vec, dtype=np.float64) for vec in cached])
 
 
-def reference_insert_many(self, datas, payloads=None):
-    """``Collection.insert_many`` as it was: every mapping copied into a new
-    ``Document``, every payload encoded on its own, ids checked one by one."""
-    if payloads is not None and len(payloads) != len(datas):
-        raise StorageError("payloads must match datas in length")
-    docs = []
-    total_bytes = 0
-    for i, data in enumerate(datas):
-        doc = Document(dict(data))
-        if payloads is not None:
-            blob = self.codec.encode(payloads[i])
-            doc["payload"] = blob
-            doc["payload_bytes"] = len(blob)
-            total_bytes += len(blob)
-        docs.append(doc)
-    ids = [doc.id for doc in docs]
-    self.network.charge(total_bytes)
-    with self._lock.write():
-        taken = set()
-        for doc_id in ids:
-            if doc_id in taken or doc_id in self._docs:
-                raise StorageError(f"duplicate _id {doc_id!r}")
-            taken.add(doc_id)
-        for doc_id, doc in zip(ids, docs):
-            self._docs[doc_id] = doc
-            for field, index in self._indexes.items():
-                if field in doc:
-                    index.setdefault(doc[field], set()).add(doc.id)
-    return ids
+def reference_write_samples(catalog, cluster_ids, images=None, labels=None, metadata=None):
+    """``FairDS._write_samples`` one row at a time."""
+    ids = []
+    for i, cluster_id in enumerate(np.asarray(cluster_ids).tolist()):
+        (doc_id,) = new_object_ids(1)
+        rows = () if images is None else (
+            images[i:i + 1], labels[i:i + 1], None if metadata is None else metadata[i:i + 1])
+        catalog = catalog.extended([doc_id], np.array([cluster_id]), *rows)
+        ids.append(doc_id)
+    return ids, catalog
 
 
-def reference_write_samples(coll, catalog, carried, cluster_ids, payloads):
-    """``FairDS._write_samples`` as it was: a dict per sample, the payloads as
-    a list of rows."""
-    ids = coll.insert_many(
-        [
-            {**fields, "_id": doc_id, "cluster_id": cluster_id}
-            for fields, doc_id, cluster_id in zip(
-                carried, new_object_ids(len(carried)), cluster_ids.tolist()
-            )
-        ],
-        None if payloads is None else list(payloads),
-    )
-    return ids, catalog.extended(ids, [fields["label"] for fields in carried], cluster_ids)
+def reference_documents(gen, start):
+    """``FairDS._documents`` with every payload pickled on its own."""
+    catalog = gen.catalog
+    return [
+        Document({"label": catalog.labels[row].tolist(), **(catalog.metadata[row] or {})},
+                 _id=catalog.doc_ids[row], cluster_id=int(catalog.cluster_ids[row]),
+                 payload=gen.collection.codec.encode(catalog.images[row]),
+                 payload_bytes=len(gen.collection.codec.encode(catalog.images[row])))
+        for row in range(start, catalog.size)
+    ]
 
 
 @contextmanager
@@ -114,7 +91,7 @@ def per_sample_writes():
     with per_key_writes(), \
             mock.patch.object(FairDS, "_embed", staticmethod(reference_embed)), \
             mock.patch.object(FairDS, "_write_samples", staticmethod(reference_write_samples)), \
-            mock.patch.object(Collection, "insert_many", reference_insert_many), \
+            mock.patch.object(FairDS, "_documents", staticmethod(reference_documents)), \
             mock.patch("repro.storage.codecs.PickleCodec.encode_many",
                        side_effect=AssertionError("encoded as a batch")):
         yield
@@ -124,7 +101,7 @@ def per_sample_writes():
 def _history(fairds):
     """fit, then ingests that meet every branch of the writer: all cache
     misses, some hits, all hits, read-only and strided input, metadata; then a
-    refresh (documents carried over, nothing encoded) and one more ingest.
+    refresh (the columns shared, nothing encoded) and one more ingest.
     Returns what the reads in between answered."""
     rng = np.random.default_rng(11)
 
@@ -149,7 +126,7 @@ def _history(fairds):
     fairds.ingest(mixed[::-1], rng.normal(size=(14, 2)))  # all hits, a strided stack
     frozen, labels = scan(9)
     frozen.flags.writeable = False
-    fairds.ingest(frozen, labels)  # pickles as bytes, not as bytearray
+    fairds.ingest(frozen, labels)  # its copy in the column is writable, like every row
     fairds.ingest(scan(7)[0].astype(np.float32), rng.normal(size=(7, 2)))
     answers.append([(rows(r.doc_ids), r.labels.tolist(), r.images.tolist(), r.generation)
                     for r in fairds.lookup_batch([probe, mixed], n_samples=[9, None])])

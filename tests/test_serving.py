@@ -21,6 +21,7 @@ from repro.core import FairDMSService
 from repro.embedding import PCAEmbedder
 from repro.models import build_braggnn
 from repro.monitoring import ArrivalOrderFeed, CertaintyTrigger
+from repro.observability.metrics import MetricsRegistry, set_default_registry
 from repro.nn.trainer import TrainingConfig
 from repro.serving import BatchingPolicy, MicroBatcher, Request, ServingRuntime
 from repro.utils.errors import (
@@ -287,6 +288,49 @@ def test_observer_receives_results_in_arrival_order_despite_out_of_order_batches
         wait(futures, timeout=10)
         rt.drain(timeout=10)
     assert order == [0, 1, 2, 3, 4, 5]
+
+
+# -- what the runtime survives, it counts ---------------------------------------
+class _Injected(RuntimeError):
+    pass
+
+
+def _raise(*_):
+    raise _Injected("injected")
+
+
+@pytest.mark.parametrize("site", ["knob_getter", "stats_provider", "observer",
+                                  "observer_discard", "worker"])
+def test_every_exception_the_runtime_logs_and_survives_is_counted(monkeypatch, site):
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    handler = _raise if site == "observer_discard" else (lambda xs: xs)
+    observers = {"double": _raise} if site == "observer" else None
+    try:
+        with _runtime(handler, observers=observers) as rt:
+            if site == "knob_getter":
+                rt.register_knob("k", setter=lambda value: value, getter=_raise)
+            elif site == "stats_provider":
+                rt.register_stats_provider("p", _raise)
+                assert rt.telemetry_snapshot()["p"] is None
+            else:
+                if site == "observer_discard":
+                    monkeypatch.setattr(ArrivalOrderFeed, "discard", _raise)
+                    rt._feeds["double"] = ArrivalOrderFeed(print)
+                elif site == "worker":  # a fault in the runtime's own bookkeeping
+                    monkeypatch.setattr(rt.telemetry, "record_batch", _raise)
+                future = rt.submit("double", 3)
+                if site == "observer":
+                    assert future.result(timeout=10) == 3  # the answer is not lost
+                else:
+                    with pytest.raises(_Injected):
+                        future.result(timeout=10)
+                assert rt.drain(timeout=10)
+    finally:
+        set_default_registry(previous)
+    errors = registry.get("repro_internal_errors_total")
+    assert errors.labels(site=f"runtime.{site}").value == 1.0
+    assert [labels["site"] for labels, _ in errors.collect()] == [f"runtime.{site}"]
 
 
 # -- serving a live FairDMSService --------------------------------------------

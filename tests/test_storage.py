@@ -86,26 +86,7 @@ def test_codec_roundtrip_property(shape, seed):
         np.testing.assert_array_equal(codec.decode(codec.encode(arr)), arr)
 
 
-# -- codecs: a batch decoded at once ----------------------------------------------------
-def _assert_decodes_like_the_loop(codec, blobs):
-    """``decode_many`` against the loop it replaces; returns what it returned."""
-    want = [codec.decode(blob) for blob in blobs]
-    got = codec.decode_many(blobs)
-    assert len(got) == len(want)
-    for one, ref in zip(got, want):
-        assert type(one) is type(ref)
-        if isinstance(ref, (np.ndarray, np.generic)):  # (a scalar may be a NaN, too)
-            assert one.dtype == ref.dtype and one.shape == ref.shape
-            assert one.flags.writeable or not isinstance(got, np.ndarray)  # stacked rows are
-            if ref.dtype.hasobject:
-                np.testing.assert_array_equal(one, ref)
-            else:  # bit for bit: the fuzz draws NaNs of every payload
-                assert one.tobytes() == ref.tobytes()
-        else:
-            assert one == ref
-    return got
-
-
+# -- codecs: a batch encoded at once ----------------------------------------------------
 _FUZZ_DTYPES = ["f8", "f4", ">f8", "i2", "u1", "?", "c8", "M8[s]", "i4,f4", "O"]
 
 
@@ -128,82 +109,14 @@ def _fuzz_array(rng, dtype, shape, layout):
     return arr
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    dtype=st.sampled_from(_FUZZ_DTYPES),
-    shape=st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple),
-    layout=st.sampled_from(["c", "fortran", "strided", "readonly"]),
-    n=st.integers(1, 6),
-    odd=st.none() | st.sampled_from(["shape", "dtype", "layout", "object", "scalar", "text"]),
-    odd_at=st.integers(0, 5),
-    as_bytearray=st.booleans(),
-    seed=st.integers(0, 10**6),
-)
-def test_decode_many_is_the_decode_loop(dtype, shape, layout, n, odd, odd_at, as_bytearray, seed):
-    rng = np.random.default_rng(seed)
-    payloads = [_fuzz_array(rng, dtype, shape, layout) for _ in range(n)]
-    if odd is not None:  # one payload of the batch is not like the others
-        payloads[odd_at % n] = {
-            "shape": _fuzz_array(rng, dtype, shape + (2,), layout),
-            "dtype": _fuzz_array(rng, "i8" if dtype != "i8" else "f8", shape, layout),
-            "layout": _fuzz_array(rng, dtype, shape, "fortran" if layout != "fortran" else "c"),
-            "object": _fuzz_array(rng, "O", shape, "c"),
-            "scalar": np.float64(rng.normal()),
-            "text": {"not": "an array", "n": int(rng.integers(9))},
-        }[odd]
-    codec = PickleCodec()  # the one codec that overrides the loop
-    blobs = [codec.encode(payload) for payload in payloads]
-    if as_bytearray:
-        blobs = [bytearray(blob) for blob in blobs]
-    kept = [bytes(blob) for blob in blobs]
-    got = _assert_decodes_like_the_loop(codec, blobs)
-    if isinstance(got, np.ndarray):  # the caller's memory: scribbling reaches no blob
-        got.reshape(-1).view(np.uint8)[:] = 255
-    assert [bytes(blob) for blob in blobs] == kept
-
-
-def test_decode_many_stacks_what_it_can_and_loops_over_the_rest(rng):
-    codec = PickleCodec()
-    patches = rng.normal(size=(9, 5, 5))
-    blobs = [codec.encode(patch) for patch in patches]
-    stacked = _assert_decodes_like_the_loop(codec, blobs)
-    assert isinstance(stacked, np.ndarray) and stacked.shape == (9, 5, 5)
-    assert stacked.flags.owndata
-    # A batch of one, an empty batch, and any batch of another codec: the loop.
-    assert isinstance(_assert_decodes_like_the_loop(codec, blobs[:1]), list)
-    assert codec.decode_many([]) == []
-    assert isinstance(CompressedCodec().decode_many(
-        [CompressedCodec().encode(patch) for patch in patches]), list)
-    # The first array's bytes also occur in the pickle's own header (every
-    # protocol-5 pickle starts 80 05): the window is ambiguous, so the loop.
-    header = np.frombuffer(blobs[0][:2], dtype=np.uint8)
-    twice = [codec.encode(header.copy()), codec.encode(np.array([1, 2], dtype=np.uint8))]
-    assert twice[0].count(header.tobytes()) == 2
-    assert isinstance(_assert_decodes_like_the_loop(codec, twice), list)
-    # A later patch whose pixels spell out the whole first blob is just pixels.
-    pixels = np.frombuffer(blobs[0], dtype=np.uint8)
-    plain = (pixels + 1).astype(np.uint8)
-    assert isinstance(_assert_decodes_like_the_loop(
-        codec, [codec.encode(plain), codec.encode(pixels.copy())]), np.ndarray)
-    # Same length, different opcodes (the dtype string differs): the loop.
-    mixed = [codec.encode(np.arange(4, dtype="<i4")), codec.encode(np.arange(4, dtype="<u4"))]
-    assert len(mixed[0]) == len(mixed[1])
-    assert isinstance(_assert_decodes_like_the_loop(codec, mixed), list)
-    # What is not bytes is refused, wherever it sits in the batch.
-    for bad in ([blobs[0], 123], [123, blobs[0]]):
-        with pytest.raises(StorageError, match="expects bytes"):
-            codec.decode_many(bad)
-
-
-# -- codecs: a batch encoded at once ----------------------------------------------------
 def _assert_encodes_like_the_loop(codec, payloads):
     """``encode_many`` against the loop it replaces, byte for byte, and back
-    through ``decode_many`` to the payloads; returns the blobs."""
+    through ``decode`` to the payloads; returns the blobs."""
     want = [codec.encode(payload) for payload in payloads]
     blobs = codec.encode_many(payloads)
     assert isinstance(blobs, list) and all(type(blob) is bytes for blob in blobs)
     assert blobs == want
-    back = _assert_decodes_like_the_loop(codec, blobs)
+    back = [codec.decode(blob) for blob in blobs]
     for one, payload in zip(back, payloads):
         # (Through ``__reduce__`` — strided, subclass — NumPy itself brings a
         # big-endian array back as a native one.)
@@ -308,27 +221,6 @@ def test_encode_many_splices_what_it_can_and_loops_over_the_rest(rng, tmp_path, 
     squeezed = CompressedCodec()
     assert squeezed.encode_many(patches) == [squeezed.encode(patch) for patch in patches]
     assert RawArrayCodec().encode_many(patches) == [RawArrayCodec().encode(p) for p in patches]
-
-
-def test_fetch_payload_stack_is_fetch_payloads_as_one_array(monkeypatch):
-    _, coll, payloads = _populated_collection()
-    ids = coll.ids()
-    wanted = [ids[7], ids[2], ids[7], ids[11]]
-    charged = []
-    monkeypatch.setattr(NetworkModel, "charge", lambda self, n_bytes: charged.append(n_bytes))
-    stack = coll.fetch_payload_stack(wanted)
-    listed = coll.fetch_payloads(wanted)
-    assert len(charged) == 2 and charged[0] == charged[1] > 0  # one operation, same bytes
-    assert stack.dtype == listed[0].dtype
-    np.testing.assert_array_equal(stack, np.stack(listed))
-    stack[:] = 0.0  # the caller's copy
-    np.testing.assert_array_equal(coll.fetch_payload_stack(wanted), np.stack(listed))
-    with pytest.raises(StorageError, match="missing-id"):
-        coll.fetch_payload_stack([ids[0], "missing-id"])
-    # Payloads the codec cannot stack still come back as one array.
-    other = DocumentDB(codec=CompressedCodec()).collection("x")
-    other_ids = other.insert_many([{"i": i} for i in range(4)], list(payloads[:4]))
-    np.testing.assert_array_equal(other.fetch_payload_stack(other_ids), np.stack(payloads[:4]))
 
 
 # -- Document ---------------------------------------------------------------------
