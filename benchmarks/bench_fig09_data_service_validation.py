@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compute import ThreadExecutor
 from repro.labeling.parallel import LabelingEngine, VOIGT_80
 from repro.models import build_braggnn
 from repro.nn.metrics import euclidean_pixel_error
@@ -38,9 +37,7 @@ def test_fig09_fairds_labels_match_conventional_labels(benchmark, report_sink):
     new_images, new_centers = br.images[n_holdout:], br.centers[n_holdout:]
 
     # -- conventional labeling (pseudo-Voigt on every patch) ----------------------
-    with Timer() as t_conv, ThreadExecutor(max_workers=2) as executor:
-        engine = LabelingEngine(cost_model=VOIGT_80, executor=executor)
-        conv_report = engine.label(new_images[:, 0])
+    conv_report = LabelingEngine(cost_model=VOIGT_80).label(new_images[:, 0])
     conv_labels = conv_report.labels / experiment.patch_size
 
     # -- fairDS labeling: nearest historical sample within threshold --------------

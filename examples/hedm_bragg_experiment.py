@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import FairDMS, FairDS, UpdatePolicy
-from repro.compute import ThreadExecutor
 from repro.datasets import BraggPeakDataset, make_two_phase_schedule
 from repro.embedding import PCAEmbedder
 from repro.labeling.parallel import VOIGT_80, LabelingEngine
@@ -72,10 +71,8 @@ def main() -> None:
 
     # --- legacy workflow: pseudo-Voigt labeling + train from scratch ----------------------
     with Timer() as legacy_timer:
-        with ThreadExecutor(max_workers=2) as executor:
-            labeling = LabelingEngine(cost_model=VOIGT_80, sample_fraction=0.5,
-                                      executor=executor)
-            report_label = labeling.label(new_scan.images[:, 0])
+        labeling = LabelingEngine(cost_model=VOIGT_80, sample_fraction=0.5)
+        report_label = labeling.label(new_scan.images[:, 0])
         legacy_model = build_braggnn(width=4, seed=seed + 1)
         Trainer(legacy_model).fit(
             (new_scan.images, report_label.labels / 15.0),

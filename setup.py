@@ -3,9 +3,8 @@
 Kept as a plain ``setup.py`` (no ``pyproject.toml``) so legacy editable
 installs (``python setup.py develop``) keep working in offline environments
 where the ``wheel`` package (needed for PEP 660 editable wheels) is
-unavailable.  The library needs ``numpy``, plus ``scipy`` for the
-pseudo-Voigt fitter (``repro.labeling.peak_fitting``, the only module that
-imports it); ``src/`` on ``PYTHONPATH`` works without installing at all.
+unavailable.  The library needs only ``numpy``; ``src/`` on ``PYTHONPATH``
+works without installing at all.
 """
 from setuptools import find_packages, setup
 
@@ -23,6 +22,6 @@ setup(
     # through importlib.resources, so they must be installed with the code.
     package_data={"repro": ["py.typed"], "repro.api": ["presets/*.json"]},
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["repro=repro.__main__:main"]},
 )

@@ -2,7 +2,7 @@
 
 * :mod:`repro.api.registry` — package-wide component registry; every
   swappable part (embedder, clustering, storage, index, model, trigger,
-  policy, executor) constructible by name.
+  policy) constructible by name.
 * :mod:`repro.api.spec` — frozen, validated config dataclasses composed into
   :class:`~repro.api.spec.SystemSpec`, with JSON round-trip, content digests,
   diffing, and named presets.
@@ -42,7 +42,6 @@ _EXPORTS = {
     "ClusteringSpec": "repro.api.spec",
     "ContinualSpec": "repro.api.spec",
     "EmbedderSpec": "repro.api.spec",
-    "ExecutorSpec": "repro.api.spec",
     "IndexSpec": "repro.api.spec",
     "ModelSpec": "repro.api.spec",
     "NetworkSpec": "repro.api.spec",

@@ -74,11 +74,6 @@ class Deployment:
                 "(no .collection()); the system store must provide collections"
             )
         embedder = create_component("embedder", spec.embedder.name, **spec.embedder.params)
-        # The compute plane: fairDS's multi-batch embedding and certainty run
-        # on it, and labeling callers may pass it to label_patches.  Lazy
-        # (workers spawn on first use), so a spec without parallel work costs
-        # nothing.
-        self.executor = spec.executor.build() if spec.executor is not None else None
         index_params = dict(spec.index.params)
         if spec.index.n_probe is not None:
             index_params["n_probe"] = spec.index.n_probe
@@ -94,7 +89,6 @@ class Deployment:
             clustering_params=dict(spec.clustering.params),
             index_backend=spec.index.backend,
             index_params=index_params,
-            executor=self.executor,
         )
         self.dms: Optional[FairDMS] = None
         if spec.model is not None:
@@ -529,8 +523,6 @@ class Deployment:
                 "versions": {str(k): v for k, v in fleet.versions.items()},
                 "autoscaler": self._network.autoscaler is not None,
             }
-        if self.executor is not None:
-            snap["executor"] = self.executor.stats
         if self.tracer is not None:
             obs = self.spec.observability
             snap["observability"] = {
@@ -549,7 +541,7 @@ class Deployment:
         return snap
 
     def close(self) -> None:
-        """Shut down the network plane, serving runtime and compute executor.
+        """Shut down the network plane and the serving runtime.
         Idempotent; the in-process store and fitted models remain readable."""
         if self._closed:
             return
@@ -558,8 +550,6 @@ class Deployment:
             self._network.close()
         if self._runtime is not None:
             self._runtime.shutdown()
-        if self.executor is not None:
-            self.executor.close()
 
     def __enter__(self) -> "Deployment":
         self._require_open()

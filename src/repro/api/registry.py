@@ -16,7 +16,6 @@ index      ``flat``, ``clustered``, ``ivf``                :mod:`repro.storage`
 model      ``braggnn``, ``cookienetae``, ``tomogan``      :mod:`repro.models`
 trigger    ``threshold``, ``certainty``                   :mod:`repro.monitoring`
 policy     ``batching``, ``update``                       serving / core
-executor   ``inline``, ``thread``, ``process``            :mod:`repro.compute`
 ========== ============================================== =======================
 
     >>> from repro.api.registry import create_component
@@ -52,7 +51,6 @@ COMPONENT_KINDS: Tuple[str, ...] = (
     "model",
     "trigger",
     "policy",
-    "executor",
 )
 
 #: Guards mutations of the component table only — never held across imports.
@@ -177,13 +175,6 @@ def _load_builtins() -> None:
 
     _builtin("policy", "batching", BatchingPolicy)
     _builtin("policy", "update", UpdatePolicy)
-
-    from repro.compute.executor import InlineExecutor, ThreadExecutor
-    from repro.compute.process import ProcessExecutor
-
-    _builtin("executor", "inline", InlineExecutor)
-    _builtin("executor", "thread", ThreadExecutor)
-    _builtin("executor", "process", ProcessExecutor)
 
 
 # -- public API --------------------------------------------------------------------

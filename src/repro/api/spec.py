@@ -33,8 +33,7 @@ Named presets (:func:`preset`) describe the canonical configurations —
 ``"minimal"`` (data plane only), ``"serving"`` (adds a model and the
 micro-batching runtime), ``"continual"`` (adds the drift-triggered retraining
 loop), ``"ann"`` (the data plane with the IVF approximate index and a live
-``n_probe`` serving knob), ``"parallel"`` (the continual loop on the
-process compute plane), ``"networked"`` (the serving system behind the TCP
+``n_probe`` serving knob), ``"networked"`` (the serving system behind the TCP
 network plane with replicas and autoscaling) —
 defined only by the JSON files shipped as ``repro/api/presets/*.json``.
 """
@@ -68,7 +67,6 @@ __all__ = [
     "ServingSpec",
     "ContinualSpec",
     "ObservabilitySpec",
-    "ExecutorSpec",
     "NetworkSpec",
     "SystemSpec",
     "preset",
@@ -446,40 +444,6 @@ class ObservabilitySpec(_Spec):
 
 
 @dataclass(frozen=True)
-class ExecutorSpec(_Spec):
-    """Compute-plane backend for fairDS's multi-batch embedding and
-    certainty, also usable for peak fitting (see :mod:`repro.compute`).
-
-    ``kind`` is a registry name — ``"inline"`` (serial, the behaviour of a
-    spec without an executor section), ``"thread"``, or ``"process"`` (the
-    GIL-escaping backend with shared-memory array handoff).  Construction is
-    lazy: validating a spec never spawns worker processes.
-    """
-
-    kind: str = _field("inline", _registered("executor"))
-    workers: int = _field(1, _integer(1))
-    params: Mapping[str, Any] = _field(dict, _mapping)
-
-    def _validate(self) -> None:
-        if "max_workers" in self.params:
-            raise ConfigurationError(
-                "ExecutorSpec.params must not contain 'max_workers'; use the workers field"
-            )
-        trial = _trial_construct("ExecutorSpec", self.build)
-        # Executors start lazily, so the trial spawned nothing — but close it
-        # anyway in case a custom registered backend allocates eagerly.
-        close = getattr(trial, "close", None)
-        if callable(close):
-            close()
-
-    def build(self):
-        """Construct the configured executor (workers spawn on first use)."""
-        return create_component(
-            "executor", self.kind, max_workers=self.workers, **self.params
-        )
-
-
-@dataclass(frozen=True)
 class NetworkSpec(_Spec):
     """The network serving plane (see :mod:`repro.net`): TCP endpoint,
     replica fleet, and optional autoscaling.
@@ -547,8 +511,8 @@ class SystemSpec(_Spec):
     serving: Optional[ServingSpec] = _field(None, _section(ServingSpec))
     continual: Optional[ContinualSpec] = _field(None, _section(ContinualSpec))
     observability: Optional[ObservabilitySpec] = _field(None, _section(ObservabilitySpec))
-    #: Compute-plane backend; ``None`` behaves exactly like ``kind="inline"``.
-    executor: Optional[ExecutorSpec] = _field(None, _section(ExecutorSpec))
+    #: Retired: spec files that still carry ``"executor": null`` keep loading.
+    executor: None = _field(None, _retired("the compute plane was removed"))
     #: Network serving plane; ``None`` keeps serving in-process only.
     network: Optional[NetworkSpec] = _field(None, _section(NetworkSpec))
     #: :class:`repro.core.fairdms.UpdatePolicy` keyword arguments.
@@ -679,9 +643,6 @@ def preset(name: str) -> SystemSpec:
     * ``"observed"`` — the ``"ann"`` system (its scan counters populate the
       ``repro_index_*`` series) with the observability plane on: metrics
       registry + request tracing at 25%, so smoke bursts always record traces.
-    * ``"parallel"`` — the ``"continual"`` system with the process compute
-      plane (two workers, shared-memory handoff) under fairDS's multi-batch
-      embedding and certainty.
     * ``"networked"`` — the ``"serving"`` system behind the TCP network
       plane: two replicas, client-visible typed errors, and a
       telemetry-driven autoscaler that CLI/CI bursts can actually trip (fast

@@ -34,12 +34,9 @@ from __future__ import annotations
 
 import copy
 import functools
-import pickle
 import threading
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,19 +54,6 @@ from repro.storage.vector_index import appended
 from repro.utils.cache import LRUCache, row_digests
 from repro.utils.errors import ConfigurationError, NotFittedError, ValidationError
 from repro.utils.rng import SeedLike, derive_seed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compute.executor import Executor
-
-
-# -- process-executor worker functions (module-level: pickled by reference) ----
-def _embedder_session_setup(ctx, embedder_blob: bytes):
-    return pickle.loads(embedder_blob)
-
-
-def _embedder_transform_task(ctx, images: np.ndarray) -> np.ndarray:
-    return _transform64(ctx.state, np.asarray(images, dtype=np.float64))
-
 
 def _transform64(embedder: Embedder, images: np.ndarray) -> np.ndarray:
     return np.asarray(embedder.transform(images), dtype=np.float64)
@@ -182,12 +166,9 @@ class _Generation:
 
     The first seven fields never change after publication (the index grows
     under :meth:`FairDS.ingest`, and ``collection``, the document view of
-    ``catalog``, when read; each safe beside readers).  The last two are the
-    slots that legitimately move afterwards, and belong to the generation
-    because they describe nothing else: ``catalog`` (the sample table,
-    replaced whole by every ingest) and ``session`` (the process-executor
-    session holding ``embedder``, opened on first use and closed once the
-    generation is superseded).
+    ``catalog``, when read; each safe beside readers).  The last is the slot
+    that legitimately moves afterwards: ``catalog``, the sample table,
+    replaced whole by every ingest.
     """
 
     number: int
@@ -198,7 +179,6 @@ class _Generation:
     index: Any
     caps: IndexCapabilities
     catalog: _SampleCatalog
-    session: Any = None
 
 
 class FairDS:
@@ -262,7 +242,6 @@ class FairDS:
         clustering_params: Optional[Dict[str, Any]] = None,
         index_backend: str = "clustered",
         index_params: Optional[Dict[str, Any]] = None,
-        executor: Optional["Executor"] = None,
     ):
         if isinstance(n_clusters, str):
             if n_clusters != "auto":
@@ -301,10 +280,6 @@ class FairDS:
         self._generation: Optional[_Generation] = None
         #: Serialises the writers — fit, refresh, ingest, the ``n_probe`` retune.
         self._write_lock = threading.Lock()
-        #: Optional parallel compute plane for multi-dataset embedding fans
-        #: (certainty/distribution batches).  ``None`` keeps every serial
-        #: code path — and the embedding LRU cache — exactly as before.
-        self.executor = executor
 
     # -- views of the published generation ---------------------------------------
     def _live(self, operation: str) -> _Generation:
@@ -407,32 +382,6 @@ class FairDS:
         gen = self._generation
         return (gen.cache if gen is not None else LRUCache(self.embedding_cache_size)).info()
 
-    def _embed_batches(self, gen: _Generation, batches: List[np.ndarray]) -> List[np.ndarray]:
-        """Embed several datasets; fans out across :attr:`executor` when one
-        is configured.  The parallel path pushes whole datasets through the
-        pure ``embedder.transform`` (identical results, no LRU round-trip) —
-        a win exactly when several genuinely new datasets arrive together,
-        which is the monitoring/batched-certainty shape."""
-        executor = self.executor
-        if (
-            executor is None
-            or executor.closed
-            or executor.max_workers <= 1
-            or len(batches) <= 1
-        ):
-            return [self._embed(gen, images) for images in batches]
-        if executor.kind != "process":
-            return executor.map(lambda images: _transform64(gen.embedder, images), batches)
-        # Process fan-out over a persistent worker session holding the
-        # (pickled-once) embedder of this generation.
-        session = gen.session
-        if session is None or session.closed:
-            session = gen.session = executor.open_session(
-                setup=_embedder_session_setup,
-                setup_args=(pickle.dumps(gen.embedder),),
-            )
-        return session.map(_embedder_transform_task, batches)
-
     # -- indexing -----------------------------------------------------------------------
     def fit(
         self,
@@ -532,8 +481,6 @@ class FairDS:
         # referenced from here.
         self.db.install(coll)
         self._generation = gen
-        if prev is not None and prev.session is not None:
-            prev.session.close()
         span = current_span()
         if span is not None:
             span.set_attribute("generation", gen.number)
@@ -731,7 +678,8 @@ class FairDS:
             raise ValidationError("labels must match the number of batches")
         if not len(batches):
             return []
-        embeddings = self._embed_batches(gen, [_nonempty64(images) for images in batches])
+        batches = [_nonempty64(images) for images in batches]  # all refused before any embeds
+        embeddings = [self._embed(gen, images) for images in batches]
         cluster_ids = gen.clusterer.predict(np.vstack(embeddings))
         out: List[DatasetDistribution] = []
         start = 0
@@ -888,7 +836,8 @@ class FairDS:
         fuzzy memberships of all datasets are computed in a single pass.
         """
         gen = self._live("certainty_batch")
-        embeddings = self._embed_batches(gen, [_nonempty64(images) for images in batches])
+        batches = [_nonempty64(images) for images in batches]  # all refused before any embeds
+        embeddings = [self._embed(gen, images) for images in batches]
         return assignment_certainty_batch(
             embeddings, gen.clusterer.cluster_centers_, m=fuzzifier, confidence=confidence
         )

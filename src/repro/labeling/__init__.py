@@ -8,16 +8,13 @@ implements that substrate from scratch:
 * :mod:`repro.labeling.pseudo_voigt` — 1-D / 2-D pseudo-Voigt profiles used
   both to *generate* synthetic Bragg peaks and to *fit* them.
 * :mod:`repro.labeling.peak_fitting` — per-patch centre-of-mass labeling via
-  non-linear least squares (the expensive conventional method) plus a cheap
-  intensity-weighted centroid used for sanity checks.
-* :mod:`repro.labeling.parallel` — a labeling engine that fans fits across
-  worker threads and scales measured wall-clock by a simulated core count so
-  the Fig. 15 comparison (fairDMS vs Voigt-80 vs Voigt-1440) can be
-  reproduced on a laptop.
-
-Only the profiles are re-exported here: the fitter and the engine import
-scipy, so callers import them from their own modules and a process that only
-generates peaks never loads it.
+  non-linear least squares (the expensive conventional method, one batched
+  Levenberg–Marquardt solve per stack) plus a cheap intensity-weighted
+  centroid used for sanity checks.
+* :mod:`repro.labeling.parallel` — a labeling engine that times the fits on
+  one core and scales that cost by a simulated core count so the Fig. 15
+  comparison (fairDMS vs Voigt-80 vs Voigt-1440) can be reproduced on a
+  laptop.
 """
 
 from repro.labeling.pseudo_voigt import pseudo_voigt_1d, pseudo_voigt_2d, PeakParameters

@@ -7,7 +7,7 @@ cluster ("Voigt-1440", the maximum parallelism MIDAS supports).  We do not
 have either machine, so the engine
 
 1. measures the *real* per-patch fitting cost on this machine using a sample
-   of the workload (optionally fanning across a compute-plane executor), and
+   of the workload (one batched fit on the calling thread), and
 2. extrapolates the full-workload wall-clock under a simulated core count
    with a configurable parallel efficiency, which preserves the relative
    ordering and approximate speedup factors of the paper's comparison.
@@ -16,16 +16,13 @@ have either machine, so the engine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.labeling.peak_fitting import fit_peak_center, label_patches
+from repro.labeling.peak_fitting import _centroids, _stack, label_patches
 from repro.utils.errors import ConfigurationError, ValidationError
 from repro.utils.timing import Timer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.compute.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -107,59 +104,35 @@ class LabelingEngine:
         ``sample_fraction >= 1``), otherwise the unfitted patches reuse the
         measured cost estimate but are labelled with the cheap centroid so the
         returned label array is complete.
-    executor:
-        Optional :class:`repro.compute.Executor` that the real fits fan out
-        across (the patch stack is shipped once through session shared
-        memory).  A process executor sidesteps the GIL that limits a thread
-        executor; when unset, or with one worker, the fits run serially.  The
-        one-core cost the simulation starts from is the busy seconds the
-        executor measured for the fits, whatever speedup it achieved.
+
+    The fits run on the calling thread, so their wall clock is the one-core
+    cost the simulation starts from.
     """
 
     def __init__(
         self,
         cost_model: Optional[CostModel] = None,
         sample_fraction: float = 1.0,
-        executor: Optional["Executor"] = None,
     ):
         if not 0.0 < sample_fraction <= 1.0:
             raise ConfigurationError("sample_fraction must be in (0, 1]")
         self.cost_model = cost_model or CostModel()
         self.sample_fraction = float(sample_fraction)
-        self.executor = executor
 
     def label(self, patches: np.ndarray) -> LabelingReport:
         """Label ``patches`` and report measured + simulated costs."""
-        patches = np.asarray(patches, dtype=np.float64)
-        if patches.ndim == 4 and patches.shape[1] == 1:
-            patches = patches[:, 0]
-        if patches.ndim != 3 or patches.shape[0] == 0:
+        patches = _stack(patches)
+        if patches.shape[0] == 0:
             raise ValidationError("expected a non-empty (n, H, W) patch stack")
         n = patches.shape[0]
         n_fit = max(1, int(round(n * self.sample_fraction)))
 
-        before = self.executor.stats if self.executor is not None else None
         with Timer() as t:
-            fitted = label_patches(patches[:n_fit], executor=self.executor)
+            fitted = label_patches(patches[:n_fit])
         per_patch = t.elapsed / n_fit
-        # The fits' one-core cost: the busy seconds the executor measured
-        # over this call when its workers ran them, else this thread's time.
-        one_core = t.elapsed
-        if before is not None:
-            after = self.executor.stats
-            if after["tasks_completed"] > before["tasks_completed"]:
-                one_core = after["busy_seconds"] - before["busy_seconds"]
-
-        if n_fit < n:
-            # Complete the label array cheaply for the un-fitted remainder.
-            from repro.labeling.peak_fitting import intensity_centroid
-
-            rest = np.array([intensity_centroid(p) for p in patches[n_fit:]])
-            labels = np.vstack([fitted, rest])
-        else:
-            labels = fitted
-
-        simulated = self.cost_model.wall_clock(one_core / n_fit * n)
+        # Complete the label array cheaply for the un-fitted remainder.
+        labels = np.vstack([fitted, _centroids(patches[n_fit:])])
+        simulated = self.cost_model.wall_clock(per_patch * n)
         return LabelingReport(
             labels=labels,
             n_patches=n,

@@ -44,6 +44,7 @@ from repro.net.protocol import (
     read_frame,
     write_frame,
 )
+from repro.observability.metrics import default_registry, internal_errors
 from repro.utils.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -404,8 +405,12 @@ class AsyncNetworkClient:
             self._reader_task.cancel()
             try:
                 await self._reader_task
-            except (asyncio.CancelledError, Exception):
+            except asyncio.CancelledError:
                 pass
+            except Exception:
+                logger.warning("the reader task of %s:%d had failed", self.host, self.port,
+                               exc_info=True)
+                internal_errors(default_registry(), "client.close").inc()
             self._reader_task = None
         if self._writer is not None:
             try:

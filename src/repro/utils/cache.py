@@ -49,8 +49,8 @@ class LRUCache:
 
     ``maxsize == 0`` is a valid always-empty cache (every ``get`` misses and
     ``put`` is a no-op), which callers use as the "caching disabled" setting.
-    Thread-safe: plane functions run on an executor's worker threads, so
-    concurrent lookups share one cache.
+    Thread-safe: fairDS readers take no lock, so lookups on serving and
+    network threads share one cache.
     """
 
     def __init__(self, maxsize: int):

@@ -38,18 +38,6 @@ class StepTimeoutError(PipelineError):
     retries left."""
 
 
-class ComputeError(ReproError):
-    """Raised by the parallel compute plane (:mod:`repro.compute`): executor
-    misuse (closed/broken executors, unpicklable tasks) or shared-memory
-    bookkeeping failures."""
-
-
-class WorkerCrashError(ComputeError):
-    """A process-pool worker died without reporting a result (segfault,
-    ``os._exit``, OOM-kill, SIGKILL).  The executor is broken afterwards:
-    remaining workers are terminated and shared-memory segments unlinked."""
-
-
 class ServingError(ReproError):
     """Raised by the concurrent serving runtime (:mod:`repro.serving`)."""
 

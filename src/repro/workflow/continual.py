@@ -24,10 +24,6 @@ certainty with a :class:`~repro.monitoring.triggers.CertaintyTrigger`
 (paper Fig. 16); pass ``signal_fn`` + a ``direction="above"``
 :class:`~repro.monitoring.triggers.ThresholdTrigger` to trigger on a
 drift-detector's prediction-error feed instead.
-
-The pipeline is compute-plane agnostic: an :class:`~repro.compute.Executor`
-in the deployment spec may change where fairDS embeds, never what any step
-here computes — cycle reports, checkpoints, and hot-swaps are identical.
 """
 
 from __future__ import annotations

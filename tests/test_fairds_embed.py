@@ -13,12 +13,13 @@ generation whose embedder does not memoise a cache of size 0, and ``_embed``'s
   timed), and its counters read zero; a memoising one does both;
 * an embedder that says nothing memoises (registered custom ones, the three
   network embedders), and the declaration survives ``deepcopy`` into a
-  generation and ``pickle`` into the process executor's session;
+  generation and a ``pickle`` round trip;
 * an empty batch is refused as ``lookup`` refuses it, on every read, backend
   and ``memoize`` setting.
 """
 
 import hashlib
+import pickle
 from contextlib import contextmanager
 from types import SimpleNamespace
 from unittest import mock
@@ -29,7 +30,6 @@ import pytest
 import repro.utils.cache as cache_module
 from repro import FairDS
 from repro.api.registry import create_component, register_component, unregister_component
-from repro.compute import ProcessExecutor
 from repro.core.fairds import _Generation
 from repro.embedding import Embedder, PCAEmbedder
 from repro.utils.cache import LRUCache
@@ -208,27 +208,18 @@ def test_the_network_embedders_report_cache_hits_on_a_repeated_dataset(name):
     np.testing.assert_array_equal(first.input_distribution.pdf, again.input_distribution.pdf)
 
 
-def _session_memoize(ctx, _):
-    return type(ctx.state).__name__, ctx.state.memoize
-
-
-def test_the_declaration_survives_pickle_into_the_process_executor_session():
+def test_the_declaration_survives_deepcopy_into_a_generation_and_pickle():
     rng = np.random.default_rng(3)
-    with ProcessExecutor(max_workers=2) as executor:
-        for embedder, declared in [(PCAEmbedder, False), (MemoisedPCA, True)]:
-            fairds = FairDS(embedder(embedding_dim=3), n_clusters=2, seed=0, executor=executor)
-            fairds.fit(*_scan(rng, 40))
-            fairds.certainty_batch([_scan(rng, 5)[0], _scan(rng, 5)[0]])  # opens the session
-            gen = fairds._generation
-            assert gen.session.map(_session_memoize, [0, 1]) == [(embedder.__name__, declared)] * 2
-            assert gen.embedder.memoize is declared and bool(gen.cache.maxsize) is declared
-        # An instance may also be told apart from its class; that travels too.
-        one_off = PCAEmbedder(embedding_dim=3)
-        one_off.memoize = True
-        fairds = FairDS(one_off, n_clusters=2, seed=0, executor=executor).fit(*_scan(rng, 40))
-        fairds.certainty_batch([_scan(rng, 5)[0], _scan(rng, 5)[0]])
-        assert fairds._generation.cache.maxsize == 4096
-        assert fairds._generation.session.map(_session_memoize, [0]) == [("PCAEmbedder", True)]
+    for embedder, declared in [(PCAEmbedder, False), (MemoisedPCA, True)]:
+        gen = FairDS(embedder(embedding_dim=3), n_clusters=2, seed=0).fit(*_scan(rng, 40))._generation
+        assert gen.embedder.memoize is declared and bool(gen.cache.maxsize) is declared
+        assert pickle.loads(pickle.dumps(gen.embedder)).memoize is declared
+    # An instance may also be told apart from its class; that travels too.
+    one_off = PCAEmbedder(embedding_dim=3)
+    one_off.memoize = True
+    gen = FairDS(one_off, n_clusters=2, seed=0).fit(*_scan(rng, 40))._generation
+    assert gen.cache.maxsize == 4096
+    assert pickle.loads(pickle.dumps(gen.embedder)).memoize is True
 
 
 # -- an empty batch never reaches numpy ------------------------------------------------------------

@@ -19,7 +19,6 @@ assignment.  The contract tested here:
 import sys
 import threading
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -234,32 +233,14 @@ def _fail_once_after(monkeypatch, stage):
     return pending
 
 
-class _FakeProcessExecutor:
-    """The process executor's session seam, inline: sessions are recorded so
-    the test can see which are open."""
-
-    kind, closed, max_workers = "process", False, 2
-
-    def __init__(self):
-        self.sessions = []
-
-    def open_session(self, setup, setup_args):
-        session = SimpleNamespace(closed=False, state=setup(None, *setup_args))
-        session.map = lambda fn, items: [fn(session, item) for item in items]
-        session.close = lambda: setattr(session, "closed", True)
-        self.sessions.append(session)
-        return session
-
-
 @pytest.mark.parametrize("stage", STAGES)
 def test_a_refresh_that_raises_leaves_the_published_generation_answering(monkeypatch, stage):
-    executor = _FakeProcessExecutor()
-    fairds, images, labels, rng = _fitted(executor=executor)
+    fairds, images, labels, rng = _fitted()
     twin = _fitted()[0]  # same history, never fails: the reference for the next seeded draw
     for store in (fairds, twin):
         store.ingest(*_scan(np.random.default_rng(5), 30, offset=-9.0))
     probe = _scan(rng, 20)[0]
-    certainty = fairds.certainty_batch([probe, images[:20]])  # opens generation 1's session
+    certainty = fairds.certainty_batch([probe, images[:20]])
     nearest = fairds.nearest_labeled(images[:12])
     coll, embedder = fairds.collection, fairds.embedder
 
@@ -272,7 +253,6 @@ def test_a_refresh_that_raises_leaves_the_published_generation_answering(monkeyp
     assert fairds.collection is coll and fairds.embedder is embedder
     assert fairds.db.collection_names() == [fairds.collection_name]
     assert fairds.db.collection(fairds.collection_name) is coll
-    assert [s.closed for s in executor.sessions] == [False]
     after, want = fairds.lookup(probe), twin.lookup(probe)
     assert after.generation == 1 and set(after.doc_ids) <= set(coll.ids())
     np.testing.assert_array_equal(after.images, want.images)
@@ -286,8 +266,6 @@ def test_a_refresh_that_raises_leaves_the_published_generation_answering(monkeyp
     fairds.refresh()  # a plain retry
     assert fairds.generation == 2 and fairds.store_size() == 180
     assert fairds.db.collection(fairds.collection_name) is fairds.collection is not coll
-    fairds.certainty_batch([probe, images[:20]])
-    assert [s.closed for s in executor.sessions] == [True, False]
     for (label, _), own in zip(fairds.nearest_labeled(images[:12]), labels):
         np.testing.assert_array_equal(label, own)
 

@@ -9,7 +9,6 @@ the labeling baseline with the data service.
 import numpy as np
 import pytest
 
-from repro.compute import ThreadExecutor
 from repro.core import FairDMS, FairDS, FairMS, ModelZoo, UpdatePolicy
 from repro.dataio import DataLoader, DocumentDBDataset
 from repro.datasets import BraggPeakDataset, CookieBoxDataset, DriftSchedule, make_two_phase_schedule
@@ -140,8 +139,7 @@ def test_pseudo_labels_agree_with_conventional_fitting(bragg_experiment):
 
     scan = bragg_experiment.scan(4)
     lookup = fairds.lookup(scan.images)
-    with ThreadExecutor(max_workers=2) as executor:
-        conventional = LabelingEngine(executor=executor).label(scan.images[:, 0]).labels / 15.0
+    conventional = LabelingEngine().label(scan.images[:, 0]).labels / 15.0
 
     # The retrieved labels come from *different* (historical) peaks, so they are
     # not sample-wise comparable; but their distribution over the patch must

@@ -1,5 +1,6 @@
 """Tests for the pseudo-Voigt labeling substrate."""
 
+import json
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compute import ProcessExecutor, ThreadExecutor
+from repro.datasets import BraggPeakDataset, make_two_phase_schedule
 from repro.labeling.parallel import VOIGT_80, VOIGT_1440, CostModel, LabelingEngine
 from repro.labeling.peak_fitting import (
     FitResult,
@@ -22,19 +23,24 @@ from repro.labeling.pseudo_voigt import PeakParameters, pseudo_voigt_1d, pseudo_
 from repro.utils.errors import ConfigurationError, ValidationError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "voigt_centres.json"
 
 
-def test_only_the_fitter_imports_scipy():
-    """A process that serves, trains or generates peaks never loads scipy;
-    the pseudo-Voigt fitter is the one module that does."""
+def test_labeling_runs_with_scipy_unimportable():
+    """Nothing in the library needs scipy: with every import of it made to
+    fail, the fitter and the labeling engine still label a stack."""
     script = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None
         sys.path.insert(0, {str(SRC)!r})
-        import repro, repro.api, repro.net, repro.nn, repro.datasets, repro.labeling
-        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        assert not loaded, loaded
-        import repro.labeling.peak_fitting
-        assert "scipy" in sys.modules
+        import numpy as np
+        import repro, repro.api, repro.net, repro.nn, repro.datasets
+        from repro.labeling.parallel import LabelingEngine
+        from repro.labeling.peak_fitting import label_patches
+        from repro.labeling.pseudo_voigt import PeakParameters, pseudo_voigt_2d
+        patch = pseudo_voigt_2d((15, 15), PeakParameters(6.5, 7.5))
+        assert np.allclose(label_patches(patch[None]), [[6.5, 7.5]])
+        assert np.allclose(LabelingEngine().label(np.stack([patch] * 3)).labels, 7.0, atol=0.5)
     """)
     subprocess.run([sys.executable, "-c", script], check=True)
 
@@ -175,52 +181,6 @@ def test_label_patches_shapes_and_accuracy():
     np.testing.assert_allclose(labels, truths, atol=0.15)
 
 
-def test_label_patches_parallel_matches_serial():
-    patches, _ = _patch_stack(6)
-    serial = label_patches(patches)
-    with ThreadExecutor(max_workers=2) as executor:
-        parallel = label_patches(patches, executor=executor)
-    np.testing.assert_allclose(serial, parallel, atol=1e-8)
-
-
-@pytest.mark.parametrize(
-    "executor_cls, workers",
-    [(ThreadExecutor, 2), (ThreadExecutor, 4), (ThreadExecutor, 8), (ProcessExecutor, 2)],
-    ids=["2", "4", "8", "process-2"],
-)
-def test_label_patches_executor_labels_are_bit_identical_to_serial(executor_cls, workers):
-    """Uneven ranges and more workers than patches partition the stack
-    differently, and process workers fit in forked interpreters; every path
-    yields the very same labels."""
-    patches, _ = _patch_stack(6)
-    serial = label_patches(patches)
-    with executor_cls(max_workers=workers) as executor:
-        fanned = label_patches(patches, executor=executor)
-        assert executor.stats["tasks_completed"] == min(workers, 6)
-    np.testing.assert_array_equal(serial, fanned)
-
-
-def _no_session(*args, **kwargs):
-    raise AssertionError("the serial path must not open an executor session")
-
-
-def test_label_patches_single_worker_executor_runs_the_serial_loop(monkeypatch):
-    patches, _ = _patch_stack(4)
-    with ThreadExecutor(max_workers=1) as executor:
-        monkeypatch.setattr(executor, "open_session", _no_session)
-        labels = label_patches(patches, executor=executor)
-        assert executor.stats["tasks_completed"] == 0
-    np.testing.assert_array_equal(labels, label_patches(patches))
-
-
-def test_label_patches_closed_executor_runs_the_serial_loop():
-    patches, _ = _patch_stack(4)
-    executor = ThreadExecutor(max_workers=2)
-    executor.close()
-    np.testing.assert_array_equal(label_patches(patches, executor=executor),
-                                  label_patches(patches))
-
-
 def test_label_patches_accepts_channel_dim():
     patches, _ = _patch_stack(3)
     labels = label_patches(patches[:, None, :, :])
@@ -230,6 +190,101 @@ def test_label_patches_accepts_channel_dim():
 def test_label_patches_rejects_bad_shape():
     with pytest.raises(ValidationError):
         label_patches(np.zeros((4, 15)))
+
+
+# -- the batched solve against scipy ---------------------------------------------------------
+with GOLDEN.open() as _golden_file:
+    _GOLDEN = json.load(_golden_file)
+
+
+@pytest.fixture(scope="module")
+def golden_experiment():
+    return BraggPeakDataset(
+        make_two_phase_schedule(n_scans=_GOLDEN["n_scans"], change_at=_GOLDEN["change_at"],
+                                seed=_GOLDEN["seed"]),
+        peaks_per_scan=_GOLDEN["peaks_per_scan"], seed=_GOLDEN["seed"],
+    )
+
+
+@pytest.mark.parametrize("scan", range(_GOLDEN["n_scans"]))
+def test_batched_centres_match_scipys_on_every_bragg_scan(golden_experiment, scan):
+    """Against the centres scipy's ``least_squares`` fitted patch by patch
+    (tests/golden/voigt_centres.json): every centre within 1e-2 px of
+    scipy's, the median within 1e-5 px, and the mean error against the true
+    centres no worse than scipy's by more than 1e-4 px.  The drifted scans
+    (from ``change_at`` on) hold the patches that differ most."""
+    data = golden_experiment.scan(scan)
+    scipy_centres = np.array(_GOLDEN["scans"][str(scan)])
+    centres = label_patches(data.images)
+    assert centres.shape == scipy_centres.shape
+    gap = np.abs(centres - scipy_centres).max(axis=1)
+    assert gap.max() <= 1e-2
+    assert np.median(gap) <= 1e-5
+    error = np.linalg.norm(centres - data.centers, axis=1).mean()
+    scipy_error = np.linalg.norm(scipy_centres - data.centers, axis=1).mean()
+    assert error <= scipy_error + 1e-4
+
+
+def _peak(**kwargs):
+    return pseudo_voigt_2d((15, 15), PeakParameters(**{"center_row": 7.0, "center_col": 7.0,
+                                                       **kwargs}))
+
+
+#: Patches whose best fit lies past a bound, with the parameter (index into
+#: PeakParameters.as_vector) and the bound it must end on.
+_PAST_A_BOUND = {
+    # No peak at all: any height above the background only adds cost.
+    "amplitude": (np.full((15, 15), 0.3), 2, 1e-9),
+    # More Lorentzian than a Lorentzian (eta = 1.5) and more Gaussian than a
+    # Gaussian (eta = -0.5), as mixtures of the two pure profiles.
+    "eta-high": (1.5 * _peak(eta=1.0) - 0.5 * _peak(eta=0.0), 5, 1.0),
+    "eta-low": (1.5 * _peak(eta=0.0) - 0.5 * _peak(eta=1.0), 5, 0.0),
+    # A ridge along the rows, far wider than the 15-pixel patch.
+    "sigma-high": (_peak(sigma_row=200.0, sigma_col=1.5), 3, 15.0),
+    # A one-pixel spike, far narrower than the 1e-3 px floor.
+    "sigma-low": (_peak(sigma_row=1e-4, sigma_col=1e-4, eta=1.0), 4, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_A_BOUND))
+def test_a_fit_pushed_past_a_bound_ends_on_the_bound(name):
+    patch, index, bound = _PAST_A_BOUND[name]
+    result = fit_peak_center(patch)
+    assert result.converged
+    assert result.params.as_vector()[index] == bound
+
+
+@pytest.mark.parametrize("patch", [
+    _peak(center_row=6.3, center_col=8.1, eta=0.3),
+    _peak(center_row=7.7, center_col=6.1, sigma_row=1.5, eta=0.9, background=0.2),
+    np.zeros((15, 15)),
+    np.full((15, 15), 3.0),
+], ids=["clean", "clean-with-background", "all-zero", "flat"])
+def test_noise_free_and_empty_patches_stop_well_before_the_cap(patch):
+    """Zero-residual fits stop on the step or gradient rule, not at the cap."""
+    result = fit_peak_center(patch, max_iter=200)
+    assert result.converged
+    assert result.n_evaluations <= 20
+    assert result.residual_norm < 1e-6
+
+
+def test_max_iter_caps_the_iterations():
+    patches, _ = _patch_stack(1)
+    result = fit_peak_center(patches[0], max_iter=2)
+    assert result.n_evaluations == 2 and not result.converged
+
+
+def test_fit_peak_center_equals_its_row_of_label_patches():
+    patches, _ = _patch_stack(8)
+    stack = np.concatenate([patches, [entry[0] for entry in _PAST_A_BOUND.values()],
+                            [np.zeros((15, 15))]])
+    labels = label_patches(stack)
+    for patch, row in zip(stack, labels):
+        np.testing.assert_array_equal(fit_peak_center(patch).center_array, row)
+
+
+def test_label_patches_of_an_empty_stack():
+    assert label_patches(np.zeros((0, 15, 15))).shape == (0, 2)
 
 
 # -- cost model / engine -----------------------------------------------------------------------
@@ -269,49 +324,14 @@ def test_labeling_engine_reports_costs():
     assert report.as_dict()["n_patches"] == 6
 
 
-def test_labeling_engine_fans_out_through_its_executor():
-    patches, _ = _patch_stack(6)
-    serial = LabelingEngine(cost_model=VOIGT_80).label(patches)
-    with ThreadExecutor(max_workers=2) as executor:
-        fanned = LabelingEngine(cost_model=VOIGT_80, executor=executor).label(patches)
-        assert executor.stats["tasks_completed"] == 2  # one contiguous range per worker
-    np.testing.assert_array_equal(fanned.labels, serial.labels)
-    assert fanned.n_patches == serial.n_patches == 6
-
-
-class _BusyExecutor:
-    """Stands in for an executor whose workers ran the fits: ``label_patches``
-    (patched below) bills it ``busy`` seconds over ``tasks`` tasks."""
-
-    closed, max_workers = False, 4
-
-    def __init__(self):
-        self.stats = {"tasks_completed": 3, "busy_seconds": 10.0}
-
-    def bill(self, tasks, busy):
-        self.stats = {"tasks_completed": self.stats["tasks_completed"] + tasks,
-                      "busy_seconds": self.stats["busy_seconds"] + busy}
-
-
-@pytest.mark.parametrize("tasks, busy", [(2, 0.5), (0, 0.0)])
-def test_labeling_engine_projects_the_one_core_cost_from_the_executors_busy_time(
-        monkeypatch, tasks, busy):
-    """The serial cost is the busy seconds the executor measured over the
-    call, not the wall clock times its worker count (which assumed a linear
-    speedup); an executor that ran nothing leaves the wall clock."""
+def test_labeling_engine_projects_the_one_core_cost_from_its_wall_clock():
+    """The fits run on the calling thread, so the measured seconds per fitted
+    patch, times the stack size, are the one-core cost the model scales."""
     patches, _ = _patch_stack(8)
-    executor = _BusyExecutor()
-
-    def label_patches(stack, executor=None):
-        executor.bill(tasks, busy)
-        return np.zeros((stack.shape[0], 2))
-
-    monkeypatch.setattr("repro.labeling.parallel.label_patches", label_patches)
-    engine = LabelingEngine(cost_model=VOIGT_80, sample_fraction=0.5, executor=executor)
-    report = engine.label(patches)
-    # Four patches fitted, eight labelled: the fitted cost scales by two.
-    one_core = busy if tasks else report.measured_seconds
-    assert report.simulated_wall_clock == pytest.approx(VOIGT_80.wall_clock(one_core / 4 * 8))
+    report = LabelingEngine(cost_model=VOIGT_80, sample_fraction=0.5).label(patches)
+    assert report.per_patch_seconds == pytest.approx(report.measured_seconds / 4)
+    assert report.simulated_wall_clock == pytest.approx(
+        VOIGT_80.wall_clock(report.per_patch_seconds * 8))
 
 
 def test_labeling_engine_sampled_fraction_completes_labels():

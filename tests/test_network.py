@@ -34,7 +34,7 @@ from repro.net import (
     write_frame,
 )
 from repro.net.protocol import async_read_frame
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry, default_registry
 from repro.serving import BatchingPolicy, ModelHandle, ServingRuntime, versioned_handler
 from repro.serving.hot_swap import VersionedResult
 from repro.utils.errors import (
@@ -373,7 +373,7 @@ def test_deadline_that_expires_while_queued_draws_the_typed_error_from_the_worke
     """The wire ``deadline_ms`` travels into the runtime: requests that expire
     behind a busy worker are answered ``deadline_exceeded`` when it picks them
     up — typed, counted, never a hang — and never reach the handler."""
-    from repro.observability.metrics import MetricsRegistry
+    from repro.observability.metrics import MetricsRegistry, default_registry
 
     entered, gate, handled = threading.Event(), threading.Event(), []
 
@@ -481,6 +481,40 @@ def test_async_client_multiplexes_concurrent_calls():
     finally:
         server.close()
         rs.close()
+
+
+def test_a_reader_task_that_failed_is_counted_and_logged_at_close():
+    rs = _replica_set()
+    server = NetworkServer(rs).start()
+    host, port = server.address
+    errors = default_registry().counter(
+        "repro_internal_errors_total", "", ("site",)).labels(site="client.close")
+    before = errors.value
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.net.client")
+    logger.addHandler(handler)
+
+    async def fail_the_reader():
+        async def boom():
+            raise ValueError("a frame the reader could not take")
+
+        client = await AsyncNetworkClient(host, port).connect()
+        assert await client.call("double", 3) == 6
+        client._reader_task.cancel()
+        client._reader_task = asyncio.ensure_future(boom())
+        await asyncio.sleep(0)
+        await client.close()
+
+    try:
+        asyncio.run(fail_the_reader())
+    finally:
+        logger.removeHandler(handler)
+        server.close()
+        rs.close()
+    assert errors.value == before + 1
+    assert [r.exc_info[0] for r in records if r.exc_info] == [ValueError]
 
 
 # ---------------------------------------------------------------------------------

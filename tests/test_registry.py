@@ -133,7 +133,6 @@ def test_create_from_spec_builds_any_kind_from_a_config_dict():
 def test_unified_registry_covers_every_component_kind():
     assert component_kinds() == [
         "embedder", "clustering", "storage", "index", "model", "trigger", "policy",
-        "executor",
     ]
     assert {"pca", "autoencoder", "contrastive", "byol"} <= set(available_components("embedder"))
     assert "kmeans" in available_components("clustering")
@@ -142,7 +141,6 @@ def test_unified_registry_covers_every_component_kind():
     assert {"braggnn", "cookienetae", "tomogan"} <= set(available_components("model"))
     assert {"threshold", "certainty"} <= set(available_components("trigger"))
     assert {"batching", "update"} <= set(available_components("policy"))
-    assert set(available_components("executor")) == {"inline", "thread", "process"}
 
 
 def test_unified_registry_unknown_kind_and_name():

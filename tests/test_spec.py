@@ -19,7 +19,6 @@ from repro.api.spec import (
     ClusteringSpec,
     ContinualSpec,
     EmbedderSpec,
-    ExecutorSpec,
     IndexSpec,
     ModelSpec,
     NetworkSpec,
@@ -39,8 +38,7 @@ PRESET_DIR = REPO_ROOT / "src" / "repro" / "api" / "presets"
 #: before the JSON files became the only definition (commit 8f16b94).
 PRESET_DIGESTS = {
     "ann": "1e525fc03c55", "continual": "58525902abd7", "minimal": "0772d4d87ee7",
-    "networked": "f632033f20f7", "observed": "7a9fed8337c9", "parallel": "b654282e6117",
-    "serving": "6f5a42de1949",
+    "networked": "f632033f20f7", "observed": "7a9fed8337c9", "serving": "6f5a42de1949",
 }
 
 
@@ -121,6 +119,16 @@ def test_a_sharding_section_is_refused_naming_the_removal():
     for section in ({"shards": 4, "shard_backend": "flat"}, {}):
         with pytest.raises(ConfigurationError, match="sharded store was removed"):
             SystemSpec.from_dict({"sharding": section})
+
+
+def test_an_executor_section_is_refused_naming_the_removal():
+    """The compute plane is gone; its slot survives only so that spec files
+    still carrying ``"executor": null`` (every preset and perf spec) keep
+    loading with unchanged digests."""
+    assert SystemSpec.from_dict({"executor": None}) == SystemSpec()
+    for section in ({"kind": "process", "workers": 2, "params": {}}, {}):
+        with pytest.raises(ConfigurationError, match="compute plane was removed"):
+            SystemSpec.from_dict({"executor": section})
 
 
 def test_fair_tenancy_batching_is_refused():
@@ -264,7 +272,7 @@ def test_persist_and_load_by_digest_survive_save_load(tmp_path):
 # ---------------------------------------------------------------------------------
 def test_preset_names_and_unknown_preset():
     assert preset_names() == [
-        "ann", "continual", "minimal", "networked", "observed", "parallel", "serving",
+        "ann", "continual", "minimal", "networked", "observed", "serving",
     ]
     with pytest.raises(ConfigurationError, match="unknown preset"):
         preset("turbo")
@@ -282,7 +290,7 @@ def test_presets_compose_incrementally():
 
 @pytest.mark.parametrize(
     "name",
-    ["minimal", "serving", "continual", "ann", "observed", "parallel", "networked"],
+    ["minimal", "serving", "continual", "ann", "observed", "networked"],
 )
 def test_shipped_spec_files_match_presets(name):
     """src/repro/api/presets/*.json *are* the presets: each file is in the
@@ -333,30 +341,6 @@ def test_system_spec_rejects_wrong_network_type():
         SystemSpec(network={"port": 0})  # must be a NetworkSpec, not a dict
 
 
-def test_executor_spec_validation_and_round_trip():
-    with pytest.raises(ConfigurationError, match="unknown executor"):
-        ExecutorSpec("no-such-backend")
-    with pytest.raises(ConfigurationError, match="workers"):
-        ExecutorSpec("thread", workers=0)
-    with pytest.raises(ConfigurationError, match="max_workers"):
-        ExecutorSpec("thread", workers=2, params={"max_workers": 4})
-    spec = ExecutorSpec("process", workers=2)
-    assert ExecutorSpec.from_dict(spec.to_dict()) == spec
-    executor = spec.build()
-    try:
-        assert executor.kind == "process" and executor.max_workers == 2
-    finally:
-        executor.close()
-
-
-def test_parallel_preset_extends_continual_with_process_executor():
-    continual, parallel = preset("continual"), preset("parallel")
-    assert parallel.executor == ExecutorSpec("process", workers=2)
-    assert {p.split(".")[0] for p in continual.diff(parallel)} == {"name", "executor"}
-    # The executor rides the digest: retuning the compute plane is a config change.
-    assert parallel.digest() != continual.digest()
-
-
 def test_ann_preset_configures_ivf_with_live_knob():
     spec = preset("ann")
     assert spec.index.backend == "ivf"
@@ -389,7 +373,7 @@ def test_presets_are_found_as_package_data_from_any_directory(tmp_path):
 # ---------------------------------------------------------------------------------
 SPEC_CLASSES = [
     EmbedderSpec, ClusteringSpec, StorageSpec, IndexSpec, ModelSpec,
-    ServingSpec, ContinualSpec, ObservabilitySpec, ExecutorSpec, NetworkSpec, SystemSpec,
+    ServingSpec, ContinualSpec, ObservabilitySpec, NetworkSpec, SystemSpec,
 ]
 ALL_FIELDS = [(cls, f.name) for cls in SPEC_CLASSES for f in dataclasses.fields(cls)]
 
