@@ -10,14 +10,19 @@ hysteresis/cooldown control law under a fake clock.
 """
 
 import asyncio
+import base64
 import json
 import logging
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.net import (
     AsyncNetworkClient,
@@ -33,7 +38,7 @@ from repro.net import (
     read_frame,
     write_frame,
 )
-from repro.net.protocol import async_read_frame
+from repro.net.protocol import _MARKER, async_read_frame
 from repro.observability.metrics import MetricsRegistry, default_registry
 from repro.serving import BatchingPolicy, ModelHandle, ServingRuntime, versioned_handler
 from repro.serving.hot_swap import VersionedResult
@@ -130,13 +135,103 @@ def assert_same(a, b):
         assert set(a) == set(b)
         for key in a:
             assert_same(a[key], b[key])
+    elif isinstance(a, bytearray):  # crosses as bytes
+        assert type(b) is bytes and a == b
+    elif isinstance(a, float) and a != a:  # nan
+        assert type(b) is float and b != b
     else:
         assert a == b and type(a) is type(b)
 
 
+class _SentBytes:
+    """The reading end of a socket the given bytes were sent down."""
+
+    def __init__(self, data):
+        self._data = memoryview(data)
+
+    def recv(self, n):
+        chunk, self._data = self._data[:n], self._data[n:]
+        return bytes(chunk)
+
+
+def _across_the_wire(value):
+    """``value`` as the far end reads it: framed, read back and decoded."""
+    frame = encode_frame({"id": 1, "payload": encode(value)})
+    return decode(read_frame(_SentBytes(frame))["payload"])
+
+
 @pytest.mark.parametrize("value", CODEC_VALUES)
 def test_codec_round_trips(value):
-    assert_same(value, decode(json.loads(json.dumps(encode(value)))))
+    assert_same(value, _across_the_wire(value))
+
+
+def _reference_encode(value):
+    """The codec as it was before sections: each array's and bytes value's
+    data an eager base64 str inside the JSON tree."""
+    if isinstance(value, np.ndarray):
+        return {"__repro__": "ndarray", "dtype": str(value.dtype), "shape": list(value.shape),
+                "data": base64.b64encode(value.tobytes()).decode("ascii")}
+    if isinstance(value, VersionedResult):
+        return {"__repro__": "versioned", "version": value.version,
+                "value": _reference_encode(value.value)}
+    if isinstance(value, tuple):
+        return {"__repro__": "tuple", "items": [_reference_encode(v) for v in value]}
+    if isinstance(value, (bytes, bytearray)):
+        return {"__repro__": "bytes", "data": base64.b64encode(bytes(value)).decode("ascii")}
+    if isinstance(value, list):
+        return [_reference_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _reference_encode(v) for key, v in value.items()}
+    return value
+
+
+def _reference_frame(body):
+    data = json.dumps(_reference_encode(body), separators=(",", ":")).encode("utf-8")
+    return struct.pack(">I", len(data)) + data
+
+
+def _laid_out(array, layout):
+    if layout == "fortran":
+        return np.asfortranarray(array)
+    if layout == "strided" and array.ndim:
+        return array[..., ::2]
+    if layout == "big-endian":
+        return array.astype(array.dtype.newbyteorder(">"))
+    return array
+
+
+#: Strings built from the characters JSON escapes, non-ASCII text and the
+#: marker a section stands in as, alone and inside longer strings.
+_strings = st.lists(
+    st.sampled_from(["a", "\x00", '"', "\\", "é", "βγ", "\u2028", "section", "\\u0000",
+                     _MARKER]) | st.text(max_size=3),
+    max_size=4,
+).map("".join)
+_arrays = st.builds(
+    _laid_out,
+    st.sampled_from(sorted({v.dtype.str for v in CODEC_VALUES if isinstance(v, np.ndarray)}))
+    .flatmap(lambda dtype: hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                              min_side=0, max_side=4))),
+    st.sampled_from(["c", "fortran", "strided", "big-endian"]),
+)
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _strings
+    | st.binary(max_size=8) | st.binary(max_size=8).map(bytearray) | _arrays,
+    lambda children: st.lists(children, max_size=3)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_strings, children, max_size=3)
+    | st.builds(VersionedResult, _strings, children),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_values)
+def test_frames_match_the_eager_codec_byte_for_byte_and_round_trip(value):
+    body = {"id": 1, "payload": value}
+    frame = encode_frame(encode(body))
+    assert frame == _reference_frame(body)
+    assert_same(value, decode(read_frame(_SentBytes(frame))["payload"]))
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +295,37 @@ def test_frames_round_trip_over_a_socketpair_and_oversize_is_typed():
     finally:
         a.close()
         b.close()
+
+
+def test_a_peer_that_hangs_up_mid_drain_fails_the_read_at_once():
+    a, b = socket.socketpair()
+    a.sendall(struct.pack(">I", 2 ** 31) + b"x" * 10)  # declares 2 GiB, then hangs up
+    a.close()
+    raised = []
+
+    def read():
+        try:
+            read_frame(b, max_frame_bytes=1024)
+        except Exception as exc:
+            raised.append(exc)
+
+    reader = threading.Thread(target=read, daemon=True)
+    try:
+        reader.start()
+        reader.join(timeout=1.0)
+        assert not reader.is_alive(), "the reader is still draining a closed socket"
+        assert len(raised) == 1 and isinstance(raised[0], ConnectionError)
+    finally:
+        b.close()
+
+    async def read_async():
+        stream = asyncio.StreamReader()
+        stream.feed_data(struct.pack(">I", 2 ** 31) + b"x" * 10)
+        stream.feed_eof()
+        await async_read_frame(stream, max_frame_bytes=1024)
+
+    with pytest.raises(asyncio.IncompleteReadError):
+        asyncio.run(read_async())
 
 
 # ---------------------------------------------------------------------------------
